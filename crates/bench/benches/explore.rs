@@ -29,10 +29,9 @@
 //! `camp-obs/v2` counter snapshot accumulated across the instrumented runs.
 
 use camp_broadcast::{CausalBroadcast, EagerReliable, FifoBroadcast};
-use camp_modelcheck::crashsweep::{crash_point_sweep_certs, SweepOutcome};
 use camp_modelcheck::{
-    explore_with_certs, explore_with_independence, EngineConfig, EngineStats, ExploreOutcome,
-    Sensitivity,
+    crash_point_sweep, explore, EngineConfig, EngineStats, ExploreOutcome, Sensitivity,
+    SweepOutcome,
 };
 use camp_obs::Counters;
 use camp_sim::canonical::CertStore;
@@ -136,7 +135,7 @@ where
     B::Msg: Clone,
 {
     let mut counters = Counters::new();
-    let (outcome, stats) = explore_with_independence(
+    let (outcome, stats) = explore(
         fresh(algo, n),
         workload,
         property,
@@ -278,12 +277,13 @@ fn bench_explore(
         )
     };
     let mut agreed_counters = Counters::new();
-    let (agreed_outcome, agreed_stats) = explore_with_certs(
+    let (agreed_outcome, agreed_stats) = explore(
         fresh_agreed(),
         &agreed_workload,
         &agreed_property,
         EngineConfig::default(),
         &certs,
+        Sensitivity::FullOrder,
         &mut agreed_counters,
     );
     assert!(
@@ -299,12 +299,13 @@ fn bench_explore(
     agreed_counters.replay_into(totals);
     group.bench_function("explore_agreed_2", |b| {
         b.iter(|| {
-            explore_with_certs(
+            explore(
                 fresh_agreed(),
                 &agreed_workload,
                 &agreed_property,
                 EngineConfig::default(),
                 &certs,
+                Sensitivity::FullOrder,
                 &mut camp_obs::NoopSink,
             )
         });
@@ -328,7 +329,7 @@ fn bench_explore(
     group.sample_size(sample_size);
     let sweep_workload = Workload::uniform(3, 1);
     let sweep = || {
-        crash_point_sweep_certs(
+        crash_point_sweep(
             &|| fresh(EagerReliable::uniform(), 3),
             &sweep_workload,
             &[ProcessId::new(1), ProcessId::new(2)],
@@ -339,7 +340,7 @@ fn bench_explore(
         )
     };
     let mut counters = Counters::new();
-    let SweepOutcome::Verified { runs } = crash_point_sweep_certs(
+    let SweepOutcome::Verified { runs } = crash_point_sweep(
         &|| fresh(EagerReliable::uniform(), 3),
         &sweep_workload,
         &[ProcessId::new(1), ProcessId::new(2)],

@@ -4,10 +4,10 @@
 use std::ops::ControlFlow;
 
 use camp_broadcast::SendToAll;
-use camp_modelcheck::explore::{explore, ExploreConfig};
+use camp_modelcheck::explore::{explore, EngineConfig, Sensitivity};
 use camp_modelcheck::schedules::for_each_complete_schedule;
 use camp_sim::scheduler::Workload;
-use camp_sim::{FirstProposalRule, KsaOracle, Simulation};
+use camp_sim::{CertStore, FirstProposalRule, KsaOracle, Simulation};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 fn bench_modelcheck(c: &mut Criterion) {
@@ -43,7 +43,10 @@ fn bench_modelcheck(c: &mut Criterion) {
                 sim,
                 &Workload::uniform(2, 1),
                 &|_| Ok(()),
-                ExploreConfig::default(),
+                EngineConfig::default(),
+                &CertStore::new(),
+                Sensitivity::FullOrder,
+                &mut camp_obs::NoopSink,
             )
         });
     });

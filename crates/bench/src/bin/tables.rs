@@ -25,10 +25,8 @@ use camp_broadcast::{
 };
 use camp_faults::FaultPlan;
 use camp_impossibility::{adversarial_scheduler, refute_spec, theorem1, verify_lemmas, NSolo};
-use camp_modelcheck::explore::{
-    explore_with_certs, explore_with_independence, explore_with_stats, EngineConfig, ExploreConfig,
-    ExploreOutcome, Sensitivity,
-};
+use camp_modelcheck::crashsweep::{crash_point_sweep, SweepOutcome};
+use camp_modelcheck::explore::{explore, EngineConfig, ExploreConfig, ExploreOutcome, Sensitivity};
 use camp_modelcheck::schedules::{is_one_solo_all_own, ScheduleQuery};
 use camp_obs::{Obs, ObsSink, SegmentKind, Timeline, TimelineBuilder};
 use camp_runtime::ThreadedRuntime;
@@ -998,15 +996,16 @@ fn independence_row<B>(
     };
     // Only the widened run feeds the sink, so the exported counters
     // describe the configuration the benchmarks track.
-    let (_, plain) = explore_with_certs(
+    let (_, plain) = explore(
         fresh(),
         workload,
         property,
         EngineConfig::default(),
         certs,
+        Sensitivity::FullOrder,
         &mut camp_obs::NoopSink,
     );
-    let (_, widened) = explore_with_independence(
+    let (_, widened) = explore(
         fresh(),
         workload,
         property,
@@ -1050,7 +1049,7 @@ fn reduction_row<B>(
     };
     // Only the reduced run feeds the sink: the baseline's node count would
     // drown the counters the reduction factors are derived from.
-    let (_, base) = explore_with_stats(
+    let (_, base) = explore(
         fresh(),
         workload,
         property,
@@ -1061,16 +1060,18 @@ fn reduction_row<B>(
             },
             dedup: false,
             sleep_sets: false,
-            canonical: false,
-            ..EngineConfig::default()
         },
+        &CertStore::new(),
+        Sensitivity::FullOrder,
+        &mut camp_obs::NoopSink,
     );
-    let (_, reduced) = explore_with_certs(
+    let (_, reduced) = explore(
         fresh(),
         workload,
         property,
         EngineConfig::default(),
         certs,
+        Sensitivity::FullOrder,
         obs,
     );
     let baseline_cell = if base.truncated {
@@ -1100,8 +1101,7 @@ fn sweep_row<B: BroadcastAlgorithm + Clone>(
     expect_uniform: bool,
     obs: &mut Obs,
 ) {
-    use camp_modelcheck::crashsweep::{crash_point_sweep_obs, SweepOutcome};
-    let outcome = crash_point_sweep_obs(
+    let outcome = crash_point_sweep(
         &|| {
             Simulation::new(
                 algo.clone(),
@@ -1113,6 +1113,7 @@ fn sweep_row<B: BroadcastAlgorithm + Clone>(
         &[ProcessId::new(1), ProcessId::new(2)],
         &|e| camp_specs::base::bc_uniform_agreement(e),
         100_000,
+        &CertStore::new(),
         obs,
     );
     let (runs, cell) = match &outcome {
@@ -1161,12 +1162,13 @@ fn mc_row<B>(
         Box::new(FirstProposalRule)
     };
     let sim = Simulation::new(algo, n, KsaOracle::new(k, rule));
-    let (outcome, stats) = explore_with_certs(
+    let (outcome, stats) = explore(
         sim,
         &Workload::uniform(n, m),
         property,
         EngineConfig::default(),
         certs,
+        Sensitivity::FullOrder,
         obs,
     );
     let cell = match &outcome {

@@ -22,9 +22,11 @@ use std::cell::RefCell;
 use std::collections::BTreeSet;
 use std::fmt;
 
-use camp_modelcheck::{explore_collect, ExploreConfig, ExploreOutcome};
+use camp_modelcheck::{explore, ExploreConfig, ExploreOutcome, Sensitivity};
+use camp_obs::NoopSink;
 use camp_sim::scheduler::Workload;
-use camp_sim::{BroadcastAlgorithm, SimError, Simulation};
+use camp_sim::{BroadcastAlgorithm, CertStore, SimError, Simulation};
+use camp_specs::SpecResult;
 use camp_trace::{Action, Execution};
 
 use crate::diagnostics::Diagnostic;
@@ -168,7 +170,13 @@ where
     let liveness_rules: Vec<Box<dyn Rule>> =
         vec![Box::new(UnreturnedBroadcast), Box::new(UnansweredProposal)];
 
-    let outcome = explore_collect(sim, workload, cfg, |exec| {
+    // The property is a visitor over completed executions: it records
+    // coverage and stuck states and never fails. The reductions prune
+    // interleavings, not behaviours — every pruned execution is a
+    // per-process-equivalent permutation (up to message-id renaming) of a
+    // visited one — so the visitor observes the same branch labels and
+    // per-process step sequences the naive enumeration would.
+    let visit = |exec: &Execution| -> SpecResult {
         let mut seen = observed.borrow_mut();
         for step in exec.steps() {
             seen.insert(branch_label(&step.action));
@@ -185,7 +193,17 @@ where
                 });
             }
         }
-    });
+        Ok(())
+    };
+    let (outcome, _) = explore(
+        sim,
+        workload,
+        &visit,
+        cfg.into(),
+        &CertStore::new(),
+        Sensitivity::FullOrder,
+        &mut NoopSink,
+    );
 
     let (completed, nodes, truncated) = match outcome {
         ExploreOutcome::Verified {

@@ -30,8 +30,10 @@ pub use rules::{source_rules, SourceRule};
 
 /// The crates the source pass walks, by directory name under `crates/`.
 ///
-/// `modelcheck` is deliberately absent: its parallel frontier legitimately
-/// spawns threads. `lint` and `trace` are tooling, not protocol code. `obs`
+/// `modelcheck` is deliberately absent: it is the checker, not protocol
+/// code, and its memo tables are hash tables keyed by state fingerprints
+/// that are only ever probed, never iterated into an output. `lint` and `trace`
+/// are tooling, not protocol code. `obs`
 /// is scanned because it is linked into the protocol crates' hot paths and
 /// must honour the same determinism fence — its `clock` module is the one
 /// audited `S002` suppression site in the workspace.

@@ -149,7 +149,8 @@ pub fn source_rules() -> Vec<SourceRule> {
             crates: None,
             rationale: "Protocol handlers run single-threaded under the simulator; spawning \
                         OS threads reintroduces real concurrency the model checker cannot \
-                        enumerate (only modelcheck::parallel may spawn).",
+                        enumerate (only the threaded runtime, outside the protocol crates, \
+                        may spawn).",
             check: |t| {
                 seq(t, &["thread", ":", ":", "spawn"], || {
                     "`thread::spawn` in protocol code: handlers must stay single-threaded \

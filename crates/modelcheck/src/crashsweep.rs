@@ -18,7 +18,7 @@
 use std::cell::{Cell, RefCell};
 use std::collections::HashSet;
 
-use camp_obs::{NoopSink, ObsSink};
+use camp_obs::ObsSink;
 use camp_sim::canonical::{canonical_execution_digest, CertStore};
 use camp_sim::scheduler::Workload;
 use camp_sim::{BroadcastAlgorithm, KsaOracle, SimError, Simulation};
@@ -159,38 +159,29 @@ fn fair_run_with_crashes<B: BroadcastAlgorithm>(
 /// `property` should check **safety plus the liveness appropriate for
 /// crashy runs** (e.g. `bc_global_cs_termination`, `bc_uniform_agreement`)
 /// — the runs are completed fair schedules, so liveness checkers apply.
-pub fn crash_point_sweep<B, F>(
+///
+/// If `certs` holds a valid `camp-symmetry-cert/v1` for the swept
+/// algorithm, the property is checked once per renaming class of completed
+/// runs. Different crash points routinely complete into executions that are
+/// process-renamings of one another (with message ids and contents renamed
+/// injectively), and for a certified algorithm the `camp-specs` verdict is
+/// invariant under exactly those renamings: a run whose renaming-quotient
+/// digest was already seen is counted but not re-checked. Pass
+/// `&CertStore::new()` to check every run.
+///
+/// `sink` receives, inside a `crashsweep` span, `crashsweep.runs` (checked
+/// runs), `crashsweep.probe_runs` (crash-free discovery runs),
+/// `crashsweep.crashes_injected` and `crashsweep.steps_replayed` (total
+/// trace events over checked runs). A certified sweep also records
+/// `crashsweep.cert_loaded` (1) and `crashsweep.canonical_hits` (runs whose
+/// check was skipped). The sweep order and verdict never depend on the sink.
+pub fn crash_point_sweep<B, F, S>(
     make_sim: &dyn Fn() -> Simulation<B>,
     workload: &Workload,
     victims: &[ProcessId],
     property: &F,
     max_events: usize,
-) -> SweepOutcome
-where
-    B: BroadcastAlgorithm,
-    F: Fn(&Execution) -> SpecResult,
-{
-    crash_point_sweep_obs(
-        make_sim,
-        workload,
-        victims,
-        property,
-        max_events,
-        &mut NoopSink,
-    )
-}
-
-/// [`crash_point_sweep`] with an observability sink: records
-/// `crashsweep.runs` (checked runs), `crashsweep.probe_runs` (crash-free
-/// discovery runs), `crashsweep.crashes_injected`, and
-/// `crashsweep.steps_replayed` (total trace events over checked runs). The
-/// sweep order and verdict are identical to [`crash_point_sweep`]'s.
-pub fn crash_point_sweep_obs<B, F, S>(
-    make_sim: &dyn Fn() -> Simulation<B>,
-    workload: &Workload,
-    victims: &[ProcessId],
-    property: &F,
-    max_events: usize,
+    certs: &CertStore,
     sink: &mut S,
 ) -> SweepOutcome
 where
@@ -264,6 +255,20 @@ where
         None
     }
 
+    let certified = certs.valid_for(&make_sim().algorithm().name());
+    if certified {
+        sink.inc("crashsweep.cert_loaded");
+    }
+    let seen: RefCell<HashSet<u128>> = RefCell::new(HashSet::new());
+    let hits = Cell::new(0u64);
+    let checked = |exec: &Execution| -> SpecResult {
+        if certified && !seen.borrow_mut().insert(canonical_execution_digest(exec)) {
+            hits.set(hits.get() + 1);
+            return Ok(());
+        }
+        property(exec)
+    };
+
     sink.begin("crashsweep");
     let mut runs = 0;
     let mut chosen = Vec::new();
@@ -272,7 +277,7 @@ where
         workload,
         victims,
         &mut chosen,
-        property,
+        &checked,
         max_events,
         &mut runs,
         sink,
@@ -281,51 +286,9 @@ where
         None => SweepOutcome::Verified { runs },
     };
     sink.end("crashsweep");
-    outcome
-}
-
-/// [`crash_point_sweep_obs`], with completed-run deduplication by
-/// renaming-quotient digest enabled if — and only if — `certs` holds a
-/// valid `camp-symmetry-cert/v1` for the swept algorithm.
-///
-/// The sweep has no state memoization of its own (each run is independent),
-/// but different crash points routinely complete into executions that are
-/// process-renamings of one another (with message ids and contents renamed
-/// injectively). For a certified algorithm the `camp-specs` verdict is
-/// invariant under exactly those renamings, so the property is checked once
-/// per quotient class: later digest-equal runs are counted but not
-/// re-checked. Records `crashsweep.cert_loaded` (0 or 1) and
-/// `crashsweep.canonical_hits` (runs whose check was skipped). Without a
-/// valid certificate this is exactly [`crash_point_sweep_obs`].
-pub fn crash_point_sweep_certs<B, F, S>(
-    make_sim: &dyn Fn() -> Simulation<B>,
-    workload: &Workload,
-    victims: &[ProcessId],
-    property: &F,
-    max_events: usize,
-    certs: &CertStore,
-    sink: &mut S,
-) -> SweepOutcome
-where
-    B: BroadcastAlgorithm,
-    F: Fn(&Execution) -> SpecResult,
-    S: ObsSink,
-{
-    if !certs.valid_for(&make_sim().algorithm().name()) {
-        return crash_point_sweep_obs(make_sim, workload, victims, property, max_events, sink);
+    if certified {
+        sink.add("crashsweep.canonical_hits", hits.get());
     }
-    sink.inc("crashsweep.cert_loaded");
-    let seen: RefCell<HashSet<u128>> = RefCell::new(HashSet::new());
-    let hits = Cell::new(0u64);
-    let deduped = |exec: &Execution| -> SpecResult {
-        if !seen.borrow_mut().insert(canonical_execution_digest(exec)) {
-            hits.set(hits.get() + 1);
-            return Ok(());
-        }
-        property(exec)
-    };
-    let outcome = crash_point_sweep_obs(make_sim, workload, victims, &deduped, max_events, sink);
-    sink.add("crashsweep.canonical_hits", hits.get());
     outcome
 }
 
@@ -343,6 +306,8 @@ pub fn default_sim<B: BroadcastAlgorithm>(algo: B, n: usize) -> Simulation<B> {
 mod tests {
     use super::*;
     use camp_broadcast::{EagerReliable, FifoBroadcast, SendToAll};
+    use camp_obs::{Counters, NoopSink};
+    use camp_sim::canonical::{SymmetryCert, CERT_SCHEMA};
     use camp_specs::base;
 
     fn p(i: usize) -> ProcessId {
@@ -363,6 +328,8 @@ mod tests {
                 base::bc_global_cs_termination(e)
             },
             100_000,
+            &CertStore::new(),
+            &mut NoopSink,
         );
         match outcome {
             SweepOutcome::Verified { runs } => {
@@ -389,6 +356,8 @@ mod tests {
                 base::bc_uniform_agreement(e)
             },
             100_000,
+            &CertStore::new(),
+            &mut NoopSink,
         );
         match outcome {
             SweepOutcome::CounterExample {
@@ -417,6 +386,8 @@ mod tests {
                 base::bc_global_cs_termination(e)
             },
             100_000,
+            &CertStore::new(),
+            &mut NoopSink,
         );
         assert!(outcome.verified(), "{outcome:?}");
     }
@@ -432,6 +403,8 @@ mod tests {
             &[p(1), p(2)],
             &|e| base::bc_uniform_agreement(e),
             100_000,
+            &CertStore::new(),
+            &mut NoopSink,
         );
         assert!(
             !outcome.verified(),
@@ -451,14 +424,16 @@ mod tests {
                 FifoSpec::new().admits(e)
             },
             100_000,
+            &CertStore::new(),
+            &mut NoopSink,
         );
         assert!(outcome.verified(), "{outcome:?}");
     }
 
     #[test]
     fn sweep_obs_counters_match_the_verdict() {
-        let mut sink = camp_obs::Counters::new();
-        let outcome = crash_point_sweep_obs(
+        let mut sink = Counters::new();
+        let outcome = crash_point_sweep(
             &|| default_sim(SendToAll::new(), 3),
             &Workload::uniform(3, 1),
             &[p(1)],
@@ -467,6 +442,7 @@ mod tests {
                 base::bc_global_cs_termination(e)
             },
             100_000,
+            &CertStore::new(),
             &mut sink,
         );
         let SweepOutcome::Verified { runs } = outcome else {
@@ -480,6 +456,58 @@ mod tests {
         assert!(sink.count("crashsweep.crashes_injected") >= runs as u64 - 1);
     }
 
+    /// The `crashsweep_reliable` scope of `BENCH_explore.json`, with and
+    /// without a symmetry certificate: the verdict and the runs are the
+    /// same, and only the certified sweep skips re-checking renamed runs.
+    #[test]
+    fn symmetry_certificate_skips_rechecking_renamed_runs() {
+        let sweep = |certs: &CertStore, sink: &mut Counters| {
+            crash_point_sweep(
+                &|| default_sim(EagerReliable::uniform(), 3),
+                &Workload::uniform(3, 1),
+                &[p(1), p(2)],
+                &|e| base::bc_uniform_agreement(e),
+                100_000,
+                certs,
+                sink,
+            )
+        };
+
+        let mut plain = Counters::new();
+        let outcome = sweep(&CertStore::new(), &mut plain);
+        assert!(
+            matches!(outcome, SweepOutcome::Verified { runs: 232 }),
+            "{outcome:?}"
+        );
+        // Not zeros: an uncertified sweep leaves both keys out.
+        for key in ["crashsweep.cert_loaded", "crashsweep.canonical_hits"] {
+            assert!(!plain.counts().contains_key(key), "{key} recorded");
+        }
+
+        let mut store = CertStore::new();
+        store.insert(SymmetryCert {
+            schema: CERT_SCHEMA.to_string(),
+            algorithm: EagerReliable::uniform().name(),
+            probe_n: 3,
+            broadcasters_checked: 3,
+            equivariant: true,
+            content_neutral: true,
+            evidence: "hand-built for the sweep test".to_string(),
+        });
+        let mut certified = Counters::new();
+        let outcome = sweep(&store, &mut certified);
+        assert!(
+            matches!(outcome, SweepOutcome::Verified { runs: 232 }),
+            "{outcome:?}"
+        );
+        assert_eq!(certified.count("crashsweep.cert_loaded"), 1);
+        assert_eq!(certified.count("crashsweep.canonical_hits"), 27);
+        assert_eq!(
+            certified.count("crashsweep.runs"),
+            plain.count("crashsweep.runs")
+        );
+    }
+
     #[test]
     fn zero_victims_is_a_single_fair_run() {
         let outcome = crash_point_sweep(
@@ -488,6 +516,8 @@ mod tests {
             &[],
             &|e| base::check_all(e),
             100_000,
+            &CertStore::new(),
+            &mut NoopSink,
         );
         match outcome {
             SweepOutcome::Verified { runs } => assert_eq!(runs, 1),

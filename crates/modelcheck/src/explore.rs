@@ -45,21 +45,20 @@
 //!    than the current one, the classic side condition for combining state
 //!    caching with sleep sets.
 //!
-//! Layer 2 admits a certificate-licensed **widening**: with a valid
-//! `camp-independence-cert/v1` (issued by `camp-lint dataflow`, stating that
-//! the receive handler's state footprint is sliced by the *originating
-//! broadcaster*) and a caller-declared [`Sensitivity::PerSender`] property,
-//! two receptions at the *same* process whose carried B-broadcasters differ
-//! are also treated as commuting — see [`explore_with_independence`] and the
-//! "layer 3¾" section of `docs/MODELCHECK.md` for the soundness argument.
-//!
-//! A fourth layer, deterministic parallel frontier exploration, lives in
-//! [`crate::explore_parallel`].
+//! Two further layers are licensed by certificates, never configured: a
+//! valid `camp-symmetry-cert/v1` adds memoization up to a process renaming,
+//! and a valid `camp-independence-cert/v1` (issued by `camp-lint dataflow`,
+//! stating that the receive handler's state footprint is sliced by the
+//! *originating broadcaster*) together with a caller-declared
+//! [`Sensitivity::PerSender`] property widens layer 2: two receptions at the
+//! *same* process whose carried B-broadcasters differ are also treated as
+//! commuting. See [`explore`] and the "layer 3½" and "layer 3¾" sections of
+//! `docs/MODELCHECK.md` for the soundness arguments.
 
 use std::collections::{HashMap, HashSet};
 use std::ops::ControlFlow;
 
-use camp_obs::{NoopSink, ObsSink};
+use camp_obs::ObsSink;
 use camp_sim::canonical::{self, CertStore};
 use camp_sim::fingerprint::StateHasher;
 use camp_sim::scheduler::Workload;
@@ -90,10 +89,11 @@ impl Default for ExploreConfig {
 
 /// Full engine configuration: budgets plus reduction toggles.
 ///
-/// [`explore`] runs with every reduction enabled; construct this directly
-/// (or via `From<ExploreConfig>`) to toggle layers individually — the
-/// engine-equivalence tests and the `tables modelcheck` baseline comparison
-/// do exactly that.
+/// The default enables both reductions. `EngineConfig { dedup: false,
+/// sleep_sets: false, .. }` is the unreduced reference walk that the
+/// engine-equivalence tests and the `tables modelcheck` baseline compare
+/// against. The certificate-gated layers are not set here: [`explore`]
+/// derives them from its certificate store and [`Sensitivity`].
 #[derive(Debug, Clone, Copy)]
 pub struct EngineConfig {
     /// The exploration budgets.
@@ -102,25 +102,6 @@ pub struct EngineConfig {
     pub dedup: bool,
     /// Partial-order reduction over independent environment events.
     pub sleep_sets: bool,
-    /// Additionally memoize states by their *canonical* fingerprint — the
-    /// minimum over all process renamings (with message ids and contents
-    /// normalized) — so interleavings that re-converge only up to a renaming
-    /// are pruned too. **Sound only for algorithms holding a valid
-    /// [`camp_sim::SymmetryCert`]**; use [`explore_with_certs`] to let a
-    /// certificate store make that decision. Off by default.
-    pub canonical: bool,
-    /// Widen the sleep-set independence relation: receptions at the *same*
-    /// process commute when their carried B-broadcasters differ. **Sound
-    /// only** for algorithms holding a valid
-    /// [`camp_sim::IndependenceCert`] *and* properties declared
-    /// [`Sensitivity::PerSender`]; use [`explore_with_independence`] to let
-    /// a certificate store make that decision. Off by default.
-    pub widen_receives: bool,
-    /// Additionally treat an invocation at `p` as commuting with receptions
-    /// at `p` whose carried B-broadcaster is not `p`. Requires the
-    /// certificate's `invoke_commutes` attestation on top of everything
-    /// `widen_receives` requires. Off by default.
-    pub widen_invokes: bool,
 }
 
 impl Default for EngineConfig {
@@ -129,9 +110,6 @@ impl Default for EngineConfig {
             budgets: ExploreConfig::default(),
             dedup: true,
             sleep_sets: true,
-            canonical: false,
-            widen_receives: false,
-            widen_invokes: false,
         }
     }
 }
@@ -170,17 +148,16 @@ pub struct EngineStats {
 /// How much of the event ordering a property reads — the caller's half of
 /// the widened-independence soundness obligation.
 ///
-/// [`explore_with_independence`] only widens the sleep-set relation when the
-/// property is declared [`PerSender`](Sensitivity::PerSender) *and* the
-/// algorithm holds a valid independence certificate: the certificate attests
-/// that swapping two same-process receptions with distinct origins leaves
-/// the final local states unchanged, and the declaration attests that no
-/// property verdict reads the relative order of events the swap permutes.
+/// [`explore`] only widens the sleep-set relation when the property is
+/// declared [`PerSender`](Sensitivity::PerSender) *and* the algorithm holds a
+/// valid independence certificate: the certificate attests that swapping two
+/// same-process receptions with distinct origins leaves the final local
+/// states unchanged, and the declaration attests that no property verdict
+/// reads the relative order of events the swap permutes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Sensitivity {
     /// The property may read the full per-process event order (e.g. causal
-    /// or total-order specs). No widening — identical to
-    /// [`explore_with_certs`].
+    /// or total-order specs). No widening.
     FullOrder,
     /// Property verdicts depend only on per-(process, origin) delivery
     /// subsequences plus order-insensitive facts (sets of broadcasts,
@@ -223,7 +200,7 @@ impl ExploreOutcome {
 
 /// One branchable environment event.
 #[derive(Debug, Clone, Copy)]
-pub(crate) enum Choice {
+enum Choice {
     Invoke(ProcessId),
     Receive(usize),
     Respond(ProcessId),
@@ -238,7 +215,7 @@ pub(crate) enum Choice {
 /// function of the in-flight message, carried here so the widened
 /// independence relation can compare origins without re-resolving payloads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub(crate) enum ChoiceKey {
+enum ChoiceKey {
     Invoke(ProcessId),
     Receive {
         msg: MessageId,
@@ -270,7 +247,7 @@ impl ChoiceKey {
 /// of the shared state (network, message-id allocator), so executing them in
 /// either order yields the same state up to a consistent message-id
 /// renaming, and neither order disables the other event.
-pub(crate) fn independent(a: ChoiceKey, b: ChoiceKey) -> bool {
+fn independent(a: ChoiceKey, b: ChoiceKey) -> bool {
     match (a.subject(), b.subject()) {
         (Some(p), Some(q)) => p != q,
         _ => false,
@@ -292,12 +269,7 @@ pub(crate) fn independent(a: ChoiceKey, b: ChoiceKey) -> bool {
 ///
 /// A `None` class means the algorithm did not vouch for the payload: the
 /// pair stays dependent.
-pub(crate) fn widened_independent(
-    a: ChoiceKey,
-    b: ChoiceKey,
-    receives: bool,
-    invokes: bool,
-) -> bool {
+fn widened_independent(a: ChoiceKey, b: ChoiceKey, receives: bool, invokes: bool) -> bool {
     use ChoiceKey::{Invoke, Receive};
     match (a, b) {
         (
@@ -337,15 +309,15 @@ pub(crate) fn widened_independent(
 /// pure attribution — it never changes what is explored, only which counter
 /// a prune lands in (`independence_prunes` vs plain `sleep_skips`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct SleepEntry {
-    pub key: ChoiceKey,
-    pub widened: bool,
+struct SleepEntry {
+    key: ChoiceKey,
+    widened: bool,
 }
 
 /// Drains all local steps of all processes (reduction layer 1), responding
 /// to nothing — proposals stay pending as branchable choices. Returns the
 /// number of local steps taken (the `modelcheck.steps_replayed` counter).
-pub(crate) fn drain<B: BroadcastAlgorithm>(sim: &mut Simulation<B>) -> Result<usize, SimError> {
+fn drain<B: BroadcastAlgorithm>(sim: &mut Simulation<B>) -> Result<usize, SimError> {
     let mut steps = 0;
     loop {
         let mut progressed = false;
@@ -365,9 +337,9 @@ pub(crate) fn drain<B: BroadcastAlgorithm>(sim: &mut Simulation<B>) -> Result<us
     }
 }
 
-/// Enumerates the enabled environment events into `out` (cleared first).
-/// The enumeration order is deterministic and shared by every engine.
-pub(crate) fn collect_choices<B: BroadcastAlgorithm>(
+/// Enumerates the enabled environment events into `out` (cleared first),
+/// in a deterministic order.
+fn collect_choices<B: BroadcastAlgorithm>(
     sim: &Simulation<B>,
     workload: &Workload,
     issued: &[usize],
@@ -393,7 +365,7 @@ pub(crate) fn collect_choices<B: BroadcastAlgorithm>(
 }
 
 /// The stable key of a choice in the current state.
-pub(crate) fn key_of<B: BroadcastAlgorithm>(choice: Choice, sim: &Simulation<B>) -> ChoiceKey {
+fn key_of<B: BroadcastAlgorithm>(choice: Choice, sim: &Simulation<B>) -> ChoiceKey {
     match choice {
         Choice::Invoke(p) => ChoiceKey::Invoke(p),
         Choice::Respond(p) => ChoiceKey::Respond(p),
@@ -411,7 +383,7 @@ pub(crate) fn key_of<B: BroadcastAlgorithm>(choice: Choice, sim: &Simulation<B>)
 /// Applies `choice` to `sim` (advancing `issued` for invocations) and drains
 /// the resulting local steps. Returns the number of simulation events
 /// executed: the environment event itself plus the drained local steps.
-pub(crate) fn apply_choice<B>(
+fn apply_choice<B>(
     sim: &mut Simulation<B>,
     workload: &Workload,
     issued: &mut [usize],
@@ -450,7 +422,7 @@ where
 /// trace; the workload future must be included explicitly because two
 /// renamed states are only interchangeable if their *pending* invocations
 /// also correspond under the renaming.
-pub(crate) fn canonical_combined_fingerprint<B: BroadcastAlgorithm>(
+fn canonical_combined_fingerprint<B: BroadcastAlgorithm>(
     sim: &Simulation<B>,
     workload: &Workload,
     issued: &[usize],
@@ -483,10 +455,7 @@ pub(crate) fn canonical_combined_fingerprint<B: BroadcastAlgorithm>(
 
 /// The memoization fingerprint of a node: live simulation state, workload
 /// cursors, and the per-process projection hashes of the trace so far.
-pub(crate) fn combined_fingerprint<B: BroadcastAlgorithm>(
-    sim: &Simulation<B>,
-    issued: &[usize],
-) -> u128 {
+fn combined_fingerprint<B: BroadcastAlgorithm>(sim: &Simulation<B>, issued: &[usize]) -> u128 {
     let live = sim.fingerprint();
     let mut h = StateHasher::new();
     h.write_u64((live >> 64) as u64);
@@ -507,14 +476,20 @@ pub(crate) fn combined_fingerprint<B: BroadcastAlgorithm>(
 /// unbounded growth.
 const MAX_SLEEP_SIGNATURES: usize = 4;
 
-pub(crate) struct Engine<'a, S: ObsSink> {
-    pub workload: &'a Workload,
-    pub property: &'a dyn Fn(&Execution) -> SpecResult,
-    pub cfg: EngineConfig,
-    pub stats: EngineStats,
-    // The observability sink. Generic, not `dyn`: with the default
-    // `NoopSink` every recording call below monomorphizes to nothing.
-    pub sink: &'a mut S,
+struct Engine<'a, S: ObsSink> {
+    workload: &'a Workload,
+    property: &'a dyn Fn(&Execution) -> SpecResult,
+    cfg: EngineConfig,
+    // The certificate-gated layers, as `explore` derived them: memoization
+    // by canonical fingerprint, and the two halves of the widened relation
+    // (see `widened_independent`).
+    canonical: bool,
+    widen_receives: bool,
+    widen_invokes: bool,
+    stats: EngineStats,
+    // The observability sink. Generic, not `dyn`: with `NoopSink` every
+    // recording call below monomorphizes to nothing.
+    sink: &'a mut S,
     visited: HashMap<u128, Vec<Vec<ChoiceKey>>>,
     // Canonical fingerprints of states expanded with an EMPTY sleep set.
     // Only those may license a cross-renaming prune: a sleep-set signature
@@ -526,28 +501,10 @@ pub(crate) struct Engine<'a, S: ObsSink> {
     scratch: Vec<Vec<Choice>>,
 }
 
-impl<'a, S: ObsSink> Engine<'a, S> {
-    pub fn new(
-        workload: &'a Workload,
-        property: &'a dyn Fn(&Execution) -> SpecResult,
-        cfg: EngineConfig,
-        sink: &'a mut S,
-    ) -> Self {
-        Self {
-            workload,
-            property,
-            cfg,
-            stats: EngineStats::default(),
-            sink,
-            visited: HashMap::new(),
-            canonical_visited: HashSet::new(),
-            scratch: Vec::new(),
-        }
-    }
-
+impl<S: ObsSink> Engine<'_, S> {
     /// Explores the subtree rooted at `sim` (already drained) with the given
     /// sleep set. `depth` counts environment events along the path.
-    pub fn dfs<B>(
+    fn dfs<B>(
         &mut self,
         sim: &Simulation<B>,
         issued: &mut [usize],
@@ -615,7 +572,7 @@ impl<'a, S: ObsSink> Engine<'a, S> {
             }
         }
 
-        if self.cfg.canonical {
+        if self.canonical {
             let cfp = canonical_combined_fingerprint(sim, self.workload, issued);
             self.sink.inc("modelcheck.canonical_fingerprints");
             if self.canonical_visited.contains(&cfp) {
@@ -644,7 +601,7 @@ impl<'a, S: ObsSink> Engine<'a, S> {
                 }
                 continue;
             }
-            let widening = self.cfg.widen_receives || self.cfg.widen_invokes;
+            let widening = self.widen_receives || self.widen_invokes;
             let child_sleep: Vec<SleepEntry> = if self.cfg.sleep_sets {
                 sleep
                     .iter()
@@ -660,8 +617,8 @@ impl<'a, S: ObsSink> Engine<'a, S> {
                             && widened_independent(
                                 e.key,
                                 key,
-                                self.cfg.widen_receives,
-                                self.cfg.widen_invokes,
+                                self.widen_receives,
+                                self.widen_invokes,
                             )
                         {
                             // Surviving only via the widened relation marks
@@ -705,39 +662,58 @@ impl<'a, S: ObsSink> Engine<'a, S> {
     }
 }
 
-/// Runs the full reduction stack and returns the outcome together with the
-/// engine counters (nodes, dedup hits, sleep skips, …).
+/// Explores every environment schedule of `sim` under `workload`, checking
+/// `property` on each completed execution, and returns the outcome together
+/// with the engine counters.
 ///
 /// The simulation must be freshly created (no steps taken). `property` is
 /// called with the final execution of each maximal branch; liveness-style
 /// checks are appropriate because the explorer only deems a branch complete
-/// when no event is enabled at all.
-pub fn explore_with_stats<B>(
-    sim: Simulation<B>,
-    workload: &Workload,
-    property: &dyn Fn(&Execution) -> SpecResult,
-    cfg: EngineConfig,
-) -> (ExploreOutcome, EngineStats)
-where
-    B: BroadcastAlgorithm + Clone,
-    B::Msg: Clone,
-{
-    explore_with_obs(sim, workload, property, cfg, &mut NoopSink)
-}
-
-/// [`explore_with_stats`] with an observability sink.
+/// when no event is enabled at all. With the reductions on, `completed`
+/// counts *representative* executions — one per equivalence class of
+/// interleavings — rather than raw interleavings.
 ///
-/// Records the `modelcheck.*` counters (see `docs/OBSERVABILITY.md`): nodes,
-/// executions, fingerprints checked, dedup hits, sleep-set prunes, steps
-/// replayed, plus the `max_depth` and `max_frontier` (widest enabled-choice
-/// set at any node) gauges. The exploration order is identical to
-/// [`explore_with_stats`]'s, and every counter is a pure function of
-/// (algorithm, workload, config) — two runs fill identical registries.
-pub fn explore_with_obs<B, S>(
+/// `cfg` sets the budgets and the configurable reductions. The two
+/// certificate-gated layers are derived from `certs` and `sensitivity`:
+///
+/// * **Renaming quotient.** States are also memoized by their canonical
+///   fingerprint if — and only if — `certs` holds a valid
+///   `camp-symmetry-cert/v1` for the simulated algorithm. The certificate
+///   (issued by `camp-lint symmetry`) attests that the algorithm is
+///   process-renaming equivariant and statically content-neutral, so every
+///   execution reachable from a pruned state is, up to a process renaming
+///   and an injective message-id/content renaming, also reachable from the
+///   state that was expanded — and the `camp-specs` properties are
+///   invariant under those renamings. Records `modelcheck.cert_loaded`.
+/// * **Widened independence.** Armed only when `certs` holds a valid
+///   `camp-independence-cert/v1` for the algorithm (issued by `camp-lint
+///   dataflow`, attesting that the receive handler's state footprint is
+///   sliced by the originating broadcaster) *and* `sensitivity` is
+///   [`Sensitivity::PerSender`]. Two receptions at the same process whose
+///   carried B-broadcasters differ then become sleep-set independent — and,
+///   if the certificate also attests `invoke_commutes`, so do an invocation
+///   and a foreign-origin reception at the same process. Prunes only the
+///   widening made possible are counted in
+///   [`EngineStats::independence_prunes`]. Records
+///   `modelcheck.independence_cert_loaded`.
+///
+/// Callers without certificates pass `&CertStore::new()` and
+/// [`Sensitivity::FullOrder`]; callers without metrics pass
+/// `&mut NoopSink`.
+///
+/// `sink` receives the `modelcheck.*` counters inside an `explore` span (see
+/// `docs/OBSERVABILITY.md`): nodes, executions, fingerprints checked, dedup
+/// hits, sleep-set prunes, steps replayed, the `max_depth` and
+/// `max_frontier` gauges and the `branch_fanout` histogram. The sink never
+/// changes what is explored, and every counter is a pure function of the
+/// inputs — two runs fill identical registries.
+pub fn explore<B, S>(
     sim: Simulation<B>,
     workload: &Workload,
     property: &dyn Fn(&Execution) -> SpecResult,
     cfg: EngineConfig,
+    certs: &CertStore,
+    sensitivity: Sensitivity,
     sink: &mut S,
 ) -> (ExploreOutcome, EngineStats)
 where
@@ -745,18 +721,40 @@ where
     B::Msg: Clone,
     S: ObsSink,
 {
+    let name = sim.algorithm().name();
+    let canonical = certs.valid_for(&name);
+    if canonical {
+        sink.inc("modelcheck.cert_loaded");
+    }
+    let independence = certs
+        .independence(&name)
+        .filter(|cert| cert.valid())
+        .filter(|_| sensitivity == Sensitivity::PerSender);
+    if independence.is_some() {
+        sink.inc("modelcheck.independence_cert_loaded");
+    }
+
     sink.begin("explore");
     let mut root = sim;
     let outcome = match drain(&mut root) {
-        Err(e) => {
-            sink.end("explore");
-            return (ExploreOutcome::Error(e), EngineStats::default());
-        }
+        Err(e) => (ExploreOutcome::Error(e), EngineStats::default()),
         Ok(steps) => {
             sink.add("modelcheck.steps_replayed", steps as u64);
             // `issued` is indexed by process: exactly `n` entries.
             let mut issued = vec![0usize; root.n()];
-            let mut engine = Engine::new(workload, property, cfg, &mut *sink);
+            let mut engine = Engine {
+                workload,
+                property,
+                cfg,
+                canonical,
+                widen_receives: independence.is_some(),
+                widen_invokes: independence.is_some_and(|cert| cert.invoke_commutes),
+                stats: EngineStats::default(),
+                sink: &mut *sink,
+                visited: HashMap::new(),
+                canonical_visited: HashSet::new(),
+                scratch: Vec::new(),
+            };
             let outcome = match engine.dfs(&root, &mut issued, 0, Vec::new()) {
                 ControlFlow::Break(outcome) => outcome,
                 ControlFlow::Continue(()) => ExploreOutcome::Verified {
@@ -772,182 +770,11 @@ where
     outcome
 }
 
-/// [`explore_with_obs`], with the symmetry-canonicalization layer enabled
-/// if — and only if — `certs` holds a valid `camp-symmetry-cert/v1` for the
-/// simulated algorithm.
-///
-/// The certificate (issued by `camp-lint symmetry`) attests that the
-/// algorithm is process-renaming equivariant and statically content-neutral,
-/// which is exactly the hypothesis the renaming-quotient prune needs: every
-/// execution reachable from a pruned state is, up to a process renaming and
-/// an injective message-id/content renaming, also reachable from the state
-/// that was expanded — and the `camp-specs` properties are invariant under
-/// those renamings. Without a valid certificate the engine runs exactly like
-/// [`explore_with_obs`] (the `canonical` flag is forced off, never on).
-///
-/// Records `modelcheck.cert_loaded` (0 or 1) alongside the usual counters.
-pub fn explore_with_certs<B, S>(
-    sim: Simulation<B>,
-    workload: &Workload,
-    property: &dyn Fn(&Execution) -> SpecResult,
-    cfg: EngineConfig,
-    certs: &CertStore,
-    sink: &mut S,
-) -> (ExploreOutcome, EngineStats)
-where
-    B: BroadcastAlgorithm + Clone,
-    B::Msg: Clone,
-    S: ObsSink,
-{
-    explore_with_independence(
-        sim,
-        workload,
-        property,
-        cfg,
-        certs,
-        Sensitivity::FullOrder,
-        sink,
-    )
-}
-
-/// [`explore_with_certs`], additionally arming the certificate-widened
-/// independence relation when *both* halves of its soundness obligation are
-/// met: `certs` holds a valid `camp-independence-cert/v1` for the simulated
-/// algorithm (issued by `camp-lint dataflow`, attesting that the receive
-/// handler's state footprint is sliced by the originating broadcaster), and
-/// the caller declares the property [`Sensitivity::PerSender`].
-///
-/// When armed, two receptions at the same process whose carried
-/// B-broadcasters differ become sleep-set independent — and, if the
-/// certificate also attests `invoke_commutes`, so do an invocation and a
-/// foreign-origin reception at the same process. Prunes enabled only by the
-/// widening are counted in [`EngineStats::independence_prunes`] and the
-/// `modelcheck.independence_prunes` counter; loading the certificate records
-/// `modelcheck.independence_cert_loaded`. With [`Sensitivity::FullOrder`] or
-/// without a valid certificate the call is exactly [`explore_with_certs`].
-#[allow(clippy::too_many_arguments)]
-pub fn explore_with_independence<B, S>(
-    sim: Simulation<B>,
-    workload: &Workload,
-    property: &dyn Fn(&Execution) -> SpecResult,
-    cfg: EngineConfig,
-    certs: &CertStore,
-    sensitivity: Sensitivity,
-    sink: &mut S,
-) -> (ExploreOutcome, EngineStats)
-where
-    B: BroadcastAlgorithm + Clone,
-    B::Msg: Clone,
-    S: ObsSink,
-{
-    let name = sim.algorithm().name();
-    let certified = certs.valid_for(&name);
-    if certified {
-        sink.inc("modelcheck.cert_loaded");
-    }
-    let independence = certs
-        .independence(&name)
-        .filter(|cert| cert.valid())
-        .filter(|_| sensitivity == Sensitivity::PerSender);
-    if independence.is_some() {
-        sink.inc("modelcheck.independence_cert_loaded");
-    }
-    let cfg = EngineConfig {
-        canonical: certified,
-        widen_receives: independence.is_some(),
-        widen_invokes: independence.is_some_and(|cert| cert.invoke_commutes),
-        ..cfg
-    };
-    explore_with_obs(sim, workload, property, cfg, sink)
-}
-
-/// Explores every environment schedule of `sim` under `workload` with the
-/// full reduction stack (drain + sleep sets + memoization), checking
-/// `property` on each completed execution.
-///
-/// Note that with the reductions enabled, `completed` counts *representative*
-/// executions — one per equivalence class of interleavings — rather than raw
-/// interleavings; use [`explore_baseline`] for the unreduced count.
-pub fn explore<B>(
-    sim: Simulation<B>,
-    workload: &Workload,
-    property: &dyn Fn(&Execution) -> SpecResult,
-    cfg: ExploreConfig,
-) -> ExploreOutcome
-where
-    B: BroadcastAlgorithm + Clone,
-    B::Msg: Clone,
-{
-    explore_with_stats(sim, workload, property, EngineConfig::from(cfg)).0
-}
-
-/// The naive clone-per-branch DFS with no reduction beyond the local-step
-/// drain: the reference oracle the optimized engine is checked against (and
-/// the baseline the `tables modelcheck` node-count comparison reports).
-pub fn explore_baseline<B>(
-    sim: Simulation<B>,
-    workload: &Workload,
-    property: &dyn Fn(&Execution) -> SpecResult,
-    cfg: ExploreConfig,
-) -> ExploreOutcome
-where
-    B: BroadcastAlgorithm + Clone,
-    B::Msg: Clone,
-{
-    explore_with_stats(
-        sim,
-        workload,
-        property,
-        EngineConfig {
-            budgets: cfg,
-            dedup: false,
-            sleep_sets: false,
-            canonical: false,
-            widen_receives: false,
-            widen_invokes: false,
-        },
-    )
-    .0
-}
-
-/// Runs [`explore`] while invoking `visit` on every *completed* execution —
-/// one where no environment choice remains enabled — in depth-first order.
-///
-/// This is the observation hook static analyses are built on: a visitor can
-/// accumulate handler-branch coverage, collect exemplar schedules, or flag
-/// non-quiescent terminal states, none of which fit the shape of a safety
-/// property. The property handed to [`explore`] always succeeds, so the
-/// outcome is [`ExploreOutcome::Verified`] (reporting how many executions
-/// were visited) unless the simulation itself raises an error.
-///
-/// The reductions prune interleavings, not behaviours: every pruned
-/// execution is a per-process-equivalent permutation (up to message-id
-/// renaming) of a visited one, so coverage-style visitors observe the same
-/// branch labels and the same per-process step sequences they would under
-/// the naive enumeration.
-pub fn explore_collect<B, F>(
-    sim: Simulation<B>,
-    workload: &Workload,
-    cfg: ExploreConfig,
-    mut visit: F,
-) -> ExploreOutcome
-where
-    B: BroadcastAlgorithm + Clone,
-    B::Msg: Clone,
-    F: FnMut(&Execution),
-{
-    let visitor = std::cell::RefCell::new(&mut visit);
-    let property = move |exec: &Execution| -> SpecResult {
-        (*visitor.borrow_mut())(exec);
-        Ok(())
-    };
-    explore(sim, workload, &property, cfg)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use camp_broadcast::{AgreedBroadcast, FifoBroadcast, SendToAll};
+    use camp_obs::{Counters, NoopSink};
     use camp_sim::{FirstProposalRule, KsaOracle, OwnValueRule};
     use camp_specs::{base, BroadcastSpec, FifoSpec, TotalOrderSpec};
 
@@ -960,13 +787,44 @@ mod tests {
         Simulation::new(algo, n, KsaOracle::new(k, rule))
     }
 
+    /// [`explore`] with no certificates and no metrics.
+    fn run<B>(
+        sim: Simulation<B>,
+        workload: &Workload,
+        property: &dyn Fn(&Execution) -> SpecResult,
+        cfg: EngineConfig,
+    ) -> (ExploreOutcome, EngineStats)
+    where
+        B: BroadcastAlgorithm + Clone,
+        B::Msg: Clone,
+    {
+        explore(
+            sim,
+            workload,
+            property,
+            cfg,
+            &CertStore::new(),
+            Sensitivity::FullOrder,
+            &mut NoopSink,
+        )
+    }
+
+    /// Two processes, 2 + 1 messages.
+    fn fifo_workload() -> Workload {
+        let mut workload = Workload::new(2);
+        workload.push(ProcessId::new(1), camp_trace::Value::new(10));
+        workload.push(ProcessId::new(1), camp_trace::Value::new(11));
+        workload.push(ProcessId::new(2), camp_trace::Value::new(20));
+        workload
+    }
+
     #[test]
     fn send_to_all_base_properties_hold_on_all_schedules() {
-        let outcome = explore(
+        let (outcome, _) = run(
             fresh(SendToAll::new(), 2, 1, false),
             &Workload::uniform(2, 1),
             &|e| base::check_all(e),
-            ExploreConfig::default(),
+            EngineConfig::default(),
         );
         match outcome {
             ExploreOutcome::Verified {
@@ -987,17 +845,13 @@ mod tests {
         // implementation always satisfies the FIFO spec and base props.
         // (The fully symmetric 2 × 2 scope is exercised by the release-mode
         // `tables modelcheck` binary; it is too slow for debug-mode CI.)
-        let mut workload = Workload::new(2);
-        workload.push(ProcessId::new(1), camp_trace::Value::new(10));
-        workload.push(ProcessId::new(1), camp_trace::Value::new(11));
-        workload.push(ProcessId::new(2), camp_trace::Value::new(20));
         let property = |e: &Execution| {
             base::check_all(e)?;
             FifoSpec::new().admits(e)
         };
-        let (outcome, stats) = explore_with_stats(
+        let (outcome, stats) = run(
             fresh(FifoBroadcast::new(), 2, 1, false),
-            &workload,
+            &fifo_workload(),
             &property,
             EngineConfig::default(),
         );
@@ -1023,25 +877,25 @@ mod tests {
 
     #[test]
     fn reduced_engine_matches_baseline_verdict_on_fifo_scope() {
-        let mut workload = Workload::new(2);
-        workload.push(ProcessId::new(1), camp_trace::Value::new(10));
-        workload.push(ProcessId::new(1), camp_trace::Value::new(11));
-        workload.push(ProcessId::new(2), camp_trace::Value::new(20));
         let property = |e: &Execution| {
             base::check_all(e)?;
             FifoSpec::new().admits(e)
         };
-        let reduced = explore(
+        let (reduced, _) = run(
             fresh(FifoBroadcast::new(), 2, 1, false),
-            &workload,
+            &fifo_workload(),
             &property,
-            ExploreConfig::default(),
+            EngineConfig::default(),
         );
-        let baseline = explore_baseline(
+        let (baseline, _) = run(
             fresh(FifoBroadcast::new(), 2, 1, false),
-            &workload,
+            &fifo_workload(),
             &property,
-            ExploreConfig::default(),
+            EngineConfig {
+                dedup: false,
+                sleep_sets: false,
+                ..EngineConfig::default()
+            },
         );
         assert!(reduced.verified() && baseline.verified());
         let (
@@ -1063,7 +917,7 @@ mod tests {
             base::check_all(e)?;
             TotalOrderSpec::new().admits(e)
         };
-        let (outcome, stats) = explore_with_stats(
+        let (outcome, stats) = run(
             fresh(AgreedBroadcast::new(), 2, 1, true),
             &Workload::uniform(2, 1),
             &property,
@@ -1078,20 +932,18 @@ mod tests {
 
     #[test]
     fn obs_counters_mirror_engine_stats() {
-        let mut workload = Workload::new(2);
-        workload.push(ProcessId::new(1), camp_trace::Value::new(10));
-        workload.push(ProcessId::new(1), camp_trace::Value::new(11));
-        workload.push(ProcessId::new(2), camp_trace::Value::new(20));
         let property = |e: &Execution| {
             base::check_all(e)?;
             FifoSpec::new().admits(e)
         };
-        let mut sink = camp_obs::Counters::new();
-        let (outcome, stats) = explore_with_obs(
+        let mut sink = Counters::new();
+        let (outcome, stats) = explore(
             fresh(FifoBroadcast::new(), 2, 1, false),
-            &workload,
+            &fifo_workload(),
             &property,
             EngineConfig::default(),
+            &CertStore::new(),
+            Sensitivity::FullOrder,
             &mut sink,
         );
         assert!(outcome.verified(), "{outcome:?}");
@@ -1111,6 +963,14 @@ mod tests {
             .expect("every expanded node records its fanout");
         assert_eq!(fanout.count(), stats.nodes as u64);
         assert_eq!(fanout.max(), sink.gauge("modelcheck.max_frontier"));
+        // An empty store loads no certificate, and the snapshot says so by
+        // leaving the keys out rather than recording zeros.
+        for key in [
+            "modelcheck.cert_loaded",
+            "modelcheck.independence_cert_loaded",
+        ] {
+            assert!(!sink.counts().contains_key(key), "{key} recorded");
+        }
     }
 
     #[test]
@@ -1119,18 +979,20 @@ mod tests {
             base::check_all(e)?;
             TotalOrderSpec::new().admits(e)
         };
-        let (plain, plain_stats) = explore_with_stats(
+        let (plain, plain_stats) = run(
             fresh(AgreedBroadcast::new(), 2, 1, true),
             &Workload::uniform(2, 1),
             &property,
             EngineConfig::default(),
         );
-        let mut sink = camp_obs::Counters::new();
-        let (observed, observed_stats) = explore_with_obs(
+        let mut sink = Counters::new();
+        let (observed, observed_stats) = explore(
             fresh(AgreedBroadcast::new(), 2, 1, true),
             &Workload::uniform(2, 1),
             &property,
             EngineConfig::default(),
+            &CertStore::new(),
+            Sensitivity::FullOrder,
             &mut sink,
         );
         assert_eq!(plain.verified(), observed.verified());
@@ -1144,7 +1006,7 @@ mod tests {
     #[test]
     fn counterexamples_are_reported() {
         // Deliberately absurd property: "no process ever delivers".
-        let outcome = explore(
+        let (outcome, _) = run(
             fresh(SendToAll::new(), 2, 1, false),
             &Workload::uniform(2, 1),
             &|e| {
@@ -1154,7 +1016,7 @@ mod tests {
                     Err(Violation::new("no-delivery", "p1 delivered something"))
                 }
             },
-            ExploreConfig::default(),
+            EngineConfig::default(),
         );
         match outcome {
             ExploreOutcome::CounterExample { violation, trace } => {
@@ -1167,7 +1029,7 @@ mod tests {
 
     #[test]
     fn truncation_is_reported() {
-        let outcome = explore(
+        let (outcome, _) = run(
             fresh(SendToAll::new(), 3, 1, false),
             &Workload::uniform(3, 2),
             &|_| Ok(()),
@@ -1175,7 +1037,8 @@ mod tests {
                 max_depth: 3,
                 max_executions: 10,
                 max_nodes: 50,
-            },
+            }
+            .into(),
         );
         match outcome {
             ExploreOutcome::Verified { truncated, .. } => assert!(truncated),
@@ -1185,14 +1048,15 @@ mod tests {
 
     #[test]
     fn zero_execution_budget_means_zero() {
-        let outcome = explore(
+        let (outcome, _) = run(
             fresh(SendToAll::new(), 2, 1, false),
             &Workload::uniform(2, 1),
             &|_| Ok(()),
             ExploreConfig {
                 max_executions: 0,
                 ..ExploreConfig::default()
-            },
+            }
+            .into(),
         );
         match outcome {
             ExploreOutcome::Verified {

@@ -29,16 +29,11 @@
 
 pub mod crashsweep;
 pub mod explore;
-pub mod parallel;
 pub mod schedules;
 
-pub use crashsweep::{
-    crash_point_sweep, crash_point_sweep_certs, crash_point_sweep_obs, SweepOutcome,
-};
-pub use explore::{
-    explore, explore_baseline, explore_collect, explore_with_certs, explore_with_independence,
-    explore_with_obs, explore_with_stats, EngineConfig, EngineStats, ExploreConfig, ExploreOutcome,
-    Sensitivity,
-};
-pub use parallel::{explore_parallel, explore_parallel_obs};
+pub use crashsweep::{crash_point_sweep, SweepOutcome};
+/// [`explore()`] under the name the standalone benchmark package
+/// (`crates/bench/src/bin/campbench`) calls it by.
+pub use explore::explore as explore_with_independence;
+pub use explore::{explore, EngineConfig, EngineStats, ExploreConfig, ExploreOutcome, Sensitivity};
 pub use schedules::{for_each_complete_schedule, ScheduleQuery, ScheduleStats};

@@ -8,12 +8,13 @@
 //!    process ids produces states with equal canonical fingerprints (the
 //!    plain [`Simulation::fingerprint`] legitimately differs — that is the
 //!    blind spot the quotient closes).
-//! 2. **Engine equivalence.** The explorer with `canonical: true` reports
-//!    the same verdict as the plain reduced engine and the naive baseline
-//!    on every scope, for every symmetric algorithm in the pool — pruning
-//!    by renaming only merges schedule classes, never changes the answer.
-//!    Cert gating is checked separately: an empty [`CertStore`] must leave
-//!    the canonical layer off, a valid certificate must switch it on.
+//! 2. **Engine equivalence.** The explorer with a symmetry certificate
+//!    loaded reports the same verdict as the plain reduced engine and the
+//!    unreduced reference walk on every scope, for every symmetric
+//!    algorithm in the pool — pruning by renaming only merges schedule
+//!    classes, never changes the answer. Cert gating is checked separately:
+//!    an empty [`CertStore`] must leave the canonical layer off, a valid
+//!    certificate must switch it on.
 //!
 //! Case counts honour `CAMP_PROPTEST_CASES` like the engine-equivalence
 //! suite.
@@ -21,10 +22,9 @@
 use camp_broadcast::faulty::{Duplicating, Lossy, QuorumBlocking};
 use camp_broadcast::{CausalBroadcast, EagerReliable, FifoBroadcast, SendToAll};
 use camp_modelcheck::{
-    explore_baseline, explore_with_certs, explore_with_stats, EngineConfig, ExploreConfig,
-    ExploreOutcome,
+    explore, EngineConfig, EngineStats, ExploreConfig, ExploreOutcome, Sensitivity,
 };
-use camp_obs::Counters;
+use camp_obs::{Counters, NoopSink};
 use camp_sim::canonical::{CertStore, SymmetryCert, CERT_SCHEMA};
 use camp_sim::scheduler::Workload;
 use camp_sim::{BroadcastAlgorithm, FirstProposalRule, KsaOracle, Simulation};
@@ -212,28 +212,55 @@ const BUDGETS: ExploreConfig = ExploreConfig {
     max_nodes: 20_000_000,
 };
 
-fn canonical_cfg() -> EngineConfig {
-    EngineConfig {
-        canonical: true,
-        ..EngineConfig::from(BUDGETS)
-    }
-}
-
-/// Baseline / plain-reduced / canonical-reduced verdicts on one scope.
-fn three_verdicts<B>(algo: B, workload: &Workload) -> (String, String, String)
+/// Explores `algo` at n = 2 against the base properties; the canonical
+/// layer is on exactly when `certs` certifies the algorithm.
+fn run<B>(
+    algo: B,
+    workload: &Workload,
+    cfg: EngineConfig,
+    certs: &CertStore,
+) -> (ExploreOutcome, EngineStats)
 where
     B: BroadcastAlgorithm + Clone,
     B::Msg: Clone,
 {
     let property = |e: &Execution| -> SpecResult { base::check_all(e) };
-    let baseline = explore_baseline(fresh(algo.clone(), 2), workload, &property, BUDGETS);
-    let (plain, _) = explore_with_stats(
-        fresh(algo.clone(), 2),
+    explore(
+        fresh(algo, 2),
         workload,
         &property,
-        EngineConfig::from(BUDGETS),
-    );
-    let (canonical, _) = explore_with_stats(fresh(algo, 2), workload, &property, canonical_cfg());
+        cfg,
+        certs,
+        Sensitivity::FullOrder,
+        &mut NoopSink,
+    )
+}
+
+/// A store holding a hand-built symmetry certificate for `algo`, which
+/// forces it through the canonical layer whether or not `camp-lint
+/// symmetry` would certify it.
+fn canonical_certs(algo: &str) -> CertStore {
+    let mut store = CertStore::new();
+    store.insert(cert_for(algo));
+    store
+}
+
+/// Reference / plain-reduced / canonical-reduced verdicts on one scope.
+fn three_verdicts<B>(algo: B, workload: &Workload) -> (String, String, String)
+where
+    B: BroadcastAlgorithm + Clone,
+    B::Msg: Clone,
+{
+    let reference = EngineConfig {
+        dedup: false,
+        sleep_sets: false,
+        ..EngineConfig::from(BUDGETS)
+    };
+    let none = CertStore::new();
+    let certs = canonical_certs(&algo.name());
+    let (baseline, _) = run(algo.clone(), workload, reference, &none);
+    let (plain, _) = run(algo.clone(), workload, BUDGETS.into(), &none);
+    let (canonical, _) = run(algo, workload, BUDGETS.into(), &certs);
     (verdict(&baseline), verdict(&plain), verdict(&canonical))
 }
 
@@ -253,7 +280,7 @@ proptest! {
     /// The canonical engine agrees with the plain engine and the naive
     /// baseline on every scope, for symmetric algorithms — correct and
     /// seeded-faulty alike. (Asymmetric algorithms never reach the
-    /// canonical engine: `explore_with_certs` refuses them without a
+    /// canonical engine: `explore` keeps the layer off without a
     /// certificate, and `camp-lint symmetry` refuses them a certificate.)
     #[test]
     fn canonical_engine_agrees_with_baseline(
@@ -298,12 +325,13 @@ fn cert_gate_controls_the_canonical_layer() {
 
     // Empty store: canonical stays off, no cert loaded, no canonical hits.
     let mut sink = Counters::new();
-    let (outcome, stats) = explore_with_certs(
+    let (outcome, stats) = explore(
         fresh(FifoBroadcast::new(), 2),
         &small,
         &property,
         EngineConfig::default(),
         &CertStore::new(),
+        Sensitivity::FullOrder,
         &mut sink,
     );
     assert!(outcome.verified(), "{outcome:?}");
@@ -317,12 +345,13 @@ fn cert_gate_controls_the_canonical_layer() {
     cert.schema = "camp-symmetry-cert/v0".to_string();
     stale.insert(cert);
     let mut sink = Counters::new();
-    let (_, stats) = explore_with_certs(
+    let (_, stats) = explore(
         fresh(FifoBroadcast::new(), 2),
         &small,
         &property,
         EngineConfig::default(),
         &stale,
+        Sensitivity::FullOrder,
         &mut sink,
     );
     assert_eq!(sink.count("modelcheck.cert_loaded"), 0);
@@ -335,12 +364,13 @@ fn cert_gate_controls_the_canonical_layer() {
     let mut store = CertStore::new();
     store.insert(cert_for("fifo"));
     let mut sink = Counters::new();
-    let (outcome, stats) = explore_with_certs(
+    let (outcome, stats) = explore(
         fresh(FifoBroadcast::new(), 2),
         &Workload::uniform(2, 2),
         &property,
         EngineConfig::default(),
         &store,
+        Sensitivity::FullOrder,
         &mut sink,
     );
     assert!(outcome.verified(), "{outcome:?}");
@@ -359,15 +389,14 @@ fn cert_gate_controls_the_canonical_layer() {
 #[test]
 fn canonical_run_is_deterministic() {
     let w = Workload::uniform(2, 2);
-    let property = |e: &Execution| -> SpecResult { base::check_all(e) };
-    let run = || {
-        let (outcome, stats) = explore_with_stats(
-            fresh(FifoBroadcast::new(), 2),
+    let once = || {
+        let (outcome, stats) = run(
+            FifoBroadcast::new(),
             &w,
-            &property,
-            canonical_cfg(),
+            BUDGETS.into(),
+            &canonical_certs("fifo"),
         );
         format!("{}/{stats:?}", verdict(&outcome))
     };
-    assert_eq!(run(), run());
+    assert_eq!(once(), once());
 }

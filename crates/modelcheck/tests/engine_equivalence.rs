@@ -1,25 +1,25 @@
 //! Engine-equivalence properties: the reduced engine (dedup + sleep sets)
-//! and the parallel frontier engine must report the same verdict as the
-//! naive baseline DFS on every scope — `Verified` exactly when the baseline
+//! must report the same verdict as the unreduced reference walk
+//! (`EngineConfig { dedup: false, sleep_sets: false, .. }`, the local-step
+//! drain alone) on every scope — `Verified` exactly when the reference
 //! verifies, and a counterexample violating the same property exactly when
-//! the baseline finds one.
+//! the reference finds one.
 //!
 //! The scopes are random small workloads over 2 processes (the largest the
-//! *baseline* can exhaust quickly in debug builds — the reductions' whole
+//! *reference* can exhaust quickly in debug builds — the reductions' whole
 //! point is that they reach further), and the algorithm pool deliberately
 //! mixes correct implementations with the seeded-fault ones from
 //! `camp_broadcast::faulty`, so both "everything verifies" and "a
 //! counterexample exists" are exercised.
 //!
-//! Case count defaults to 16 (each case runs three engines to exhaustion,
-//! including the unreduced baseline — the expensive one) and can be tuned
-//! via the `CAMP_PROPTEST_CASES` environment variable.
+//! Case count defaults to 16 (each case runs the unreduced reference walk
+//! to exhaustion — the expensive engine) and can be tuned via the
+//! `CAMP_PROPTEST_CASES` environment variable.
 
 use camp_broadcast::faulty::{Duplicating, Lossy, Misattributing, QuorumBlocking};
 use camp_broadcast::{AgreedBroadcast, CausalBroadcast, EagerReliable, FifoBroadcast, SendToAll};
 use camp_modelcheck::{
-    explore_baseline, explore_parallel, explore_with_independence, explore_with_stats,
-    EngineConfig, ExploreConfig, ExploreOutcome, Sensitivity,
+    explore, EngineConfig, EngineStats, ExploreConfig, ExploreOutcome, Sensitivity,
 };
 use camp_obs::NoopSink;
 use camp_sim::canonical::INDEPENDENCE_CERT_SCHEMA;
@@ -40,6 +40,20 @@ const BUDGETS: ExploreConfig = ExploreConfig {
     max_nodes: 20_000_000,
 };
 
+/// The unreduced reference walk.
+const REFERENCE: EngineConfig = EngineConfig {
+    budgets: BUDGETS,
+    dedup: false,
+    sleep_sets: false,
+};
+
+/// The reduced engine.
+const REDUCED: EngineConfig = EngineConfig {
+    budgets: BUDGETS,
+    dedup: true,
+    sleep_sets: true,
+};
+
 fn cases_from_env() -> u32 {
     std::env::var("CAMP_PROPTEST_CASES")
         .ok()
@@ -49,6 +63,30 @@ fn cases_from_env() -> u32 {
 
 fn fresh<B: BroadcastAlgorithm>(algo: B, n: usize) -> Simulation<B> {
     Simulation::new(algo, n, KsaOracle::new(1, Box::new(FirstProposalRule)))
+}
+
+/// Explores `algo` at n = 2 against the base properties.
+fn run<B>(
+    algo: B,
+    workload: &Workload,
+    cfg: EngineConfig,
+    certs: &CertStore,
+    sensitivity: Sensitivity,
+) -> (ExploreOutcome, EngineStats)
+where
+    B: BroadcastAlgorithm + Clone,
+    B::Msg: Clone,
+{
+    let property = |e: &Execution| -> SpecResult { base::check_all(e) };
+    explore(
+        fresh(algo, 2),
+        workload,
+        &property,
+        cfg,
+        certs,
+        sensitivity,
+        &mut NoopSink,
+    )
 }
 
 /// Collapses an outcome to the part the engines must agree on: the verdict
@@ -66,36 +104,29 @@ fn verdict(outcome: &ExploreOutcome) -> String {
     }
 }
 
-/// Runs baseline DFS, the reduced engine, and the parallel engine on the
-/// same scope and returns their collapsed verdicts.
-fn all_verdicts<B>(algo: B, workload: &Workload, threads: usize) -> (String, String, String)
+/// Runs the reference walk and the reduced engine on the same scope and
+/// returns their collapsed verdicts.
+fn both_verdicts<B>(algo: B, workload: &Workload) -> (String, String)
 where
-    B: BroadcastAlgorithm + Clone + Send,
-    B::State: Send,
-    B::Msg: Clone + Send,
+    B: BroadcastAlgorithm + Clone,
+    B::Msg: Clone,
 {
-    let property = |e: &Execution| -> SpecResult { base::check_all(e) };
-    let baseline = explore_baseline(fresh(algo.clone(), 2), workload, &property, BUDGETS);
-    let (reduced, _) = explore_with_stats(
-        fresh(algo.clone(), 2),
+    let none = CertStore::new();
+    let (reference, _) = run(
+        algo.clone(),
         workload,
-        &property,
-        EngineConfig::from(BUDGETS),
+        REFERENCE,
+        &none,
+        Sensitivity::FullOrder,
     );
-    let (parallel, _) = explore_parallel(
-        fresh(algo, 2),
-        workload,
-        &property,
-        EngineConfig::from(BUDGETS),
-        threads,
-    );
-    (verdict(&baseline), verdict(&reduced), verdict(&parallel))
+    let (reduced, _) = run(algo, workload, REDUCED, &none, Sensitivity::FullOrder);
+    (verdict(&reference), verdict(&reduced))
 }
 
 /// A hand-built independence certificate store for `algo` — the engine-side
 /// soundness test deliberately bypasses `camp-lint dataflow` (whose issuance
 /// is tested separately) so that *any* algorithm can be forced through the
-/// widened engine and checked against the baseline.
+/// widened engine and checked against the reference walk.
 fn hand_cert(algo: &str, invoke_commutes: bool) -> CertStore {
     let mut store = CertStore::new();
     store.insert_independence(IndependenceCert {
@@ -109,7 +140,7 @@ fn hand_cert(algo: &str, invoke_commutes: bool) -> CertStore {
     store
 }
 
-/// Runs the baseline, the plain reduced engine, and the widened engine
+/// Runs the reference walk, the plain reduced engine, and the widened engine
 /// (hand-built certificate, `PerSender`) on one scope; returns the three
 /// collapsed verdicts plus (plain nodes, widened nodes, widened prunes).
 fn widened_verdicts<B>(
@@ -121,26 +152,25 @@ where
     B: BroadcastAlgorithm + Clone,
     B::Msg: Clone,
 {
-    let property = |e: &Execution| -> SpecResult { base::check_all(e) };
-    let name = algo.name();
-    let baseline = explore_baseline(fresh(algo.clone(), 2), workload, &property, BUDGETS);
-    let (plain, plain_stats) = explore_with_stats(
-        fresh(algo.clone(), 2),
+    let none = CertStore::new();
+    let certs = hand_cert(&algo.name(), invoke_commutes);
+    let (reference, _) = run(
+        algo.clone(),
         workload,
-        &property,
-        EngineConfig::from(BUDGETS),
+        REFERENCE,
+        &none,
+        Sensitivity::FullOrder,
     );
-    let (widened, widened_stats) = explore_with_independence(
-        fresh(algo, 2),
+    let (plain, plain_stats) = run(
+        algo.clone(),
         workload,
-        &property,
-        EngineConfig::from(BUDGETS),
-        &hand_cert(&name, invoke_commutes),
-        Sensitivity::PerSender,
-        &mut NoopSink,
+        REDUCED,
+        &none,
+        Sensitivity::FullOrder,
     );
+    let (widened, widened_stats) = run(algo, workload, REDUCED, &certs, Sensitivity::PerSender);
     (
-        verdict(&baseline),
+        verdict(&reference),
         verdict(&plain),
         verdict(&widened),
         plain_stats.nodes,
@@ -164,84 +194,58 @@ fn workload(total: usize, first: usize, vals: &[u64]) -> Workload {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(cases_from_env()))]
 
-    /// All three engines agree on the verdict for every algorithm in the
-    /// pool — correct and seeded-faulty alike — across random small scopes.
+    /// The reduced engine agrees with the reference walk on the verdict for
+    /// every algorithm in the pool — correct and seeded-faulty alike —
+    /// across random small scopes.
     #[test]
     fn engines_agree_on_verdicts(
         algo in 0usize..9,
         total in 2usize..4,
         first in 0usize..4,
         vals in proptest::collection::vec(0u64..50, 3),
-        threads in 1usize..5,
     ) {
         let w = workload(total, first, &vals);
-        let (b, r, p) = match algo {
-            0 => all_verdicts(SendToAll::new(), &w, threads),
-            1 => all_verdicts(FifoBroadcast::new(), &w, threads),
-            2 => all_verdicts(CausalBroadcast::new(), &w, threads),
-            3 => all_verdicts(EagerReliable::uniform(), &w, threads),
-            4 => all_verdicts(AgreedBroadcast::new(), &w, threads),
-            5 => all_verdicts(Duplicating::new(), &w, threads),
-            6 => all_verdicts(Misattributing::new(), &w, threads),
-            7 => all_verdicts(Lossy::new(), &w, threads),
-            _ => all_verdicts(QuorumBlocking::new(), &w, threads),
+        let (b, r) = match algo {
+            0 => both_verdicts(SendToAll::new(), &w),
+            1 => both_verdicts(FifoBroadcast::new(), &w),
+            2 => both_verdicts(CausalBroadcast::new(), &w),
+            3 => both_verdicts(EagerReliable::uniform(), &w),
+            4 => both_verdicts(AgreedBroadcast::new(), &w),
+            5 => both_verdicts(Duplicating::new(), &w),
+            6 => both_verdicts(Misattributing::new(), &w),
+            7 => both_verdicts(Lossy::new(), &w),
+            _ => both_verdicts(QuorumBlocking::new(), &w),
         };
         prop_assert!(
             !b.contains("truncated=true"),
-            "baseline truncated — widen BUDGETS: {b}"
+            "reference walk truncated — widen BUDGETS: {b}"
         );
-        prop_assert_eq!(&b, &r, "reduced engine disagrees with baseline");
-        prop_assert_eq!(&b, &p, "parallel engine disagrees with baseline");
+        prop_assert_eq!(&b, &r, "reduced engine disagrees with the reference walk");
     }
 
     /// The seeded-faulty algorithms must actually *produce* counterexamples
-    /// (not just agree-on-verified): every engine convicts them whenever at
+    /// (not just agree-on-verified): both engines convict them whenever at
     /// least one message is in play.
     #[test]
     fn faulty_algorithms_are_convicted_by_every_engine(
         which in 0usize..3,
         total in 1usize..3,
-        threads in 1usize..4,
     ) {
         let w = workload(total, 1, &[7, 8]);
-        let ((b, r, p), property) = match which {
-            0 => (all_verdicts(Duplicating::new(), &w, threads), "BC-No-Duplication"),
-            1 => (all_verdicts(Misattributing::new(), &w, threads), "BC-Validity"),
-            _ => (all_verdicts(Lossy::new(), &w, threads), "BC-Global-CS-Termination"),
+        let ((b, r), property) = match which {
+            0 => (both_verdicts(Duplicating::new(), &w), "BC-No-Duplication"),
+            1 => (both_verdicts(Misattributing::new(), &w), "BC-Validity"),
+            _ => (both_verdicts(Lossy::new(), &w), "BC-Global-CS-Termination"),
         };
         let want = format!("violation({property})");
-        prop_assert_eq!(&b, &want, "baseline missed the seeded fault");
+        prop_assert_eq!(&b, &want, "reference walk missed the seeded fault");
         prop_assert_eq!(&r, &want, "reduced engine missed the seeded fault");
-        prop_assert_eq!(&p, &want, "parallel engine missed the seeded fault");
-    }
-
-    /// Two parallel runs with the same thread count produce byte-identical
-    /// reports (outcome *and* counters), for any thread count and scope.
-    #[test]
-    fn parallel_reports_are_byte_identical(
-        total in 1usize..4,
-        first in 0usize..4,
-        threads in 1usize..6,
-    ) {
-        let w = workload(total, first, &[3, 4, 5]);
-        let property = |e: &Execution| -> SpecResult { base::check_all(e) };
-        let run = || {
-            let (outcome, stats) = explore_parallel(
-                fresh(FifoBroadcast::new(), 2),
-                &w,
-                &property,
-                EngineConfig::from(BUDGETS),
-                threads,
-            );
-            format!("{outcome:?}/{stats:?}")
-        };
-        prop_assert_eq!(run(), run());
     }
 
     /// The certificate-widened sleep sets never change the verdict on the
     /// origin-sliced algorithms: the widened engine agrees with both the
-    /// plain reduced engine and the unreduced baseline on every scope, and
-    /// never visits more nodes than the plain engine.
+    /// plain reduced engine and the unreduced reference walk on every scope,
+    /// and never visits more nodes than the plain engine.
     #[test]
     fn widened_engine_agrees_with_baseline(
         algo in 0usize..3,
@@ -258,10 +262,10 @@ proptest! {
         };
         prop_assert!(
             !b.contains("truncated=true"),
-            "baseline truncated — widen BUDGETS: {b}"
+            "reference walk truncated — widen BUDGETS: {b}"
         );
-        prop_assert_eq!(&b, &plain, "plain engine disagrees with baseline");
-        prop_assert_eq!(&b, &widened, "widened engine disagrees with baseline");
+        prop_assert_eq!(&b, &plain, "plain engine disagrees with the reference walk");
+        prop_assert_eq!(&b, &widened, "widened engine disagrees with the reference walk");
         prop_assert!(wn <= pn, "widening grew the tree: {wn} vs {pn}");
     }
 }
@@ -273,23 +277,22 @@ proptest! {
 #[test]
 fn widening_prunes_iff_licensed() {
     let w = workload(2, 1, &[7, 8]); // one broadcast per process
-    let property = |e: &Execution| -> SpecResult { base::check_all(e) };
-    let (_, plain) = explore_with_stats(
-        fresh(FifoBroadcast::new(), 2),
+    let none = CertStore::new();
+    let (_, plain) = run(
+        FifoBroadcast::new(),
         &w,
-        &property,
-        EngineConfig::from(BUDGETS),
+        REDUCED,
+        &none,
+        Sensitivity::FullOrder,
     );
 
     let certs = hand_cert("fifo", true);
-    let (outcome, widened) = explore_with_independence(
-        fresh(FifoBroadcast::new(), 2),
+    let (outcome, widened) = run(
+        FifoBroadcast::new(),
         &w,
-        &property,
-        EngineConfig::from(BUDGETS),
+        REDUCED,
         &certs,
         Sensitivity::PerSender,
-        &mut NoopSink,
     );
     assert!(outcome.verified(), "{outcome:?}");
     assert!(
@@ -305,26 +308,22 @@ fn widening_prunes_iff_licensed() {
 
     // FullOrder: the certificate is present but the property declaration
     // withholds the licence — the run must match the plain engine exactly.
-    let (_, full_order) = explore_with_independence(
-        fresh(FifoBroadcast::new(), 2),
+    let (_, full_order) = run(
+        FifoBroadcast::new(),
         &w,
-        &property,
-        EngineConfig::from(BUDGETS),
+        REDUCED,
         &certs,
         Sensitivity::FullOrder,
-        &mut NoopSink,
     );
     assert_eq!(full_order, plain, "FullOrder must not widen");
 
     // No certificate: PerSender alone licenses nothing.
-    let (_, uncertified) = explore_with_independence(
-        fresh(FifoBroadcast::new(), 2),
+    let (_, uncertified) = run(
+        FifoBroadcast::new(),
         &w,
-        &property,
-        EngineConfig::from(BUDGETS),
-        &CertStore::new(),
+        REDUCED,
+        &none,
         Sensitivity::PerSender,
-        &mut NoopSink,
     );
     assert_eq!(uncertified, plain, "missing certificate must not widen");
 }

@@ -102,23 +102,34 @@ impl CrashBoard {
 #[derive(Debug)]
 pub struct ThreadedRuntime {
     n: usize,
-    inboxes: Vec<Sender<NodeMsgErased>>,
+    inboxes: Vec<Box<dyn Inbox>>,
     deliveries: Receiver<Delivery>,
     collected: Vec<Delivery>,
     handles: Vec<JoinHandle<()>>,
-    bridge_handles: Vec<JoinHandle<()>>,
     collector_handle: JoinHandle<(Execution, Counters, Timeline)>,
     trace_tx: Sender<TraceEvent>,
     crashes: Arc<CrashBoard>,
     recorder: Option<Arc<FlightRecorder>>,
 }
 
-/// Type-erased sender wrapper: the front-end does not know `B::Msg`, so it
-/// only ever sends `Invoke`/`Shutdown`; the erasure forwards those.
-#[derive(Debug)]
-struct NodeMsgErased {
-    invoke: Option<Value>,
-    shutdown: bool,
+/// A node's inbox as the front-end holds it. The front-end does not know
+/// `B::Msg` and only ever sends `Invoke` and `Shutdown`, so the typed
+/// sender is erased down to those two messages.
+trait Inbox: fmt::Debug + Send {
+    fn invoke(&self, content: Value);
+    fn shutdown(&self);
+}
+
+// A node whose crash point fired has dropped its inbox; like a crashed
+// process, it ignores whatever it is sent afterwards.
+impl<M: fmt::Debug + Send> Inbox for Sender<NodeMsg<M>> {
+    fn invoke(&self, content: Value) {
+        let _ = self.send(NodeMsg::Invoke(content));
+    }
+
+    fn shutdown(&self) {
+        let _ = self.send(NodeMsg::Shutdown);
+    }
 }
 
 impl ThreadedRuntime {
@@ -210,14 +221,14 @@ impl ThreadedRuntime {
         let (trace_tx, trace_rx) = unbounded::<TraceEvent>();
         let (deliv_tx, deliv_rx) = unbounded::<Delivery>();
 
-        // Node channels (typed), plus erased front-end channels.
+        // Node channels, typed by the algorithm's message; the front-end
+        // keeps each sender behind the erased `Inbox`.
         type Endpoints<M> = Vec<(Sender<NodeMsg<M>>, Receiver<NodeMsg<M>>)>;
         let typed: Endpoints<B::Msg> = (0..n).map(|_| unbounded()).collect();
         let peers: Vec<Sender<NodeMsg<B::Msg>>> = typed.iter().map(|(tx, _)| tx.clone()).collect();
 
-        let mut inboxes = Vec::with_capacity(n);
+        let mut inboxes: Vec<Box<dyn Inbox>> = Vec::with_capacity(n);
         let mut handles = Vec::with_capacity(n);
-        let mut bridge_handles = Vec::with_capacity(n);
         for (i, (tx, rx)) in typed.into_iter().enumerate() {
             let me = ProcessId::new(i + 1);
             let ctx = NodeCtx {
@@ -235,22 +246,7 @@ impl ThreadedRuntime {
                 recorder: recorder.clone(),
             };
             handles.push(std::thread::spawn(move || run_node(ctx)));
-
-            // Erased bridge: forwards Invoke/Shutdown into the typed inbox.
-            let (etx, erx) = unbounded::<NodeMsgErased>();
-            let typed_tx = tx;
-            bridge_handles.push(std::thread::spawn(move || {
-                while let Ok(m) = erx.recv() {
-                    if m.shutdown {
-                        let _ = typed_tx.send(NodeMsg::Shutdown);
-                        break;
-                    }
-                    if let Some(v) = m.invoke {
-                        let _ = typed_tx.send(NodeMsg::Invoke(v));
-                    }
-                }
-            }));
-            inboxes.push(etx);
+            inboxes.push(Box::new(tx));
         }
 
         let collector_recorder = recorder.clone();
@@ -269,7 +265,6 @@ impl ThreadedRuntime {
             deliveries: deliv_rx,
             collected: Vec::new(),
             handles,
-            bridge_handles,
             collector_handle,
             trace_tx,
             crashes,
@@ -299,22 +294,18 @@ impl ThreadedRuntime {
         self.crashes.crashed()
     }
 
-    /// Asks `pid` to `B.broadcast(content)`.
+    /// Asks `pid` to `B.broadcast(content)`. A process whose crash point
+    /// already fired ignores the request, as a crashed process does.
     ///
     /// # Errors
     ///
-    /// [`RuntimeError::UnknownProcess`] / [`RuntimeError::Disconnected`].
+    /// [`RuntimeError::UnknownProcess`].
     pub fn broadcast(&self, pid: ProcessId, content: Value) -> Result<(), RuntimeError> {
-        let inbox = self
-            .inboxes
+        self.inboxes
             .get(pid.index())
-            .ok_or(RuntimeError::UnknownProcess(pid))?;
-        inbox
-            .send(NodeMsgErased {
-                invoke: Some(content),
-                shutdown: false,
-            })
-            .map_err(|_| RuntimeError::Disconnected)
+            .ok_or(RuntimeError::UnknownProcess(pid))?
+            .invoke(content);
+        Ok(())
     }
 
     /// Blocks until `count` further deliveries were observed (across all
@@ -444,16 +435,9 @@ impl ThreadedRuntime {
     #[must_use]
     pub fn shutdown_full(self) -> (Execution, Counters, Timeline) {
         for inbox in &self.inboxes {
-            let _ = inbox.send(NodeMsgErased {
-                invoke: None,
-                shutdown: true,
-            });
+            inbox.shutdown();
         }
         for h in self.handles {
-            let _ = h.join();
-        }
-        // The shutdown sends above also terminate each bridge loop.
-        for h in self.bridge_handles {
             let _ = h.join();
         }
         // Close the trace channel so the collector finishes.

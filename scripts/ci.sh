@@ -61,7 +61,7 @@ CAMP_PROPTEST_CASES=6 cargo test -q --release -p camp-modelcheck --test engine_e
 
 # The smoke run writes to a scratch path so it never clobbers the committed
 # full-mode BENCH_explore.json; regenerate that one with scripts/bench.sh.
-echo "==> bench smoke: exploration benches produce a well-formed v4 report"
+echo "==> bench smoke: exploration benches reproduce the committed v4 counters"
 smoke_out="$PWD/target/BENCH_explore.smoke.json"
 smoke_metrics="$PWD/target/BENCH_explore.smoke.metrics.json"
 CAMP_BENCH_OUT="$smoke_out" scripts/bench.sh --quick --metrics "$smoke_metrics" >/dev/null
@@ -74,28 +74,23 @@ for key in '"schema"' '"camp-bench/explore/v4"' '"explore_fifo_2x2"' \
   grep -q -- "$key" "$smoke_out" \
     || { echo "$smoke_out malformed: missing $key" >&2; exit 1; }
 done
-# The v3/v4 reduction counters must be live, not decorative: the FIFO scope
-# prunes through sleep sets, the agreed-rounds scope hits the dedup cache,
-# the symmetric FIFO/causal scopes — whose plain dedup_hits used to be
-# zero, hiding any canonicalization regression — must show hits from the
-# certificate-gated renaming quotient, and the per-sender FIFO scope must
-# show prunes from the certificate-widened independence relation (v4).
-python3 - "$smoke_out" <<'PY'
+# The reduction counters are deterministic, so the smoke run must
+# reproduce every non-timing field of every row of the committed
+# full-mode BENCH_explore.json exactly: the work done (executions, nodes),
+# each reduction's counters, and which certificates were loaded. Any drift
+# in the engine, the certificates or the scopes fails here.
+python3 - "$smoke_out" BENCH_explore.json <<'PY'
 import json, sys
-rows = {b["name"]: b for b in json.load(open(sys.argv[1]))["benches"]}
-assert rows["explore_fifo_2x2"]["sleep_set_prunes"] > 0, "fifo sleep_set_prunes is zero"
-assert rows["explore_fifo_2x2"]["max_frontier"] > 0, "fifo max_frontier is zero"
-assert rows["explore_causal_3"]["sleep_set_prunes"] > 0, "causal sleep_set_prunes is zero"
-assert rows["explore_agreed_2"]["dedup_hits"] > 0, "agreed dedup_hits is zero"
-for name in ("explore_fifo_2x2", "explore_causal_3"):
-    assert rows[name]["cert_loaded"], f"{name}: symmetry certificate not loaded"
-    assert rows[name]["canonical_hits"] > 0, f"{name}: canonical_hits is zero"
-    assert rows[name]["dedup_hits"] > 0, f"{name}: dedup_hits is zero"
-assert rows["explore_fifo_2x2"]["independence_cert"], "fifo: independence certificate not loaded"
-assert rows["explore_fifo_2x2"]["independence_prunes"] > 0, "fifo independence_prunes is zero"
-assert not rows["explore_causal_3"]["independence_cert"], "causal must stay unwidened (full-order spec)"
-assert rows["explore_causal_3"]["independence_prunes"] == 0, "causal independence_prunes must be zero"
-print("bench smoke: v4 reduction + canonicalization + independence counters live")
+FIELDS = ("executions", "nodes", "dedup_hits", "sleep_set_prunes", "max_frontier",
+          "canonical_hits", "cert_loaded", "independence_prunes", "independence_cert")
+smoke = {b["name"]: b for b in json.load(open(sys.argv[1]))["benches"]}
+committed = {b["name"]: b for b in json.load(open(sys.argv[2]))["benches"]}
+assert smoke.keys() == committed.keys(), f"bench rows differ: {sorted(smoke)} vs {sorted(committed)}"
+for name, row in committed.items():
+    for field in FIELDS:
+        assert smoke[name][field] == row[field], \
+            f"{name}.{field}: smoke run {smoke[name][field]}, committed {row[field]}"
+print(f"bench smoke: {len(FIELDS)} counters x {len(committed)} rows match BENCH_explore.json")
 PY
 grep -q '"camp-obs/v2"' "$smoke_metrics" \
   || { echo "$smoke_metrics malformed: missing camp-obs/v2 schema" >&2; exit 1; }
@@ -131,5 +126,12 @@ CAMP_PROPTEST_CASES=6 cargo test -q --release -p campkit --test independence
 # the workspace stage; this re-runs the seeded adversaries in release.
 echo "==> chaos smoke + seeded fault soak (release)"
 cargo test -q --release --test chaos
+
+# The benchmark package has its own manifest and lock file outside the
+# workspace, so no stage above compiles it. `check` builds it and runs
+# every workload once at its smallest size, traced and untraced,
+# verifying each op's output.
+echo "==> campbench check: the benchmark package builds and every workload passes"
+cargo run --release --offline -q --manifest-path crates/bench/src/bin/campbench/Cargo.toml -- check
 
 echo "CI OK"

@@ -11,9 +11,10 @@ use campkit::broadcast::{
 use campkit::faults::{CrashTrigger, FaultPlan};
 use campkit::modelcheck::crashsweep::default_sim;
 use campkit::modelcheck::{crash_point_sweep, SweepOutcome};
+use campkit::obs::NoopSink;
 use campkit::runtime::ThreadedRuntime;
 use campkit::sim::scheduler::{run_fair, Workload};
-use campkit::sim::{FirstProposalRule, KsaOracle, OwnValueRule, Simulation};
+use campkit::sim::{CertStore, FirstProposalRule, KsaOracle, OwnValueRule, Simulation};
 use campkit::specs::{
     base, restrict, wellformed, BroadcastSpec, CausalSpec, FifoSpec, TotalOrderSpec,
 };
@@ -176,6 +177,8 @@ fn crash_conformance_verified_pattern_agrees_on_the_runtime() {
         &[ProcessId::new(2)],
         &property,
         100_000,
+        &CertStore::new(),
+        &mut NoopSink,
     );
     assert!(
         matches!(outcome, SweepOutcome::Verified { .. }),
@@ -215,6 +218,8 @@ fn crash_conformance_counterexample_pattern_agrees_on_the_runtime() {
         &[ProcessId::new(1)],
         &|e| base::bc_uniform_agreement(e),
         100_000,
+        &CertStore::new(),
+        &mut NoopSink,
     );
     let SweepOutcome::CounterExample { violation, .. } = outcome else {
         panic!("the sweep must convict send-to-all: {outcome:?}");

@@ -23,15 +23,13 @@ use std::path::Path;
 
 use camp_trace::{Action, Execution, ProcessId, Value};
 use campkit::broadcast::{EagerReliable, FifoBroadcast, SendToAll};
-use campkit::lint::dataflow_check;
-use campkit::modelcheck::{
-    explore_with_certs, explore_with_independence, EngineConfig, ExploreOutcome, Sensitivity,
-};
+use campkit::lint::{dataflow_check, symmetry_check};
+use campkit::modelcheck::{explore, EngineConfig, EngineStats, ExploreOutcome, Sensitivity};
 use campkit::obs::NoopSink;
 use campkit::sim::canonical::CertStore;
 use campkit::sim::scheduler::Workload;
 use campkit::sim::{BroadcastAlgorithm, FirstProposalRule, KsaOracle, Simulation};
-use campkit::specs::{base, SpecResult};
+use campkit::specs::{base, BroadcastSpec, FifoSpec, SpecResult};
 use proptest::prelude::*;
 
 fn cases_from_env() -> u32 {
@@ -137,26 +135,20 @@ where
             prints.borrow_mut().insert(per_sender_fingerprint(e));
             Ok(())
         };
-        let (outcome, stats) = if widened {
-            explore_with_independence(
-                fresh(algo.clone(), n),
-                workload,
-                &property,
-                EngineConfig::default(),
-                certs,
-                Sensitivity::PerSender,
-                &mut NoopSink,
-            )
+        let sensitivity = if widened {
+            Sensitivity::PerSender
         } else {
-            explore_with_certs(
-                fresh(algo.clone(), n),
-                workload,
-                &property,
-                EngineConfig::default(),
-                certs,
-                &mut NoopSink,
-            )
+            Sensitivity::FullOrder
         };
+        let (outcome, stats) = explore(
+            fresh(algo.clone(), n),
+            workload,
+            &property,
+            EngineConfig::default(),
+            certs,
+            sensitivity,
+            &mut NoopSink,
+        );
         assert!(
             matches!(
                 outcome,
@@ -242,6 +234,46 @@ fn fifo_2x2_prunes_with_lint_issued_certs() {
         "widening must shrink the FIFO 2x2 tree: {widened_nodes} vs {plain_nodes}"
     );
     assert!(prunes > 0, "the independence relation never fired");
+}
+
+/// The FIFO 2×2 scope under both certificate kinds, as the benchmarks load
+/// them (symmetry plus dataflow), pinned counter by counter: these are the
+/// values `BENCH_explore.json` records for `explore_fifo_2x2`.
+#[test]
+fn fifo_2x2_reduction_counters_are_pinned() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut certs = symmetry_check(root, false)
+        .expect("workspace sources must be readable")
+        .cert_store();
+    for cert in lint_certs().iter_independence() {
+        certs.insert_independence(cert.clone());
+    }
+    let property = |e: &Execution| -> SpecResult {
+        base::check_all(e)?;
+        FifoSpec::new().admits(e)
+    };
+    let (outcome, stats) = explore(
+        fresh(FifoBroadcast::new(), 2),
+        &Workload::uniform(2, 2),
+        &property,
+        EngineConfig::default(),
+        &certs,
+        Sensitivity::PerSender,
+        &mut NoopSink,
+    );
+    assert!(outcome.verified(), "{outcome:?}");
+    assert_eq!(
+        stats,
+        EngineStats {
+            nodes: 1204,
+            completed: 28,
+            dedup_hits: 8,
+            canonical_hits: 8,
+            sleep_skips: 2495,
+            independence_prunes: 1486,
+            truncated: false,
+        }
+    );
 }
 
 /// Without a certificate the widened entry point is exactly the plain

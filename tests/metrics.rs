@@ -16,11 +16,11 @@
 
 use campkit::broadcast::{AgreedBroadcast, EagerReliable};
 use campkit::faults::FaultPlan;
-use campkit::modelcheck::explore::{explore_with_obs, EngineConfig};
+use campkit::modelcheck::{explore, EngineConfig, Sensitivity};
 use campkit::obs::{Obs, ObsSink, Snapshot};
 use campkit::runtime::ThreadedRuntime;
 use campkit::sim::scheduler::{run_random_obs, CrashPlan, Workload};
-use campkit::sim::{KsaOracle, OwnValueRule, Simulation};
+use campkit::sim::{CertStore, KsaOracle, OwnValueRule, Simulation};
 use campkit::specs::{base, BroadcastSpec, TotalOrderSpec};
 use campkit::trace::{timeline_of, Execution, ProcessId, Value};
 use proptest::prelude::*;
@@ -52,11 +52,13 @@ fn figure1_metrics(timings: bool) -> Snapshot {
         base::check_all(e)?;
         TotalOrderSpec::new().admits(e)
     };
-    let (outcome, _) = explore_with_obs(
+    let (outcome, _) = explore(
         agreed_sim(),
         &Workload::uniform(2, 1),
         &property,
         EngineConfig::default(),
+        &CertStore::new(),
+        Sensitivity::FullOrder,
         &mut obs,
     );
     assert!(outcome.verified(), "agreed scope must verify: {outcome:?}");
@@ -165,13 +167,27 @@ fn healthy_runtime_runs_keep_every_fault_counter_at_zero() {
     ] {
         assert_eq!(counters.count(key), 0, "{key} must stay zero when healthy");
     }
-    // The retransmit-attempts histogram must still exist — and sit entirely
-    // in bucket 0 (every send acked on attempt 0).
+    // The retransmit-attempts histogram must still exist.
     let h = counters
         .histogram("perflink.retransmit_attempts")
         .expect("acked sends record their attempt count");
     assert!(h.count() > 0, "acks must be observed");
-    assert_eq!(h.tail_count(1), 0, "no retransmissions on a clean link");
+    // A clean link may still retransmit: an ACK slower than the first
+    // retransmit timeout (2 ms) is all it takes on a busy host. What holds
+    // whatever the thread timing is that no frame is given up on, and that
+    // every suppressed duplicate is a retransmitted copy, since a healthy
+    // shim injects none.
+    assert_eq!(
+        counters.count("perflink.abandoned_to_crashed"),
+        0,
+        "nothing crashed, so nothing may be abandoned"
+    );
+    assert!(
+        counters.count("perflink.dup_suppressed") <= counters.count("perflink.retransmits"),
+        "duplicates beyond the retransmissions: {} suppressed, {} retransmitted",
+        counters.count("perflink.dup_suppressed"),
+        counters.count("perflink.retransmits")
+    );
 }
 
 #[test]
