@@ -11,7 +11,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use camp_sim::{AppMessage, BroadcastAlgorithm, BroadcastStep};
+use camp_sim::{AppMessage, BroadcastAlgorithm, BroadcastStep, Relabel, Relabeler};
 use camp_trace::{KsaId, MessageId, ProcessId, Value};
 
 use crate::queue::StepQueue;
@@ -20,6 +20,12 @@ use crate::queue::StepQueue;
 /// disseminated (and relayed) to everyone before sequencing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AgreedMsg(pub AppMessage);
+
+impl Relabel for AgreedMsg {
+    fn relabel(&self, r: &mut Relabeler<'_>) {
+        self.0.relabel(r);
+    }
+}
 
 /// **Round-agreement broadcast.**
 ///
@@ -76,6 +82,20 @@ pub struct AgreedState {
     /// Relay dedup.
     seen: BTreeSet<MessageId>,
     queue: StepQueue<AgreedMsg>,
+}
+
+impl Relabel for AgreedState {
+    fn relabel(&self, r: &mut Relabeler<'_>) {
+        self.me.relabel(r);
+        self.n.relabel(r);
+        self.received.relabel(r);
+        self.pending.relabel(r);
+        self.delivered.relabel(r);
+        self.round.relabel(r);
+        self.awaiting.relabel(r);
+        self.seen.relabel(r);
+        self.queue.relabel(r);
+    }
 }
 
 impl AgreedState {

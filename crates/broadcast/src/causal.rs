@@ -3,7 +3,7 @@
 
 use std::collections::BTreeSet;
 
-use camp_sim::{AppMessage, BroadcastAlgorithm, BroadcastStep};
+use camp_sim::{AppMessage, BroadcastAlgorithm, BroadcastStep, Relabel, Relabeler};
 use camp_trace::{KsaId, MessageId, ProcessId, Value};
 
 use crate::queue::StepQueue;
@@ -18,6 +18,15 @@ pub struct CausalMsg {
     /// B-delivered when it B-broadcast this message, except at the sender's
     /// own index where it counts the sender's *previous broadcasts*.
     pub clock: Vec<usize>,
+}
+
+// A vector clock addresses processes by position, so the renaming
+// re-indexes it.
+impl Relabel for CausalMsg {
+    fn relabel(&self, r: &mut Relabeler<'_>) {
+        self.msg.relabel(r);
+        r.positions(&self.clock);
+    }
 }
 
 /// **Causal broadcast** \[3, 24\]: if the broadcast of `m` causally precedes
@@ -55,6 +64,20 @@ pub struct CausalState {
     queue: StepQueue<CausalMsg>,
 }
 
+// The per-origin delivery counters are re-indexed like the clocks; the
+// clocks of waiting and queued messages are re-indexed by `CausalMsg`.
+impl Relabel for CausalState {
+    fn relabel(&self, r: &mut Relabeler<'_>) {
+        self.me.relabel(r);
+        self.n.relabel(r);
+        r.positions(&self.delivered);
+        self.own_broadcasts.relabel(r);
+        self.waiting.relabel(r);
+        self.seen.relabel(r);
+        self.queue.relabel(r);
+    }
+}
+
 impl CausalState {
     fn deliverable(&self, m: &CausalMsg) -> bool {
         let s = m.msg.sender.index();
@@ -86,27 +109,6 @@ impl BroadcastAlgorithm for CausalBroadcast {
 
     fn name(&self) -> String {
         "causal".into()
-    }
-
-    // Vector clocks address processes by position, which the default
-    // token-rewriting canonicalization cannot permute: render a clone with
-    // every clock (and the per-origin delivery counters) re-indexed first.
-    fn canonical_state_text(&self, st: &Self::State, perm: &[usize]) -> String {
-        let mut renamed = st.clone();
-        renamed.delivered = crate::permute_positions(&st.delivered, perm);
-        for m in &mut renamed.waiting {
-            m.clock = crate::permute_positions(&m.clock, perm);
-        }
-        for payload in renamed.queue.send_payloads_mut() {
-            payload.clock = crate::permute_positions(&payload.clock, perm);
-        }
-        camp_sim::canonical::rewrite_process_ids(&format!("{renamed:?}"), perm)
-    }
-
-    fn canonical_msg_text(&self, payload: &Self::Msg, perm: &[usize]) -> String {
-        let mut renamed = payload.clone();
-        renamed.clock = crate::permute_positions(&payload.clock, perm);
-        camp_sim::canonical::rewrite_process_ids(&format!("{renamed:?}"), perm)
     }
 
     fn init(&self, pid: ProcessId, n: usize) -> Self::State {

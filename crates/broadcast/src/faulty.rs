@@ -20,7 +20,7 @@
 //! propagation profiles *across broadcasters* exposes it, which is what the
 //! symmetry analyzer does.
 
-use camp_sim::{AppMessage, BroadcastAlgorithm, BroadcastStep};
+use camp_sim::{AppMessage, BroadcastAlgorithm, BroadcastStep, Relabel, Relabeler};
 use camp_trace::{KsaId, ProcessId, Value};
 
 use crate::queue::StepQueue;
@@ -29,6 +29,12 @@ use crate::queue::StepQueue;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultyMsg(pub AppMessage);
 
+impl Relabel for FaultyMsg {
+    fn relabel(&self, r: &mut Relabeler<'_>) {
+        self.0.relabel(r);
+    }
+}
+
 /// Shared state shape.
 #[derive(Debug, Clone)]
 pub struct FaultyState {
@@ -36,6 +42,15 @@ pub struct FaultyState {
     n: usize,
     acks_received: usize,
     queue: StepQueue<FaultyMsg>,
+}
+
+impl Relabel for FaultyState {
+    fn relabel(&self, r: &mut Relabeler<'_>) {
+        self.me.relabel(r);
+        self.n.relabel(r);
+        self.acks_received.relabel(r);
+        self.queue.relabel(r);
+    }
 }
 
 fn base_state(me: ProcessId, n: usize) -> FaultyState {

@@ -2,7 +2,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use camp_sim::{AppMessage, BroadcastAlgorithm, BroadcastStep};
+use camp_sim::{AppMessage, BroadcastAlgorithm, BroadcastStep, Relabel, Relabeler};
 use camp_trace::{KsaId, MessageId, ProcessId, Value};
 
 use crate::queue::StepQueue;
@@ -15,6 +15,13 @@ pub struct FifoMsg {
     pub msg: AppMessage,
     /// 0-based sequence number within the sender's broadcasts.
     pub seq: usize,
+}
+
+impl Relabel for FifoMsg {
+    fn relabel(&self, r: &mut Relabeler<'_>) {
+        self.msg.relabel(r);
+        self.seq.relabel(r);
+    }
 }
 
 /// **FIFO broadcast** \[3, 24\]: messages of a given sender are B-delivered
@@ -48,6 +55,20 @@ pub struct FifoState {
     queue: StepQueue<FifoMsg>,
 }
 
+// The per-sender expectations and reorder buffers address processes by
+// position, so the renaming re-indexes them.
+impl Relabel for FifoState {
+    fn relabel(&self, r: &mut Relabeler<'_>) {
+        self.me.relabel(r);
+        self.n.relabel(r);
+        self.next_seq.relabel(r);
+        r.positions(&self.expected);
+        r.positions(&self.buffered);
+        self.seen.relabel(r);
+        self.queue.relabel(r);
+    }
+}
+
 impl FifoState {
     /// Flushes every consecutively-available message of `sender`.
     fn flush(&mut self, sender: ProcessId) {
@@ -65,16 +86,6 @@ impl BroadcastAlgorithm for FifoBroadcast {
 
     fn name(&self) -> String {
         "fifo".into()
-    }
-
-    // The per-sender expectation and reorder buffers address processes by
-    // position, which the default token-rewriting canonicalization cannot
-    // permute: render a clone with both vectors re-indexed first.
-    fn canonical_state_text(&self, st: &Self::State, perm: &[usize]) -> String {
-        let mut renamed = st.clone();
-        renamed.expected = crate::permute_positions(&st.expected, perm);
-        renamed.buffered = crate::permute_positions(&st.buffered, perm);
-        camp_sim::canonical::rewrite_process_ids(&format!("{renamed:?}"), perm)
     }
 
     fn init(&self, pid: ProcessId, n: usize) -> Self::State {

@@ -39,21 +39,6 @@ mod sequencer;
 mod stepped;
 
 pub use agreed::{AgreedBroadcast, AgreedMsg};
-
-/// Re-indexes a per-process vector under the renaming `perm`
-/// (`perm[old-1]` = new 1-based id): the entry at old position `i` moves to
-/// position `perm[i] - 1`. Used by the `canonical_state_text` /
-/// `canonical_msg_text` overrides of algorithms whose state addresses
-/// processes by vector position (FIFO's per-sender expectations, causal
-/// vector clocks) rather than by `ProcessId` value.
-pub(crate) fn permute_positions<T: Clone>(v: &[T], perm: &[usize]) -> Vec<T> {
-    assert_eq!(v.len(), perm.len(), "per-process vector arity");
-    let mut out = v.to_vec();
-    for (old, item) in v.iter().enumerate() {
-        out[perm[old] - 1] = item.clone();
-    }
-    out
-}
 pub use causal::{CausalBroadcast, CausalMsg};
 pub use fifo::{FifoBroadcast, FifoMsg};
 pub use reliable::{EagerReliable, ReliableMsg};

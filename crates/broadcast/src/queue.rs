@@ -3,7 +3,7 @@
 
 use std::collections::VecDeque;
 
-use camp_sim::BroadcastStep;
+use camp_sim::{BroadcastStep, Relabel, Relabeler};
 use camp_trace::KsaId;
 
 /// A queue of local steps the process intends to take, enforcing the
@@ -14,6 +14,13 @@ use camp_trace::KsaId;
 pub(crate) struct StepQueue<M> {
     queue: VecDeque<BroadcastStep<M>>,
     blocked_on: Option<KsaId>,
+}
+
+impl<M: Relabel> Relabel for StepQueue<M> {
+    fn relabel(&self, r: &mut Relabeler<'_>) {
+        self.queue.relabel(r);
+        self.blocked_on.relabel(r);
+    }
 }
 
 impl<M> Default for StepQueue<M> {
@@ -70,16 +77,6 @@ impl<M> StepQueue<M> {
     #[allow(dead_code)] // used by tests and future algorithms
     pub fn is_idle(&self) -> bool {
         self.queue.is_empty() && self.blocked_on.is_none()
-    }
-
-    /// Mutable access to the wire payloads of queued `Send` steps. Used by
-    /// the canonicalization hooks to permute position-indexed payload
-    /// fields (vector clocks) inside a cloned state before rendering it.
-    pub fn send_payloads_mut(&mut self) -> impl Iterator<Item = &mut M> {
-        self.queue.iter_mut().filter_map(|s| match s {
-            BroadcastStep::Send { payload, .. } => Some(payload),
-            _ => None,
-        })
     }
 }
 

@@ -3,7 +3,7 @@
 
 use std::collections::BTreeSet;
 
-use camp_sim::{AppMessage, BroadcastAlgorithm, BroadcastStep};
+use camp_sim::{AppMessage, BroadcastAlgorithm, BroadcastStep, Relabel, Relabeler};
 use camp_trace::{KsaId, MessageId, ProcessId, Value};
 
 use crate::queue::StepQueue;
@@ -12,6 +12,12 @@ use crate::queue::StepQueue;
 /// relayed by a process other than its B-broadcaster.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReliableMsg(pub AppMessage);
+
+impl Relabel for ReliableMsg {
+    fn relabel(&self, r: &mut Relabeler<'_>) {
+        self.0.relabel(r);
+    }
+}
 
 /// **Eager reliable broadcast** (crash-fault variant of Bracha's eager
 /// algorithm, cf. Hadzilacos & Toueg \[13\]): on the first receipt of a
@@ -55,6 +61,15 @@ pub struct ReliableState {
     n: usize,
     seen: BTreeSet<MessageId>,
     queue: StepQueue<ReliableMsg>,
+}
+
+impl Relabel for ReliableState {
+    fn relabel(&self, r: &mut Relabeler<'_>) {
+        self.me.relabel(r);
+        self.n.relabel(r);
+        self.seen.relabel(r);
+        self.queue.relabel(r);
+    }
 }
 
 impl BroadcastAlgorithm for EagerReliable {

@@ -1,6 +1,6 @@
 //! Send-To-All broadcast: the weakest broadcast abstraction (§3.1).
 
-use camp_sim::{AppMessage, BroadcastAlgorithm, BroadcastStep};
+use camp_sim::{AppMessage, BroadcastAlgorithm, BroadcastStep, Relabel, Relabeler};
 use camp_trace::{KsaId, ProcessId, Value};
 
 use crate::queue::StepQueue;
@@ -8,6 +8,12 @@ use crate::queue::StepQueue;
 /// The wire payload of [`SendToAll`]: the application message itself.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SendToAllMsg(pub AppMessage);
+
+impl Relabel for SendToAllMsg {
+    fn relabel(&self, r: &mut Relabeler<'_>) {
+        self.0.relabel(r);
+    }
+}
 
 /// **Send-To-All broadcast** (§3.1): `B.broadcast(m)` simply sends `m` to
 /// every process (itself included) and returns; `m` is B-delivered upon
@@ -34,6 +40,13 @@ impl SendToAll {
 pub struct SendToAllState {
     n: usize,
     queue: StepQueue<SendToAllMsg>,
+}
+
+impl Relabel for SendToAllState {
+    fn relabel(&self, r: &mut Relabeler<'_>) {
+        self.n.relabel(r);
+        self.queue.relabel(r);
+    }
 }
 
 impl BroadcastAlgorithm for SendToAll {

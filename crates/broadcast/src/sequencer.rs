@@ -4,7 +4,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use camp_sim::{AppMessage, BroadcastAlgorithm, BroadcastStep};
+use camp_sim::{AppMessage, BroadcastAlgorithm, BroadcastStep, Relabel, Relabeler};
 use camp_trace::{KsaId, MessageId, ProcessId, Value};
 
 use crate::queue::StepQueue;
@@ -21,6 +21,22 @@ pub enum SequencerMsg {
         /// Global sequence number (0-based).
         seq: usize,
     },
+}
+
+impl Relabel for SequencerMsg {
+    fn relabel(&self, r: &mut Relabeler<'_>) {
+        match self {
+            SequencerMsg::ToOrder(msg) => {
+                r.word(0);
+                msg.relabel(r);
+            }
+            SequencerMsg::Ordered { msg, seq } => {
+                r.word(1);
+                msg.relabel(r);
+                seq.relabel(r);
+            }
+        }
+    }
 }
 
 /// **Fixed-sequencer Total-Order broadcast**: every broadcast is sent to
@@ -67,6 +83,18 @@ pub struct SequencerState {
     /// Sequencer dedup (a message could be re-forwarded).
     sequenced: BTreeSet<MessageId>,
     queue: StepQueue<SequencerMsg>,
+}
+
+impl Relabel for SequencerState {
+    fn relabel(&self, r: &mut Relabeler<'_>) {
+        self.me.relabel(r);
+        self.n.relabel(r);
+        self.next_assign.relabel(r);
+        self.next_deliver.relabel(r);
+        self.pending.relabel(r);
+        self.sequenced.relabel(r);
+        self.queue.relabel(r);
+    }
 }
 
 impl SequencerState {

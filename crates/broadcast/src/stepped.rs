@@ -3,7 +3,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use camp_sim::{AppMessage, BroadcastAlgorithm, BroadcastStep};
+use camp_sim::{AppMessage, BroadcastAlgorithm, BroadcastStep, Relabel, Relabeler};
 use camp_trace::{KsaId, MessageId, ProcessId, Value};
 
 use crate::queue::StepQueue;
@@ -17,6 +17,13 @@ pub struct SteppedMsg {
     pub msg: AppMessage,
     /// Index of this message within its sender's broadcasts (0-based).
     pub round: usize,
+}
+
+impl Relabel for SteppedMsg {
+    fn relabel(&self, r: &mut Relabeler<'_>) {
+        self.msg.relabel(r);
+        self.round.relabel(r);
+    }
 }
 
 /// **k-Stepped broadcast** (paper §1.4 / §3.2): the ordering property says
@@ -62,6 +69,16 @@ struct RoundState {
     delivered: BTreeSet<MessageId>,
 }
 
+impl Relabel for RoundState {
+    fn relabel(&self, r: &mut Relabeler<'_>) {
+        self.proposed.relabel(r);
+        self.anchor.relabel(r);
+        self.open.relabel(r);
+        self.received.relabel(r);
+        self.delivered.relabel(r);
+    }
+}
+
 /// Per-process state of [`SteppedBroadcast`].
 #[derive(Debug, Clone)]
 pub struct SteppedState {
@@ -76,6 +93,18 @@ pub struct SteppedState {
     /// Rounds whose anchor proposal is queued or pending, to serialize
     /// proposals through the blocking-propose discipline.
     proposals_queued: Vec<usize>,
+}
+
+impl Relabel for SteppedState {
+    fn relabel(&self, r: &mut Relabeler<'_>) {
+        self.me.relabel(r);
+        self.n.relabel(r);
+        self.own_broadcasts.relabel(r);
+        self.rounds.relabel(r);
+        self.seen.relabel(r);
+        self.queue.relabel(r);
+        self.proposals_queued.relabel(r);
+    }
 }
 
 impl SteppedState {

@@ -1343,7 +1343,7 @@ fn probe_independence<B: BroadcastAlgorithm>(algo: &B) -> Result<(), String> {
             .collect();
         sent.sort_unstable();
         Observation {
-            state: algo.canonical_state_text(&st, &[1, 2, 3]),
+            state: format!("{st:?}"),
             streams,
             sends: sent,
         }

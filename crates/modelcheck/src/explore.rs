@@ -59,12 +59,12 @@ use std::collections::{HashMap, HashSet};
 use std::ops::ControlFlow;
 
 use camp_obs::ObsSink;
-use camp_sim::canonical::{self, CertStore};
+use camp_sim::canonical::{self, CertStore, Relabel};
 use camp_sim::fingerprint::StateHasher;
 use camp_sim::scheduler::Workload;
 use camp_sim::{BroadcastAlgorithm, SimError, Simulation};
 use camp_specs::{SpecResult, Violation};
-use camp_trace::{Execution, MessageId, ProcessId};
+use camp_trace::{Execution, MessageId, ProcessId, Value};
 
 /// Budgets for an exploration.
 #[derive(Debug, Clone, Copy)]
@@ -413,44 +413,32 @@ where
 }
 
 /// The canonical memoization fingerprint of a node: the minimum over all
-/// candidate process renamings of the digest of (renamed live state text,
-/// renamed trace text, renamed workload cursors and remaining contents),
-/// with message ids and payload contents normalized by first occurrence.
+/// candidate process renamings of the digest of one [`Relabel`] walk over
+/// the renamed live state, the renamed trace, and the renamed workload
+/// cursors with their remaining contents. Message ids and contents are
+/// numbered by first occurrence across the whole walk.
 ///
 /// Unlike [`combined_fingerprint`] this cannot use the per-process
-/// projection hashes (they bake in concrete ids), so it re-renders the
-/// trace; the workload future must be included explicitly because two
-/// renamed states are only interchangeable if their *pending* invocations
-/// also correspond under the renaming.
+/// projection hashes (they bake in concrete ids), so it walks the trace;
+/// the workload future must be included explicitly because two renamed
+/// states are only interchangeable if their *pending* invocations also
+/// correspond under the renaming.
 fn canonical_combined_fingerprint<B: BroadcastAlgorithm>(
     sim: &Simulation<B>,
     workload: &Workload,
     issued: &[usize],
 ) -> u128 {
-    use std::fmt::Write as _;
-    let n = sim.n();
-    canonical::process_permutations(n)
-        .iter()
-        .map(|perm| {
-            let inv = canonical::invert(perm);
-            let mut text = sim.canonical_state_text(perm);
-            text.push_str(&canonical::execution_text(sim.trace(), perm));
-            for new in 1..=n {
-                let old_index = inv[new - 1];
-                let p = ProcessId::new(old_index + 1);
-                let cursor = issued[old_index];
-                let _ = write!(text, "wl[{new}]@{cursor}=");
-                let mut idx = cursor;
-                while let Some(v) = workload.get(p, idx) {
-                    let _ = write!(text, "{v:?},");
-                    idx += 1;
-                }
-                text.push(';');
-            }
-            canonical::digest(&canonical::normalize_ids(&text))
-        })
-        .min()
-        .expect("at least the identity permutation")
+    canonical::orbit_min(sim.n(), |r| {
+        sim.relabel_live(r);
+        sim.trace().relabel(r);
+        for &old in r.renamed_order() {
+            let p = ProcessId::new(old + 1);
+            let cursor = issued[old];
+            cursor.relabel(r);
+            let remaining: Vec<Value> = (cursor..).map_while(|i| workload.get(p, i)).collect();
+            remaining.relabel(r);
+        }
+    })
 }
 
 /// The memoization fingerprint of a node: live simulation state, workload

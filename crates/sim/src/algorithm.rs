@@ -5,6 +5,8 @@ use std::fmt;
 
 use camp_trace::{KsaId, MessageId, ProcessId, Value};
 
+use crate::canonical::{Relabel, Relabeler};
+
 /// A broadcast-level message as seen by algorithms: the unique identity, the
 /// application content, and the B-broadcaster.
 ///
@@ -18,6 +20,14 @@ pub struct AppMessage {
     pub content: Value,
     /// The process that B-broadcast the message.
     pub sender: ProcessId,
+}
+
+impl Relabel for AppMessage {
+    fn relabel(&self, r: &mut Relabeler<'_>) {
+        self.id.relabel(r);
+        self.content.relabel(r);
+        self.sender.relabel(r);
+    }
 }
 
 /// A local step an implementation of a broadcast abstraction (`ℬ`) may take.
@@ -55,6 +65,32 @@ pub enum BroadcastStep<M> {
     },
 }
 
+impl<M: Relabel> Relabel for BroadcastStep<M> {
+    fn relabel(&self, r: &mut Relabeler<'_>) {
+        match self {
+            BroadcastStep::Send { to, payload } => {
+                r.word(0);
+                to.relabel(r);
+                payload.relabel(r);
+            }
+            BroadcastStep::Propose { obj, value } => {
+                r.word(1);
+                obj.relabel(r);
+                value.relabel(r);
+            }
+            BroadcastStep::Deliver { msg } => {
+                r.word(2);
+                msg.relabel(r);
+            }
+            BroadcastStep::ReturnBroadcast => r.word(3),
+            BroadcastStep::Internal { tag } => {
+                r.word(4);
+                tag.relabel(r);
+            }
+        }
+    }
+}
+
 /// An algorithm implementing a broadcast abstraction `B` in `CAMP_n[k-SA]` —
 /// the `ℬ` role of the paper's Theorem 1.
 ///
@@ -69,6 +105,21 @@ pub enum BroadcastStep<M> {
 /// Determinism is essential: the paper's Algorithm 1 replays "`p_i`'s next
 /// local step in `C(α)` according to `ℬ`", which only makes sense if the
 /// next step is a function of the local state.
+///
+/// # Renaming
+///
+/// States and payloads implement [`Relabel`], the typed walk behind the
+/// model checker's renaming quotient (see [`crate::canonical`]). An
+/// implementation feeds every field in declaration order: process ids,
+/// message ids and contents as [`ProcessId`], [`MessageId`] and [`Value`],
+/// which the walk renames or numbers by first occurrence, and vectors
+/// indexed by process *position* (per-sender counters, vector clocks)
+/// through [`Relabeler::positions`], which re-indexes them. Anything else
+/// is hashed as is and never renamed. A skipped field, or a position
+/// vector fed as a plain `Vec`, can merge states that are not renamings of
+/// one another, which makes the quotient unsound. The simulator orders
+/// in-flight payloads and send bursts itself, by sort keys built from the
+/// same walks; [`crate::canonical`] documents the whole canonical form.
 ///
 /// # Contract
 ///
@@ -88,9 +139,9 @@ pub enum BroadcastStep<M> {
 /// [`on_decide`]: BroadcastAlgorithm::on_decide
 pub trait BroadcastAlgorithm {
     /// Per-process local state.
-    type State: Clone + fmt::Debug;
+    type State: Clone + fmt::Debug + Relabel;
     /// Low-level wire-message payload.
-    type Msg: Clone + fmt::Debug;
+    type Msg: Clone + fmt::Debug + Relabel;
 
     /// Display name of the algorithm (used in experiment tables).
     fn name(&self) -> String;
@@ -111,27 +162,22 @@ pub trait BroadcastAlgorithm {
     /// waiting for an input event. Taking the step consumes it.
     fn next_step(&self, st: &mut Self::State) -> Option<BroadcastStep<Self::Msg>>;
 
-    /// Structural text of one process's state under the process renaming
-    /// `perm` (`perm[old-1]` = new 1-based id), used by the
-    /// renaming-quotient canonicalization (see [`crate::canonical`]).
+    /// Text form of one process's state under the process renaming `perm`
+    /// (`perm[old-1]` = new 1-based id): the hex digest of the state's
+    /// [`Relabel`] walk under `perm`, alone.
     ///
-    /// The default rewrites the `ProcessId(k)` tokens of the `Debug`
-    /// rendering, which is exact whenever the state refers to processes
-    /// only through `ProcessId` values. Algorithms whose state indexes
-    /// data by process **position** — per-sender counters, vector clocks —
-    /// must override this and permute those positions too; a missing
-    /// override is sound (renamed states simply never canonicalize equal,
-    /// so the quotient degrades to plain deduplication) but defeats the
-    /// reduction.
+    /// The renaming quotient hashes `Relabel` walks directly and no longer
+    /// calls this hook; it stays for implementations and wrappers that
+    /// still override or forward it.
     fn canonical_state_text(&self, st: &Self::State, perm: &[usize]) -> String {
-        crate::canonical::rewrite_process_ids(&format!("{st:?}"), perm)
+        format!("{:032x}", crate::canonical::relabeled_digest(st, perm))
     }
 
-    /// Structural text of one wire payload under the process renaming
-    /// `perm`; same contract and same default as
+    /// Text form of one wire payload under the process renaming `perm`;
+    /// same contract and same default as
     /// [`canonical_state_text`](BroadcastAlgorithm::canonical_state_text).
     fn canonical_msg_text(&self, payload: &Self::Msg, perm: &[usize]) -> String {
-        crate::canonical::rewrite_process_ids(&format!("{payload:?}"), perm)
+        format!("{:032x}", crate::canonical::relabeled_digest(payload, perm))
     }
 
     /// The **origin class** of a wire payload: the B-broadcaster whose
@@ -210,6 +256,12 @@ mod tests {
     #[derive(Debug, Clone, Default)]
     struct LoopbackState {
         queue: Vec<BroadcastStep<()>>,
+    }
+
+    impl Relabel for LoopbackState {
+        fn relabel(&self, r: &mut Relabeler<'_>) {
+            self.queue.relabel(r);
+        }
     }
 
     impl BroadcastAlgorithm for LoopbackBroadcast {

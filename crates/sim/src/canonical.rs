@@ -15,28 +15,45 @@
 //!
 //! # Canonical form
 //!
-//! States are canonicalized through their `Debug` rendering — the same
-//! structural text [`crate::fingerprint::StateHasher`] already hashes. Three
-//! token families carry run-specific identity:
+//! States are canonicalized by a typed walk. Every component of the state
+//! implements [`Relabel`] and feeds itself, field by field in declaration
+//! order, to a [`Relabeler`], which hashes straight into a
+//! [`StateHasher`]. Three types carry run-specific identity, and the
+//! relabeler treats each by type, never by spelling:
 //!
-//! * `ProcessId(k)` — rewritten through a candidate permutation `π`;
-//! * `MessageId(k)` — replaced by its first-occurrence index in the text;
-//! * `Value(k)` — replaced by its first-occurrence index in the text.
+//! * [`ProcessId`] — mapped through a candidate permutation `π`; vectors
+//!   indexed by process *position* (per-sender counters, vector clocks) are
+//!   re-indexed with [`Relabeler::positions`];
+//! * [`MessageId`] — numbered by first occurrence across the whole walk;
+//! * [`Value`] — numbered by first occurrence, in a second numbering.
 //!
-//! For each permutation `π` the per-process components are re-ordered into
-//! `π`-order and every `ProcessId` token is rewritten, then message ids and
-//! values are normalized by first occurrence and the text is digested. The
-//! canonical fingerprint is the **minimum digest over all permutations**:
-//! since the text of a renamed state under `π` equals the text of the
-//! original under the composed permutation, the orbit of texts — and hence
-//! its minimum — is renaming-invariant. The full orbit (`n!` candidates) is
-//! enumerated up to [`MAX_FULL_ORBIT_N`] processes; beyond that only the
-//! identity is tried, which still normalizes message ids and contents.
+//! Everything else (counters, object ids, tags, strings, the oracle rule's
+//! `Debug` text) is hashed as opaque data: a `String` that happens to spell
+//! `ProcessId(3)` is never renamed. Containers are walked in their stored
+//! iteration order. Multisets whose stored order is an artefact of id
+//! allocation or of the sender's identity — the in-flight slots and each
+//! process's bursts of consecutive sends — are walked through
+//! [`Relabeler::sorted`], stably ordered by a *sort key*: the same walk
+//! with process ids renamed, message ids masked and values raw.
+//!
+//! The walk visits the same components, in the same order, as the `Debug`
+//! text the quotient was first computed over, keeps the same stored orders
+//! and sorts the same two multisets by the same keys. The quotient, and
+//! with it every model-checker counter, is therefore the one that text
+//! form computed (`docs/MODELCHECK.md`, layer 3½, gives the argument).
+//!
+//! The canonical fingerprint is the **minimum digest over all
+//! permutations** ([`orbit_min`]): the walk of a renamed state under `π`
+//! equals the walk of the original under the composed permutation, so the
+//! orbit of digests — and hence its minimum — is renaming-invariant. The
+//! full orbit (`n!` candidates) is enumerated up to [`MAX_FULL_ORBIT_N`]
+//! processes; beyond that only the identity is tried, which still
+//! normalizes message ids and contents.
 
-use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::fmt;
 
-use camp_trace::{Action, Execution, ProcessId};
+use camp_trace::{Action, Execution, KsaId, MessageId, MessageInfo, MessageKind, ProcessId, Value};
 use serde::{Deserialize, Serialize};
 
 use crate::fingerprint::StateHasher;
@@ -249,80 +266,196 @@ pub fn invert(perm: &[usize]) -> Vec<usize> {
     inv
 }
 
-/// Rewrites every `<token><digits>)` occurrence in `text` through `map`,
-/// leaving the text untouched where `map` declines. `token` must include the
-/// opening parenthesis (e.g. `"ProcessId("`); an occurrence only matches at
-/// an identifier boundary, so `MyProcessId(3)` is not a `ProcessId(` token.
-fn rewrite_token(text: &str, token: &str, mut map: impl FnMut(u64) -> Option<String>) -> String {
-    let bytes = text.as_bytes();
-    let mut out = String::with_capacity(text.len());
-    let mut i = 0;
-    while i < bytes.len() {
-        let boundary = i == 0 || !(bytes[i - 1].is_ascii_alphanumeric() || bytes[i - 1] == b'_');
-        if boundary && text[i..].starts_with(token) {
-            let start = i + token.len();
-            let mut j = start;
-            while j < bytes.len() && bytes[j].is_ascii_digit() {
-                j += 1;
-            }
-            if j > start && j < bytes.len() && bytes[j] == b')' {
-                if let Some(repl) = text[start..j].parse::<u64>().ok().and_then(&mut map) {
-                    out.push_str(token);
-                    out.push_str(&repl);
-                    out.push(')');
-                    i = j + 1;
-                    continue;
-                }
-            }
-        }
-        let ch = text[i..].chars().next().expect("i is a char boundary");
-        out.push(ch);
-        i += ch.len_utf8();
-    }
-    out
+/// A component of simulation state that the renaming-quotient
+/// canonicalization can walk.
+///
+/// An implementation feeds every field to the [`Relabeler`], in declaration
+/// order, through the field's own `Relabel` impl — or, for a vector indexed
+/// by process position, through [`Relabeler::positions`]. Process ids,
+/// message ids and contents must reach the relabeler as [`ProcessId`],
+/// [`MessageId`] and [`Value`], never as raw numbers: their types are how
+/// the walk knows what to rename. Everything else is hashed as is.
+///
+/// The walk must be injective up to the renaming: when two states walk to
+/// the same words under some pair of permutations, one must be a process,
+/// message-id and content renaming of the other. Feeding every field (a
+/// skipped field merges states that differ only there), re-indexing every
+/// position vector, and prefixing variable-length data with its length (as
+/// the container impls below do) keep it so.
+pub trait Relabel {
+    /// Feeds `self` to `r`.
+    fn relabel(&self, r: &mut Relabeler<'_>);
 }
 
-/// Rewrites every `ProcessId(k)` token through the permutation
-/// (`perm[k-1]` becomes the new id); ids outside `1..=perm.len()` are left
-/// untouched.
-#[must_use]
-pub fn rewrite_process_ids(text: &str, perm: &[usize]) -> String {
-    rewrite_token(text, "ProcessId(", |k| {
-        let k = usize::try_from(k).ok()?;
-        if k == 0 {
-            return None;
-        }
-        perm.get(k - 1).map(usize::to_string)
-    })
-}
+/// The word a sort-key walk writes in place of every message id.
+const MASKED: u64 = u64::MAX;
 
-/// Replaces every `MessageId(k)` and `Value(k)` token by its first-occurrence
-/// index in `text` (two independent numbering spaces). Two texts that differ
-/// only by an injective renaming of message ids (resp. contents) normalize to
-/// the same string — the textual form of Definition 3's substitution.
-#[must_use]
-pub fn normalize_ids(text: &str) -> String {
-    let mut msgs: BTreeMap<u64, usize> = BTreeMap::new();
-    let pass = rewrite_token(text, "MessageId(", |k| {
-        let next = msgs.len();
-        Some(format!("#{}", *msgs.entry(k).or_insert(next)))
+/// The first-occurrence number of `key`: its position in `seen`, where it
+/// is appended on first sight. A node holds a few dozen distinct ids and
+/// contents, so a linear scan beats a map.
+fn first_occurrence(seen: &mut Vec<u64>, key: u64) -> u64 {
+    let number = seen.iter().position(|&k| k == key).unwrap_or_else(|| {
+        seen.push(key);
+        seen.len() - 1
     });
-    let mut vals: BTreeMap<u64, usize> = BTreeMap::new();
-    rewrite_token(&pass, "Value(", |k| {
-        let next = vals.len();
-        Some(format!("#{}", *vals.entry(k).or_insert(next)))
-    })
+    number as u64
 }
 
-/// Masks every `MessageId(k)` token to `MessageId(#)`: a sort key that
-/// ignores concrete message identities (used to order in-flight slots before
-/// normalization assigns canonical ids).
-#[must_use]
-pub fn mask_message_ids(text: &str) -> String {
-    rewrite_token(text, "MessageId(", |_| Some("#".to_string()))
+/// The sink of a [`Relabel`] walk under one candidate process renaming.
+///
+/// [`orbit_min`] hands one relabeler per permutation to its walk. It maps
+/// process ids through the permutation, numbers message ids and values by
+/// first occurrence across everything it is fed, and hashes the resulting
+/// words into a [`StateHasher`]. [`Relabeler::sorted`] also runs *key*
+/// walks internally: those collect the words instead, with process ids
+/// renamed, message ids masked and values raw.
+#[derive(Debug)]
+pub struct Relabeler<'a> {
+    perm: &'a [usize],
+    inv: &'a [usize],
+    /// `Some` while collecting a sort key; `None` while hashing.
+    key: Option<Vec<u64>>,
+    hasher: StateHasher,
+    /// Message ids and values seen so far, in first-occurrence order.
+    messages: Vec<u64>,
+    values: Vec<u64>,
 }
 
-/// The 128-bit digest of a canonical text.
+impl<'a> Relabeler<'a> {
+    /// A hashing relabeler for the renaming `perm` (`perm[old_index]` = new
+    /// 1-based id), given with its inverse `inv` (see [`invert`]).
+    fn digest(perm: &'a [usize], inv: &'a [usize]) -> Self {
+        Self {
+            perm,
+            inv,
+            key: None,
+            hasher: StateHasher::new(),
+            messages: Vec::new(),
+            values: Vec::new(),
+        }
+    }
+
+    /// The digest of everything fed so far.
+    fn finish(&self) -> u128 {
+        self.hasher.finish()
+    }
+
+    fn put(&mut self, word: u64) {
+        match &mut self.key {
+            Some(words) => words.push(word),
+            None => self.hasher.write_varint(word),
+        }
+    }
+
+    /// The 1-based id `p` is renamed to. Ids outside `1..=n`, which the
+    /// simulator never produces, keep their raw value: they stay distinct
+    /// from every renamed id.
+    #[must_use]
+    pub(crate) fn renamed(&self, p: ProcessId) -> usize {
+        p.id()
+            .checked_sub(1)
+            .and_then(|index| self.perm.get(index))
+            .copied()
+            .unwrap_or(p.id())
+    }
+
+    /// Old 0-based process indices in renamed order: entry `j` is the index
+    /// of the process renamed to `p_{j+1}`. Per-process components stored
+    /// by index are walked in this order.
+    #[must_use]
+    pub fn renamed_order(&self) -> &'a [usize] {
+        self.inv
+    }
+
+    /// Feeds a process id, renamed.
+    pub fn process(&mut self, p: ProcessId) {
+        let renamed = self.renamed(p);
+        self.put(renamed as u64);
+    }
+
+    /// Feeds a message id: its first-occurrence number, or a mask in a sort
+    /// key.
+    pub fn message(&mut self, m: MessageId) {
+        let word = match self.key {
+            Some(_) => MASKED,
+            None => first_occurrence(&mut self.messages, m.raw()),
+        };
+        self.put(word);
+    }
+
+    /// Feeds a content: its first-occurrence number, or the raw value in a
+    /// sort key.
+    pub fn value(&mut self, v: Value) {
+        let word = match self.key {
+            Some(_) => v.raw(),
+            None => first_occurrence(&mut self.values, v.raw()),
+        };
+        self.put(word);
+    }
+
+    /// Feeds an opaque number: a counter, a tag, an object id.
+    pub fn word(&mut self, word: u64) {
+        self.put(word);
+    }
+
+    /// Feeds opaque bytes, length first.
+    pub fn bytes(&mut self, bytes: &[u8]) {
+        self.put(bytes.len() as u64);
+        match &mut self.key {
+            Some(words) => words.extend(bytes.iter().map(|&b| u64::from(b))),
+            None => self.hasher.write_bytes(bytes),
+        }
+    }
+
+    /// Feeds a value's `Debug` rendering as opaque text: nothing in it is
+    /// renamed or numbered.
+    pub fn debug_text(&mut self, v: &dyn fmt::Debug) {
+        match self.key {
+            Some(_) => self.bytes(format!("{v:?}").as_bytes()),
+            None => self.hasher.write_debug(&v),
+        }
+    }
+
+    /// Feeds a vector indexed by process position (`v[i]` belongs to
+    /// `p_{i+1}`) re-indexed by the renaming: the entry of each process is
+    /// walked at its renamed position.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `v` has one entry per process.
+    pub fn positions<T: Relabel>(&mut self, v: &[T]) {
+        assert_eq!(v.len(), self.inv.len(), "per-process vector arity");
+        let inv = self.inv;
+        walk_seq(self, inv.iter().map(|&old| &v[old]));
+    }
+
+    /// Feeds a multiset whose stored order carries no meaning: its size,
+    /// then the items in the stable order of their sort keys.
+    pub fn sorted<'i, T: Relabel + 'i>(&mut self, items: impl IntoIterator<Item = &'i T>) {
+        let mut keyed: Vec<(Vec<u64>, &T)> = items
+            .into_iter()
+            .map(|item| (self.sort_key(item), item))
+            .collect();
+        keyed.sort_by(|a, b| a.0.cmp(&b.0));
+        self.put(keyed.len() as u64);
+        for (_, item) in keyed {
+            item.relabel(self);
+        }
+    }
+
+    /// The words of `item` under this renaming, with message ids masked
+    /// and values raw.
+    fn sort_key(&self, item: &impl Relabel) -> Vec<u64> {
+        let mut key = Relabeler {
+            key: Some(Vec::new()),
+            ..Relabeler::digest(self.perm, self.inv)
+        };
+        item.relabel(&mut key);
+        key.key.unwrap_or_default()
+    }
+}
+
+/// The 128-bit digest of a text (the symmetry analyzer's profile evidence).
 #[must_use]
 pub fn digest(text: &str) -> u128 {
     let mut h = StateHasher::new();
@@ -330,92 +463,272 @@ pub fn digest(text: &str) -> u128 {
     h.finish()
 }
 
-/// Structural text of an execution under the process renaming `perm`:
-/// per-process step sequences in renamed order, every action rendered with
-/// `ProcessId` tokens rewritten and its referenced message's table entry
-/// (sender, kind, content) inlined, so two executions produce equal
-/// text exactly when one is the `perm`-renaming of the other (up to message
-/// ids and contents, which [`normalize_ids`] erases afterwards).
-///
-/// Runs of consecutive `Send` steps are emitted **sorted** (by their
-/// message-id-masked renamed text): a send burst iterates destinations in
-/// absolute process-id order, so its emission order encodes the identity of
-/// the sender and differs across renamings even for an equivariant
-/// algorithm. The asynchronous network erases that order — only the
-/// multiset of sends is observable — and the S03x equivariance probes
-/// compare per-activation send *multisets* for the same reason, so the
-/// canonical text must quotient it too. The sort is stable and the key
-/// masks message ids, so two sends to the same destination keep their
-/// emission order (which *is* renaming-invariant per sender/destination
-/// pair, while their raw id numerals are not).
+/// The canonical digest of whatever `walk` feeds: the minimum, over every
+/// candidate renaming of an `n`-process system (see
+/// [`process_permutations`]), of the digest of one walk under that renaming.
 #[must_use]
-pub fn execution_text(exec: &Execution, perm: &[usize]) -> String {
+pub fn orbit_min(n: usize, mut walk: impl FnMut(&mut Relabeler<'_>)) -> u128 {
+    process_permutations(n)
+        .iter()
+        .map(|perm| {
+            let inv = invert(perm);
+            let mut r = Relabeler::digest(perm, &inv);
+            walk(&mut r);
+            r.finish()
+        })
+        .min()
+        .expect("at least the identity permutation")
+}
+
+/// The digest of `item` alone under the renaming `perm`.
+#[must_use]
+pub(crate) fn relabeled_digest(item: &impl Relabel, perm: &[usize]) -> u128 {
     let inv = invert(perm);
-    let mut out = String::new();
-    for (new_index, &old_index) in inv.iter().enumerate() {
-        let old = ProcessId::new(old_index + 1);
-        let _ = write!(out, "proc[{}]:", new_index + 1);
-        let mut burst: Vec<String> = Vec::new();
-        for step in exec.steps_of(old) {
-            let mut line = format!("{:?}", step.action);
-            if let Some(m) = step.action.message() {
-                if let Some(info) = exec.message(m) {
-                    // The free-form `label` is deliberately omitted: it is a
-                    // raw `Debug` snapshot of the wire payload, whose
-                    // position-indexed fields (vector clocks) cannot be
-                    // permuted textually. The specs only ever read actions,
-                    // senders, kinds and contents, and payload differences
-                    // that matter for the future are visible in the live
-                    // state text, so dropping it loses no distinctions the
-                    // quotient is allowed to keep.
-                    let _ = write!(
-                        line,
-                        "[{:?}|{:?}|{:?}]",
-                        info.sender, info.kind, info.content
-                    );
-                }
-            }
-            let line = rewrite_process_ids(&line, perm);
-            if matches!(step.action, Action::Send { .. }) {
-                burst.push(line);
-            } else {
-                flush_send_burst(&mut out, &mut burst);
-                out.push_str(&line);
-                out.push(';');
+    let mut r = Relabeler::digest(perm, &inv);
+    item.relabel(&mut r);
+    r.finish()
+}
+
+impl Relabel for ProcessId {
+    fn relabel(&self, r: &mut Relabeler<'_>) {
+        r.process(*self);
+    }
+}
+
+impl Relabel for MessageId {
+    fn relabel(&self, r: &mut Relabeler<'_>) {
+        r.message(*self);
+    }
+}
+
+impl Relabel for Value {
+    fn relabel(&self, r: &mut Relabeler<'_>) {
+        r.value(*self);
+    }
+}
+
+impl Relabel for KsaId {
+    fn relabel(&self, r: &mut Relabeler<'_>) {
+        r.word(self.raw());
+    }
+}
+
+impl Relabel for u64 {
+    fn relabel(&self, r: &mut Relabeler<'_>) {
+        r.word(*self);
+    }
+}
+
+impl Relabel for usize {
+    fn relabel(&self, r: &mut Relabeler<'_>) {
+        r.word(*self as u64);
+    }
+}
+
+impl Relabel for bool {
+    fn relabel(&self, r: &mut Relabeler<'_>) {
+        r.word(u64::from(*self));
+    }
+}
+
+impl Relabel for () {
+    fn relabel(&self, _: &mut Relabeler<'_>) {}
+}
+
+impl Relabel for String {
+    fn relabel(&self, r: &mut Relabeler<'_>) {
+        r.bytes(self.as_bytes());
+    }
+}
+
+impl<T: Relabel> Relabel for Option<T> {
+    fn relabel(&self, r: &mut Relabeler<'_>) {
+        match self {
+            None => r.word(0),
+            Some(inner) => {
+                r.word(1);
+                inner.relabel(r);
             }
         }
-        flush_send_burst(&mut out, &mut burst);
-    }
-    out
-}
-
-/// Emits a buffered send burst in masked-text order (see
-/// [`execution_text`]).
-fn flush_send_burst(out: &mut String, burst: &mut Vec<String>) {
-    let mut keyed: Vec<(String, String)> = burst
-        .drain(..)
-        .map(|line| (mask_message_ids(&line), line))
-        .collect();
-    keyed.sort_by(|a, b| a.0.cmp(&b.0));
-    for (_, line) in keyed {
-        out.push_str(&line);
-        out.push(';');
     }
 }
 
-/// Renaming-invariant digest of an execution: the minimum of
-/// `digest(normalize_ids(execution_text(exec, π)))` over all candidate
-/// permutations. Two executions that are process-renamings of one another
-/// (with message ids and contents renamed injectively) digest equal — the
+impl<A: Relabel, B: Relabel> Relabel for (A, B) {
+    fn relabel(&self, r: &mut Relabeler<'_>) {
+        self.0.relabel(r);
+        self.1.relabel(r);
+    }
+}
+
+/// Feeds a sequence in its stored order, length first.
+fn walk_seq<'i, T: Relabel + 'i>(
+    r: &mut Relabeler<'_>,
+    items: impl ExactSizeIterator<Item = &'i T>,
+) {
+    r.word(items.len() as u64);
+    for item in items {
+        item.relabel(r);
+    }
+}
+
+impl<T: Relabel> Relabel for Vec<T> {
+    fn relabel(&self, r: &mut Relabeler<'_>) {
+        walk_seq(r, self.iter());
+    }
+}
+
+impl<T: Relabel> Relabel for VecDeque<T> {
+    fn relabel(&self, r: &mut Relabeler<'_>) {
+        walk_seq(r, self.iter());
+    }
+}
+
+impl<T: Relabel> Relabel for BTreeSet<T> {
+    fn relabel(&self, r: &mut Relabeler<'_>) {
+        walk_seq(r, self.iter());
+    }
+}
+
+impl<K: Relabel, V: Relabel> Relabel for BTreeMap<K, V> {
+    fn relabel(&self, r: &mut Relabeler<'_>) {
+        r.word(self.len() as u64);
+        for (k, v) in self {
+            k.relabel(r);
+            v.relabel(r);
+        }
+    }
+}
+
+impl Relabel for Action {
+    fn relabel(&self, r: &mut Relabeler<'_>) {
+        match *self {
+            Action::Send { to, msg } => {
+                r.word(0);
+                r.process(to);
+                r.message(msg);
+            }
+            Action::Receive { from, msg } => {
+                r.word(1);
+                r.process(from);
+                r.message(msg);
+            }
+            Action::Broadcast { msg } => {
+                r.word(2);
+                r.message(msg);
+            }
+            Action::ReturnBroadcast { msg } => {
+                r.word(3);
+                r.message(msg);
+            }
+            Action::Deliver { from, msg } => {
+                r.word(4);
+                r.process(from);
+                r.message(msg);
+            }
+            Action::Propose { obj, value } => {
+                r.word(5);
+                obj.relabel(r);
+                r.value(value);
+            }
+            Action::Decide { obj, value } => {
+                r.word(6);
+                obj.relabel(r);
+                r.value(value);
+            }
+            Action::Internal { tag } => {
+                r.word(7);
+                r.word(tag);
+            }
+            Action::Crash => r.word(8),
+        }
+    }
+}
+
+/// One step of a process as the trace walk sees it: the action, plus the
+/// sender, kind and content of the message it references, if registered.
+struct TraceEntry<'e> {
+    action: Action,
+    info: Option<&'e MessageInfo>,
+}
+
+impl Relabel for TraceEntry<'_> {
+    fn relabel(&self, r: &mut Relabeler<'_>) {
+        self.action.relabel(r);
+        // The free-form `label` is deliberately omitted: it is a raw
+        // `Debug` snapshot of the wire payload, whose position-indexed
+        // fields (vector clocks) it cannot re-index. The specs only ever
+        // read actions, senders, kinds and contents, and payload
+        // differences that matter for the future are visible in the live
+        // state, so dropping it loses no distinction the quotient is
+        // allowed to keep.
+        match self.info {
+            None => r.word(0),
+            Some(info) => {
+                r.word(1);
+                r.process(info.sender);
+                r.word(match info.kind {
+                    MessageKind::Broadcast => 0,
+                    MessageKind::PointToPoint => 1,
+                });
+                r.value(info.content);
+            }
+        }
+    }
+}
+
+/// An execution walks as its per-process step sequences in renamed order.
+///
+/// Runs of consecutive `Send` steps are walked through
+/// [`Relabeler::sorted`]: a send burst iterates destinations in absolute
+/// process-id order, so its emission order encodes the identity of the
+/// sender and differs across renamings even for an equivariant algorithm.
+/// The asynchronous network erases that order — only the multiset of sends
+/// is observable — and the S03x equivariance probes compare per-activation
+/// send *multisets* for the same reason. The sort is stable and its key
+/// masks message ids, so two sends to the same destination keep their
+/// emission order (which *is* renaming-invariant per sender/destination
+/// pair, while their raw ids are not).
+impl Relabel for Execution {
+    fn relabel(&self, r: &mut Relabeler<'_>) {
+        // Markers keep the encoding prefix-free: 1 precedes a single step,
+        // 2 a sorted burst, and 0 ends a process's sequence.
+        let mut burst: Vec<TraceEntry<'_>> = Vec::new();
+        for &old in r.renamed_order() {
+            for step in self.steps_of(ProcessId::new(old + 1)) {
+                let entry = TraceEntry {
+                    action: step.action,
+                    info: step.action.message().and_then(|m| self.message(m)),
+                };
+                if matches!(step.action, Action::Send { .. }) {
+                    burst.push(entry);
+                    continue;
+                }
+                flush_send_burst(r, &mut burst);
+                r.word(1);
+                entry.relabel(r);
+            }
+            flush_send_burst(r, &mut burst);
+            r.word(0);
+        }
+    }
+}
+
+fn flush_send_burst(r: &mut Relabeler<'_>, burst: &mut Vec<TraceEntry<'_>>) {
+    if !burst.is_empty() {
+        r.word(2);
+        r.sorted(burst.iter());
+        burst.clear();
+    }
+}
+
+/// Renaming-invariant digest of an execution: the [`orbit_min`] of its
+/// walk. Two executions that are process-renamings of one another (with
+/// message ids and contents renamed injectively) digest equal — the
 /// quotient the crash-sweep engine dedups completed runs by when a
 /// [`SymmetryCert`] licenses it.
 #[must_use]
 pub fn canonical_execution_digest(exec: &Execution) -> u128 {
-    process_permutations(exec.process_count())
-        .iter()
-        .map(|perm| digest(&normalize_ids(&execution_text(exec, perm))))
-        .min()
-        .expect("at least the identity permutation")
+    orbit_min(exec.process_count(), |r| exec.relabel(r))
 }
 
 #[cfg(test)]
@@ -442,40 +755,148 @@ mod tests {
         }
     }
 
+    /// A test component mixing a typed process id with free text.
+    struct Tagged {
+        who: ProcessId,
+        note: String,
+    }
+
+    impl Relabel for Tagged {
+        fn relabel(&self, r: &mut Relabeler<'_>) {
+            self.who.relabel(r);
+            self.note.relabel(r);
+        }
+    }
+
     #[test]
-    fn rewrite_respects_token_boundaries() {
-        let perm = vec![2, 1];
-        let text = "ProcessId(1) MyProcessId(1) ProcessId(2)x ProcessId(9)";
+    fn strings_are_opaque_while_process_ids_are_renamed() {
+        let perms = process_permutations(3);
+        let identity = [1, 2, 3];
+        let spelled = Tagged {
+            who: ProcessId::new(1),
+            note: "ProcessId(1)".to_string(),
+        };
+        // The text spelling a process id hashes the same under every
+        // renaming: only values of type `ProcessId` are renamed.
+        let note = relabeled_digest(&spelled.note, &identity);
+        for perm in &perms {
+            assert_eq!(relabeled_digest(&spelled.note, perm), note, "{perm:?}");
+        }
+        // The typed field is renamed: walking under `perm` is walking the
+        // literally renamed value under the identity.
+        for perm in &perms {
+            let renamed = Tagged {
+                who: ProcessId::new(perm[0]),
+                note: spelled.note.clone(),
+            };
+            assert_eq!(
+                relabeled_digest(&spelled, perm),
+                relabeled_digest(&renamed, &identity),
+                "{perm:?}"
+            );
+        }
+        assert_ne!(
+            relabeled_digest(&spelled, &[2, 1, 3]),
+            relabeled_digest(&spelled, &identity)
+        );
+    }
+
+    fn ids(raw: &[u64]) -> Vec<(MessageId, Value)> {
+        raw.iter()
+            .map(|&k| (MessageId::new(k), Value::new(k + 100)))
+            .collect()
+    }
+
+    #[test]
+    fn numbering_quotients_injective_renamings_only() {
+        let identity = [1, 2];
+        let a = relabeled_digest(&ids(&[7, 3, 7]), &identity);
+        let b = relabeled_digest(&ids(&[0, 9, 0]), &identity);
+        assert_eq!(a, b, "an injective renaming of ids and contents");
+        let c = relabeled_digest(&ids(&[7, 3, 3]), &identity);
+        assert_ne!(a, c, "a different equality pattern");
+        // Message ids and values are numbered separately.
+        let split = vec![(MessageId::new(5), Value::new(6))];
+        let same = vec![(MessageId::new(5), Value::new(5))];
         assert_eq!(
-            rewrite_process_ids(text, &perm),
-            // Out-of-range ProcessId(9) untouched; prefixed identifier untouched.
-            "ProcessId(2) MyProcessId(1) ProcessId(1)x ProcessId(9)"
+            relabeled_digest(&split, &identity),
+            relabeled_digest(&same, &identity)
+        );
+    }
+
+    /// A per-process counter vector, walked by position.
+    struct Counts(Vec<u64>);
+
+    impl Relabel for Counts {
+        fn relabel(&self, r: &mut Relabeler<'_>) {
+            r.positions(&self.0);
+        }
+    }
+
+    #[test]
+    fn positions_move_with_their_process() {
+        // p1 -> 3, p2 -> 1, p3 -> 2: old entry i lands at perm[i] - 1.
+        let perm = [3, 1, 2];
+        assert_eq!(
+            relabeled_digest(&Counts(vec![10, 20, 30]), &perm),
+            relabeled_digest(&Counts(vec![20, 30, 10]), &[1, 2, 3])
+        );
+    }
+
+    /// A multiset of `(destination, message)` pairs.
+    struct Sends(Vec<(ProcessId, MessageId)>);
+
+    impl Relabel for Sends {
+        fn relabel(&self, r: &mut Relabeler<'_>) {
+            r.sorted(&self.0);
+        }
+    }
+
+    #[test]
+    fn sorted_multisets_ignore_stored_order_but_not_ids() {
+        let p = ProcessId::new;
+        let m = MessageId::new;
+        let identity = [1, 2];
+        let forward = Sends(vec![(p(1), m(4)), (p(2), m(5))]);
+        let backward = Sends(vec![(p(2), m(4)), (p(1), m(5))]);
+        // Sorted by renamed destination; the ids are then numbered in that
+        // order, so both walks are `(p1, #0), (p2, #1)`.
+        assert_eq!(
+            relabeled_digest(&forward, &identity),
+            relabeled_digest(&backward, &identity)
+        );
+        // Equal keys (same destination) keep their stored order, and the
+        // id numbering sees it: a repeated id is still told apart.
+        let repeated = Sends(vec![(p(1), m(4)), (p(1), m(4))]);
+        let distinct = Sends(vec![(p(1), m(4)), (p(1), m(5))]);
+        assert_ne!(
+            relabeled_digest(&repeated, &identity),
+            relabeled_digest(&distinct, &identity)
         );
     }
 
     #[test]
-    fn normalization_is_first_occurrence() {
-        let text = "MessageId(7) Value(100) MessageId(3) MessageId(7) Value(2)";
+    fn execution_digest_is_renaming_invariant() {
+        use camp_trace::{ExecutionBuilder, Step};
+        let build = |who: usize, other: usize, content: u64| {
+            let (a, b) = (ProcessId::new(who), ProcessId::new(other));
+            let mut builder = ExecutionBuilder::new(2);
+            let m = builder.fresh_broadcast_message(a, Value::new(content));
+            let mut exec = builder.build();
+            exec.push(Step::new(a, Action::Broadcast { msg: m }))
+                .unwrap();
+            exec.push(Step::new(b, Action::Crash)).unwrap();
+            exec
+        };
+        let one = build(1, 2, 7);
+        let two = build(2, 1, 9);
         assert_eq!(
-            normalize_ids(text),
-            "MessageId(#0) Value(#0) MessageId(#1) MessageId(#0) Value(#1)"
+            canonical_execution_digest(&one),
+            canonical_execution_digest(&two)
         );
-    }
-
-    #[test]
-    fn normalization_quotients_injective_renamings() {
-        let a = "state: MessageId(0) then Value(12) and MessageId(4)";
-        let b = "state: MessageId(9) then Value(55) and MessageId(2)";
-        assert_eq!(normalize_ids(a), normalize_ids(b));
-        let c = "state: MessageId(9) then Value(55) and MessageId(9)"; // not injective
-        assert_ne!(normalize_ids(a), normalize_ids(c));
-    }
-
-    #[test]
-    fn masking_erases_message_identity() {
-        assert_eq!(
-            mask_message_ids("MessageId(12)+MessageId(3)"),
-            "MessageId(#)+MessageId(#)"
+        assert_ne!(
+            canonical_execution_digest(&one),
+            canonical_execution_digest(&build(1, 1, 7))
         );
     }
 

@@ -9,14 +9,15 @@
 //! a 128-bit digest: a birthday collision among the ~10⁷ states a bounded
 //! exploration can visit is vanishingly unlikely (~10⁻²⁴).
 //!
-//! Algorithm states and message payloads only promise `Debug` (the
-//! [`crate::BroadcastAlgorithm`] trait deliberately asks for nothing more),
-//! so they are hashed through their `Debug` rendering: [`StateHasher`]
+//! The plain fingerprint hashes algorithm states and message payloads
+//! through their `Debug` rendering: [`StateHasher`]
 //! implements [`fmt::Write`] and consumes the formatter output directly,
 //! without materializing a string. Derived `Debug` is itself structural —
 //! field order is declaration order, collections print in iteration order
 //! (deterministic for the `Vec`s and `BTreeMap`s used throughout) — which
-//! makes the rendering a faithful canonical form.
+//! makes the rendering a faithful canonical form. The renaming-quotient
+//! fingerprint instead walks the same data through
+//! [`crate::canonical::Relabel`], which feeds [`StateHasher::write_varint`].
 
 use std::fmt::{self, Write};
 
@@ -70,6 +71,18 @@ impl StateHasher {
     /// Feeds one `usize`.
     pub fn write_usize(&mut self, x: usize) {
         self.write_u64(x as u64);
+    }
+
+    /// Feeds one `u64` in LEB128 form: seven bits per byte, low bits
+    /// first, the high bit set on every byte but the last. Small numbers
+    /// cost one byte, and the encoding is self-delimiting, so a sequence
+    /// of them cannot alias.
+    pub fn write_varint(&mut self, mut x: u64) {
+        while x >= 0x80 {
+            self.byte((x & 0x7f) as u8 | 0x80);
+            x >>= 7;
+        }
+        self.byte(x as u8);
     }
 
     /// Feeds a field separator, so adjacent variable-length components
@@ -131,6 +144,16 @@ mod tests {
         let mut h2 = StateHasher::new();
         h2.write_bytes(b"42");
         h2.sep();
+        assert_eq!(h1.finish(), h2.finish());
+    }
+
+    #[test]
+    fn varints_are_leb128() {
+        let mut h1 = StateHasher::new();
+        h1.write_varint(5);
+        h1.write_varint(300);
+        let mut h2 = StateHasher::new();
+        h2.write_bytes(&[5, 0xac, 0x02]);
         assert_eq!(h1.finish(), h2.finish());
     }
 

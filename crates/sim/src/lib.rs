@@ -48,7 +48,7 @@ mod simulation;
 pub use algorithm::{
     AgreementAlgorithm, AgreementStep, AppMessage, BroadcastAlgorithm, BroadcastStep,
 };
-pub use canonical::{CertStore, IndependenceCert, SymmetryCert};
+pub use canonical::{CertStore, IndependenceCert, Relabel, Relabeler, SymmetryCert};
 pub use error::SimError;
 pub use network::{InFlight, Network};
 pub use oracle::{

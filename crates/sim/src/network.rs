@@ -2,6 +2,8 @@
 
 use camp_trace::{MessageId, ProcessId};
 
+use crate::canonical::{Relabel, Relabeler};
+
 /// A message in flight: sent, not yet received.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InFlight<M> {
@@ -13,6 +15,15 @@ pub struct InFlight<M> {
     pub id: MessageId,
     /// The protocol payload.
     pub payload: M,
+}
+
+impl<M: Relabel> Relabel for InFlight<M> {
+    fn relabel(&self, r: &mut Relabeler<'_>) {
+        self.from.relabel(r);
+        self.to.relabel(r);
+        self.id.relabel(r);
+        self.payload.relabel(r);
+    }
 }
 
 /// The network of the model (§2): one reliable, not-necessarily-FIFO,

@@ -15,6 +15,7 @@ use std::fmt;
 
 use camp_trace::{KsaId, ProcessId, Value};
 
+use crate::canonical::{Relabel, Relabeler};
 use crate::error::SimError;
 
 /// The state of one k-SA object instance.
@@ -26,6 +27,14 @@ pub struct ObjectState {
     responses: BTreeMap<ProcessId, Value>,
     /// Distinct decided values, in first-decision order.
     decided: Vec<Value>,
+}
+
+impl Relabel for ObjectState {
+    fn relabel(&self, r: &mut Relabeler<'_>) {
+        self.proposals.relabel(r);
+        self.responses.relabel(r);
+        self.decided.relabel(r);
+    }
 }
 
 impl ObjectState {
@@ -307,6 +316,30 @@ impl KsaOracle {
     /// Identifiers of every object instance used so far.
     pub fn objects(&self) -> impl Iterator<Item = KsaId> + '_ {
         self.objects.keys().copied()
+    }
+}
+
+/// The oracle walks as `k`, the rule's `Debug` text (opaque: a stateful
+/// rule's remembered ids are not renamed), every object's state in object
+/// order, and the pending proposals sorted by object and renamed proposer.
+/// Each object's proposal list keeps its arrival order, which is semantic:
+/// first-proposal rules read it.
+impl Relabel for KsaOracle {
+    fn relabel(&self, r: &mut Relabeler<'_>) {
+        self.k.relabel(r);
+        r.debug_text(&self.rule);
+        self.objects.relabel(r);
+        let mut pending: Vec<(u64, usize)> = self
+            .pending
+            .iter()
+            .map(|&(obj, p)| (obj.raw(), r.renamed(p)))
+            .collect();
+        pending.sort_unstable();
+        r.word(pending.len() as u64);
+        for (obj, renamed) in pending {
+            r.word(obj);
+            r.word(renamed as u64);
+        }
     }
 }
 

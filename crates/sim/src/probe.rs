@@ -437,6 +437,7 @@ fn diff_runs(a: &[Activation], b: &[Activation]) -> Option<Divergence> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::canonical::{Relabel, Relabeler};
     use camp_trace::KsaId;
 
     /// A minimal correct broadcast: send to all, deliver on reception,
@@ -449,6 +450,14 @@ mod tests {
         me: usize,
         n: usize,
         queue: Vec<BroadcastStep<AppMessage>>,
+    }
+
+    impl Relabel for FloodState {
+        fn relabel(&self, r: &mut Relabeler<'_>) {
+            self.me.relabel(r);
+            self.n.relabel(r);
+            self.queue.relabel(r);
+        }
     }
 
     impl BroadcastAlgorithm for Flood {

@@ -6,6 +6,7 @@ use camp_trace::{
 };
 
 use crate::algorithm::{AppMessage, BroadcastAlgorithm, BroadcastStep};
+use crate::canonical::{Relabel, Relabeler};
 use crate::error::SimError;
 use crate::network::{InFlight, Network};
 use crate::oracle::KsaOracle;
@@ -425,96 +426,41 @@ impl<B: BroadcastAlgorithm> Simulation<B> {
         h.finish()
     }
 
-    /// Structural text of the live state under the process renaming `perm`
-    /// (`perm[old_index] = new 1-based id`): the same components as
-    /// [`Simulation::fingerprint`], with per-process arrays re-ordered into
-    /// `perm`-order and every `ProcessId` token inside `Debug` renderings
-    /// rewritten. Message ids and contents are left raw here; callers
-    /// normalize them with [`crate::canonical::normalize_ids`] before
-    /// digesting.
+    /// Feeds the **live** state to `r`, under `r`'s process renaming: the
+    /// same components as [`Simulation::fingerprint`], with the per-process
+    /// ones (algorithm state, pending invocation, crash flag) in renamed
+    /// order.
     ///
-    /// In-flight slots are ordered by their message-id-masked text (raw text
-    /// as tiebreak) rather than by raw id, so the multiset ordering does not
-    /// leak allocation order. The oracle's per-object proposal lists keep
-    /// their arrival order — it is semantic (first-proposal rules read it) —
-    /// with only the proposer ids rewritten.
+    /// The in-flight slots go through [`Relabeler::sorted`], ordered by
+    /// renamed sender and destination, then by payload with message ids
+    /// masked, so the multiset's order does not leak allocation order. The
+    /// oracle walks as documented on its [`Relabel`] impl.
     ///
     /// # Panics
     ///
-    /// Panics if `perm` is not a permutation of `1..=n`.
-    #[must_use]
-    pub fn canonical_state_text(&self, perm: &[usize]) -> String {
-        use std::fmt::Write as _;
-        assert_eq!(perm.len(), self.n, "permutation arity must match n");
-        let inv = crate::canonical::invert(perm);
-        let rewrite = |v: &dyn std::fmt::Debug| {
-            crate::canonical::rewrite_process_ids(&format!("{v:?}"), perm)
-        };
-        let mut out = String::new();
-        let _ = write!(out, "n={};", self.n);
-        for (new_index, &old) in inv.iter().enumerate() {
-            let _ = write!(
-                out,
-                "state[{}]={};",
-                new_index + 1,
-                self.algo.canonical_state_text(&self.states[old], perm)
-            );
-            let _ = write!(
-                out,
-                "pending[{}]={:?};crashed[{}]={};",
-                new_index + 1,
-                self.pending_broadcast[old],
-                new_index + 1,
-                self.crashed[old],
-            );
+    /// Panics if `r`'s permutation is not over `n` processes.
+    pub fn relabel_live(&self, r: &mut Relabeler<'_>) {
+        assert_eq!(
+            r.renamed_order().len(),
+            self.n,
+            "permutation arity must match n"
+        );
+        self.n.relabel(r);
+        for &old in r.renamed_order() {
+            self.states[old].relabel(r);
+            self.pending_broadcast[old].relabel(r);
+            self.crashed[old].relabel(r);
         }
-        let _ = write!(out, "alloc={};", self.next_msg);
-        let mut slots: Vec<String> = self
-            .network
-            .in_flight()
-            .iter()
-            .map(|m| {
-                format!(
-                    "from=ProcessId({}) to=ProcessId({}) id=MessageId({}) payload={}",
-                    perm[m.from.index()],
-                    perm[m.to.index()],
-                    m.id.raw(),
-                    self.algo.canonical_msg_text(&m.payload, perm),
-                )
-            })
-            .collect();
-        slots.sort_by_cached_key(|s| (crate::canonical::mask_message_ids(s), s.clone()));
-        let _ = write!(out, "wire={};", slots.len());
-        for slot in slots {
-            out.push_str(&slot);
-            out.push(';');
-        }
-        let _ = write!(out, "k={};rule={:?};", self.oracle.k(), self.oracle.rule());
-        for obj in self.oracle.objects() {
-            let _ = write!(
-                out,
-                "obj[{}]={};",
-                obj.raw(),
-                rewrite(&self.oracle.object(obj))
-            );
-        }
-        let mut pending: Vec<(u64, usize)> = self
-            .oracle
-            .pending()
-            .iter()
-            .map(|(obj, p)| (obj.raw(), perm[p.index()]))
-            .collect();
-        pending.sort_unstable();
-        let _ = write!(out, "ksa-pending={pending:?};");
-        out
+        self.next_msg.relabel(r);
+        r.sorted(self.network.in_flight());
+        self.oracle.relabel(r);
     }
 
     /// The renaming-quotient companion of [`Simulation::fingerprint`]: the
     /// minimum, over every candidate process permutation, of the digest of
-    /// the normalized [`Simulation::canonical_state_text`]. Two live states
-    /// that differ only by a permutation of process identities (plus the
-    /// induced injective renaming of message ids and contents) fingerprint
-    /// equal.
+    /// [`Simulation::relabel_live`]. Two live states that differ only by a
+    /// permutation of process identities (plus the induced injective
+    /// renaming of message ids and contents) fingerprint equal.
     ///
     /// The quotient is **only sound to dedup by** for algorithms that are
     /// renaming-equivariant and content-neutral, checked against properties
@@ -524,15 +470,7 @@ impl<B: BroadcastAlgorithm> Simulation<B> {
     /// [`crate::canonical::MAX_FULL_ORBIT_N`] processes.
     #[must_use]
     pub fn fingerprint_canonical(&self) -> u128 {
-        crate::canonical::process_permutations(self.n)
-            .iter()
-            .map(|perm| {
-                crate::canonical::digest(&crate::canonical::normalize_ids(
-                    &self.canonical_state_text(perm),
-                ))
-            })
-            .min()
-            .expect("at least the identity permutation")
+        crate::canonical::orbit_min(self.n, |r| self.relabel_live(r))
     }
 
     /// Is the simulation quiescent — no local steps available, no in-flight

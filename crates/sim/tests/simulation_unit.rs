@@ -7,7 +7,7 @@ use camp_sim::scheduler::{
 };
 use camp_sim::{
     AppMessage, BroadcastAlgorithm, BroadcastStep, Executed, FirstProposalRule, KsaOracle,
-    OwnValueRule, SimError, Simulation,
+    OwnValueRule, Relabel, Relabeler, SimError, Simulation,
 };
 use camp_trace::{KsaId, ProcessId, Value};
 
@@ -24,6 +24,15 @@ struct EchoState {
     queue: Vec<BroadcastStep<AppMessage>>,
     proposed: u64,
     blocked: bool,
+}
+
+impl Relabel for EchoState {
+    fn relabel(&self, r: &mut Relabeler<'_>) {
+        self.n.relabel(r);
+        self.queue.relabel(r);
+        self.proposed.relabel(r);
+        self.blocked.relabel(r);
+    }
 }
 
 impl BroadcastAlgorithm for Echo {

@@ -82,6 +82,10 @@ pub struct Execution {
     /// indistinguishable to any per-process observer. Not part of the
     /// execution's identity: excluded from `Eq` and serialization.
     proj: Vec<u64>,
+    /// Per-process crash flags, set by [`Self::push_raw`] next to the
+    /// projection hashes, so [`Self::is_faulty`] is O(1). Like `proj`,
+    /// derived from the steps and excluded from `Eq` and serialization.
+    crashed: Vec<bool>,
     /// Lazily flattened copy of `spine ⊕ tail` backing [`Self::steps`].
     flat: OnceLock<Vec<Step>>,
 }
@@ -95,6 +99,7 @@ impl Clone for Execution {
             tail: self.tail.clone(),
             messages: self.messages.clone(),
             proj: self.proj.clone(),
+            crashed: self.crashed.clone(),
             flat: OnceLock::new(),
         }
     }
@@ -116,6 +121,7 @@ impl Execution {
             tail: Vec::new(),
             messages: BTreeMap::new(),
             proj: vec![0; n],
+            crashed: vec![false; n],
             flat: OnceLock::new(),
         }
     }
@@ -171,8 +177,17 @@ impl Execution {
     /// traces — the linter's reason to exist — exactly as the old derived
     /// impl did).
     fn push_raw(&mut self, step: Step) {
-        if let Some(slot) = self.proj.get_mut(step.process.index()) {
-            *slot = (*slot ^ hash_step(&step)).wrapping_mul(0x0000_0100_0000_01B3);
+        // A deserialized trace may name process 0, whose `index` would
+        // underflow; such steps reach neither table.
+        if let Some(index) = step.process.id().checked_sub(1) {
+            if let Some(slot) = self.proj.get_mut(index) {
+                *slot = (*slot ^ hash_step(&step)).wrapping_mul(0x0000_0100_0000_01B3);
+            }
+            if step.action == Action::Crash {
+                if let Some(flag) = self.crashed.get_mut(index) {
+                    *flag = true;
+                }
+            }
         }
         self.flat.take();
         self.tail.push(step);
@@ -274,9 +289,15 @@ impl Execution {
     /// The paper calls a process *faulty* if it crashes in a run and
     /// *correct* otherwise. For finite prefixes this is the standard
     /// convention: correctness is judged from the crash steps present.
+    ///
+    /// O(1) for `p` in `p1 … pn`. A process outside that range only has
+    /// steps in an invalid, deserialized trace; that case scans the steps.
     #[must_use]
     pub fn is_faulty(&self, p: ProcessId) -> bool {
-        self.steps_of(p).any(|s| s.action == Action::Crash)
+        match p.id().checked_sub(1).and_then(|i| self.crashed.get(i)) {
+            Some(&crashed) => crashed,
+            None => self.steps_of(p).any(|s| s.action == Action::Crash),
+        }
     }
 
     /// Iterates over the correct (non-crashed) processes.
@@ -506,6 +527,7 @@ impl Deserialize for Execution {
                 .map(|(id, info)| (id, Arc::new(info)))
                 .collect(),
             proj: vec![0; n],
+            crashed: vec![false; n],
             flat: OnceLock::new(),
         };
         for step in steps {
@@ -610,6 +632,56 @@ mod tests {
         assert_eq!(correct, vec![p(1), p(3)]);
         let faulty: Vec<_> = e.faulty_processes().collect();
         assert_eq!(faulty, vec![p(2)]);
+    }
+
+    /// The crash flags agree with the scan definition of faultiness, for
+    /// every process id in and around `1..=n`.
+    fn assert_flags_match_scan(e: &Execution) {
+        for id in 1..=e.process_count() + 2 {
+            let q = p(id);
+            let scan = e
+                .steps()
+                .iter()
+                .any(|s| s.process == q && s.action == Action::Crash);
+            assert_eq!(e.is_faulty(q), scan, "p{id}");
+        }
+    }
+
+    #[test]
+    fn crash_flags_agree_with_the_scan_on_every_append_path() {
+        let mut b = ExecutionBuilder::new(3);
+        let m = b.fresh_broadcast_message(p(1), Value::new(0));
+        let mut built = b.build();
+        built
+            .push(Step::new(p(1), Action::Broadcast { msg: m }))
+            .unwrap();
+        built.push(Step::new(p(3), Action::Crash)).unwrap();
+        assert!(built.is_faulty(p(3)) && !built.is_faulty(p(1)));
+        assert_flags_match_scan(&built);
+
+        let rebuilt = Execution::from_parts(
+            3,
+            built.messages().map(|(id, info)| (id, info.clone())),
+            built.steps().iter().copied(),
+        )
+        .unwrap();
+        assert!(rebuilt.is_faulty(p(3)));
+        assert_flags_match_scan(&rebuilt);
+
+        let loaded: Execution =
+            serde_json::from_str(&serde_json::to_string(&built).unwrap()).unwrap();
+        assert!(loaded.is_faulty(p(3)));
+        assert_flags_match_scan(&loaded);
+
+        // The JSON loader keeps invalid traces: a crash of p5 in a 2-process
+        // trace is still reported, by the scan.
+        let invalid: Execution = serde_json::from_str(
+            r#"{"n":2,"steps":[{"process":5,"action":"Crash"},{"process":2,"action":"Crash"}],"messages":{}}"#,
+        )
+        .unwrap();
+        assert!(invalid.is_faulty(p(5)) && invalid.is_faulty(p(2)));
+        assert!(!invalid.is_faulty(p(1)));
+        assert_flags_match_scan(&invalid);
     }
 
     #[test]

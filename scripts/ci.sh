@@ -59,6 +59,13 @@ cargo run --release -q -p camp-lint --bin camp-lint -- audit --seeds 5
 echo "==> engine equivalence proptests (release, reduced case count)"
 CAMP_PROPTEST_CASES=6 cargo test -q --release -p camp-modelcheck --test engine_equivalence
 
+# The renaming quotient's typed walk: renaming invariance for every
+# certified algorithm's Relabel impl, and canonical-vs-plain-vs-baseline
+# verdict agreement. Each case is cheap in release, so this stage runs
+# eight times the debug default of 16 cases and still takes seconds.
+echo "==> canonical quotient proptests (release, raised case count)"
+CAMP_PROPTEST_CASES=128 cargo test -q --release -p camp-modelcheck --test canonical
+
 # The smoke run writes to a scratch path so it never clobbers the committed
 # full-mode BENCH_explore.json; regenerate that one with scripts/bench.sh.
 echo "==> bench smoke: exploration benches reproduce the committed v4 counters"

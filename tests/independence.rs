@@ -22,14 +22,16 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 
 use camp_trace::{Action, Execution, ProcessId, Value};
-use campkit::broadcast::{EagerReliable, FifoBroadcast, SendToAll};
+use campkit::broadcast::{
+    AgreedBroadcast, CausalBroadcast, EagerReliable, FifoBroadcast, SendToAll,
+};
 use campkit::lint::{dataflow_check, symmetry_check};
 use campkit::modelcheck::{explore, EngineConfig, EngineStats, ExploreOutcome, Sensitivity};
 use campkit::obs::NoopSink;
 use campkit::sim::canonical::CertStore;
 use campkit::sim::scheduler::Workload;
-use campkit::sim::{BroadcastAlgorithm, FirstProposalRule, KsaOracle, Simulation};
-use campkit::specs::{base, BroadcastSpec, FifoSpec, SpecResult};
+use campkit::sim::{BroadcastAlgorithm, FirstProposalRule, KsaOracle, OwnValueRule, Simulation};
+use campkit::specs::{base, BroadcastSpec, CausalSpec, FifoSpec, SpecResult, TotalOrderSpec};
 use proptest::prelude::*;
 
 fn cases_from_env() -> u32 {
@@ -236,11 +238,9 @@ fn fifo_2x2_prunes_with_lint_issued_certs() {
     assert!(prunes > 0, "the independence relation never fired");
 }
 
-/// The FIFO 2×2 scope under both certificate kinds, as the benchmarks load
-/// them (symmetry plus dataflow), pinned counter by counter: these are the
-/// values `BENCH_explore.json` records for `explore_fifo_2x2`.
-#[test]
-fn fifo_2x2_reduction_counters_are_pinned() {
+/// Both certificate kinds as the benchmarks load them: the symmetry
+/// certificates plus the dataflow independence certificates.
+fn symmetry_and_dataflow_certs() -> CertStore {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let mut certs = symmetry_check(root, false)
         .expect("workspace sources must be readable")
@@ -248,20 +248,49 @@ fn fifo_2x2_reduction_counters_are_pinned() {
     for cert in lint_certs().iter_independence() {
         certs.insert_independence(cert.clone());
     }
+    certs
+}
+
+/// Explores `sim` under both certificate kinds and returns the counters of
+/// a run that must verify.
+fn pinned_run<B>(
+    sim: Simulation<B>,
+    workload: &Workload,
+    property: &dyn Fn(&Execution) -> SpecResult,
+    sensitivity: Sensitivity,
+) -> EngineStats
+where
+    B: BroadcastAlgorithm + Clone,
+    B::Msg: Clone,
+{
+    let (outcome, stats) = explore(
+        sim,
+        workload,
+        property,
+        EngineConfig::default(),
+        &symmetry_and_dataflow_certs(),
+        sensitivity,
+        &mut NoopSink,
+    );
+    assert!(outcome.verified(), "{outcome:?}");
+    stats
+}
+
+/// The FIFO 2×2 scope under both certificate kinds, pinned counter by
+/// counter: these are the values `BENCH_explore.json` records for
+/// `explore_fifo_2x2`.
+#[test]
+fn fifo_2x2_reduction_counters_are_pinned() {
     let property = |e: &Execution| -> SpecResult {
         base::check_all(e)?;
         FifoSpec::new().admits(e)
     };
-    let (outcome, stats) = explore(
+    let stats = pinned_run(
         fresh(FifoBroadcast::new(), 2),
         &Workload::uniform(2, 2),
         &property,
-        EngineConfig::default(),
-        &certs,
         Sensitivity::PerSender,
-        &mut NoopSink,
     );
-    assert!(outcome.verified(), "{outcome:?}");
     assert_eq!(
         stats,
         EngineStats {
@@ -271,6 +300,71 @@ fn fifo_2x2_reduction_counters_are_pinned() {
             canonical_hits: 8,
             sleep_skips: 2495,
             independence_prunes: 1486,
+            truncated: false,
+        }
+    );
+}
+
+/// The causal n = 3 scope (`explore_causal_3`): its only dedup hits come
+/// from the renaming quotient, so this pins the canonical fingerprint.
+#[test]
+fn causal_3_reduction_counters_are_pinned() {
+    let mut workload = Workload::new(3);
+    workload.push(ProcessId::new(1), Value::new(1));
+    workload.push(ProcessId::new(2), Value::new(2));
+    let property = |e: &Execution| -> SpecResult {
+        base::check_all(e)?;
+        CausalSpec::new().admits(e)
+    };
+    let stats = pinned_run(
+        fresh(CausalBroadcast::new(), 3),
+        &workload,
+        &property,
+        Sensitivity::FullOrder,
+    );
+    assert_eq!(
+        stats,
+        EngineStats {
+            nodes: 11789,
+            completed: 813,
+            dedup_hits: 2,
+            canonical_hits: 2,
+            sleep_skips: 15660,
+            independence_prunes: 0,
+            truncated: false,
+        }
+    );
+}
+
+/// The agreed-rounds n = 2 scope (`explore_agreed_2`) under the
+/// maximum-disagreement oracle: plain and canonical dedup hits together,
+/// with k-SA proposals and decisions in the walked state.
+#[test]
+fn agreed_2_reduction_counters_are_pinned() {
+    let property = |e: &Execution| -> SpecResult {
+        base::check_all(e)?;
+        TotalOrderSpec::new().admits(e)
+    };
+    let sim = Simulation::new(
+        AgreedBroadcast::new(),
+        2,
+        KsaOracle::new(1, Box::new(OwnValueRule)),
+    );
+    let stats = pinned_run(
+        sim,
+        &Workload::uniform(2, 1),
+        &property,
+        Sensitivity::FullOrder,
+    );
+    assert_eq!(
+        stats,
+        EngineStats {
+            nodes: 1027,
+            completed: 172,
+            dedup_hits: 229,
+            canonical_hits: 1,
+            sleep_skips: 63,
+            independence_prunes: 0,
             truncated: false,
         }
     );
@@ -288,7 +382,7 @@ fn uncertified_algorithms_explore_identically() {
     );
     let w = Workload::uniform(2, 1);
     let (plain, widened, plain_nodes, widened_nodes, prunes) =
-        differential(campkit::broadcast::CausalBroadcast::new(), 2, &w, &certs);
+        differential(CausalBroadcast::new(), 2, &w, &certs);
     assert_eq!(plain, widened);
     assert_eq!(plain_nodes, widened_nodes);
     assert_eq!(prunes, 0);
