@@ -231,12 +231,8 @@ fn recorded_runtime_timeline(path: &str) -> Timeline {
                 .expect("runtime accepts broadcasts");
         }
     }
-    rt.wait_deliveries_quorum(
-        n * n * m,
-        Duration::from_millis(300),
-        Duration::from_secs(30),
-    )
-    .expect("lossy run completes under retransmission");
+    rt.wait_quiescent(n * n * m, Duration::from_secs(30))
+        .expect("lossy run completes under retransmission");
     let recorder =
         std::sync::Arc::clone(rt.recorder().expect("start_recorded attaches a recorder"));
     let (_exec, _counters, timeline) = rt.shutdown_full();

@@ -24,6 +24,12 @@
 //! recorded in the trace. [`ThreadedRuntime::start`] runs the same stack
 //! under the no-op [`camp_faults::FaultPlan::healthy`] plan.
 //!
+//! A run with crashes ends short of the full delivery pattern, so
+//! [`ThreadedRuntime::wait_quiescent`] decides when it is over by
+//! counting: every queued message and every link with frames in hand is
+//! recorded in a shared work ledger, and the run is over once no correct
+//! node holds any.
+//!
 //! # Example
 //!
 //! ```

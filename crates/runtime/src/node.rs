@@ -17,7 +17,7 @@ use parking_lot::Mutex;
 
 use crate::collector::TraceEvent;
 use crate::perflink::{Frame, PerfectLink};
-use crate::runtime::{CrashBoard, Delivery};
+use crate::runtime::{CrashBoard, Delivery, Ledger};
 
 /// A message another node (or the runtime front-end) sends to a node.
 #[derive(Debug)]
@@ -26,6 +26,9 @@ pub(crate) enum NodeMsg<M> {
     Invoke(Value),
     /// A link-layer frame from a peer (data or acknowledgment).
     Frame(Frame<M>),
+    /// A peer crashed: abandon frames to it now, not at the next backoff
+    /// deadline.
+    Wake,
     /// Stop the node loop.
     Shutdown,
 }
@@ -43,6 +46,7 @@ pub(crate) struct NodeCtx<B: BroadcastAlgorithm> {
     pub msg_ids: Arc<AtomicU64>,
     pub plan: Arc<FaultPlan>,
     pub crashes: Arc<CrashBoard>,
+    pub ledger: Arc<Ledger>,
     /// Optional flight recorder shared by the whole fleet.
     pub recorder: Option<Arc<FlightRecorder>>,
 }
@@ -102,10 +106,16 @@ impl CrashFuse {
 /// deliveries go to the application stream, and every step is reported to
 /// the trace collector in program order.
 ///
+/// After each handled message or timer wake the node re-arms its link term
+/// in the fleet's [`Ledger`] and only then settles the message, so its
+/// slot reads zero only once it can no longer act on its own.
+///
 /// A crashed node stops dead mid-pump: its final trace event is the
 /// [`Action::Crash`] step, it marks itself on the shared crash board (so
 /// peers abandon retransmissions to it and the front-end can degrade
-/// delivery expectations), and its thread exits without draining its inbox.
+/// delivery expectations), wakes its peers so they abandon at once, and
+/// its thread exits without draining its inbox or settling the message it
+/// crashed in.
 pub(crate) fn run_node<B: BroadcastAlgorithm>(ctx: NodeCtx<B>) {
     let NodeCtx {
         me,
@@ -119,12 +129,19 @@ pub(crate) fn run_node<B: BroadcastAlgorithm>(ctx: NodeCtx<B>) {
         msg_ids,
         plan,
         crashes,
+        ledger,
         recorder,
     } = ctx;
     let mut st = algo.init(me, n);
     let mut pending_broadcast: Option<MessageId> = None;
-    let mut link: PerfectLink<B::Msg> =
-        PerfectLink::new(me, n, Arc::clone(&plan), peers, Arc::clone(&crashes));
+    let mut link: PerfectLink<B::Msg> = PerfectLink::new(
+        me,
+        n,
+        Arc::clone(&plan),
+        peers,
+        Arc::clone(&crashes),
+        Arc::clone(&ledger),
+    );
     link.set_recorder(recorder.clone());
     let mut fuse = CrashFuse::new(plan.crash_for(me));
     let flight = |name: &'static str| {
@@ -222,6 +239,8 @@ pub(crate) fn run_node<B: BroadcastAlgorithm>(ctx: NodeCtx<B>) {
     };
 
     let mut crashed = false;
+    // Whether this node's link term is counted in the ledger.
+    let mut armed = false;
     loop {
         // Block for the next inbox event, waking early if the link layer
         // has a retransmission / delayed-frame deadline to service.
@@ -234,6 +253,7 @@ pub(crate) fn run_node<B: BroadcastAlgorithm>(ctx: NodeCtx<B>) {
                 Ok(m) => m,
                 Err(RecvTimeoutError::Timeout) => {
                     report_poll(link.poll());
+                    ledger.arm(me, &mut armed, link.is_busy());
                     continue;
                 }
                 Err(RecvTimeoutError::Disconnected) => break,
@@ -292,6 +312,8 @@ pub(crate) fn run_node<B: BroadcastAlgorithm>(ctx: NodeCtx<B>) {
                     ControlFlow::Continue(())
                 }
             }
+            // The poll below abandons the frames to the crashed peer.
+            NodeMsg::Wake => ControlFlow::Continue(()),
             NodeMsg::Shutdown => break,
         };
         if flow.is_break() {
@@ -299,16 +321,19 @@ pub(crate) fn run_node<B: BroadcastAlgorithm>(ctx: NodeCtx<B>) {
             break;
         }
         report_poll(link.poll());
+        ledger.settle(me, &mut armed, link.is_busy());
     }
 
     let mut counters = link.take_counters();
     if crashed {
-        // The crash step is this process's final trace event; peers learn
-        // of the crash through the board and abandon retransmissions.
+        // The crash step is this process's final trace event. Peers learn
+        // of the crash through the board; the wake makes them look now and
+        // abandon their retransmissions to this node.
         flight("node.crash_fuse");
         let _ = trace.send(TraceEvent::Step(Step::new(me, Action::Crash)));
         crashes.mark(me);
         counters.inc("faults.crashes_fired");
+        link.wake_peers();
     }
     let _ = trace.send(TraceEvent::NodeCounters(counters));
 }

@@ -22,6 +22,11 @@
 //!
 //! Everything here is measured: `faults.*` counters record what the shim
 //! injected, `perflink.*` counters what the recovery machinery did about it.
+//!
+//! Every message an endpoint queues at a peer, each frame and the crash
+//! `Wake`, is first counted in the fleet's work ledger, and the node holds
+//! a ledger term while the link has frames in hand. That is how the
+//! front-end tells a finished run from a slow one.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
@@ -32,7 +37,7 @@ use camp_trace::{MessageId, ProcessId};
 use crossbeam::channel::Sender;
 
 use crate::node::NodeMsg;
-use crate::runtime::CrashBoard;
+use crate::runtime::{CrashBoard, Ledger};
 
 /// First retransmission wait, in milliseconds.
 const BACKOFF_BASE_MS: u64 = 2;
@@ -99,6 +104,8 @@ pub(crate) struct PerfectLink<M> {
     plan: Arc<FaultPlan>,
     peers: Vec<Sender<NodeMsg<M>>>,
     crashes: Arc<CrashBoard>,
+    /// Counts every message this endpoint queues at a peer.
+    ledger: Arc<Ledger>,
     /// Next data sequence number per destination.
     next_seq: Vec<u64>,
     /// Unacknowledged data frames, keyed by (destination index, seq).
@@ -121,12 +128,14 @@ impl<M: Clone> PerfectLink<M> {
         plan: Arc<FaultPlan>,
         peers: Vec<Sender<NodeMsg<M>>>,
         crashes: Arc<CrashBoard>,
+        ledger: Arc<Ledger>,
     ) -> Self {
         Self {
             me,
             plan,
             peers,
             crashes,
+            ledger,
             next_seq: vec![0; n],
             unacked: BTreeMap::new(),
             seen: vec![BTreeMap::new(); n],
@@ -314,6 +323,21 @@ impl<M: Clone> PerfectLink<M> {
         retransmitted
     }
 
+    /// Does the link hold unacked, delayed or reorder-held frames, so that
+    /// [`Self::next_wake_ms`] has a deadline?
+    pub(crate) fn is_busy(&self) -> bool {
+        !self.unacked.is_empty()
+            || !self.delayed.is_empty()
+            || self.held.iter().any(Option::is_some)
+    }
+
+    /// Wakes every peer, so that they see this node's crash now.
+    pub(crate) fn wake_peers(&self) {
+        for dest in (0..self.peers.len()).filter(|&d| d != self.me.index()) {
+            self.put(dest, NodeMsg::Wake);
+        }
+    }
+
     /// Milliseconds until the earliest pending deadline, if any work is
     /// outstanding (clamped to ≥ 1 so callers never busy-spin).
     pub(crate) fn next_wake_ms(&self) -> Option<u64> {
@@ -381,17 +405,23 @@ impl<M: Clone> PerfectLink<M> {
     /// loss (its retransmission loop, if any, gives up via the crash board).
     fn physical_send(&mut self, dest: usize, frame: &Frame<M>, duplicate: bool) {
         self.counters.inc("perflink.transmissions");
-        let _ = self.peers[dest].send(NodeMsg::Frame(frame.clone()));
+        self.put(dest, NodeMsg::Frame(frame.clone()));
         if duplicate {
             self.counters.inc("faults.dups_injected");
             self.counters.inc("perflink.transmissions");
-            let _ = self.peers[dest].send(NodeMsg::Frame(frame.clone()));
+            self.put(dest, NodeMsg::Frame(frame.clone()));
         }
         // A physically transmitted frame releases any reorder-held
         // predecessor on the same link: the adjacent pair has now swapped.
         if let Some(h) = self.held[dest].take() {
             self.counters.inc("perflink.transmissions");
-            let _ = self.peers[dest].send(NodeMsg::Frame(h.frame));
+            self.put(dest, NodeMsg::Frame(h.frame));
         }
+    }
+
+    /// Counts a message in the ledger, then queues it at `dest`.
+    fn put(&self, dest: usize, msg: NodeMsg<M>) {
+        self.ledger.enqueue(ProcessId::new(dest + 1));
+        let _ = self.peers[dest].send(msg);
     }
 }

@@ -3,7 +3,7 @@
 
 use std::error::Error;
 use std::fmt;
-use std::sync::atomic::AtomicU64;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -17,6 +17,12 @@ use parking_lot::Mutex;
 
 use crate::collector::{Collector, TraceEvent};
 use crate::node::{run_node, NodeCtx, NodeMsg};
+
+/// How long [`ThreadedRuntime::wait_quiescent`] blocks on a quiet delivery
+/// stream before it re-reads the ledger. Below the perfect link's 2 ms
+/// base backoff, it bounds how late quiescence is noticed; it decides
+/// nothing.
+const QUIET_SLICE: Duration = Duration::from_millis(1);
 
 /// One B-delivery observed at a process — the application-facing event
 /// stream of the runtime.
@@ -34,9 +40,12 @@ pub struct Delivery {
 pub enum RuntimeError {
     /// The targeted process does not exist.
     UnknownProcess(ProcessId),
-    /// The runtime was already shut down (node channel closed).
+    /// No node can deliver any more: the runtime was already shut down
+    /// (node channel closed), or every process has crashed.
     Disconnected,
-    /// [`ThreadedRuntime::wait_deliveries`] timed out.
+    /// A delivery wait came up short: its deadline passed, or
+    /// [`ThreadedRuntime::wait_quiescent`] found a crash-free fleet
+    /// quiescent.
     Timeout {
         /// Deliveries observed before the deadline.
         received: usize,
@@ -49,7 +58,9 @@ impl fmt::Display for RuntimeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             RuntimeError::UnknownProcess(p) => write!(f, "{p} does not exist"),
-            RuntimeError::Disconnected => write!(f, "runtime already shut down"),
+            RuntimeError::Disconnected => {
+                write!(f, "runtime already shut down or every process crashed")
+            }
             RuntimeError::Timeout { received, expected } => {
                 write!(f, "timed out after {received}/{expected} deliveries")
             }
@@ -66,32 +77,117 @@ impl Error for RuntimeError {}
 /// degrade delivery expectations to the correct processes.
 #[derive(Debug)]
 pub(crate) struct CrashBoard {
-    flags: Mutex<Vec<bool>>,
+    flags: Vec<AtomicBool>,
 }
 
 impl CrashBoard {
     fn new(n: usize) -> Self {
         Self {
-            flags: Mutex::new(vec![false; n]),
+            flags: (0..n).map(|_| AtomicBool::new(false)).collect(),
         }
     }
 
     pub(crate) fn mark(&self, p: ProcessId) {
-        self.flags.lock()[p.index()] = true;
+        self.flags[p.index()].store(true, Ordering::SeqCst);
     }
 
     pub(crate) fn is_crashed(&self, p: ProcessId) -> bool {
-        self.flags.lock()[p.index()]
+        self.flags[p.index()].load(Ordering::SeqCst)
     }
 
     fn crashed(&self) -> Vec<ProcessId> {
-        self.flags
-            .lock()
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c)
-            .map(|(i, _)| ProcessId::new(i + 1))
+        ProcessId::all(self.flags.len())
+            .filter(|&p| self.is_crashed(p))
             .collect()
+    }
+
+    fn any(&self) -> bool {
+        ProcessId::all(self.flags.len()).any(|p| self.is_crashed(p))
+    }
+
+    fn all(&self) -> bool {
+        ProcessId::all(self.flags.len()).all(|p| self.is_crashed(p))
+    }
+}
+
+/// The fleet's work ledger: termination detection by credit counting, in
+/// the style of Dijkstra–Scholten.
+///
+/// Each node's slot counts the messages queued in its inbox and not yet
+/// handled, plus one while its perfect link holds unacked, delayed or
+/// reorder-held frames (the node's timer is armed). Whoever queues a
+/// message counts it in the destination's slot and then bumps the
+/// fleet-wide epoch, both before the channel send. A node re-arms its
+/// link term and only then settles the message it handled, so its slot
+/// cannot read zero while the node can still act.
+#[derive(Debug)]
+pub(crate) struct Ledger {
+    epoch: AtomicU64,
+    slots: Vec<AtomicUsize>,
+}
+
+impl Ledger {
+    fn new(n: usize) -> Self {
+        Self {
+            epoch: AtomicU64::new(0),
+            slots: (0..n).map(|_| AtomicUsize::new(0)).collect(),
+        }
+    }
+
+    /// Counts one message for `to`'s inbox. Call before the channel send.
+    pub(crate) fn enqueue(&self, to: ProcessId) {
+        self.slots[to.index()].fetch_add(1, Ordering::SeqCst);
+        self.epoch.fetch_add(1, Ordering::SeqCst);
+    }
+
+    /// Re-arms `me`'s link term to `busy` and only then retires the inbox
+    /// message `me` has handled, so `me`'s slot cannot pass through zero
+    /// while its link still holds frames.
+    pub(crate) fn settle(&self, me: ProcessId, armed: &mut bool, busy: bool) {
+        self.arm(me, armed, busy);
+        self.slots[me.index()].fetch_sub(1, Ordering::SeqCst);
+    }
+
+    /// Holds `me`'s link term while `busy`. `armed` is the node's own
+    /// record of whether it holds the term.
+    pub(crate) fn arm(&self, me: ProcessId, armed: &mut bool, busy: bool) {
+        if *armed != busy {
+            let slot = &self.slots[me.index()];
+            if busy {
+                slot.fetch_add(1, Ordering::SeqCst);
+            } else {
+                slot.fetch_sub(1, Ordering::SeqCst);
+            }
+            *armed = busy;
+        }
+    }
+
+    fn epoch(&self) -> u64 {
+        self.epoch.load(Ordering::SeqCst)
+    }
+
+    /// Every correct process's slot reads zero, and the epoch still reads
+    /// `epoch`.
+    fn settled_since(&self, epoch: u64, crashes: &CrashBoard) -> bool {
+        ProcessId::all(self.slots.len())
+            .all(|p| crashes.is_crashed(p) || self.slots[p.index()].load(Ordering::SeqCst) == 0)
+            && self.epoch() == epoch
+    }
+
+    /// Can no correct process act again? Reads the epoch, then each
+    /// correct process's slot, then the epoch again, and answers yes when
+    /// every slot read zero and the epoch did not move.
+    ///
+    /// Only a node holding work (a counted message or an armed link term)
+    /// queues more, and its slot stays nonzero until it has. An enqueue
+    /// the slot reads could miss, counted at a slot already read by a node
+    /// that settled before its own slot was read, bumped the epoch between
+    /// the two epoch reads. A node crashing during the read never settles
+    /// the message it crashed in, and its wakes carry no work to an idle
+    /// peer. `docs/RUNTIME.md` ("Crash semantics") gives the argument in
+    /// full.
+    pub(crate) fn quiescent(&self, crashes: &CrashBoard) -> bool {
+        self.settled_since(self.epoch(), crashes)
     }
 }
 
@@ -109,6 +205,7 @@ pub struct ThreadedRuntime {
     collector_handle: JoinHandle<(Execution, Counters, Timeline)>,
     trace_tx: Sender<TraceEvent>,
     crashes: Arc<CrashBoard>,
+    ledger: Arc<Ledger>,
     recorder: Option<Arc<FlightRecorder>>,
 }
 
@@ -216,6 +313,7 @@ impl ThreadedRuntime {
         assert!(n > 0, "at least one node required");
         let plan = Arc::new(plan);
         let crashes = Arc::new(CrashBoard::new(n));
+        let ledger = Arc::new(Ledger::new(n));
         let oracle = Arc::new(Mutex::new(KsaOracle::new(k, Box::new(OwnValueRule))));
         let msg_ids = Arc::new(AtomicU64::new(0));
         let (trace_tx, trace_rx) = unbounded::<TraceEvent>();
@@ -243,6 +341,7 @@ impl ThreadedRuntime {
                 msg_ids: Arc::clone(&msg_ids),
                 plan: Arc::clone(&plan),
                 crashes: Arc::clone(&crashes),
+                ledger: Arc::clone(&ledger),
                 recorder: recorder.clone(),
             };
             handles.push(std::thread::spawn(move || run_node(ctx)));
@@ -268,6 +367,7 @@ impl ThreadedRuntime {
             collector_handle,
             trace_tx,
             crashes,
+            ledger,
             recorder,
         }
     }
@@ -301,10 +401,12 @@ impl ThreadedRuntime {
     ///
     /// [`RuntimeError::UnknownProcess`].
     pub fn broadcast(&self, pid: ProcessId, content: Value) -> Result<(), RuntimeError> {
-        self.inboxes
+        let inbox = self
+            .inboxes
             .get(pid.index())
-            .ok_or(RuntimeError::UnknownProcess(pid))?
-            .invoke(content);
+            .ok_or(RuntimeError::UnknownProcess(pid))?;
+        self.ledger.enqueue(pid);
+        inbox.invoke(content);
         Ok(())
     }
 
@@ -347,56 +449,81 @@ impl ThreadedRuntime {
         Ok(got)
     }
 
-    /// Crash-aware delivery wait: blocks for up to `full` deliveries, but
-    /// degrades gracefully when the fault plan crashes processes mid-run —
-    /// once at least one crash has fired, a delivery stream that stays
-    /// quiet for `idle` is accepted and the partial batch is returned.
+    /// Crash-aware delivery wait: blocks until `full` deliveries were
+    /// observed, or until the fleet is quiescent, whichever comes first.
     ///
-    /// `idle` should comfortably exceed the perfect-link backoff ceiling
-    /// (32 ms), or in-flight retransmissions may be mistaken for quiescence.
+    /// Quiescence is decided by accounting, not by silence: the fleet's
+    /// work ledger counts every queued inbox message and every perfect
+    /// link holding frames, and the wait re-reads it after each delivery
+    /// and after each quiet millisecond. Once no correct process can act
+    /// again, every delivery the run will make is already queued, so the
+    /// wait drains them and decides at once: with a crash fired, it
+    /// returns the partial batch.
     ///
     /// # Errors
     ///
-    /// [`RuntimeError::Timeout`] if the deadline passes with no crash fired
-    /// and fewer than `full` deliveries, [`RuntimeError::Disconnected`] if
-    /// the delivery stream closed.
-    pub fn wait_deliveries_quorum(
+    /// [`RuntimeError::Timeout`] when the fleet is quiescent with no crash
+    /// fired and fewer than `full` deliveries (it can never deliver more),
+    /// or when `timeout` passes first; [`RuntimeError::Disconnected`] when
+    /// every process has crashed.
+    pub fn wait_quiescent(
         &mut self,
         full: usize,
-        idle: Duration,
         timeout: Duration,
     ) -> Result<Vec<Delivery>, RuntimeError> {
         let start = clock::now();
         let mut got = Vec::with_capacity(full);
         while got.len() < full {
-            // Poll in `idle`-sized slices so a crash that fires while we
-            // are blocked is observed at most one slice later — the crash
-            // board must be re-read *after* each timeout, not before.
-            let slice = idle.min(timeout.saturating_sub(start.elapsed()));
-            match self.deliveries.recv_timeout(slice) {
+            if self.crashes.all() {
+                return Err(RuntimeError::Disconnected);
+            }
+            if self.ledger.quiescent(&self.crashes) {
+                // Nodes queue their deliveries before they settle.
+                for d in self.deliveries.try_iter().take(full - got.len()) {
+                    self.collected.push(d);
+                    got.push(d);
+                }
+                return if got.len() == full || self.crashes.any() {
+                    Ok(got)
+                } else {
+                    Err(RuntimeError::Timeout {
+                        received: got.len(),
+                        expected: full,
+                    })
+                };
+            }
+            let remaining = timeout.saturating_sub(start.elapsed());
+            if remaining.is_zero() {
+                return Err(RuntimeError::Timeout {
+                    received: got.len(),
+                    expected: full,
+                });
+            }
+            match self.deliveries.recv_timeout(QUIET_SLICE.min(remaining)) {
                 Ok(d) => {
                     self.collected.push(d);
                     got.push(d);
                 }
-                Err(RecvTimeoutError::Timeout) => {
-                    if !self.crashes.crashed().is_empty() {
-                        // Quiescent under crashes: the correct processes
-                        // have delivered what they can.
-                        return Ok(got);
-                    }
-                    if start.elapsed() >= timeout {
-                        return Err(RuntimeError::Timeout {
-                            received: got.len(),
-                            expected: full,
-                        });
-                    }
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    return Err(RuntimeError::Disconnected);
-                }
+                Err(RecvTimeoutError::Timeout) => {}
+                Err(RecvTimeoutError::Disconnected) => return Err(RuntimeError::Disconnected),
             }
         }
         Ok(got)
+    }
+
+    /// [`Self::wait_quiescent`] under its former signature: `idle` is
+    /// ignored, since silence no longer decides anything.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::wait_quiescent`].
+    pub fn wait_deliveries_quorum(
+        &mut self,
+        full: usize,
+        _idle: Duration,
+        timeout: Duration,
+    ) -> Result<Vec<Delivery>, RuntimeError> {
+        self.wait_quiescent(full, timeout)
     }
 
     /// All deliveries observed so far through [`wait_deliveries`].
@@ -445,5 +572,66 @@ impl ThreadedRuntime {
         self.collector_handle
             .join()
             .expect("collector thread panicked")
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn fleet() -> (Ledger, CrashBoard) {
+        (Ledger::new(3), CrashBoard::new(3))
+    }
+
+    #[test]
+    fn an_enqueue_makes_the_fleet_busy() {
+        let (ledger, crashes) = fleet();
+        assert!(ledger.quiescent(&crashes), "a fresh fleet has no work");
+        ledger.enqueue(ProcessId::new(2));
+        assert!(!ledger.quiescent(&crashes));
+    }
+
+    #[test]
+    fn settling_makes_the_fleet_quiescent() {
+        let (ledger, crashes) = fleet();
+        let p2 = ProcessId::new(2);
+        let mut armed = false;
+        ledger.enqueue(p2);
+        // p2 handles the message and settles it with a frame unacked.
+        ledger.settle(p2, &mut armed, true);
+        assert!(!ledger.quiescent(&crashes), "an armed link is work");
+        // The ack arrives and is handled: the link empties.
+        ledger.enqueue(p2);
+        ledger.settle(p2, &mut armed, false);
+        assert!(!armed);
+        assert!(ledger.quiescent(&crashes));
+    }
+
+    #[test]
+    fn a_crashed_nodes_count_is_ignored() {
+        let (ledger, crashes) = fleet();
+        let p3 = ProcessId::new(3);
+        // p3 crashes inside the message it is handling, which it never
+        // settles, and a peer's frame to it stays queued.
+        ledger.enqueue(p3);
+        ledger.enqueue(p3);
+        assert!(!ledger.quiescent(&crashes));
+        crashes.mark(p3);
+        assert!(ledger.quiescent(&crashes));
+        ledger.enqueue(ProcessId::new(1));
+        assert!(!ledger.quiescent(&crashes), "correct slots still count");
+    }
+
+    #[test]
+    fn an_epoch_bump_between_the_two_reads_rejects_the_snapshot() {
+        let (ledger, crashes) = fleet();
+        let epoch = ledger.epoch();
+        // A whole enqueue and settle lands after the first epoch read:
+        // every slot reads zero again, but the epoch moved.
+        ledger.enqueue(ProcessId::new(1));
+        ledger.settle(ProcessId::new(1), &mut false, false);
+        assert!(!ledger.settled_since(epoch, &crashes));
+        assert!(ledger.settled_since(ledger.epoch(), &crashes));
+        assert!(ledger.quiescent(&crashes));
     }
 }

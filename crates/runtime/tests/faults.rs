@@ -16,8 +16,6 @@ use camp_specs::{base, restrict, wellformed};
 use camp_trace::{Action, Execution, ProcessId, Value};
 
 const TIMEOUT: Duration = Duration::from_secs(30);
-/// Comfortably above the perfect-link backoff ceiling (32 ms).
-const IDLE: Duration = Duration::from_millis(300);
 
 fn run_with_plan<B>(algo: B, n: usize, m: usize, k: usize, plan: FaultPlan) -> (Execution, Counters)
 where
@@ -144,7 +142,7 @@ fn crash_after_sends_stops_the_node_mid_broadcast() {
     rt.broadcast(ProcessId::new(1), Value::new(7)).unwrap();
     // Only p2 can deliver: p1 crashed (its self-send sits undrained in its
     // inbox), p3 never got the message.
-    let got = rt.wait_deliveries_quorum(3, IDLE, TIMEOUT).unwrap();
+    let got = rt.wait_quiescent(3, TIMEOUT).unwrap();
     assert_eq!(got.len(), 1, "exactly p2 delivers: {got:?}");
     assert_eq!(got[0].process, ProcessId::new(2));
     assert_eq!(rt.crashed_processes(), vec![ProcessId::new(1)]);
@@ -182,7 +180,7 @@ fn uniform_reliable_broadcast_survives_a_delivery_crash() {
     for p in ProcessId::all(3) {
         rt.broadcast(p, Value::new(p.id() as u64)).unwrap();
     }
-    let got = rt.wait_deliveries_quorum(9, IDLE, TIMEOUT).unwrap();
+    let got = rt.wait_quiescent(9, TIMEOUT).unwrap();
     assert!(got.len() < 9, "p2 crashed; the full pattern is impossible");
     assert_eq!(rt.crashed_processes(), vec![ProcessId::new(2)]);
     let (trace, _) = rt.shutdown_with_metrics();
@@ -193,21 +191,18 @@ fn uniform_reliable_broadcast_survives_a_delivery_crash() {
     base::check_all(&restrict::correct_view(&trace)).unwrap();
 }
 
-/// Crash-after-receipts absorbs the message into the crashed node's state
-/// but allows no further step — and when every node crashes, the delivery
-/// stream closes and `wait_deliveries` reports `Disconnected`, not a
-/// timeout (the satellite bugfix).
-#[test]
-fn all_nodes_crashing_reports_disconnected() {
+/// A plan that crashes every node on its first receipt, before it pumps
+/// a delivery.
+fn all_crash_plan() -> FaultPlan {
     let mut plan = FaultPlan::healthy();
     for p in ProcessId::all(3) {
         plan = plan.with_crash(p, CrashTrigger::AfterReceipts { count: 1 });
     }
-    let mut rt = ThreadedRuntime::start_with_plan(SendToAll::new(), 3, 1, plan);
-    rt.broadcast(ProcessId::new(1), Value::new(1)).unwrap();
-    // Every node crashes on its first receipt, before pumping a delivery.
-    let err = rt.wait_deliveries(1, TIMEOUT).unwrap_err();
-    assert_eq!(err, RuntimeError::Disconnected);
+    plan
+}
+
+/// Checks the trace and counters of an [`all_crash_plan`] run.
+fn assert_all_crashed(rt: ThreadedRuntime) {
     assert_eq!(rt.crashed_processes().len(), 3);
     let (trace, counters) = rt.shutdown_with_metrics();
     wellformed::check_structure(&trace).unwrap();
@@ -216,14 +211,38 @@ fn all_nodes_crashing_reports_disconnected() {
     assert_eq!(counters.count("runtime.deliveries"), 0);
 }
 
-/// `wait_deliveries_quorum` with no crash behaves like `wait_deliveries`:
-/// a quiet stream times out instead of returning a partial batch.
+/// Crash-after-receipts absorbs the message into the crashed node's state
+/// but allows no further step — and when every node crashes, the delivery
+/// stream closes and `wait_deliveries` reports `Disconnected`, not a
+/// timeout.
+#[test]
+fn all_nodes_crashing_reports_disconnected() {
+    let mut rt = ThreadedRuntime::start_with_plan(SendToAll::new(), 3, 1, all_crash_plan());
+    rt.broadcast(ProcessId::new(1), Value::new(1)).unwrap();
+    let err = rt.wait_deliveries(1, TIMEOUT).unwrap_err();
+    assert_eq!(err, RuntimeError::Disconnected);
+    assert_all_crashed(rt);
+}
+
+/// The quiescence wait reports the same `Disconnected` when every node
+/// crashes. It decides from the crash board, not from the delivery stream
+/// closing as the node threads exit.
+#[test]
+fn all_nodes_crashing_reports_disconnected_to_the_quiescence_wait() {
+    let mut rt = ThreadedRuntime::start_with_plan(SendToAll::new(), 3, 1, all_crash_plan());
+    rt.broadcast(ProcessId::new(1), Value::new(1)).unwrap();
+    let err = rt.wait_quiescent(3, TIMEOUT).unwrap_err();
+    assert_eq!(err, RuntimeError::Disconnected);
+    assert_all_crashed(rt);
+}
+
+/// With no crash, a quiescent fleet that delivered fewer than `full` can
+/// never deliver more, so `wait_quiescent` times out at once instead of
+/// returning a partial batch or sleeping to the deadline.
 #[test]
 fn quorum_wait_without_crashes_still_times_out() {
     let mut rt = ThreadedRuntime::start(SendToAll::new(), 2, 1);
-    let err = rt
-        .wait_deliveries_quorum(1, Duration::from_millis(50), Duration::from_millis(200))
-        .unwrap_err();
+    let err = rt.wait_quiescent(1, TIMEOUT).unwrap_err();
     assert!(matches!(
         err,
         RuntimeError::Timeout {
@@ -244,7 +263,7 @@ fn a_json_replayed_plan_reproduces_the_crash_pattern() {
     assert_eq!(plan, replayed);
     let mut rt = ThreadedRuntime::start_with_plan(SendToAll::new(), 3, 1, replayed);
     rt.broadcast(ProcessId::new(3), Value::new(9)).unwrap();
-    let _ = rt.wait_deliveries_quorum(3, IDLE, TIMEOUT).unwrap();
+    let _ = rt.wait_quiescent(3, TIMEOUT).unwrap();
     assert_eq!(rt.crashed_processes(), vec![ProcessId::new(3)]);
     let trace = rt.shutdown();
     assert!(trace.is_faulty(ProcessId::new(3)));

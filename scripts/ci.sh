@@ -127,12 +127,20 @@ CAMP_PROPTEST_CASES=6 cargo test -q --release -p campkit --test independence
 # The chaos gate: every healthy algorithm under its pinned 25%-drop plan
 # (drops injected, loss recovered by retransmission, retransmit-attempts
 # histogram showing tail-bucket mass, restricted trace spec-clean) plus
-# the 32-plan seeded soak with crash points — a failing soak plan dumps
+# the 128-plan seeded soak with crash points — a failing soak plan dumps
 # its flight recording as target/chaos-soak-seed<N>.trace.json. The crash
 # conformance half lives in tests/differential.rs and already ran under
 # the workspace stage; this re-runs the seeded adversaries in release.
 echo "==> chaos smoke + seeded fault soak (release)"
 cargo test -q --release --test chaos
+
+# The runtime suites again, eight tests at a time: every test starts its
+# own fleet of node threads, so on a 2-core box most threads wait for a
+# core. The quiescence wait counts outstanding work instead of timing
+# silence, so no verdict may change under that load.
+echo "==> runtime suites under oversubscription (release, 8 test threads)"
+cargo test -q --release -p campkit --test chaos --test differential -- --test-threads 8
+cargo test -q --release -p camp-runtime --test faults -- --test-threads 8
 
 # The benchmark package has its own manifest and lock file outside the
 # workspace, so no stage above compiles it. `check` builds it and runs

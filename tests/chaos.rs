@@ -4,11 +4,12 @@
 //!   algorithm and checks the run actually exercised the machinery (frames
 //!   dropped, frames retransmitted) yet still delivered everything, with
 //!   the correct-process view spec-clean. This is the CI chaos gate.
-//! * The **soak** test replays 32 seeded plans — chaotic links for
+//! * The **soak** test replays 128 seeded plans — chaotic links for
 //!   everyone, crash points for the crash-tolerant half — and requires
-//!   every correct-process-restricted trace to pass the full base battery.
-//!   A failing plan panics with its JSON so the exact adversary can be
-//!   replayed from the test log.
+//!   every correct-process-restricted trace to pass the full base battery,
+//!   and the deliveries the quiescence wait returned to be exactly the
+//!   trace's `Deliver` steps. A failing plan panics with its JSON so the
+//!   exact adversary can be replayed from the test log.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -19,13 +20,11 @@ use campkit::broadcast::{
 };
 use campkit::faults::{CrashTrigger, FaultPlan};
 use campkit::obs::{Counters, FlightRecorder};
-use campkit::runtime::ThreadedRuntime;
+use campkit::runtime::{Delivery, ThreadedRuntime};
 use campkit::specs::{base, restrict, wellformed};
-use campkit::trace::{Execution, ProcessId, Value};
+use campkit::trace::{Action, Execution, MessageId, ProcessId, Value};
 
 const TIMEOUT: Duration = Duration::from_secs(30);
-/// Comfortably above the perfect-link backoff ceiling (32 ms).
-const IDLE: Duration = Duration::from_millis(300);
 
 /// Broadcasts `m` values per process under `plan`, waits to quiescence
 /// (full pattern, or partial once a crash fires), and returns the trace,
@@ -43,20 +42,20 @@ where
                 .unwrap();
         }
     }
-    let got = rt.wait_deliveries_quorum(n * n * m, IDLE, TIMEOUT).unwrap();
-    let delivered = got.len();
+    let delivered = rt.wait_quiescent(n * n * m, TIMEOUT).unwrap().len();
     let (trace, counters) = rt.shutdown_with_metrics();
     (trace, counters, delivered)
 }
 
 /// [`run_plan`] with a flight recorder attached, so a failing plan can dump
-/// its Chrome-trace artifact next to the replayable plan JSON.
+/// its Chrome-trace artifact next to the replayable plan JSON. Returns the
+/// deliveries themselves rather than their number.
 fn run_plan_recorded<B>(
     algo: B,
     n: usize,
     m: usize,
     plan: FaultPlan,
-) -> (Execution, Counters, usize, Arc<FlightRecorder>)
+) -> (Execution, Counters, Vec<Delivery>, Arc<FlightRecorder>)
 where
     B: campkit::sim::BroadcastAlgorithm + Clone + Send + 'static,
     B::State: Send,
@@ -69,11 +68,31 @@ where
                 .unwrap();
         }
     }
-    let got = rt.wait_deliveries_quorum(n * n * m, IDLE, TIMEOUT).unwrap();
-    let delivered = got.len();
+    let got = rt.wait_quiescent(n * n * m, TIMEOUT).unwrap();
     let recorder = Arc::clone(rt.recorder().expect("start_recorded attaches a recorder"));
     let (trace, counters) = rt.shutdown_with_metrics();
-    (trace, counters, delivered, recorder)
+    (trace, counters, got, recorder)
+}
+
+/// `(process, message)` of each delivery, sorted.
+fn delivered_pairs(deliveries: &[Delivery]) -> Vec<(ProcessId, MessageId)> {
+    let mut pairs: Vec<_> = deliveries.iter().map(|d| (d.process, d.msg.id)).collect();
+    pairs.sort();
+    pairs
+}
+
+/// `(process, message)` of each `Deliver` step of `trace`, sorted.
+fn deliver_steps(trace: &Execution) -> Vec<(ProcessId, MessageId)> {
+    let mut pairs: Vec<_> = trace
+        .steps()
+        .iter()
+        .filter_map(|s| match s.action {
+            Action::Deliver { msg, .. } => Some((s.process, msg)),
+            _ => None,
+        })
+        .collect();
+    pairs.sort();
+    pairs
 }
 
 /// CI chaos gate: one pinned 25%-drop plan per healthy algorithm. Each run
@@ -121,17 +140,19 @@ fn chaos_smoke_every_algorithm_under_its_pinned_lossy_plan() {
     smoke("sequencer", SequencerBroadcast::new(), 0xC0_07);
 }
 
-/// Seeded soak: 32 plans, every one a replayable JSON artifact. Chaotic
+/// Seeded soak: 128 plans, every one a replayable JSON artifact. Chaotic
 /// links for all; the crash-tolerant rotations (send-to-all's restricted
 /// view and uniform reliable broadcast tolerate any single crash point)
 /// additionally crash one victim at a rotating trigger. Every restricted
-/// trace must pass the full base battery.
+/// trace must pass the full base battery, and the quiescence wait must
+/// have returned exactly the deliveries the trace records: a wait that
+/// returned early would miss some.
 #[test]
-fn soak_thirty_two_seeded_plans_stay_spec_clean() {
+fn soak_seeded_plans_stay_spec_clean() {
     let (n, m) = (3, 1);
     let mut crashes_fired = 0;
     let mut drops_injected = 0;
-    for seed in 0..32u64 {
+    for seed in 0..128u64 {
         let mut plan = FaultPlan::chaos(0xC0FFEE ^ (seed * 0x9E37_79B9));
         // Rotations 0 and 1 get a crash point; 2 (FIFO) and 3 (causal)
         // run lossy-only — a causal dependency on a crashed process's
@@ -149,7 +170,7 @@ fn soak_thirty_two_seeded_plans_stay_spec_clean() {
         }
 
         let artifact = plan.to_json();
-        let (trace, counters, delivered, recorder) = match seed % 4 {
+        let (trace, counters, got, recorder) = match seed % 4 {
             0 => run_plan_recorded(SendToAll::new(), n, m, plan),
             1 => run_plan_recorded(EagerReliable::uniform(), n, m, plan),
             2 => run_plan_recorded(FifoBroadcast::new(), n, m, plan),
@@ -169,12 +190,22 @@ fn soak_thirty_two_seeded_plans_stay_spec_clean() {
             };
             format!("seed {seed}: {what}\nreplay with plan: {artifact}{hint}")
         };
+        let delivered = got.len();
         if trace.faulty_processes().count() == 0 && delivered != n * n * m {
             panic!(
                 "{}",
                 fail(format!(
                     "crash-free plans must fully deliver ({delivered} of {})",
                     n * n * m
+                ))
+            );
+        }
+        if delivered_pairs(&got) != deliver_steps(&trace) {
+            panic!(
+                "{}",
+                fail(format!(
+                    "the wait returned {delivered} deliveries, the trace has {} Deliver steps",
+                    deliver_steps(&trace).len()
                 ))
             );
         }

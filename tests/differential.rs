@@ -21,8 +21,6 @@ use campkit::specs::{
 use campkit::trace::{Execution, ProcessId, Value};
 
 const TIMEOUT: Duration = Duration::from_secs(20);
-/// Comfortably above the perfect-link backoff ceiling (32 ms).
-const IDLE: Duration = Duration::from_millis(300);
 
 fn simulate<B: campkit::sim::BroadcastAlgorithm>(
     algo: B,
@@ -155,7 +153,7 @@ where
                 .unwrap();
         }
     }
-    let _ = rt.wait_deliveries_quorum(n * n * m, IDLE, TIMEOUT).unwrap();
+    let _ = rt.wait_quiescent(n * n * m, TIMEOUT).unwrap();
     rt.shutdown()
 }
 
@@ -232,7 +230,7 @@ fn crash_conformance_counterexample_pattern_agrees_on_the_runtime() {
         FaultPlan::healthy().with_crash(ProcessId::new(1), CrashTrigger::AfterSends { count: 2 });
     let mut rt = ThreadedRuntime::start_with_plan(SendToAll::new(), 3, 1, plan);
     rt.broadcast(ProcessId::new(1), Value::new(1001)).unwrap();
-    let got = rt.wait_deliveries_quorum(3, IDLE, TIMEOUT).unwrap();
+    let got = rt.wait_quiescent(3, TIMEOUT).unwrap();
     assert_eq!(got.len(), 1, "only p2 can deliver");
     let trace = rt.shutdown();
     wellformed::check_structure(&trace).unwrap();

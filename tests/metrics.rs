@@ -151,12 +151,8 @@ fn healthy_runtime_runs_keep_every_fault_counter_at_zero() {
                 .expect("runtime accepts broadcasts");
         }
     }
-    rt.wait_deliveries_quorum(
-        n * n * m,
-        std::time::Duration::from_millis(300),
-        std::time::Duration::from_secs(30),
-    )
-    .expect("healthy run delivers everything");
+    rt.wait_quiescent(n * n * m, std::time::Duration::from_secs(30))
+        .expect("healthy run delivers everything");
     let (_trace, counters) = rt.shutdown_with_metrics();
     for key in [
         "faults.crashes_fired",
