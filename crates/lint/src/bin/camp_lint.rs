@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! camp-lint trace <file.json> [--json] [--strict]   lint a JSON execution trace
-//! camp-lint check [--json] [--deny-warnings]        source + graph + symmetry + dataflow analysis
+//! camp-lint check [--json] [--deny-warnings]        S009 + graph + symmetry + dataflow analysis
 //! camp-lint symmetry [--json] [--certs OUT.json] [--metrics OUT.json]
 //!                                                    symmetry analysis alone, with certificates
 //! camp-lint dataflow [--json] [--certs OUT.json] [--metrics OUT.json]
@@ -20,7 +20,6 @@ use camp_broadcast::{
     AgreedBroadcast, CausalBroadcast, EagerReliable, FifoBroadcast, SendToAll, SequencerBroadcast,
     SteppedBroadcast,
 };
-use camp_lint::source::source_rules;
 use camp_lint::{
     audit_branches, audit_determinism, check_workspace, default_rules, lint_execution,
 };
@@ -34,7 +33,7 @@ const USAGE: &str = "usage:
                                          lint a JSON execution trace (--strict also
                                          re-validates well-formedness on load)
   camp-lint check [--json] [--deny-warnings] [--timings] [--root DIR]
-                  [--metrics OUT.json]   source lints (S0xx) + static protocol-graph (S02x)
+                  [--metrics OUT.json]   payload inspection (S009) + static protocol-graph (S02x)
                                          + symmetry (S03x) + dataflow (S04x) analysis of the
                                          registered broadcast algorithms; --metrics writes a
                                          camp-obs/v2 counter snapshot
@@ -136,8 +135,8 @@ fn cmd_trace(args: &[&str]) -> ExitCode {
 
 fn cmd_rules(args: &[&str]) -> ExitCode {
     let rules = default_rules();
-    // The five rule families share one listing: L0xx trace rules, S001-S011
-    // source rules, S02x protocol-graph rules, S03x symmetry rules, S04x
+    // The five rule families share one listing: L0xx trace rules, the S009
+    // source rule, S02x protocol-graph rules, S03x symmetry rules, S04x
     // dataflow rules.
     let entry = |code: &str, name: &str, severity: &str, summary: &str| {
         serde_json::Value::Object(vec![
@@ -158,8 +157,8 @@ fn cmd_rules(args: &[&str]) -> ExitCode {
             .iter()
             .map(|r| entry(r.code(), r.name(), &r.severity().to_string(), r.summary()))
             .collect();
-        for r in source_rules() {
-            entries.push(entry(r.code, r.name, &r.severity.to_string(), r.rationale));
+        for (code, name, summary) in camp_lint::SOURCE_RULES {
+            entries.push(entry(code, name, "error", summary));
         }
         for (code, name, summary) in camp_lint::graph::GRAPH_RULES {
             entries.push(entry(code, name, "error", summary));
@@ -187,14 +186,8 @@ fn cmd_rules(args: &[&str]) -> ExitCode {
                 r.summary()
             ));
         }
-        for r in source_rules() {
-            emitln(format!(
-                "{} {:<28} {:<8} {}",
-                r.code,
-                r.name,
-                r.severity.to_string(),
-                compact(r.rationale)
-            ));
+        for (code, name, summary) in camp_lint::SOURCE_RULES {
+            emitln(format!("{code} {name:<28} error    {}", compact(summary)));
         }
         for (code, name, summary) in camp_lint::graph::GRAPH_RULES {
             emitln(format!("{code} {name:<28} error    {}", compact(summary)));
@@ -209,7 +202,7 @@ fn cmd_rules(args: &[&str]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Collapses the multi-line rationale strings into one display line.
+/// Collapses the multi-line summary strings into one display line.
 fn compact(text: &str) -> String {
     text.split_whitespace().collect::<Vec<_>>().join(" ")
 }
@@ -445,7 +438,6 @@ fn check_metrics(report: &camp_lint::CheckReport) -> camp_obs::Counters {
     c.add("lint.source.rules_checked", s.rules_checked.len() as u64);
     c.add("lint.source.errors", s.errors as u64);
     c.add("lint.source.warnings", s.warnings as u64);
-    c.add("lint.source.suppressed", s.suppressed as u64);
     c.add(
         "lint.source.files_scanned",
         s.crates.iter().map(|cs| cs.files as u64).sum(),

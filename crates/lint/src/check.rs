@@ -1,6 +1,6 @@
-//! The combined `camp-lint check` pass: source lints plus the protocol-graph,
-//! symmetry, and dataflow engines, joined into one report with the
-//! acceptance verdicts.
+//! The combined `camp-lint check` pass: the `S009` source rule plus the
+//! protocol-graph, symmetry, and dataflow engines, joined into one report
+//! with the acceptance verdicts.
 //!
 //! This lives in the library (rather than the binary) so tests can pin the
 //! exact report the CLI serialises — the workspace golden test compares
@@ -21,7 +21,7 @@ use crate::symmetry::{symmetry_check, SymmetryReport};
 /// verdicts.
 #[derive(Debug, Serialize)]
 pub struct CheckReport {
-    /// The `S0xx` source lint pass over the protocol crates.
+    /// The `S009` source pass over the broadcast crate.
     pub source: SourceReport,
     /// The `S02x` protocol-graph pass over the registered algorithms.
     pub graph: GraphReport,

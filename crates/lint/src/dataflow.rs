@@ -2,7 +2,7 @@
 //! that widen sleep-set partial-order reduction in `camp-modelcheck`.
 //!
 //! The fifth engine of `camp-lint check`. The other engines judge
-//! *behaviour* (probe runs) or *tokens* (lexical rules); this engine sits
+//! *behaviour* (probe runs) or *tokens* (the lexical `S009`); this engine sits
 //! between: it parses each registered algorithm's handlers into token trees
 //! ([`crate::source::tree`]) and runs three intra-procedural analyses over
 //! every `impl BroadcastAlgorithm` block:
@@ -64,7 +64,7 @@ use serde::Serialize;
 
 use crate::diagnostics::Severity;
 use crate::graph::locate_struct;
-use crate::source::lexer::{self, Token};
+use crate::source::lexer::{self, adjacent, Token};
 use crate::source::tree::{self, FnDef, ImplBlock};
 use crate::source::SourceDiagnostic;
 
@@ -239,10 +239,6 @@ fn is_ident(text: &str) -> bool {
 
 fn is_segment(text: &str) -> bool {
     is_ident(text) || text.chars().all(|c| c.is_ascii_digit())
-}
-
-fn adjacent(a: &Token, b: &Token) -> bool {
-    a.line == b.line && b.col == a.col + a.text.chars().count()
 }
 
 fn text(run: &[Token], i: usize) -> &str {
@@ -1096,11 +1092,17 @@ fn split_args(args: &[Token]) -> Vec<&[Token]> {
     out
 }
 
+/// Renders a token run as source text: tokens that were adjacent in the
+/// source stay joined (`st.n`, `==`), all others get one space between.
 fn render_run(run: &[Token]) -> String {
-    run.iter()
-        .map(|t| t.text.as_str())
-        .collect::<Vec<_>>()
-        .join(" ")
+    let mut out = String::new();
+    for (i, t) in run.iter().enumerate() {
+        if i > 0 && !adjacent(&run[i - 1], t) {
+            out.push(' ');
+        }
+        out.push_str(&t.text);
+    }
+    out
 }
 
 /// Fields that `next_step` drains (pops) between environment events.
@@ -1685,6 +1687,20 @@ mod tests {
         let d = &sa.diagnostics[0];
         assert!(d.message.contains("reach 2"), "got {}", d.message);
         assert!(d.message.contains("solo run supplies exactly 1"));
+    }
+
+    #[test]
+    fn rendered_code_keeps_adjacent_tokens_joined() {
+        let run = lexer::scan("gate.raw() % 2 == 0 && st.n  /2 = = x").tokens;
+        assert_eq!(render_run(&run), "gate.raw() % 2 == 0 && st.n /2 = = x");
+        let sa = analyze("if st.acks >= st.n / 2 + 1 { st.queue.push(x); }", "");
+        let d = &sa.diagnostics[0];
+        assert!(
+            d.message
+                .contains("counter `st.acks` to reach 2 (threshold `st.n / 2 + 1` = 2 at n = 3)"),
+            "got {}",
+            d.message
+        );
     }
 
     #[test]

@@ -61,5 +61,5 @@ pub use determinism::{audit_determinism, AuditError, DeterminismFailure, Determi
 pub use diagnostics::{Diagnostic, Report, Severity};
 pub use graph::{graph_check, AlgoGraph, GraphReport};
 pub use rules::{default_rules, lint_execution, lint_with, Rule};
-pub use source::{lint_source, scan_workspace, SourceDiagnostic, SourceReport};
+pub use source::{lint_source, scan_workspace, SourceDiagnostic, SourceReport, SOURCE_RULES};
 pub use symmetry::{symmetry_check, AlgoSymmetry, SymmetryReport};

@@ -1,24 +1,12 @@
-//! A small hand-rolled Rust lexer for the source lint pass.
+//! A small hand-rolled Rust lexer for `camp-lint`'s source-reading engines.
 //!
-//! The workspace is vendored-only, so there is no `syn` to lean on. The
-//! source rules (`S0xx`) only need a *token stream with positions* — not a
-//! full AST — and getting that right means getting the uninteresting parts
-//! of Rust's lexical grammar right: line and block comments (nested),
-//! string literals (plain, raw, byte), char literals versus lifetimes, and
-//! `#[cfg(test)]` items, whose bodies are exempt from protocol lints.
-//!
-//! The scanner additionally collects **suppression comments**: a comment of
-//! the form
-//!
-//! ```text
-//! // camp-lint: allow(S001, S003) -- optional reason
-//! ```
-//!
-//! suppresses the named rules on the comment's own line and on the line
-//! immediately below it (so the comment can trail the offending code or sit
-//! on its own line above it).
-
-use std::collections::{BTreeMap, BTreeSet};
+//! The workspace is vendored-only, so there is no `syn` to lean on. Rule
+//! `S009`, the graph engine's struct locator and the dataflow engine's token
+//! tree only need a *token stream with positions* — not a full AST — and
+//! getting that right means getting the uninteresting parts of Rust's
+//! lexical grammar right: line and block comments (nested), string literals
+//! (plain, raw, byte), char literals versus lifetimes, and `#[cfg(test)]`
+//! items, whose bodies are exempt from protocol lints.
 
 /// One lexical token: a maximal identifier/number run or a single
 /// punctuation character, with its 1-based source position.
@@ -32,29 +20,12 @@ pub struct Token {
     pub col: usize,
 }
 
-/// One `camp-lint: allow(CODE)` occurrence, recorded individually so the
-/// walker can tell which suppression comments actually silenced something
-/// (rule `S011` warns on the ones that did not).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Allow {
-    /// The rule code the comment names, e.g. `"S002"`.
-    pub code: String,
-    /// 1-based line of the comment's first character.
-    pub line: usize,
-    /// 1-based column of the comment's first character.
-    pub col: usize,
-    /// Was this a doc comment (`///`, `//!`, `/**`, `/*!`)? Doc comments
-    /// *mention* suppressions without using them, so the unused-suppression
-    /// rule skips them.
-    pub doc: bool,
-}
-
-impl Allow {
-    /// The lines this comment suppresses: its own and the one below it.
-    #[must_use]
-    pub fn covers(&self, line: usize) -> bool {
-        line == self.line || line == self.line + 1
-    }
+/// Are `a` and `b` adjacent characters on the same line? Punctuation is
+/// lexed one character per token, so this is what tells `==` from two
+/// `=` with a space between, or `st.n` from `st . n`.
+#[must_use]
+pub fn adjacent(a: &Token, b: &Token) -> bool {
+    a.line == b.line && a.col + a.text.chars().count() == b.col
 }
 
 /// The result of scanning one file.
@@ -62,24 +33,17 @@ impl Allow {
 pub struct ScannedFile {
     /// Code tokens, in source order, with `#[cfg(test)]` items removed.
     pub tokens: Vec<Token>,
-    /// Lines on which each rule code is suppressed (`line → {codes}`).
-    pub suppressions: BTreeMap<usize, BTreeSet<String>>,
-    /// Every `allow(...)` comment individually, in source order.
-    pub allows: Vec<Allow>,
     /// Number of lines in the file (for reporting).
     pub lines: usize,
 }
 
-/// Scans `source` into tokens plus suppression and test-block metadata.
+/// Scans `source` into positioned tokens, `#[cfg(test)]` items stripped.
 #[must_use]
 pub fn scan(source: &str) -> ScannedFile {
     let mut lx = Lexer::new(source);
     lx.run();
-    let tokens = strip_cfg_test_items(lx.tokens);
     ScannedFile {
-        tokens,
-        suppressions: lx.suppressions,
-        allows: lx.allows,
+        tokens: strip_cfg_test_items(lx.tokens),
         lines: lx.line,
     }
 }
@@ -89,8 +53,6 @@ struct Lexer<'a> {
     line: usize,
     col: usize,
     tokens: Vec<Token>,
-    suppressions: BTreeMap<usize, BTreeSet<String>>,
-    allows: Vec<Allow>,
 }
 
 impl<'a> Lexer<'a> {
@@ -100,8 +62,6 @@ impl<'a> Lexer<'a> {
             line: 1,
             col: 1,
             tokens: Vec::new(),
-            suppressions: BTreeMap::new(),
-            allows: Vec::new(),
         }
     }
 
@@ -150,23 +110,13 @@ impl<'a> Lexer<'a> {
         self.bump();
         match self.peek() {
             Some('/') => {
-                self.bump(); // the second '/'
-                let doc = matches!(self.peek(), Some('/' | '!'));
-                let mut text = String::new();
-                while let Some(c) = self.peek() {
-                    if c == '\n' {
-                        break;
-                    }
-                    text.push(c);
+                while self.peek().is_some_and(|c| c != '\n') {
                     self.bump();
                 }
-                self.comment_suppressions(&text, line, col, doc);
             }
             Some('*') => {
                 self.bump();
-                let doc = matches!(self.peek(), Some('*' | '!'));
                 let mut depth = 1usize;
-                let mut text = String::new();
                 while depth > 0 {
                     match self.bump() {
                         Some('*') if self.peek() == Some('/') => {
@@ -177,47 +127,16 @@ impl<'a> Lexer<'a> {
                             self.bump();
                             depth += 1;
                         }
-                        Some(c) => text.push(c),
+                        Some(_) => {}
                         None => break,
                     }
                 }
-                self.comment_suppressions(&text, line, col, doc);
             }
             _ => self.tokens.push(Token {
                 text: "/".to_string(),
                 line,
                 col,
             }),
-        }
-    }
-
-    /// Parses `camp-lint: allow(CODE, …)` out of a comment body.
-    fn comment_suppressions(&mut self, text: &str, line: usize, col: usize, doc: bool) {
-        let Some(at) = text.find("camp-lint:") else {
-            return;
-        };
-        let rest = text[at + "camp-lint:".len()..].trim_start();
-        let Some(rest) = rest.strip_prefix("allow(") else {
-            return;
-        };
-        let Some(close) = rest.find(')') else {
-            return;
-        };
-        for code in rest[..close].split(',') {
-            let code = code.trim().to_string();
-            if code.is_empty() {
-                continue;
-            }
-            // The comment covers its own line and the line below it.
-            for l in [line, line + 1] {
-                self.suppressions.entry(l).or_default().insert(code.clone());
-            }
-            self.allows.push(Allow {
-                code,
-                line,
-                col,
-                doc,
-            });
         }
     }
 
@@ -457,20 +376,5 @@ mod tests {
             texts(src),
             vec!["fn", "live", "(", ")", "{", "}", "fn", "tail", "(", ")", "{", "}"]
         );
-    }
-
-    #[test]
-    fn suppression_comment_covers_own_and_next_line() {
-        let f = scan("// camp-lint: allow(S001, S003) -- config knob\nlet p: f64 = 0.0;\n");
-        let s1 = f.suppressions.get(&1).expect("line 1");
-        assert!(s1.contains("S001") && s1.contains("S003"));
-        assert!(f.suppressions.get(&2).expect("line 2").contains("S003"));
-        assert!(!f.suppressions.contains_key(&3));
-    }
-
-    #[test]
-    fn trailing_suppression_same_line() {
-        let f = scan("let p: f64 = 0.0; // camp-lint: allow(S003)\n");
-        assert!(f.suppressions.get(&1).expect("line 1").contains("S003"));
     }
 }

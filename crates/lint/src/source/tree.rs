@@ -1,7 +1,7 @@
 //! A lightweight token-tree layer over the lexer.
 //!
-//! The source rules (S001–S011) are purely lexical: they pattern-match flat
-//! token windows. The dataflow engine (S040–S048) needs *structure* — which
+//! Rule `S009` is purely lexical: it pattern-matches flat token windows.
+//! The dataflow engine (S040–S048) needs *structure* — which
 //! tokens sit inside which handler body, what an `if` condition spans, what
 //! the parameters of `on_receive` are called. This module supplies exactly
 //! that structure and nothing more: tokens are grouped by their bracket
@@ -51,15 +51,6 @@ impl Tree {
     #[must_use]
     pub fn is_leaf(&self, text: &str) -> bool {
         self.leaf_text() == Some(text)
-    }
-
-    /// Source position of the node's first character.
-    #[must_use]
-    pub fn pos(&self) -> (usize, usize) {
-        match self {
-            Tree::Leaf(t) => (t.line, t.col),
-            Tree::Group(g) => (g.open.line, g.open.col),
-        }
     }
 }
 
@@ -339,8 +330,7 @@ fn param_names(children: &[Tree]) -> Vec<String> {
 }
 
 /// Splits a group's children on top-level commas.
-#[must_use]
-pub fn split_top_commas(children: &[Tree]) -> Vec<&[Tree]> {
+fn split_top_commas(children: &[Tree]) -> Vec<&[Tree]> {
     let mut out = Vec::new();
     let mut start = 0;
     for (i, tree) in children.iter().enumerate() {

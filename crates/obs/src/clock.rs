@@ -1,27 +1,31 @@
 //! The workspace's **single audited wall-clock boundary**.
 //!
-//! Rule S002 bans `Instant`/`SystemTime` from protocol crates because wall
-//! time is nondeterministic: two runs of the same seeded schedule read
-//! different clocks, and any timing value that leaks into protocol state or
-//! serialized output breaks replay and byte-identical goldens. But tooling
-//! still legitimately wants to *report* elapsed time (`--timings`,
-//! `--progress`). This module is the compromise: every `Instant` read in the
-//! workspace funnels through here, each use suppressed with a justified
-//! `camp-lint: allow(S002)`, so auditing wall-clock usage means auditing one
-//! file.
+//! The protocol crates' clippy list (`lints/clippy.toml`) bans
+//! `Instant`/`SystemTime` because wall time is nondeterministic: two runs
+//! of the same seeded schedule read different clocks, and any timing value
+//! that leaks into protocol state or serialized output breaks replay and
+//! byte-identical goldens. But tooling still legitimately wants to *report*
+//! elapsed time (`--timings`, `--progress`). This module is the compromise:
+//! every `Instant` read in the workspace funnels through here, under the one
+//! module-level `#[expect]` below, so auditing wall-clock usage means
+//! auditing one file.
 //!
 //! Two invariants keep the rest of the workspace honest:
 //!
 //! * callers never see `std::time::Instant` — they get the opaque [`Tick`],
 //!   which cannot be compared against protocol state or serialized; naming
-//!   the std type anywhere else trips S002;
+//!   the std type anywhere else in a protocol crate fails clippy;
 //! * every duration that reaches output is `Option`-gated via [`Stopwatch`]:
 //!   a stopwatch built with `enabled = false` returns `None`, which
 //!   serializes as `null` and is stripped before golden comparison — exactly
 //!   the `--timings` contract `camp-lint check` already follows.
+#![expect(
+    clippy::disallowed_types,
+    reason = "this module is the audited wall-clock boundary: the sole Instant::now call site"
+)]
 
 use std::time::Duration;
-use std::time::Instant; // camp-lint: allow(S002) -- this module IS the audited wall-clock boundary
+use std::time::Instant;
 
 /// An opaque point in time read from the monotonic clock.
 ///
@@ -29,12 +33,12 @@ use std::time::Instant; // camp-lint: allow(S002) -- this module IS the audited 
 /// not serializable, not orderable, and not constructible outside this
 /// module, so it cannot contaminate deterministic state.
 #[derive(Debug, Clone, Copy)]
-pub struct Tick(Instant); // camp-lint: allow(S002) -- opaque wrapper owned by the boundary module
+pub struct Tick(Instant);
 
 /// Reads the monotonic clock. The only `Instant::now` call in the workspace.
 #[must_use]
 pub fn now() -> Tick {
-    Tick(Instant::now()) // camp-lint: allow(S002) -- sole Instant::now call site in the workspace
+    Tick(Instant::now())
 }
 
 impl Tick {

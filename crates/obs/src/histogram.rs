@@ -4,7 +4,7 @@
 //! the value 0, bucket *i* (for *i* ≥ 1) holds values in `[2^(i-1), 2^i)`.
 //! The bucket vector grows only as far as the highest non-empty bucket, so
 //! the serialized shape is a pure function of the observed multiset — no
-//! configuration, no float boundaries (rule S003), no allocation-order
+//! configuration, no float boundaries (clippy bans floats), no allocation-order
 //! dependence. Merging is bucket-wise addition (plus `min`-of-mins and
 //! `max`-of-maxes), which is associative and exact, so per-worker and
 //! per-node registries fold together exactly like the counters do.
@@ -149,7 +149,7 @@ impl Serialize for Histogram {
     }
 }
 
-/// A registry of named histograms, iterated in key order (rule S001).
+/// A registry of named histograms, iterated in key order (a `BTreeMap`).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Histograms {
     map: BTreeMap<&'static str, Histogram>,

@@ -18,16 +18,17 @@
 //!   latency *structure* is deterministic; durations are `Option`-gated
 //!   and `None` by default;
 //! * **wall-clock boundary** — [`clock`] owns every `Instant::now` read in
-//!   the workspace. Nothing else may name the std clock types (rule S002,
-//!   enforced by `camp-lint` over this crate too);
+//!   the workspace. Nothing else may name the std clock types: the clippy
+//!   ban list in `lints/clippy.toml` covers this crate too;
 //! * **flight recorder** — [`FlightRecorder`], the deliberately
 //!   nondeterministic post-mortem instrument: a bounded ring of
 //!   microsecond-stamped runtime events exported as Chrome-trace JSON. It
 //!   never feeds a [`Snapshot`].
 //!
-//! Sinks are explicitly passed handles — no globals (rule S007). The default
-//! [`NoopSink`] has empty inline methods, so uninstrumented call sites
-//! compile to exactly the code they had before this crate existed.
+//! Sinks are explicitly passed handles — no globals (clippy bans `OnceLock`
+//! and `OnceCell`; `forbid(unsafe_code)` leaves `static mut` unusable). The
+//! default [`NoopSink`] has empty inline methods, so uninstrumented call
+//! sites compile to exactly the code they had before this crate existed.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

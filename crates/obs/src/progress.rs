@@ -6,8 +6,8 @@
 //! audited boundary) and reprints at most every `PRINT_EVERY_MILLIS`, so it
 //! is cheap enough to leave on for multi-minute runs.
 //!
-//! All rates are integer arithmetic — no `f64` anywhere (rule S003 applies
-//! to this crate too, since `crates/obs` is in the lint's scan list).
+//! All rates are integer arithmetic — no `f64` anywhere (the clippy ban list
+//! in `lints/clippy.toml` covers this crate too).
 
 use crate::clock::{now, Tick};
 use crate::counters::Counters;

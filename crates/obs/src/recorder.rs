@@ -216,6 +216,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the runtime's node threads share one recorder; this test spawns threads to prove it"
+    )]
     fn shared_across_threads() {
         let rec = std::sync::Arc::new(FlightRecorder::new(64));
         let handles: Vec<_> = (0..4)

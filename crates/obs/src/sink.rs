@@ -2,7 +2,7 @@
 //! (if anyone) is listening.
 //!
 //! Sinks are **explicitly passed handles** — no globals, no thread-locals,
-//! no `OnceLock` (rule S007 stays clean by construction). Hot paths are
+//! no `OnceLock` (which the clippy ban list rejects anyway). Hot paths are
 //! generic over `S: ObsSink`, so the default [`NoopSink`] monomorphizes to
 //! empty inline bodies and the uninstrumented path compiles to nothing.
 

@@ -425,7 +425,7 @@ impl ThreadedRuntime {
     ) -> Result<Vec<Delivery>, RuntimeError> {
         // Wall-clock read routed through the audited `camp_obs::clock`
         // boundary: the runtime is inherently real-time, but keeping the
-        // `Instant` reads behind one module keeps S002 auditable.
+        // `Instant` reads behind one module keeps wall-clock use auditable.
         let start = clock::now();
         let mut got = Vec::with_capacity(count);
         while got.len() < count {

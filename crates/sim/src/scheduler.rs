@@ -191,6 +191,13 @@ pub fn run_fair_obs<B: BroadcastAlgorithm, S: ObsSink>(
     Ok(report)
 }
 
+/// A probability fed to the seeded RNG, e.g. [`CrashPlan::crash_probability`].
+#[expect(
+    clippy::disallowed_types,
+    reason = "scheduler configuration fed to the seeded RNG, not protocol state"
+)]
+pub type Probability = f64;
+
 /// Crash-injection policy for [`run_random`].
 #[derive(Debug, Clone, Copy)]
 pub struct CrashPlan {
@@ -198,8 +205,7 @@ pub struct CrashPlan {
     /// tolerates `t = n - 1`.
     pub max_crashes: usize,
     /// Probability that a given random event is a crash (while budget lasts).
-    // camp-lint: allow(S003) -- scheduler configuration fed to the seeded RNG, not protocol state
-    pub crash_probability: f64,
+    pub crash_probability: Probability,
 }
 
 impl CrashPlan {
@@ -214,8 +220,7 @@ impl CrashPlan {
 
     /// Up to `max_crashes` crashes with the given per-event probability.
     #[must_use]
-    // camp-lint: allow(S003) -- scheduler configuration fed to the seeded RNG, not protocol state
-    pub fn up_to(max_crashes: usize, crash_probability: f64) -> Self {
+    pub fn up_to(max_crashes: usize, crash_probability: Probability) -> Self {
         Self {
             max_crashes,
             crash_probability,

@@ -1,14 +1,76 @@
 #!/usr/bin/env bash
-# The full CI gate, runnable locally: tier-1 verify, strict lints on the
-# whole workspace, formatting, and the camp-lint static-analysis layer over
-# the committed Figure 1 golden trace.
+# The full CI gate, runnable locally: the protocol crates' determinism fence
+# (clippy's shared ban list), strict lints on the whole workspace, the
+# camp-lint static-analysis engines, tier-1 verify, formatting, and the
+# camp-lint trace linter over the committed Figure 1 golden trace.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# First gate, cheapest signal: the static check needs only camp-lint and
-# its deps to build, runs no simulated schedule, and catches determinism
-# hazards before the expensive full-workspace stages spin up.
-echo "==> camp-lint: static source + protocol-graph check (deny warnings)"
+# First gate, cheapest signal: one fixture file, compiled alone against the
+# shared ban list in lints/clippy.toml before anything else builds. It holds
+# one violation per determinism rule the lexical camp-lint pass used to
+# enforce (S001-S008, S010), a stale #[expect] (S011) and one use that an
+# #[expect] covers. Each violation must still be rejected exactly once and
+# the covered use must stay silent, or the clippy stage below proves nothing.
+echo "==> clippy ban list: the fixture trips every retired S00x rule"
+mkdir -p target
+violations_json="$PWD/target/ci.violations.json"
+if CLIPPY_CONF_DIR="$PWD/lints" clippy-driver --edition 2021 --crate-type lib \
+     --emit=metadata -D warnings --error-format=json --out-dir "$PWD/target" \
+     lints/violations.rs 2> "$violations_json"; then
+  echo "lints/violations.rs compiled: the ban list no longer rejects it" >&2
+  exit 1
+fi
+python3 - "$violations_json" lints/violations.rs <<'PY'
+import collections, json, sys
+EXPECTED = {
+    "S001": ["use of a disallowed type `std::collections::HashMap`",
+             "use of a disallowed type `std::collections::HashSet`"],
+    "S002": ["use of a disallowed type `std::time::Instant`",
+             "use of a disallowed type `std::time::SystemTime`"],
+    "S003": ["use of a disallowed type `f32`", "use of a disallowed type `f64`"],
+    "S004": ["use of a disallowed type `std::hash::RandomState`"],
+    "S005, static mut": ["usage of an `unsafe` block"],
+    "S006": ["use of a disallowed method `std::thread::spawn`"],
+    "S007": ["use of a disallowed type `std::sync::OnceLock`",
+             "use of a disallowed type `std::cell::OnceCell`"],
+    "S008": ["use of a disallowed method `std::process::exit`",
+             "use of a disallowed method `std::process::abort`"],
+    "S010": ["use of a disallowed method `std::env::var`",
+             "use of a disallowed method `std::env::var_os`"],
+    "S011": ["this lint expectation is unfulfilled"],
+}
+found = collections.Counter()
+at = []
+for raw in open(sys.argv[1]):
+    if not raw.startswith("{"):
+        continue
+    d = json.loads(raw)
+    primary = [s for s in d["spans"] if s["is_primary"]]
+    if d["level"] == "error" and primary:  # skips "aborting due to N errors"
+        found[d["message"]] += 1
+        at.append((primary[0]["line_start"], d["message"]))
+want = collections.Counter(m for ms in EXPECTED.values() for m in ms)
+for code, messages in EXPECTED.items():
+    for m in messages:
+        assert found[m] == 1, f"{code}: expected one `{m}`, got {found[m]}"
+assert found == want, f"unexpected findings: {dict(found - want)}"
+covered = next(n for n, line in enumerate(open(sys.argv[2]), 1) if "A justified exception" in line)
+stray = [(n, m) for n, m in at if n >= covered]
+assert not stray, f"the #[expect]-covered use fired: {stray}"
+print(f"ban list: {sum(want.values())} findings, one per banned item; the covered use is silent")
+PY
+
+# The workspace lints, still before any release build. This stage is also
+# the determinism fence: agreement, broadcast, obs, sim and specs link the
+# list proven above as their clippy.toml (tests/check.rs pins the links).
+echo "==> clippy (deny warnings; the protocol crates under lints/clippy.toml)"
+cargo clippy --workspace --all-targets -- -D warnings
+
+# camp-lint's static check runs no simulated schedule: S009 (no payload
+# inspection in broadcast code, hypothesis H1) plus the protocol-graph,
+# symmetry and dataflow engines over the registered algorithms.
+echo "==> camp-lint check: S009 + graph, symmetry, dataflow engines (deny warnings)"
 cargo run --release -q -p camp-lint --bin camp-lint -- check --deny-warnings
 
 # The symmetry engine must certify every healthy equivariant algorithm and
@@ -43,9 +105,6 @@ cargo test -q
 
 echo "==> workspace tests"
 cargo test --workspace -q
-
-echo "==> clippy (deny warnings)"
-cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> rustfmt check"
 cargo fmt --check

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# The static-analysis gate on its own: source lints (S0xx), protocol-graph
-# analysis (S02x), and the symmetry engine (S03x, certificate issuance)
-# over the whole workspace, warnings promoted to failures.
+# The static-analysis gate on its own: the payload-inspection source rule
+# (S009), protocol-graph analysis (S02x), the symmetry engine (S03x) and the
+# dataflow engine (S04x) over the whole workspace, warnings promoted to
+# failures. The determinism bans are clippy's: see lints/clippy.toml.
 # Extra flags are passed through, e.g.:
 #
 #   scripts/lint.sh --json              machine-readable CheckReport

@@ -1,6 +1,8 @@
 //! Workspace-level acceptance tests for `camp-lint check`: the healthy
 //! library lints clean, every deliberately faulty algorithm is convicted,
-//! and the JSON report is a deterministic function of the sources.
+//! and the JSON report is a deterministic function of the sources. One more
+//! test pins which crates clippy's shared ban list (`lints/clippy.toml`)
+//! covers.
 //!
 //! The committed golden file pins the full-workspace report byte for byte;
 //! if an intentional change (new rule, new algorithm, moved struct) alters
@@ -10,6 +12,7 @@
 //! cargo test -p campkit --test check -- --ignored regenerate
 //! ```
 
+use std::fs;
 use std::path::Path;
 
 use campkit::lint::check_workspace;
@@ -50,6 +53,57 @@ fn check_report_matches_the_committed_golden() {
         golden.trim_end(),
         "the check report changed; if intentional, regenerate the golden file"
     );
+}
+
+/// The crates that clippy's shared ban list covers, by directory name under
+/// `crates/`: the protocol crates and `obs`, which is linked into their hot
+/// paths.
+const FENCED_CRATES: &[&str] = &["agreement", "broadcast", "obs", "sim", "specs"];
+
+/// Clippy reads the first `clippy.toml` or `.clippy.toml` it finds walking
+/// up from a crate's manifest directory. So each fenced crate links the one
+/// shared list, and no other crate, nor the root, may hold a config that
+/// would replace or widen it. A deleted link would silently drop a crate
+/// from the fence.
+#[test]
+fn clippy_ban_list_covers_exactly_the_fenced_crates() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let shared = root
+        .join("lints/clippy.toml")
+        .canonicalize()
+        .expect("the shared ban list lints/clippy.toml exists");
+    let mut dirs = vec![root.to_path_buf()];
+    for group in ["crates", "vendor"] {
+        for entry in fs::read_dir(root.join(group)).unwrap() {
+            let path = entry.unwrap().path();
+            if path.join("Cargo.toml").is_file() {
+                dirs.push(path);
+            }
+        }
+    }
+    let fenced: Vec<_> = FENCED_CRATES
+        .iter()
+        .map(|name| root.join("crates").join(name))
+        .collect();
+    for dir in &fenced {
+        assert!(dirs.contains(dir), "{} is missing", dir.display());
+    }
+    for dir in &dirs {
+        for file in ["clippy.toml", ".clippy.toml"] {
+            let path = dir.join(file);
+            if fenced.contains(dir) && file == "clippy.toml" {
+                assert_eq!(
+                    path.canonicalize().ok().as_ref(),
+                    Some(&shared),
+                    "{} must link lints/clippy.toml",
+                    path.display()
+                );
+            } else {
+                let present = fs::symlink_metadata(&path).is_ok();
+                assert!(!present, "{} must not exist", path.display());
+            }
+        }
+    }
 }
 
 proptest! {
