@@ -23,9 +23,11 @@
 //! reduction counters (dedup hits, sleep-set prunes, widest frontier, the
 //! certificate-gated canonical hits plus a cert-loaded flag since v3, and
 //! since v4 the independence-widened sleep-set prunes plus an
-//! independence-cert flag) derived from one instrumented run. Set
-//! `CAMP_BENCH_QUICK=1` for a low-sample CI smoke run, `CAMP_BENCH_OUT` to
-//! redirect the JSON, and `CAMP_BENCH_METRICS` to additionally write the raw
+//! independence-cert flag) derived from one instrumented run, through the
+//! ledger writer shared with the other bench targets
+//! ([`camp_bench::write_bench_ledger`]). Set `CAMP_BENCH_QUICK=1` for a
+//! low-sample CI smoke run, `CAMP_BENCH_OUT` to write the JSON into another
+//! directory, and `CAMP_BENCH_METRICS` to additionally write the raw
 //! `camp-obs/v2` counter snapshot accumulated across the instrumented runs.
 
 use camp_broadcast::{CausalBroadcast, EagerReliable, FifoBroadcast};
@@ -378,33 +380,15 @@ fn bench_explore(
 }
 
 fn main() {
-    let quick = std::env::var("CAMP_BENCH_QUICK").is_ok_and(|v| v != "0" && !v.is_empty());
-    let sample_size = if quick { 3 } else { 10 };
+    let sample_size = if camp_bench::bench_quick() { 3 } else { 10 };
     let mut criterion = Criterion::default();
     let mut records = Vec::new();
     let mut totals = Counters::new();
     bench_explore(&mut criterion, sample_size, &mut records, &mut totals);
 
-    let out = std::env::var("CAMP_BENCH_OUT").unwrap_or_else(|_| {
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_explore.json").to_string()
-    });
-    let doc = Json::Object(vec![
-        (
-            "schema".to_string(),
-            Json::Str("camp-bench/explore/v4".to_string()),
-        ),
-        (
-            "mode".to_string(),
-            Json::Str(if quick { "quick" } else { "full" }.to_string()),
-        ),
-        (
-            "benches".to_string(),
-            Json::Array(records.iter().map(Record::to_json).collect()),
-        ),
-    ]);
-    let rendered = serde_json::to_string_pretty(&doc).expect("render bench report");
-    std::fs::write(&out, rendered + "\n").expect("write bench report");
-    println!("\nwrote {out}");
+    let rows = records.iter().map(Record::to_json).collect();
+    let out = camp_bench::write_bench_ledger("explore", 4, rows);
+    println!("\nwrote {}", out.display());
 
     if let Ok(metrics_out) = std::env::var("CAMP_BENCH_METRICS") {
         if !metrics_out.is_empty() {

@@ -4,11 +4,51 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::path::PathBuf;
+
 use camp_broadcast::SendToAll;
 use camp_sim::canonical::CertStore;
 use camp_sim::scheduler::{run_fair, Workload};
 use camp_sim::{FirstProposalRule, KsaOracle, Simulation};
 use camp_trace::Execution;
+use serde::Json;
+
+/// Is this a low-sample smoke run? Set `CAMP_BENCH_QUICK` to anything but
+/// empty or `0` to ask every bench target for few samples (CI does).
+#[must_use]
+pub fn bench_quick() -> bool {
+    std::env::var("CAMP_BENCH_QUICK").is_ok_and(|v| v != "0" && !v.is_empty())
+}
+
+/// Writes a bench target's ledger `BENCH_<layer>.json`: schema
+/// `camp-bench/<layer>/v<version>`, the sampling mode (`quick` or `full`,
+/// see [`bench_quick`]) and one object per bench row. The file lands at
+/// the repository root, or in the directory `CAMP_BENCH_OUT` names, which
+/// is created if missing. Returns the path written.
+///
+/// # Panics
+///
+/// Panics if the file cannot be written.
+#[must_use]
+pub fn write_bench_ledger(layer: &str, version: u32, rows: Vec<Json>) -> PathBuf {
+    let dir = std::env::var("CAMP_BENCH_OUT")
+        .map(PathBuf::from)
+        .unwrap_or_else(|_| PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../..")));
+    let mode = if bench_quick() { "quick" } else { "full" };
+    let doc = Json::Object(vec![
+        (
+            "schema".to_string(),
+            Json::Str(format!("camp-bench/{layer}/v{version}")),
+        ),
+        ("mode".to_string(), Json::Str(mode.to_string())),
+        ("benches".to_string(), Json::Array(rows)),
+    ]);
+    let rendered = serde_json::to_string_pretty(&doc).expect("render bench ledger");
+    std::fs::create_dir_all(&dir).expect("create the bench ledger directory");
+    let out = dir.join(format!("BENCH_{layer}.json"));
+    std::fs::write(&out, rendered + "\n").expect("write bench ledger");
+    out
+}
 
 /// Static-analysis certificates for the registered algorithms, issued by
 /// running `camp-lint`'s symmetry engine (rules S030–S035, symmetry

@@ -142,7 +142,8 @@ impl AdversarialRun {
     /// The `γ_{k,N,B,ℬ,i}` restriction of Definition 4: `p_i`'s steps
     /// strictly before the final flush, plus `p_k`'s steps succeeded by a
     /// `local_del` reset. All other processes crash initially; `p_k`
-    /// crashes before its first missing step (if it has one).
+    /// crashes before its first missing step (if it has one). The message
+    /// table is α's whole table, shared with `α` rather than copied.
     ///
     /// # Panics
     ///
@@ -154,17 +155,14 @@ impl AdversarialRun {
         let pk = ProcessId::new(self.k);
         let reset_end = self.last_reset_end.unwrap_or(0);
 
-        let mut out = Execution::new(n);
+        // α's message table, shared, so filtered steps can reference it.
+        let mut out = Execution::with_messages_of(&self.execution);
         // Initially-crashed processes (Definition 4's closing remark).
         for p in ProcessId::all(n) {
             if p != i && p != pk {
                 out.push(Step::new(p, Action::Crash))
                     .expect("valid crash step");
             }
-        }
-        // Register every message so filtered steps can reference them.
-        for (id, info) in self.execution.messages() {
-            out.register_message(id, info.clone()).expect("fresh table");
         }
         let mut pk_truncated = false;
         for (idx, step) in self.execution.steps().iter().enumerate() {
@@ -225,7 +223,8 @@ impl SyncState {
 /// * when `p_k` proposes on an object where `p_1 … p_k` have all decided,
 ///   the in-flight messages from `p_k` to `p_{k+1}` are released and `p_k`'s
 ///   delivery counter restarts (lines 21–25);
-/// * at the end, every withheld message is delivered (line 26).
+/// * at the end, every withheld message is delivered, in slot order
+///   (line 26).
 ///
 /// `max_steps` bounds the run (Lemma 7 guarantees termination for a correct
 /// `ℬ`; the bound catches incorrect candidates).
@@ -300,13 +299,10 @@ pub fn adversarial_scheduler<B: BroadcastAlgorithm>(
             };
             match executed {
                 // Lines 10–11: self-sends are received immediately.
+                // The send just appended the message to the last slot.
                 Executed::Sent { to, msg } if to == i => {
-                    let slot = sim
-                        .network()
-                        .in_flight()
-                        .iter()
-                        .position(|m| m.id == msg)
-                        .expect("just sent");
+                    let slot = sim.network().len() - 1;
+                    assert_eq!(sim.network().in_flight()[slot].id, msg, "just sent");
                     sim.receive(slot)?;
                 }
                 // Lines 12–13: sends to others stay in flight (`sent` is the
@@ -331,11 +327,12 @@ pub fn adversarial_scheduler<B: BroadcastAlgorithm>(
                             (1..=k).all(|j| st.decision_of(ProcessId::new(j)).is_some())
                         };
                         if all_decided {
-                            // Lines 22–24: release every in-flight p_k → p_{k+1}.
-                            while let Some(slot) =
-                                sim.network().slots_from_to(pk, pk1).first().copied()
-                            {
-                                sim.receive(slot)?;
+                            // Lines 22–24: release every in-flight p_k → p_{k+1},
+                            // in slot order; each reception shifts the later
+                            // slots down by one.
+                            let slots = sim.network().slots_from_to(pk, pk1);
+                            for (released, slot) in slots.into_iter().enumerate() {
+                                sim.receive(slot - released)?;
                             }
                             // Line 25.
                             local_del = -1;
@@ -353,11 +350,9 @@ pub fn adversarial_scheduler<B: BroadcastAlgorithm>(
         }
     }
 
-    // Line 26: deliver everything still in flight.
+    // Line 26: deliver everything still in flight, in slot order.
     let flush_start = sim.trace().len();
-    while !sim.network().is_empty() {
-        sim.receive(0)?;
-    }
+    sim.receive_all()?;
 
     let execution = sim.into_trace();
     // Designated messages: the last N own-message deliveries of each process.

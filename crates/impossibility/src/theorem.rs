@@ -10,7 +10,6 @@ use camp_trace::{Execution, ProcessId, Renaming, Value};
 
 use crate::adversary::{adversarial_scheduler, AdversarialRun, AdversaryError};
 use crate::lemmas::{verify_lemmas, LemmaReport};
-use crate::nsolo::NSolo;
 use crate::solo::{solo_run, SoloError, SoloRun};
 
 /// Message-id region reserved for solo-run messages, disjoint from the
@@ -229,7 +228,8 @@ where
     }
     let n_used = solo_runs.iter().map(|r| r.n_i).max().unwrap_or(0).max(1);
 
-    // Step 2: Algorithm 1 with N = n_used; lemma certificates.
+    // Step 2: Algorithm 1 with N = n_used; lemma certificates, Lemma 10's
+    // N-solo check of β included.
     let run = adversarial_scheduler(k, n_used, broadcast, max_steps)?;
     let lemma_report = verify_lemmas(&run);
     if let Some(failure) = lemma_report.failures().first() {
@@ -238,9 +238,6 @@ where
         ));
     }
     let beta = run.beta();
-    NSolo::new(n_used)
-        .check(&beta, &run.designated)
-        .map_err(TheoremError::LemmaFailed)?;
 
     // Step 3: compositionality restriction to N_i messages per process …
     let keep: std::collections::BTreeSet<_> = ProcessId::all(n)

@@ -59,6 +59,49 @@ proptest! {
         prop_assert_eq!(a.flush_start, b.flush_start);
     }
 
+    /// Line 26 drains the network in slot order: the flush consists of
+    /// receptions only, in the order their messages were sent. And every
+    /// γ_i keeps α's whole message table.
+    #[test]
+    fn flush_receives_in_send_order_and_gammas_share_alphas_table(
+        k in 2usize..=4,
+        n_solo in 1usize..=4,
+        pick in 0usize..3,
+    ) {
+        use std::collections::BTreeMap;
+        use camp_trace::{Action, ProcessId};
+        let run = match pick {
+            0 => adversarial_scheduler(k, n_solo, AgreedBroadcast::new(), 10_000_000),
+            1 => adversarial_scheduler(k, n_solo, SteppedBroadcast::new(), 10_000_000),
+            _ => adversarial_scheduler(k, n_solo, SendToAll::new(), 10_000_000),
+        }
+        .expect("correct candidates never fail");
+        let steps = run.execution.steps();
+        let sent_at: BTreeMap<_, _> = steps
+            .iter()
+            .enumerate()
+            .filter_map(|(at, s)| match s.action {
+                Action::Send { msg, .. } => Some((msg, at)),
+                _ => None,
+            })
+            .collect();
+        let mut last_send = None;
+        for s in &steps[run.flush_start..] {
+            let Action::Receive { msg, .. } = s.action else {
+                panic!("the flush only receives, got {s}");
+            };
+            let at = Some(sent_at[&msg]);
+            prop_assert!(at > last_send, "{} received out of send order", msg);
+            last_send = at;
+        }
+        for i in ProcessId::all(k + 1) {
+            prop_assert!(
+                run.gamma(i).messages().eq(run.execution.messages()),
+                "γ_{} lost part of α's message table", i
+            );
+        }
+    }
+
     /// γ restrictions never contain steps of initially-crashed processes
     /// other than their crash markers.
     #[test]

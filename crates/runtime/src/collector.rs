@@ -40,6 +40,13 @@ pub(crate) enum TraceEvent {
 #[derive(Debug)]
 pub(crate) struct Collector {
     exec: Execution,
+    /// The append index: `(from, to, msg)` of every `Send` and `(from,
+    /// msg)` of every `Broadcast` appended to `exec`, so [`Self::can_append`]
+    /// finds a reception's or delivery's emission without scanning the
+    /// trace. Entries are never removed: a duplicate receive still appends,
+    /// for SR-No-Duplication to flag.
+    sends: BTreeSet<(ProcessId, ProcessId, MessageId)>,
+    broadcasts: BTreeSet<(ProcessId, MessageId)>,
     deferred: VecDeque<Step>,
     counters: Counters,
     /// Point-to-point messages sent but not yet received, per the trace
@@ -62,6 +69,8 @@ impl Collector {
     pub(crate) fn new(n: usize) -> Self {
         Self {
             exec: Execution::new(n),
+            sends: BTreeSet::new(),
+            broadcasts: BTreeSet::new(),
             deferred: VecDeque::new(),
             counters: Counters::new(),
             in_flight: 0,
@@ -138,21 +147,24 @@ impl Collector {
             return false;
         }
         match step.action {
-            Action::Receive { from, msg } => self.exec.steps().iter().any(|s| {
-                s.process == from
-                    && s.action
-                        == Action::Send {
-                            to: step.process,
-                            msg,
-                        }
-            }),
-            Action::Deliver { from, msg } => self
-                .exec
-                .steps()
-                .iter()
-                .any(|s| s.process == from && s.action == Action::Broadcast { msg }),
+            Action::Receive { from, msg } => self.sends.contains(&(from, step.process, msg)),
+            Action::Deliver { from, msg } => self.broadcasts.contains(&(from, msg)),
             _ => true,
         }
+    }
+
+    /// Appends a step [`Self::can_append`] accepted, indexing its emission.
+    fn append(&mut self, step: Step) {
+        match step.action {
+            Action::Send { to, msg } => {
+                self.sends.insert((step.process, to, msg));
+            }
+            Action::Broadcast { msg } => {
+                self.broadcasts.insert((step.process, msg));
+            }
+            _ => {}
+        }
+        self.exec.push(step).expect("validated above");
     }
 
     fn push_or_defer(&mut self, step: Step) {
@@ -160,7 +172,7 @@ impl Collector {
         // deferred, this one queues behind it regardless of eligibility.
         let blocked = self.deferred.iter().any(|s| s.process == step.process);
         if !blocked && self.can_append(&step) {
-            self.exec.push(step).expect("validated above");
+            self.append(step);
             self.retry_deferred();
         } else {
             if let Some(rec) = &self.recorder {
@@ -189,7 +201,7 @@ impl Collector {
             match chosen {
                 Some(i) => {
                     let step = self.deferred.remove(i).expect("index in range");
-                    self.exec.push(step).expect("validated above");
+                    self.append(step);
                 }
                 None => return,
             }
@@ -281,6 +293,28 @@ mod tests {
         assert_eq!(e.len(), 2);
         // SR-Validity holds in the repaired linearization.
         camp_specs::channel::sr_validity(&e).unwrap();
+    }
+
+    #[test]
+    fn duplicate_receive_still_appends_for_the_checker_to_flag() {
+        let mut c = Collector::new(2);
+        let m = MessageId::new(0);
+        c.handle(TraceEvent::Register(m, info(1)));
+        c.handle(TraceEvent::Step(Step::new(
+            p(1),
+            Action::Send { to: p(2), msg: m },
+        )));
+        for _ in 0..2 {
+            c.handle(TraceEvent::Step(Step::new(
+                p(2),
+                Action::Receive { from: p(1), msg: m },
+            )));
+        }
+        let (e, counters) = c.finish();
+        assert_eq!(e.len(), 3, "the second receive is appended, not deferred");
+        assert_eq!(counters.gauge("runtime.collector_deferred_max"), 0);
+        camp_specs::channel::sr_validity(&e).unwrap();
+        assert!(camp_specs::channel::sr_no_duplication(&e).is_err());
     }
 
     #[test]

@@ -91,6 +91,19 @@ impl<M> Network<M> {
         }
     }
 
+    /// Removes every in-flight message at once, in slot order.
+    pub(crate) fn take_all(&mut self) -> Vec<InFlight<M>> {
+        std::mem::take(&mut self.in_flight)
+    }
+
+    /// Puts messages back in flight ahead of the current slots, in the
+    /// order given: the undo of a partial [`Network::take_all`].
+    pub(crate) fn restore_front(&mut self, front: impl IntoIterator<Item = InFlight<M>>) {
+        let mut slots: Vec<InFlight<M>> = front.into_iter().collect();
+        slots.append(&mut self.in_flight);
+        self.in_flight = slots;
+    }
+
     /// The slot of the first in-flight message addressed to `to`, if any.
     #[must_use]
     pub fn first_slot_to(&self, to: ProcessId) -> Option<usize> {

@@ -348,6 +348,43 @@ impl<B: BroadcastAlgorithm> Simulation<B> {
         Ok(msg)
     }
 
+    /// Receives every in-flight message, in slot order, in one pass: the
+    /// steps, checks and errors of calling [`Simulation::receive`] on slot
+    /// 0 until the network is empty, without shifting the remaining slots
+    /// after each reception. (A handler only queues local steps, so no
+    /// message joins the network during the pass.)
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::ProcessCrashed`] / [`SimError::UnknownProcess`] for the
+    /// first message whose destination cannot take it. The messages before
+    /// it stay received; it and every later one stay in flight, in order —
+    /// where a `receive(0)` loop stops.
+    pub fn receive_all(&mut self) -> Result<(), SimError> {
+        let mut pending = self.network.take_all().into_iter();
+        while let Some(msg) = pending.next() {
+            if let Err(e) = self.check_alive(msg.to) {
+                self.network
+                    .restore_front(std::iter::once(msg).chain(pending));
+                return Err(e);
+            }
+            let step = Step::new(
+                msg.to,
+                Action::Receive {
+                    from: msg.from,
+                    msg: msg.id,
+                },
+            );
+            if let Err(e) = self.trace.push(step) {
+                self.network.restore_front(pending);
+                return Err(e.into());
+            }
+            self.algo
+                .on_receive(&mut self.states[msg.to.index()], msg.from, msg.payload);
+        }
+        Ok(())
+    }
+
     /// Makes the k-SA object `obj` respond to `pid`'s pending proposal:
     /// records the `decide` step and hands the value to the algorithm.
     ///

@@ -183,6 +183,63 @@ fn quiescence_tracks_every_obligation() {
     assert!(s.is_quiescent());
 }
 
+/// Three processes that each broadcast once and take every send, so nine
+/// messages sit in flight, interleaved by sender; `victim` then crashes.
+fn loaded_network(victim: Option<ProcessId>) -> Simulation<Echo> {
+    let mut s = sim(3);
+    for p in ProcessId::all(3) {
+        s.invoke_broadcast(p, Value::new(p.id() as u64)).unwrap();
+        for _ in 0..3 {
+            s.step_process(p).unwrap();
+        }
+    }
+    assert_eq!(s.network().len(), 9);
+    if let Some(v) = victim {
+        s.crash(v).unwrap();
+    }
+    s
+}
+
+#[test]
+fn receive_all_matches_a_receive_zero_loop() {
+    // No crash, then a crashed destination at slot 0 (p1) and mid-network
+    // (p2 at slot 1, p3 at slot 2): the one-pass drain must stop exactly
+    // where the loop does, with the same error and the same slots left.
+    let victims = [None, Some(1), Some(2), Some(3)];
+    for victim in victims.map(|v| v.map(ProcessId::new)) {
+        let mut looped = loaded_network(victim);
+        let mut drained = looped.clone();
+        let loop_result = loop {
+            if looped.network().is_empty() {
+                break Ok(());
+            }
+            if let Err(e) = looped.receive(0) {
+                break Err(e);
+            }
+        };
+        let drain_result = drained.receive_all();
+        assert_eq!(drain_result, loop_result, "victim {victim:?}");
+        assert_eq!(
+            drained.network().in_flight(),
+            looped.network().in_flight(),
+            "victim {victim:?}: in-flight slots"
+        );
+        assert_eq!(drained.trace(), looped.trace(), "victim {victim:?}");
+        assert_eq!(
+            drained.fingerprint(),
+            looped.fingerprint(),
+            "victim {victim:?}"
+        );
+        match victim {
+            None => assert!(drained.network().is_empty()),
+            Some(v) => {
+                assert_eq!(drain_result, Err(SimError::ProcessCrashed(v)));
+                assert_eq!(drained.network().in_flight()[0].to, v);
+            }
+        }
+    }
+}
+
 #[test]
 fn quiescence_ignores_obligations_of_crashed_processes() {
     let mut s = sim(2);

@@ -126,6 +126,17 @@ impl Execution {
         }
     }
 
+    /// The empty execution over `other`'s processes and message table —
+    /// a restriction's starting point. The entries are shared with `other`
+    /// (one `Arc` bump each), not deep-copied.
+    #[must_use]
+    pub fn with_messages_of(other: &Execution) -> Self {
+        Self {
+            messages: other.messages.clone(),
+            ..Self::new(other.n)
+        }
+    }
+
     /// Number of processes `n` of the system.
     #[must_use]
     pub fn process_count(&self) -> usize {

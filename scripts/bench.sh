@@ -1,12 +1,14 @@
 #!/usr/bin/env bash
-# Runs the performance benches in release mode and leaves the
-# machine-readable exploration report at BENCH_explore.json (repo root).
+# Runs the performance benches in release mode and leaves their
+# machine-readable ledgers at the repo root: BENCH_explore.json (the
+# exploration engine) and BENCH_theorem.json (the Theorem-1 pipeline).
+# Set CAMP_BENCH_OUT to a directory to write the ledgers there instead.
 #
 # Usage:
 #   scripts/bench.sh                    # full run (10 samples per bench)
 #   scripts/bench.sh --quick            # CI smoke run (3 samples per bench)
-#   scripts/bench.sh --all              # explore benches plus the legacy suites
-#   scripts/bench.sh --metrics OUT.json # also write the camp-obs/v2 snapshot
+#   scripts/bench.sh --all              # the ledger benches plus the legacy suites
+#   scripts/bench.sh --metrics OUT.json # also write explore's camp-obs/v2 snapshot
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -31,27 +33,36 @@ while [[ $# -gt 0 ]]; do
   shift
 done
 
+# Cargo runs each bench from its package directory, so hand it an
+# absolute ledger directory.
+if [[ -n "${CAMP_BENCH_OUT:-}" ]]; then
+  export CAMP_BENCH_OUT="$(realpath -m "$CAMP_BENCH_OUT")"
+fi
+
+[[ "$quick" -eq 1 ]] && export CAMP_BENCH_QUICK=1
+
 echo "==> bench: exploration engine (BENCH_explore.json)"
-env_args=()
-[[ "$quick" -eq 1 ]] && env_args+=("CAMP_BENCH_QUICK=1")
-[[ -n "$metrics" ]] && env_args+=("CAMP_BENCH_METRICS=$metrics")
-if [[ ${#env_args[@]} -gt 0 ]]; then
-  env "${env_args[@]}" cargo bench -q -p camp-bench --bench explore
+if [[ -n "$metrics" ]]; then
+  CAMP_BENCH_METRICS="$metrics" cargo bench -q -p camp-bench --bench explore
 else
   cargo bench -q -p camp-bench --bench explore
 fi
 
+echo "==> bench: Theorem-1 pipeline (BENCH_theorem.json)"
+cargo bench -q -p camp-bench --bench theorem
+
 if [[ "$all" -eq 1 ]]; then
-  echo "==> bench: legacy suites (adversary, broadcast, specs, modelcheck)"
-  cargo bench -q -p camp-bench --bench adversary
+  echo "==> bench: legacy suites (broadcast, specs, modelcheck)"
   cargo bench -q -p camp-bench --bench broadcast
   cargo bench -q -p camp-bench --bench specs
   cargo bench -q -p camp-bench --bench modelcheck
 fi
 
-out="${CAMP_BENCH_OUT:-BENCH_explore.json}"
-echo "==> $out"
-cat "$out"
+for layer in explore theorem; do
+  out="${CAMP_BENCH_OUT:-.}/BENCH_$layer.json"
+  echo "==> $out"
+  cat "$out"
+done
 
 if [[ -n "$metrics" ]]; then
   echo "==> $metrics"

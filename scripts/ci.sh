@@ -125,12 +125,13 @@ CAMP_PROPTEST_CASES=6 cargo test -q --release -p camp-modelcheck --test engine_e
 echo "==> canonical quotient proptests (release, raised case count)"
 CAMP_PROPTEST_CASES=128 cargo test -q --release -p camp-modelcheck --test canonical
 
-# The smoke run writes to a scratch path so it never clobbers the committed
-# full-mode BENCH_explore.json; regenerate that one with scripts/bench.sh.
-echo "==> bench smoke: exploration benches reproduce the committed v4 counters"
-smoke_out="$PWD/target/BENCH_explore.smoke.json"
+# The smoke run writes into a scratch directory so it never clobbers the
+# committed full-mode ledgers; regenerate those with scripts/bench.sh.
+echo "==> bench smoke: the ledger benches reproduce the committed deterministic fields"
+smoke_dir="$PWD/target/bench-smoke"
+smoke_out="$smoke_dir/BENCH_explore.json"
 smoke_metrics="$PWD/target/BENCH_explore.smoke.metrics.json"
-CAMP_BENCH_OUT="$smoke_out" scripts/bench.sh --quick --metrics "$smoke_metrics" >/dev/null
+CAMP_BENCH_OUT="$smoke_dir" scripts/bench.sh --quick --metrics "$smoke_metrics" >/dev/null
 for key in '"schema"' '"camp-bench/explore/v4"' '"explore_fifo_2x2"' \
            '"explore_causal_3"' '"explore_agreed_2"' '"crashsweep_reliable"' \
            '"ns_per_op"' '"executions_per_sec"' '"nodes_per_sec"' \
@@ -160,6 +161,29 @@ print(f"bench smoke: {len(FIELDS)} counters x {len(committed)} rows match BENCH_
 PY
 grep -q '"camp-obs/v2"' "$smoke_metrics" \
   || { echo "$smoke_metrics malformed: missing camp-obs/v2 schema" >&2; exit 1; }
+# The Theorem-1 ledger: every row's run shape (|α|, where the line-26
+# flush starts, the N the pipeline chose) is deterministic, so the smoke
+# run must reproduce those of the committed BENCH_theorem.json exactly;
+# each timing field must be present and positive.
+python3 - "$smoke_dir/BENCH_theorem.json" BENCH_theorem.json <<'PY'
+import json, sys
+FIELDS = ("k", "n_solo", "adv_steps", "flush_start", "n_used")
+TIMINGS = ("scheduler_ns", "lemmas_ns", "theorem1_ns", "scheduler_ns_per_step",
+           "lemmas_ns_per_step", "theorem1_ns_per_step")
+smoke_doc, committed_doc = (json.load(open(path)) for path in sys.argv[1:])
+for doc in (smoke_doc, committed_doc):
+    assert doc["schema"] == "camp-bench/theorem/v1", f"schema {doc['schema']}"
+smoke = {b["name"]: b for b in smoke_doc["benches"]}
+committed = {b["name"]: b for b in committed_doc["benches"]}
+assert smoke.keys() == committed.keys(), f"bench rows differ: {sorted(smoke)} vs {sorted(committed)}"
+for name, row in committed.items():
+    for field in FIELDS:
+        assert smoke[name][field] == row[field], \
+            f"{name}.{field}: smoke run {smoke[name][field]}, committed {row[field]}"
+    for field in TIMINGS:
+        assert smoke[name][field] > 0, f"{name}.{field}: {smoke[name][field]}"
+print(f"bench smoke: {len(FIELDS)} fields x {len(committed)} rows match BENCH_theorem.json")
+PY
 
 # The timeline view over the figure-1 scope must render non-empty lanes:
 # every process row needs at least one non-idle glyph, or the
@@ -176,6 +200,15 @@ for pid, row in lanes:
     assert row.strip("."), f"lane p{pid} is empty: {row!r}"
 print(f"timeline: {len(lanes)} non-empty lanes")
 PY
+
+# Every paper-facing table is deterministic, so a fresh `tables all` must
+# match the committed capture byte for byte; EXPERIMENTS.md cites it.
+echo "==> tables all: byte-identical to results/tables.txt"
+tables_out="$PWD/target/ci.tables.txt"
+cargo run --release -q -p camp-bench --bin tables -- all > "$tables_out"
+diff -u results/tables.txt "$tables_out" \
+  || { echo "tables all drifted from results/tables.txt; regenerate with scripts/regen-goldens.sh" >&2; exit 1; }
+echo "tables all matches results/tables.txt"
 
 echo "==> metrics goldens: camp-lint check --metrics matches tests/golden"
 cargo test -q --release -p campkit --test metrics

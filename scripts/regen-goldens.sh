@@ -6,11 +6,13 @@
 #   tests/golden/symmetry.json         camp-lint symmetry --json
 #   tests/golden/dataflow.json         camp-lint dataflow --json
 #   tests/golden/metrics_figure1.json  the figure-1 camp-obs/v2 snapshot
+#   results/tables.txt                 tables all (every experiment table)
 #
 # Run after any intentional change to a lint rule, a registered algorithm,
-# or a handler the static engines read (the reports embed file:line:col
-# witnesses, so even moving a struct shifts them). CI compares each golden
-# byte for byte; a stale one fails `scripts/ci.sh`, never production.
+# a handler the static engines read (the reports embed file:line:col
+# witnesses, so even moving a struct shifts them) or an experiment's
+# output. CI compares each golden byte for byte; a stale one fails
+# `scripts/ci.sh`, never production.
 #
 # The figure-1 trace goldens (figure1.json, figure1_lint.json) are inputs,
 # not reports — they are hand-pinned and never regenerated here.
@@ -25,5 +27,8 @@ done
 echo "==> verifying the regenerated goldens round-trip"
 cargo test -q -p campkit --test check --test symmetry --test dataflow --test metrics
 
-git --no-pager diff --stat -- tests/golden/ || true
+echo "==> regenerating results/tables.txt via tables all"
+cargo run --release -q -p camp-bench --bin tables -- all > results/tables.txt
+
+git --no-pager diff --stat -- tests/golden/ results/tables.txt || true
 echo "goldens regenerated"
