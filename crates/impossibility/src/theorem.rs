@@ -1,12 +1,13 @@
 //! Theorem 1, executable: the full *reductio ad absurdum* pipeline on
 //! concrete candidate pairs `(𝒜, ℬ)`.
 
+use std::collections::BTreeSet;
 use std::error::Error;
 use std::fmt;
 
 use camp_sim::{AgreementAlgorithm, AgreementStep, AppMessage, BroadcastAlgorithm};
 use camp_specs::{BroadcastSpec, Violation};
-use camp_trace::{Execution, ProcessId, Renaming, Value};
+use camp_trace::{Action, Execution, MessageId, ProcessId, Renaming, Step, Value};
 
 use crate::adversary::{adversarial_scheduler, AdversarialRun, AdversaryError};
 use crate::lemmas::{verify_lemmas, LemmaReport};
@@ -296,26 +297,30 @@ where
 #[must_use]
 pub fn fair_completion(exec: &Execution) -> Execution {
     let mut out = exec.clone();
+    // Only messages whose Broadcast invocation appears in the trace.
+    let invoked: BTreeSet<MessageId> = exec
+        .steps()
+        .iter()
+        .filter_map(|s| match s.action {
+            Action::Broadcast { msg } => Some(msg),
+            _ => None,
+        })
+        .collect();
     let broadcast: Vec<_> = exec
         .broadcast_messages()
-        .filter(|&m| {
-            // Only messages whose Broadcast invocation appears in the trace.
-            exec.steps()
-                .iter()
-                .any(|s| s.action == camp_trace::Action::Broadcast { msg: m })
-        })
+        .filter(|m| invoked.contains(m))
         .collect();
     for p in ProcessId::all(exec.process_count()) {
         if exec.is_faulty(p) {
             continue;
         }
-        let already = exec.delivery_order(p);
+        let already: BTreeSet<MessageId> = exec.delivery_order(p).into_iter().collect();
         for &m in &broadcast {
             if !already.contains(&m) {
                 let sender = exec.message(m).expect("registered").sender;
-                out.push(camp_trace::Step::new(
+                out.push(Step::new(
                     p,
-                    camp_trace::Action::Deliver {
+                    Action::Deliver {
                         from: sender,
                         msg: m,
                     },

@@ -59,12 +59,12 @@ use std::collections::{HashMap, HashSet};
 use std::ops::ControlFlow;
 
 use camp_obs::ObsSink;
-use camp_sim::canonical::{self, CertStore, Relabel};
+use camp_sim::canonical::{CertStore, Orbit, Relabel, TraceBuckets};
 use camp_sim::fingerprint::StateHasher;
 use camp_sim::scheduler::Workload;
 use camp_sim::{BroadcastAlgorithm, SimError, Simulation};
 use camp_specs::{SpecResult, Violation};
-use camp_trace::{Execution, MessageId, ProcessId, Value};
+use camp_trace::{Action, Execution, MessageId, ProcessId};
 
 /// Budgets for an exploration.
 #[derive(Debug, Clone, Copy)]
@@ -412,33 +412,133 @@ where
     Ok(1 + drain(sim)?)
 }
 
-/// The canonical memoization fingerprint of a node: the minimum over all
-/// candidate process renamings of the digest of one [`Relabel`] walk over
-/// the renamed live state, the renamed trace, and the renamed workload
-/// cursors with their remaining contents. Message ids and contents are
-/// numbered by first occurrence across the whole walk.
+/// The renaming quotient's working state, present only when a valid
+/// symmetry certificate armed it.
+struct Quotient {
+    /// The candidate renamings, and the buffers their walks share.
+    orbit: Orbit,
+    /// The current node's trace, bucketed by process for those walks.
+    trace: TraceBuckets,
+    /// Canonical fingerprints of states expanded with an EMPTY sleep set.
+    /// Only those may license a cross-renaming prune: a sleep-set signature
+    /// is a set of `ChoiceKey`s, whose process/message ids live in the
+    /// namespace of one particular interleaving — comparing signatures
+    /// across renamed states would be meaningless, but an empty-sleep
+    /// expansion explored everything, which dominates any revisit.
+    visited: HashSet<u128>,
+    /// The [`orbit_class`] of every state in `visited`. A node of any other
+    /// class cannot match one, so its fingerprint is never computed.
+    classes: HashSet<u128>,
+}
+
+impl Quotient {
+    fn new(n: usize) -> Self {
+        Self {
+            orbit: Orbit::new(n),
+            trace: TraceBuckets::default(),
+            visited: HashSet::new(),
+            classes: HashSet::new(),
+        }
+    }
+
+    /// The canonical memoization fingerprint of a node: the minimum over
+    /// all candidate process renamings of the digest of one [`Relabel`]
+    /// walk over the renamed live state, the renamed trace, and the renamed
+    /// workload cursors with their remaining contents. Message ids and
+    /// contents are numbered by first occurrence across the whole walk.
+    ///
+    /// Unlike [`combined_fingerprint`] this cannot use the per-process
+    /// projection hashes (they bake in concrete ids), so it walks the
+    /// trace; the workload future must be included explicitly because two
+    /// renamed states are only interchangeable if their *pending*
+    /// invocations also correspond under the renaming.
+    fn fingerprint<B: BroadcastAlgorithm>(
+        &mut self,
+        sim: &Simulation<B>,
+        workload: &Workload,
+        issued: &[usize],
+    ) -> u128 {
+        let Self { orbit, trace, .. } = self;
+        trace.fill(sim.trace());
+        orbit.min_digest(|r| {
+            sim.relabel_live(r);
+            trace.relabel(r);
+            for &old in r.renamed_order() {
+                let cursor = issued[old];
+                cursor.relabel(r);
+                workload
+                    .remaining(ProcessId::new(old + 1), cursor)
+                    .relabel(r);
+            }
+        })
+    }
+}
+
+/// The orbit class of a node: a digest of the sorted multiset of its
+/// per-process summaries.
 ///
-/// Unlike [`combined_fingerprint`] this cannot use the per-process
-/// projection hashes (they bake in concrete ids), so it walks the trace;
-/// the workload future must be included explicitly because two renamed
-/// states are only interchangeable if their *pending* invocations also
-/// correspond under the renaming.
-fn canonical_combined_fingerprint<B: BroadcastAlgorithm>(
+/// A summary holds only what no renaming changes, read from data the
+/// canonical walk feeds, as counts and kinds: the kinds of the process's
+/// steps in trace order, the numbers of messages in flight to and from it,
+/// its crash flag, whether a broadcast invocation or a k-SA proposal of it
+/// is pending, and how many workload broadcasts it has left. Raw ids and
+/// stored orders never enter it.
+///
+/// Equal canonical fingerprints mean equal walks under some pair of
+/// renamings, which pairs each process of one node with a process of the
+/// other at the same renamed position, and so with an equal summary.
+/// Nodes with equal canonical fingerprints therefore have equal classes,
+/// and the explorer computes a node's canonical fingerprint only when it
+/// will record it or its class was recorded before.
+#[must_use]
+pub fn orbit_class<B: BroadcastAlgorithm>(
     sim: &Simulation<B>,
     workload: &Workload,
     issued: &[usize],
 ) -> u128 {
-    canonical::orbit_min(sim.n(), |r| {
-        sim.relabel_live(r);
-        sim.trace().relabel(r);
-        for &old in r.renamed_order() {
-            let p = ProcessId::new(old + 1);
-            let cursor = issued[old];
-            cursor.relabel(r);
-            let remaining: Vec<Value> = (cursor..).map_while(|i| workload.get(p, i)).collect();
-            remaining.relabel(r);
-        }
-    })
+    let in_flight = sim.network().in_flight();
+    let mut summaries: Vec<u128> = ProcessId::all(sim.n())
+        .map(|p| {
+            let mut h = StateHasher::new();
+            for step in sim.trace().steps_of(p) {
+                h.write_varint(action_kind(step.action));
+            }
+            h.sep();
+            for count in [
+                in_flight.iter().filter(|m| m.to == p).count(),
+                in_flight.iter().filter(|m| m.from == p).count(),
+                usize::from(sim.is_crashed(p)),
+                usize::from(sim.pending_broadcast(p).is_some()),
+                usize::from(sim.oracle().pending_of(p).is_some()),
+                workload.remaining(p, issued[p.index()]).len(),
+            ] {
+                h.write_usize(count);
+            }
+            h.finish()
+        })
+        .collect();
+    summaries.sort_unstable();
+    let mut h = StateHasher::new();
+    for summary in summaries {
+        h.write_u64((summary >> 64) as u64);
+        h.write_u64(summary as u64);
+    }
+    h.finish()
+}
+
+/// The kind of an action: the first word its canonical walk feeds.
+fn action_kind(action: Action) -> u64 {
+    match action {
+        Action::Send { .. } => 0,
+        Action::Receive { .. } => 1,
+        Action::Broadcast { .. } => 2,
+        Action::ReturnBroadcast { .. } => 3,
+        Action::Deliver { .. } => 4,
+        Action::Propose { .. } => 5,
+        Action::Decide { .. } => 6,
+        Action::Internal { .. } => 7,
+        Action::Crash => 8,
+    }
 }
 
 /// The memoization fingerprint of a node: live simulation state, workload
@@ -471,7 +571,7 @@ struct Engine<'a, S: ObsSink> {
     // The certificate-gated layers, as `explore` derived them: memoization
     // by canonical fingerprint, and the two halves of the widened relation
     // (see `widened_independent`).
-    canonical: bool,
+    quotient: Option<Quotient>,
     widen_receives: bool,
     widen_invokes: bool,
     stats: EngineStats,
@@ -479,13 +579,6 @@ struct Engine<'a, S: ObsSink> {
     // recording call below monomorphizes to nothing.
     sink: &'a mut S,
     visited: HashMap<u128, Vec<Vec<ChoiceKey>>>,
-    // Canonical fingerprints of states expanded with an EMPTY sleep set.
-    // Only those may license a cross-renaming prune: a sleep-set signature
-    // is a set of `ChoiceKey`s, whose process/message ids live in the
-    // namespace of one particular interleaving — comparing signatures
-    // across renamed states would be meaningless, but an empty-sleep
-    // expansion explored everything, which dominates any revisit.
-    canonical_visited: HashSet<u128>,
     scratch: Vec<Vec<Choice>>,
 }
 
@@ -560,19 +653,25 @@ impl<S: ObsSink> Engine<'_, S> {
             }
         }
 
-        if self.canonical {
-            let cfp = canonical_combined_fingerprint(sim, self.workload, issued);
-            self.sink.inc("modelcheck.canonical_fingerprints");
-            if self.canonical_visited.contains(&cfp) {
-                self.stats.dedup_hits += 1;
-                self.stats.canonical_hits += 1;
-                self.sink.inc("modelcheck.dedup_hits");
-                self.sink.inc("modelcheck.canonical_hits");
-                self.scratch.push(choices);
-                return ControlFlow::Continue(());
-            }
-            if sleep.is_empty() {
-                self.canonical_visited.insert(cfp);
+        if let Some(quotient) = &mut self.quotient {
+            // Only a node that will be recorded, or whose class was, needs
+            // its canonical fingerprint (see `orbit_class`).
+            let class = orbit_class(sim, self.workload, issued);
+            if sleep.is_empty() || quotient.classes.contains(&class) {
+                let cfp = quotient.fingerprint(sim, self.workload, issued);
+                self.sink.inc("modelcheck.canonical_fingerprints");
+                if quotient.visited.contains(&cfp) {
+                    self.stats.dedup_hits += 1;
+                    self.stats.canonical_hits += 1;
+                    self.sink.inc("modelcheck.dedup_hits");
+                    self.sink.inc("modelcheck.canonical_hits");
+                    self.scratch.push(choices);
+                    return ControlFlow::Continue(());
+                }
+                if sleep.is_empty() {
+                    quotient.visited.insert(cfp);
+                    quotient.classes.insert(class);
+                }
             }
         }
 
@@ -734,13 +833,12 @@ where
                 workload,
                 property,
                 cfg,
-                canonical,
+                quotient: canonical.then(|| Quotient::new(root.n())),
                 widen_receives: independence.is_some(),
                 widen_invokes: independence.is_some_and(|cert| cert.invoke_commutes),
                 stats: EngineStats::default(),
                 sink: &mut *sink,
                 visited: HashMap::new(),
-                canonical_visited: HashSet::new(),
                 scratch: Vec::new(),
             };
             let outcome = match engine.dfs(&root, &mut issued, 0, Vec::new()) {
@@ -988,6 +1086,56 @@ mod tests {
         assert!(
             sink.count("modelcheck.dedup_hits") > 0,
             "memoization idle: {sink:?}"
+        );
+    }
+
+    /// A FIFO 2×2 state and its mirror image. Both processes broadcast
+    /// twice; then `owner`'s first message is received and delivered at
+    /// `owner` and at the other process. The states are renamings of one
+    /// another, but their in-flight slots, stored in emission order, are
+    /// not: p1's sends come first in both. A class or digest that read the
+    /// slots in stored order would split them and miss the merge.
+    #[test]
+    fn mirrored_fifo_states_share_class_and_digest() {
+        let workload = Workload::uniform(2, 2);
+        let (p1, p2) = (ProcessId::new(1), ProcessId::new(2));
+        let after_first_delivery = |owner: ProcessId, other: ProcessId| {
+            let mut sim = fresh(FifoBroadcast::new(), 2, 1, false);
+            let mut issued = vec![0; 2];
+            for p in [p1, p1, p2, p2] {
+                apply_choice(&mut sim, &workload, &mut issued, Choice::Invoke(p)).unwrap();
+            }
+            for to in [owner, other] {
+                let slot = sim
+                    .network()
+                    .in_flight()
+                    .iter()
+                    .position(|m| m.from == owner && m.to == to)
+                    .expect("the owner's first message is in flight");
+                apply_choice(&mut sim, &workload, &mut issued, Choice::Receive(slot)).unwrap();
+            }
+            assert_eq!(sim.trace().delivery_order(other).len(), 1);
+            (sim, issued)
+        };
+        let (a, a_issued) = after_first_delivery(p1, p2);
+        let (b, b_issued) = after_first_delivery(p2, p1);
+        let senders = |sim: &Simulation<FifoBroadcast>, rename: fn(usize) -> usize| {
+            let slots = sim.network().in_flight().iter();
+            slots.map(|m| rename(m.from.id())).collect::<Vec<_>>()
+        };
+        assert_ne!(
+            senders(&a, |id| 3 - id),
+            senders(&b, |id| id),
+            "renamed slot by slot, one state's slots are not the other's"
+        );
+        assert_eq!(
+            orbit_class(&a, &workload, &a_issued),
+            orbit_class(&b, &workload, &b_issued)
+        );
+        let mut quotient = Quotient::new(2);
+        assert_eq!(
+            quotient.fingerprint(&a, &workload, &a_issued),
+            quotient.fingerprint(&b, &workload, &b_issued)
         );
     }
 

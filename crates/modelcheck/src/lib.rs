@@ -35,5 +35,7 @@ pub use crashsweep::{crash_point_sweep, SweepOutcome};
 /// [`explore()`] under the name the standalone benchmark package
 /// (`crates/bench/src/bin/campbench`) calls it by.
 pub use explore::explore as explore_with_independence;
-pub use explore::{explore, EngineConfig, EngineStats, ExploreConfig, ExploreOutcome, Sensitivity};
+pub use explore::{
+    explore, orbit_class, EngineConfig, EngineStats, ExploreConfig, ExploreOutcome, Sensitivity,
+};
 pub use schedules::{for_each_complete_schedule, ScheduleQuery, ScheduleStats};

@@ -9,7 +9,9 @@
 //!    every certified algorithm (the plain [`Simulation::fingerprint`]
 //!    legitimately differs — that is the blind spot the quotient closes).
 //!    Message-id allocation order and injectively renamed contents are
-//!    quotiented too.
+//!    quotiented too. So is the [`orbit_class`] that gates the explorer's
+//!    canonical lookups: a class that split renamed states would skip
+//!    lookups that can hit.
 //! 2. **Engine equivalence.** The explorer with a symmetry certificate
 //!    loaded reports the same verdict as the plain reduced engine and the
 //!    unreduced reference walk on every scope, for every symmetric
@@ -26,7 +28,7 @@ use camp_broadcast::{
     AgreedBroadcast, CausalBroadcast, EagerReliable, FifoBroadcast, SendToAll, SteppedBroadcast,
 };
 use camp_modelcheck::{
-    explore, EngineConfig, EngineStats, ExploreConfig, ExploreOutcome, Sensitivity,
+    explore, orbit_class, EngineConfig, EngineStats, ExploreConfig, ExploreOutcome, Sensitivity,
 };
 use camp_obs::{Counters, NoopSink};
 use camp_sim::canonical::{CertStore, SymmetryCert, CERT_SCHEMA};
@@ -164,20 +166,30 @@ const CERTIFIED: [&str; 10] = [
     "send-to-all",
 ];
 
+/// The canonical fingerprint and the orbit class of a scripted state. The
+/// script invokes directly, so the workload is empty and nothing is issued.
+fn invariants<B: BroadcastAlgorithm>(sim: &Simulation<B>) -> (u128, u128) {
+    let class = orbit_class(sim, &Workload::new(sim.n()), &vec![0; sim.n()]);
+    (sim.fingerprint_canonical(), class)
+}
+
 /// Plays `ops` under every permutation. Returns the algorithm's name and,
-/// if some permutation's canonical fingerprint differs from the
-/// identity's, a description of the first such permutation.
+/// if some permutation's canonical fingerprint or orbit class differs from
+/// the identity's, a description of the first such permutation.
 fn invariance_check<B>(algo: B, ops: &[Op]) -> (String, Option<String>)
 where
     B: BroadcastAlgorithm + Clone,
 {
-    let reference = run_script(algo.clone(), 3, &PERMS3[0], ops).fingerprint_canonical();
+    let (fingerprint, class) = invariants(&run_script(algo.clone(), 3, &PERMS3[0], ops));
+    let verdict = |same: bool| if same { "agrees" } else { "differs" };
     let failure = PERMS3[1..].iter().find_map(|perm| {
-        let fp = run_script(algo.clone(), 3, perm, ops).fingerprint_canonical();
-        (fp != reference).then(|| {
+        let (fp, cls) = invariants(&run_script(algo.clone(), 3, perm, ops));
+        (fp != fingerprint || cls != class).then(|| {
             format!(
-                "{}: canonical fingerprint differs under {perm:?} (ops {ops:?})",
-                algo.name()
+                "{}: under {perm:?} the canonical fingerprint {} and the orbit class {} (ops {ops:?})",
+                algo.name(),
+                verdict(fp == fingerprint),
+                verdict(cls == class),
             )
         })
     });
@@ -209,8 +221,9 @@ proptest! {
 
     /// The canonical fingerprint is a true renaming invariant: the same
     /// role script, played under every permutation of the concrete ids,
-    /// lands on the same canonical fingerprint — for every algorithm that
-    /// holds a symmetry certificate, each walked by its own `Relabel` impl.
+    /// lands on the same canonical fingerprint and the same orbit class —
+    /// for every algorithm that holds a symmetry certificate, each walked
+    /// by its own `Relabel` impl.
     #[test]
     fn canonical_fingerprint_is_renaming_invariant(ops in arb_ops()) {
         let (names, failures) = check_every_certified(&ops);

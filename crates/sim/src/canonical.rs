@@ -43,17 +43,19 @@
 //! form computed (`docs/MODELCHECK.md`, layer 3½, gives the argument).
 //!
 //! The canonical fingerprint is the **minimum digest over all
-//! permutations** ([`orbit_min`]): the walk of a renamed state under `π`
-//! equals the walk of the original under the composed permutation, so the
-//! orbit of digests — and hence its minimum — is renaming-invariant. The
-//! full orbit (`n!` candidates) is enumerated up to [`MAX_FULL_ORBIT_N`]
-//! processes; beyond that only the identity is tried, which still
-//! normalizes message ids and contents.
+//! permutations** ([`Orbit::min_digest`]): the walk of a renamed state
+//! under `π` equals the walk of the original under the composed
+//! permutation, so the orbit of digests — and hence its minimum — is
+//! renaming-invariant. The full orbit (`n!` candidates) is enumerated up
+//! to [`MAX_FULL_ORBIT_N`] processes; beyond that only the identity is
+//! tried, which still normalizes message ids and contents. An [`Orbit`]
+//! holds the candidates and the buffers their walks share, so repeated
+//! digests allocate nothing.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 
-use camp_trace::{Action, Execution, KsaId, MessageId, MessageInfo, MessageKind, ProcessId, Value};
+use camp_trace::{Action, Execution, KsaId, MessageId, MessageKind, ProcessId, Value};
 use serde::{Deserialize, Serialize};
 
 use crate::fingerprint::StateHasher;
@@ -230,8 +232,7 @@ impl CertStore {
 /// All candidate process renamings of an `n`-process system, each encoded as
 /// `perm[old_index] = new 1-based id`. The identity comes first; for
 /// `n > MAX_FULL_ORBIT_N` only the identity is returned.
-#[must_use]
-pub fn process_permutations(n: usize) -> Vec<Vec<usize>> {
+fn process_permutations(n: usize) -> Vec<Vec<usize>> {
     let identity: Vec<usize> = (1..=n).collect();
     if n > MAX_FULL_ORBIT_N {
         return vec![identity];
@@ -257,8 +258,7 @@ fn permute(ids: &mut Vec<usize>, at: usize, out: &mut Vec<Vec<usize>>) {
 
 /// Inverse of a `perm[old_index] = new id` permutation:
 /// `inv[new_index] = old_index`.
-#[must_use]
-pub fn invert(perm: &[usize]) -> Vec<usize> {
+fn invert(perm: &[usize]) -> Vec<usize> {
     let mut inv = vec![0usize; perm.len()];
     for (old, &new_id) in perm.iter().enumerate() {
         inv[new_id - 1] = old;
@@ -301,37 +301,57 @@ fn first_occurrence(seen: &mut Vec<u64>, key: u64) -> u64 {
     number as u64
 }
 
+/// The buffers a walk writes besides its hasher, kept across walks so that
+/// a digest allocates nothing once they have grown to the size of a state.
+#[derive(Debug, Default)]
+struct Scratch {
+    /// Message ids and values seen so far in this walk, in first-occurrence
+    /// order.
+    messages: Vec<u64>,
+    values: Vec<u64>,
+    /// The sort-key arena: the keys of every [`Relabeler::sorted`] call in
+    /// progress, back to back. Nested calls stack above their caller's keys
+    /// and truncate back on return.
+    keys: Vec<u64>,
+    /// For each call in progress, the offset in `keys` where each item's
+    /// key starts, plus one offset where the last one ends.
+    bounds: Vec<usize>,
+    /// For each call in progress, its item indices in key order.
+    order: Vec<usize>,
+}
+
 /// The sink of a [`Relabel`] walk under one candidate process renaming.
 ///
-/// [`orbit_min`] hands one relabeler per permutation to its walk. It maps
-/// process ids through the permutation, numbers message ids and values by
-/// first occurrence across everything it is fed, and hashes the resulting
-/// words into a [`StateHasher`]. [`Relabeler::sorted`] also runs *key*
-/// walks internally: those collect the words instead, with process ids
-/// renamed, message ids masked and values raw.
+/// [`Orbit::min_digest`] hands one relabeler per permutation to its walk.
+/// It maps process ids through the permutation, numbers message ids and
+/// values by first occurrence across everything it is fed, and hashes the
+/// resulting words into a [`StateHasher`]. [`Relabeler::sorted`] also runs
+/// *key* walks internally: those collect the words instead, with process
+/// ids renamed, message ids masked and values raw.
 #[derive(Debug)]
 pub struct Relabeler<'a> {
     perm: &'a [usize],
     inv: &'a [usize],
-    /// `Some` while collecting a sort key; `None` while hashing.
-    key: Option<Vec<u64>>,
+    /// Set while collecting a sort key into `scratch.keys`; clear while
+    /// hashing.
+    keying: bool,
     hasher: StateHasher,
-    /// Message ids and values seen so far, in first-occurrence order.
-    messages: Vec<u64>,
-    values: Vec<u64>,
+    scratch: &'a mut Scratch,
 }
 
 impl<'a> Relabeler<'a> {
     /// A hashing relabeler for the renaming `perm` (`perm[old_index]` = new
-    /// 1-based id), given with its inverse `inv` (see [`invert`]).
-    fn digest(perm: &'a [usize], inv: &'a [usize]) -> Self {
+    /// 1-based id), given with its inverse `inv` (see [`invert`]), that
+    /// starts its first-occurrence numbering afresh in `scratch`.
+    fn digest(perm: &'a [usize], inv: &'a [usize], scratch: &'a mut Scratch) -> Self {
+        scratch.messages.clear();
+        scratch.values.clear();
         Self {
             perm,
             inv,
-            key: None,
+            keying: false,
             hasher: StateHasher::new(),
-            messages: Vec::new(),
-            values: Vec::new(),
+            scratch,
         }
     }
 
@@ -341,17 +361,17 @@ impl<'a> Relabeler<'a> {
     }
 
     fn put(&mut self, word: u64) {
-        match &mut self.key {
-            Some(words) => words.push(word),
-            None => self.hasher.write_varint(word),
+        if self.keying {
+            self.scratch.keys.push(word);
+        } else {
+            self.hasher.write_varint(word);
         }
     }
 
     /// The 1-based id `p` is renamed to. Ids outside `1..=n`, which the
     /// simulator never produces, keep their raw value: they stay distinct
     /// from every renamed id.
-    #[must_use]
-    pub(crate) fn renamed(&self, p: ProcessId) -> usize {
+    fn renamed(&self, p: ProcessId) -> usize {
         p.id()
             .checked_sub(1)
             .and_then(|index| self.perm.get(index))
@@ -376,9 +396,10 @@ impl<'a> Relabeler<'a> {
     /// Feeds a message id: its first-occurrence number, or a mask in a sort
     /// key.
     pub fn message(&mut self, m: MessageId) {
-        let word = match self.key {
-            Some(_) => MASKED,
-            None => first_occurrence(&mut self.messages, m.raw()),
+        let word = if self.keying {
+            MASKED
+        } else {
+            first_occurrence(&mut self.scratch.messages, m.raw())
         };
         self.put(word);
     }
@@ -386,9 +407,10 @@ impl<'a> Relabeler<'a> {
     /// Feeds a content: its first-occurrence number, or the raw value in a
     /// sort key.
     pub fn value(&mut self, v: Value) {
-        let word = match self.key {
-            Some(_) => v.raw(),
-            None => first_occurrence(&mut self.values, v.raw()),
+        let word = if self.keying {
+            v.raw()
+        } else {
+            first_occurrence(&mut self.scratch.values, v.raw())
         };
         self.put(word);
     }
@@ -401,18 +423,22 @@ impl<'a> Relabeler<'a> {
     /// Feeds opaque bytes, length first.
     pub fn bytes(&mut self, bytes: &[u8]) {
         self.put(bytes.len() as u64);
-        match &mut self.key {
-            Some(words) => words.extend(bytes.iter().map(|&b| u64::from(b))),
-            None => self.hasher.write_bytes(bytes),
+        if self.keying {
+            self.scratch
+                .keys
+                .extend(bytes.iter().map(|&b| u64::from(b)));
+        } else {
+            self.hasher.write_bytes(bytes);
         }
     }
 
     /// Feeds a value's `Debug` rendering as opaque text: nothing in it is
     /// renamed or numbered.
     pub fn debug_text(&mut self, v: &dyn fmt::Debug) {
-        match self.key {
-            Some(_) => self.bytes(format!("{v:?}").as_bytes()),
-            None => self.hasher.write_debug(&v),
+        if self.keying {
+            self.bytes(format!("{v:?}").as_bytes());
+        } else {
+            self.hasher.write_debug(&v);
         }
     }
 
@@ -431,27 +457,96 @@ impl<'a> Relabeler<'a> {
 
     /// Feeds a multiset whose stored order carries no meaning: its size,
     /// then the items in the stable order of their sort keys.
-    pub fn sorted<'i, T: Relabel + 'i>(&mut self, items: impl IntoIterator<Item = &'i T>) {
-        let mut keyed: Vec<(Vec<u64>, &T)> = items
-            .into_iter()
-            .map(|item| (self.sort_key(item), item))
-            .collect();
-        keyed.sort_by(|a, b| a.0.cmp(&b.0));
-        self.put(keyed.len() as u64);
-        for (_, item) in keyed {
+    pub fn sorted<T: Relabel>(&mut self, items: &[T]) {
+        let keys_from = self.scratch.keys.len();
+        let bounds_from = self.scratch.bounds.len();
+        let order_from = self.scratch.order.len();
+        let keying = std::mem::replace(&mut self.keying, true);
+        for item in items {
+            self.scratch.bounds.push(self.scratch.keys.len());
             item.relabel(self);
+        }
+        self.keying = keying;
+        let Scratch {
+            keys,
+            bounds,
+            order,
+            ..
+        } = &mut *self.scratch;
+        bounds.push(keys.len());
+        let bounds = &bounds[bounds_from..];
+        let key = |i: usize| &keys[bounds[i]..bounds[i + 1]];
+        order.extend(0..items.len());
+        order[order_from..].sort_by(|&a, &b| key(a).cmp(key(b)));
+        if keying {
+            // A key walk is stateless, so each item walks to its own key:
+            // append the keys in sorted order, then move them down over
+            // the region they were collected in.
+            let emitted_from = keys.len();
+            keys.push(items.len() as u64);
+            for &i in &order[order_from..] {
+                keys.extend_from_within(bounds[i]..bounds[i + 1]);
+            }
+            keys.copy_within(emitted_from.., keys_from);
+            keys.truncate(keys_from + (keys.len() - emitted_from));
+        } else {
+            keys.truncate(keys_from);
+            self.put(items.len() as u64);
+            for j in order_from..order_from + items.len() {
+                let i = self.scratch.order[j];
+                items[i].relabel(self);
+            }
+        }
+        self.scratch.bounds.truncate(bounds_from);
+        self.scratch.order.truncate(order_from);
+    }
+}
+
+/// The candidate renamings of an `n`-process system with the buffers their
+/// walks share: the reusable form of the renaming quotient's minimum.
+///
+/// Building the value enumerates the `n!` permutations (only the identity
+/// above [`MAX_FULL_ORBIT_N`]) and their inverses once. Every
+/// [`Orbit::min_digest`] after that walks them all through the same
+/// first-occurrence lists and sort-key arena, so a digest allocates
+/// nothing once those have grown to the size of a state (only a sort key
+/// whose item feeds [`Relabeler::debug_text`] formats a `String`). The
+/// model checker keeps one per exploration.
+#[derive(Debug)]
+pub struct Orbit {
+    /// Every candidate renaming, identity first, with its inverse.
+    renamings: Vec<(Vec<usize>, Vec<usize>)>,
+    scratch: Scratch,
+}
+
+impl Orbit {
+    /// The orbit of an `n`-process system.
+    #[must_use]
+    pub fn new(n: usize) -> Self {
+        let renamings = process_permutations(n)
+            .into_iter()
+            .map(|perm| {
+                let inv = invert(&perm);
+                (perm, inv)
+            })
+            .collect();
+        Self {
+            renamings,
+            scratch: Scratch::default(),
         }
     }
 
-    /// The words of `item` under this renaming, with message ids masked
-    /// and values raw.
-    fn sort_key(&self, item: &impl Relabel) -> Vec<u64> {
-        let mut key = Relabeler {
-            key: Some(Vec::new()),
-            ..Relabeler::digest(self.perm, self.inv)
-        };
-        item.relabel(&mut key);
-        key.key.unwrap_or_default()
+    /// The canonical digest of whatever `walk` feeds: the minimum, over
+    /// every candidate renaming, of the digest of one walk under that
+    /// renaming.
+    pub fn min_digest(&mut self, mut walk: impl FnMut(&mut Relabeler<'_>)) -> u128 {
+        let mut min = u128::MAX;
+        for (perm, inv) in &self.renamings {
+            let mut r = Relabeler::digest(perm, inv, &mut self.scratch);
+            walk(&mut r);
+            min = min.min(r.finish());
+        }
+        min
     }
 }
 
@@ -463,28 +558,12 @@ pub fn digest(text: &str) -> u128 {
     h.finish()
 }
 
-/// The canonical digest of whatever `walk` feeds: the minimum, over every
-/// candidate renaming of an `n`-process system (see
-/// [`process_permutations`]), of the digest of one walk under that renaming.
-#[must_use]
-pub fn orbit_min(n: usize, mut walk: impl FnMut(&mut Relabeler<'_>)) -> u128 {
-    process_permutations(n)
-        .iter()
-        .map(|perm| {
-            let inv = invert(perm);
-            let mut r = Relabeler::digest(perm, &inv);
-            walk(&mut r);
-            r.finish()
-        })
-        .min()
-        .expect("at least the identity permutation")
-}
-
 /// The digest of `item` alone under the renaming `perm`.
 #[must_use]
 pub(crate) fn relabeled_digest(item: &impl Relabel, perm: &[usize]) -> u128 {
     let inv = invert(perm);
-    let mut r = Relabeler::digest(perm, &inv);
+    let mut scratch = Scratch::default();
+    let mut r = Relabeler::digest(perm, &inv, &mut scratch);
     item.relabel(&mut r);
     r.finish()
 }
@@ -571,9 +650,15 @@ fn walk_seq<'i, T: Relabel + 'i>(
     }
 }
 
-impl<T: Relabel> Relabel for Vec<T> {
+impl<T: Relabel> Relabel for [T] {
     fn relabel(&self, r: &mut Relabeler<'_>) {
         walk_seq(r, self.iter());
+    }
+}
+
+impl<T: Relabel> Relabel for Vec<T> {
+    fn relabel(&self, r: &mut Relabeler<'_>) {
+        self.as_slice().relabel(r);
     }
 }
 
@@ -646,12 +731,13 @@ impl Relabel for Action {
 
 /// One step of a process as the trace walk sees it: the action, plus the
 /// sender, kind and content of the message it references, if registered.
-struct TraceEntry<'e> {
+#[derive(Debug, Clone, Copy)]
+struct TraceEntry {
     action: Action,
-    info: Option<&'e MessageInfo>,
+    message: Option<(ProcessId, MessageKind, Value)>,
 }
 
-impl Relabel for TraceEntry<'_> {
+impl Relabel for TraceEntry {
     fn relabel(&self, r: &mut Relabeler<'_>) {
         self.action.relabel(r);
         // The free-form `label` is deliberately omitted: it is a raw
@@ -661,74 +747,119 @@ impl Relabel for TraceEntry<'_> {
         // differences that matter for the future are visible in the live
         // state, so dropping it loses no distinction the quotient is
         // allowed to keep.
-        match self.info {
+        match self.message {
             None => r.word(0),
-            Some(info) => {
+            Some((sender, kind, content)) => {
                 r.word(1);
-                r.process(info.sender);
-                r.word(match info.kind {
+                r.process(sender);
+                r.word(match kind {
                     MessageKind::Broadcast => 0,
                     MessageKind::PointToPoint => 1,
                 });
-                r.value(info.content);
+                r.value(content);
             }
         }
     }
 }
 
-/// An execution walks as its per-process step sequences in renamed order.
+/// An execution's steps bucketed by process, in the form the trace walk
+/// reads them.
 ///
-/// Runs of consecutive `Send` steps are walked through
-/// [`Relabeler::sorted`]: a send burst iterates destinations in absolute
-/// process-id order, so its emission order encodes the identity of the
-/// sender and differs across renamings even for an equivariant algorithm.
-/// The asynchronous network erases that order — only the multiset of sends
-/// is observable — and the S03x equivariance probes compare per-activation
-/// send *multisets* for the same reason. The sort is stable and its key
-/// masks message ids, so two sends to the same destination keep their
-/// emission order (which *is* renaming-invariant per sender/destination
-/// pair, while their raw ids are not).
-impl Relabel for Execution {
+/// Every renaming walks the same per-process step sequences, only in a
+/// different process order. Filling the buckets once per digest
+/// ([`TraceBuckets::fill`]) scans the trace and looks up each referenced
+/// message once, instead of once per process and permutation; refilling
+/// reuses the buffers.
+///
+/// The buckets walk as their per-process sequences in renamed order. Runs
+/// of consecutive `Send` steps are walked through [`Relabeler::sorted`]: a
+/// send burst iterates destinations in absolute process-id order, so its
+/// emission order encodes the identity of the sender and differs across
+/// renamings even for an equivariant algorithm. The asynchronous network
+/// erases that order — only the multiset of sends is observable — and the
+/// S03x equivariance probes compare per-activation send *multisets* for
+/// the same reason. The sort is stable and its key masks message ids, so
+/// two sends to the same destination keep their emission order (which *is*
+/// renaming-invariant per sender/destination pair, while their raw ids are
+/// not).
+#[derive(Debug, Default)]
+pub struct TraceBuckets {
+    /// Every step of `p1 … pn`, grouped by process in process order, each
+    /// group in trace order.
+    steps: Vec<TraceEntry>,
+    /// Where each process's group ends in `steps`.
+    ends: Vec<usize>,
+}
+
+impl TraceBuckets {
+    /// Refills the buckets with the steps of `exec`.
+    pub fn fill(&mut self, exec: &Execution) {
+        self.steps.clear();
+        self.ends.clear();
+        for p in ProcessId::all(exec.process_count()) {
+            self.steps.extend(exec.steps_of(p).map(|step| {
+                TraceEntry {
+                    action: step.action,
+                    message: step
+                        .action
+                        .message()
+                        .and_then(|m| exec.message(m))
+                        .map(|info| (info.sender, info.kind, info.content)),
+                }
+            }));
+            self.ends.push(self.steps.len());
+        }
+    }
+}
+
+impl Relabel for TraceBuckets {
+    /// # Panics
+    ///
+    /// Panics if `r`'s permutation is not over the execution's processes.
     fn relabel(&self, r: &mut Relabeler<'_>) {
+        assert_eq!(
+            r.renamed_order().len(),
+            self.ends.len(),
+            "permutation arity must match n"
+        );
         // Markers keep the encoding prefix-free: 1 precedes a single step,
         // 2 a sorted burst, and 0 ends a process's sequence.
-        let mut burst: Vec<TraceEntry<'_>> = Vec::new();
         for &old in r.renamed_order() {
-            for step in self.steps_of(ProcessId::new(old + 1)) {
-                let entry = TraceEntry {
-                    action: step.action,
-                    info: step.action.message().and_then(|m| self.message(m)),
-                };
-                if matches!(step.action, Action::Send { .. }) {
-                    burst.push(entry);
+            let start = if old == 0 { 0 } else { self.ends[old - 1] };
+            let steps = &self.steps[start..self.ends[old]];
+            let mut burst = 0;
+            for (i, entry) in steps.iter().enumerate() {
+                if matches!(entry.action, Action::Send { .. }) {
                     continue;
                 }
-                flush_send_burst(r, &mut burst);
+                walk_send_burst(r, &steps[burst..i]);
                 r.word(1);
                 entry.relabel(r);
+                burst = i + 1;
             }
-            flush_send_burst(r, &mut burst);
+            walk_send_burst(r, &steps[burst..]);
             r.word(0);
         }
     }
 }
 
-fn flush_send_burst(r: &mut Relabeler<'_>, burst: &mut Vec<TraceEntry<'_>>) {
+fn walk_send_burst(r: &mut Relabeler<'_>, burst: &[TraceEntry]) {
     if !burst.is_empty() {
         r.word(2);
-        r.sorted(burst.iter());
-        burst.clear();
+        r.sorted(burst);
     }
 }
 
-/// Renaming-invariant digest of an execution: the [`orbit_min`] of its
-/// walk. Two executions that are process-renamings of one another (with
-/// message ids and contents renamed injectively) digest equal — the
-/// quotient the crash-sweep engine dedups completed runs by when a
-/// [`SymmetryCert`] licenses it.
+/// Renaming-invariant digest of an execution: the minimum over its
+/// [`Orbit`] of the walk of its [`TraceBuckets`]. Two executions that are
+/// process-renamings of one another (with message ids and contents renamed
+/// injectively) digest equal — the quotient the crash-sweep engine dedups
+/// completed runs by when a [`SymmetryCert`] licenses it.
 #[must_use]
 pub fn canonical_execution_digest(exec: &Execution) -> u128 {
-    orbit_min(exec.process_count(), |r| exec.relabel(r))
+    let mut trace = TraceBuckets::default();
+    trace.fill(exec);
+    Orbit::new(exec.process_count()).min_digest(|r| trace.relabel(r))
 }
 
 #[cfg(test)]
@@ -872,6 +1003,45 @@ mod tests {
         assert_ne!(
             relabeled_digest(&repeated, &identity),
             relabeled_digest(&distinct, &identity)
+        );
+    }
+
+    /// A multiset of send multisets: the inner sort runs inside the outer
+    /// sort's key walks as well as inside its hashing walk.
+    struct Groups(Vec<Sends>);
+
+    impl Relabel for Groups {
+        fn relabel(&self, r: &mut Relabeler<'_>) {
+            r.sorted(&self.0);
+        }
+    }
+
+    #[test]
+    fn sorted_multisets_nest() {
+        let identity = [1, 2];
+        let group = |sends: &[(usize, u64)]| {
+            Sends(
+                sends
+                    .iter()
+                    .map(|&(to, id)| (ProcessId::new(to), MessageId::new(id)))
+                    .collect(),
+            )
+        };
+        // Each group sorts to `(p1, _), (p2, _)`, so their keys tie and the
+        // outer sort keeps the stored order: the walk is that of the plain
+        // sequence. A key built from an unsorted group would order the two
+        // apart.
+        let groups = || [group(&[(2, 1), (1, 2)]), group(&[(1, 1), (2, 3)])];
+        let [first, second] = groups();
+        let nested = relabeled_digest(&Groups(vec![first, second]), &identity);
+        let [first, second] = groups();
+        assert_eq!(nested, relabeled_digest(&vec![first, second], &identity));
+        // Message 1 is shared, so the stored order of tied groups shows in
+        // the numbering.
+        let [first, second] = groups();
+        assert_ne!(
+            nested,
+            relabeled_digest(&Groups(vec![second, first]), &identity)
         );
     }
 

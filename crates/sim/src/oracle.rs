@@ -329,17 +329,7 @@ impl Relabel for KsaOracle {
         self.k.relabel(r);
         r.debug_text(&self.rule);
         self.objects.relabel(r);
-        let mut pending: Vec<(u64, usize)> = self
-            .pending
-            .iter()
-            .map(|&(obj, p)| (obj.raw(), r.renamed(p)))
-            .collect();
-        pending.sort_unstable();
-        r.word(pending.len() as u64);
-        for (obj, renamed) in pending {
-            r.word(obj);
-            r.word(renamed as u64);
-        }
+        r.sorted(&self.pending);
     }
 }
 

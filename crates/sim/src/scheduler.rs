@@ -57,6 +57,15 @@ impl Workload {
         self.per_process[pid.index()].get(idx).copied()
     }
 
+    /// The contents `pid` has yet to broadcast once its first `done` were
+    /// issued, in order.
+    #[must_use]
+    pub fn remaining(&self, pid: ProcessId, done: usize) -> &[Value] {
+        self.per_process[pid.index()]
+            .get(done..)
+            .unwrap_or_default()
+    }
+
     /// Remaining contents of `pid` starting at cursor `done`.
     fn next_for(&self, pid: ProcessId, done: usize) -> Option<Value> {
         self.get(pid, done)

@@ -507,7 +507,7 @@ impl<B: BroadcastAlgorithm> Simulation<B> {
     /// [`crate::canonical::MAX_FULL_ORBIT_N`] processes.
     #[must_use]
     pub fn fingerprint_canonical(&self) -> u128 {
-        crate::canonical::orbit_min(self.n, |r| self.relabel_live(r))
+        crate::canonical::Orbit::new(self.n).min_digest(|r| self.relabel_live(r))
     }
 
     /// Is the simulation quiescent — no local steps available, no in-flight

@@ -28,7 +28,8 @@
 use camp_trace::{Action, Execution};
 
 /// Restricts `exec` to the correct processes' consumption behaviour (see
-/// the module docs for exactly which faulty-process steps survive).
+/// the module docs for exactly which faulty-process steps survive). The
+/// view shares `exec`'s message table; each kept step is validated again.
 ///
 /// # Panics
 ///
@@ -45,12 +46,12 @@ pub fn correct_view(exec: &Execution) -> Execution {
                 Action::Receive { .. } | Action::Deliver { .. } | Action::Internal { .. }
             )
     });
-    Execution::from_parts(
-        exec.process_count(),
-        exec.messages().map(|(id, info)| (id, info.clone())),
-        steps.copied(),
-    )
-    .expect("a restriction of a valid execution is valid")
+    let mut view = Execution::with_messages_of(exec);
+    for &step in steps {
+        view.push(step)
+            .expect("a restriction of a valid execution is valid");
+    }
+    view
 }
 
 #[cfg(test)]

@@ -1,5 +1,6 @@
 //! Determinism and serialization goldens: the adversarial construction is a
-//! pure function of its inputs, and executions round-trip through serde.
+//! pure function of its inputs, executions round-trip through serde, and the
+//! renaming quotient's canonical digests keep their values.
 //!
 //! The committed golden file pins the Figure 1 execution byte for byte; if
 //! an intentional change to the scheduler or an algorithm alters it,
@@ -9,9 +10,14 @@
 //! cargo test -p campkit --test golden -- --ignored regenerate
 //! ```
 
-use campkit::broadcast::AgreedBroadcast;
+use campkit::broadcast::{AgreedBroadcast, CausalBroadcast, FifoBroadcast};
 use campkit::impossibility::adversarial_scheduler;
 use campkit::lint::lint_execution;
+use campkit::sim::canonical::canonical_execution_digest;
+use campkit::sim::scheduler::{run_random, CrashPlan, Workload};
+use campkit::sim::{
+    BroadcastAlgorithm, DecisionRule, FirstProposalRule, KsaOracle, OwnValueRule, Simulation,
+};
 use campkit::trace::Execution;
 
 const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/figure1.json");
@@ -80,4 +86,90 @@ fn regenerate() {
     let mut lint = lint_execution(&exec).to_json();
     lint.push('\n');
     std::fs::write(LINT_GOLDEN_PATH, lint).unwrap();
+}
+
+/// A seeded random run of `algo` over two broadcasts per process, taken to
+/// its fair end.
+fn random_end_state<B: BroadcastAlgorithm>(
+    algo: B,
+    n: usize,
+    rule: Box<dyn DecisionRule + Send>,
+    seed: u64,
+    plan: CrashPlan,
+) -> Simulation<B> {
+    let mut sim = Simulation::new(algo, n, KsaOracle::new(1, rule));
+    run_random(&mut sim, &Workload::uniform(n, 2), seed, 60, plan).expect("simulation succeeds");
+    sim
+}
+
+/// The live-state and trace digests of `sim`, in hex.
+fn canonical_digests<B: BroadcastAlgorithm>(sim: &Simulation<B>) -> [String; 2] {
+    [
+        sim.fingerprint_canonical(),
+        canonical_execution_digest(sim.trace()),
+    ]
+    .map(|digest| format!("{digest:032x}"))
+}
+
+/// The renaming quotient's digests are pinned bit for bit, so a change to
+/// how the canonical walk is computed cannot silently change what it
+/// computes: the Figure 1 trace, and the live state and trace of three
+/// seeded random runs. The causal run crashes p3, which leaves eight
+/// messages in flight to it; the agreed-rounds run leaves four k-SA
+/// objects in the oracle.
+#[test]
+fn canonical_digests_are_pinned() {
+    let golden = std::fs::read_to_string(GOLDEN_PATH).expect("golden file missing");
+    let figure1: Execution = serde_json::from_str(&golden).unwrap();
+    assert_eq!(
+        format!("{:032x}", canonical_execution_digest(&figure1)),
+        "0d7337df62c5c831f704439f20016c2c"
+    );
+
+    let fifo = random_end_state(
+        FifoBroadcast::new(),
+        3,
+        Box::new(FirstProposalRule),
+        5,
+        CrashPlan::none(),
+    );
+    assert_eq!(
+        canonical_digests(&fifo),
+        [
+            "68e6d7c0255bdd4a5287c9e8f07e5464",
+            "3de8234e26e56f5b35d6700ebe5a9876"
+        ]
+    );
+
+    let causal = random_end_state(
+        CausalBroadcast::new(),
+        3,
+        Box::new(FirstProposalRule),
+        11,
+        CrashPlan::up_to(1, 0.2),
+    );
+    assert_eq!(causal.network().len(), 8, "messages stranded at the crash");
+    assert_eq!(
+        canonical_digests(&causal),
+        [
+            "16ea3b14e60e4c1386e5e04c2793b5e1",
+            "2a058b1fe90788d8111567832f35ffd1"
+        ]
+    );
+
+    let agreed = random_end_state(
+        AgreedBroadcast::new(),
+        2,
+        Box::new(OwnValueRule),
+        3,
+        CrashPlan::none(),
+    );
+    assert_eq!(agreed.oracle().objects().count(), 4);
+    assert_eq!(
+        canonical_digests(&agreed),
+        [
+            "4c6a799f661758a9074fc86f0434283b",
+            "8e50f94d458975a1545dbf065ca1ea71"
+        ]
+    );
 }

@@ -27,7 +27,7 @@ use campkit::broadcast::{
 };
 use campkit::lint::{dataflow_check, symmetry_check};
 use campkit::modelcheck::{explore, EngineConfig, EngineStats, ExploreOutcome, Sensitivity};
-use campkit::obs::NoopSink;
+use campkit::obs::{Counters, NoopSink};
 use campkit::sim::canonical::CertStore;
 use campkit::sim::scheduler::Workload;
 use campkit::sim::{BroadcastAlgorithm, FirstProposalRule, KsaOracle, OwnValueRule, Simulation};
@@ -252,17 +252,19 @@ fn symmetry_and_dataflow_certs() -> CertStore {
 }
 
 /// Explores `sim` under both certificate kinds and returns the counters of
-/// a run that must verify.
+/// a run that must verify, with the number of canonical fingerprints the
+/// orbit-class gate let through (`modelcheck.canonical_fingerprints`).
 fn pinned_run<B>(
     sim: Simulation<B>,
     workload: &Workload,
     property: &dyn Fn(&Execution) -> SpecResult,
     sensitivity: Sensitivity,
-) -> EngineStats
+) -> (EngineStats, u64)
 where
     B: BroadcastAlgorithm + Clone,
     B::Msg: Clone,
 {
+    let mut sink = Counters::new();
     let (outcome, stats) = explore(
         sim,
         workload,
@@ -270,10 +272,10 @@ where
         EngineConfig::default(),
         &symmetry_and_dataflow_certs(),
         sensitivity,
-        &mut NoopSink,
+        &mut sink,
     );
     assert!(outcome.verified(), "{outcome:?}");
-    stats
+    (stats, sink.count("modelcheck.canonical_fingerprints"))
 }
 
 /// The FIFO 2×2 scope under both certificate kinds, pinned counter by
@@ -285,7 +287,7 @@ fn fifo_2x2_reduction_counters_are_pinned() {
         base::check_all(e)?;
         FifoSpec::new().admits(e)
     };
-    let stats = pinned_run(
+    let (stats, digests) = pinned_run(
         fresh(FifoBroadcast::new(), 2),
         &Workload::uniform(2, 2),
         &property,
@@ -303,6 +305,9 @@ fn fifo_2x2_reduction_counters_are_pinned() {
             truncated: false,
         }
     );
+    // Canonical fingerprints computed, behind the orbit-class gate. Without
+    // it, every node that reaches the canonical layer computes one: 1,176.
+    assert_eq!(digests, 89);
 }
 
 /// The causal n = 3 scope (`explore_causal_3`): its only dedup hits come
@@ -316,7 +321,7 @@ fn causal_3_reduction_counters_are_pinned() {
         base::check_all(e)?;
         CausalSpec::new().admits(e)
     };
-    let stats = pinned_run(
+    let (stats, digests) = pinned_run(
         fresh(CausalBroadcast::new(), 3),
         &workload,
         &property,
@@ -334,6 +339,9 @@ fn causal_3_reduction_counters_are_pinned() {
             truncated: false,
         }
     );
+    // Canonical fingerprints computed, behind the orbit-class gate. Without
+    // it, every node that reaches the canonical layer computes one: 10,976.
+    assert_eq!(digests, 3501);
 }
 
 /// The agreed-rounds n = 2 scope (`explore_agreed_2`) under the
@@ -350,7 +358,7 @@ fn agreed_2_reduction_counters_are_pinned() {
         2,
         KsaOracle::new(1, Box::new(OwnValueRule)),
     );
-    let stats = pinned_run(
+    let (stats, digests) = pinned_run(
         sim,
         &Workload::uniform(2, 1),
         &property,
@@ -368,6 +376,9 @@ fn agreed_2_reduction_counters_are_pinned() {
             truncated: false,
         }
     );
+    // Canonical fingerprints computed, behind the orbit-class gate. Without
+    // it, every node that reaches the canonical layer computes one: 627.
+    assert_eq!(digests, 597);
 }
 
 /// Without a certificate the widened entry point is exactly the plain
