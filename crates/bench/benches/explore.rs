@@ -21,11 +21,12 @@
 //! and writes the JSON itself: per bench, the median ns/op together with the
 //! work rates (completed executions/sec and visited nodes/sec) and the
 //! reduction counters (dedup hits, sleep-set prunes, widest frontier, the
-//! certificate-gated canonical hits plus a cert-loaded flag since v3, and
+//! certificate-gated canonical hits plus a cert-loaded flag since v3,
 //! since v4 the independence-widened sleep-set prunes plus an
-//! independence-cert flag) derived from one instrumented run, through the
-//! ledger writer shared with the other bench targets
-//! ([`camp_bench::write_bench_ledger`]). Set `CAMP_BENCH_QUICK=1` for a
+//! independence-cert flag, and since v5 the number of canonical
+//! fingerprints the orbit-class gate let through) derived from one
+//! instrumented run, through the ledger writer shared with the other bench
+//! targets ([`camp_bench::write_bench_ledger`]). Set `CAMP_BENCH_QUICK=1` for a
 //! low-sample CI smoke run, `CAMP_BENCH_OUT` to write the JSON into another
 //! directory, and `CAMP_BENCH_METRICS` to additionally write the raw
 //! `camp-obs/v2` counter snapshot accumulated across the instrumented runs.
@@ -58,6 +59,7 @@ struct Record {
     cert_loaded: bool,
     independence_prunes: u64,
     independence_cert: bool,
+    canonical_fingerprints: u64,
 }
 
 impl Record {
@@ -109,6 +111,13 @@ impl Record {
             (
                 "independence_cert".to_string(),
                 Json::Bool(self.independence_cert),
+            ),
+            // v5 field: canonical fingerprints computed. The explorer
+            // computes one only where the node's orbit class can match a
+            // recorded one, so this prices the renaming quotient's work.
+            (
+                "canonical_fingerprints".to_string(),
+                Json::Int(i128::from(self.canonical_fingerprints)),
             ),
         ])
     }
@@ -211,6 +220,7 @@ fn bench_explore(
             cert_loaded: counters.count("modelcheck.cert_loaded") > 0,
             independence_prunes: counters.count("modelcheck.independence_prunes"),
             independence_cert: counters.count("modelcheck.independence_cert_loaded") > 0,
+            canonical_fingerprints: counters.count("modelcheck.canonical_fingerprints"),
         });
     });
 
@@ -257,6 +267,7 @@ fn bench_explore(
             cert_loaded: counters.count("modelcheck.cert_loaded") > 0,
             independence_prunes: counters.count("modelcheck.independence_prunes"),
             independence_cert: counters.count("modelcheck.independence_cert_loaded") > 0,
+            canonical_fingerprints: counters.count("modelcheck.canonical_fingerprints"),
         });
     });
 
@@ -323,6 +334,7 @@ fn bench_explore(
             cert_loaded: agreed_counters.count("modelcheck.cert_loaded") > 0,
             independence_prunes: agreed_counters.count("modelcheck.independence_prunes"),
             independence_cert: agreed_counters.count("modelcheck.independence_cert_loaded") > 0,
+            canonical_fingerprints: agreed_counters.count("modelcheck.canonical_fingerprints"),
         });
     });
     group.finish();
@@ -374,6 +386,7 @@ fn bench_explore(
             cert_loaded: counters.count("crashsweep.cert_loaded") > 0,
             independence_prunes: counters.count("modelcheck.independence_prunes"),
             independence_cert: counters.count("modelcheck.independence_cert_loaded") > 0,
+            canonical_fingerprints: counters.count("modelcheck.canonical_fingerprints"),
         });
     });
     group.finish();
@@ -387,7 +400,7 @@ fn main() {
     bench_explore(&mut criterion, sample_size, &mut records, &mut totals);
 
     let rows = records.iter().map(Record::to_json).collect();
-    let out = camp_bench::write_bench_ledger("explore", 4, rows);
+    let out = camp_bench::write_bench_ledger("explore", 5, rows);
     println!("\nwrote {}", out.display());
 
     if let Ok(metrics_out) = std::env::var("CAMP_BENCH_METRICS") {

@@ -35,10 +35,10 @@
 //!
 //! 3. **State memoization** ([`EngineConfig::dedup`]). Re-converging
 //!    interleavings are pruned by fingerprint, turning the choice tree into
-//!    a DAG walk. The fingerprint combines the *live* state
-//!    ([`camp_sim::Simulation::fingerprint`]: process states, in-flight
-//!    multiset, oracle, workload cursors) with the per-process *projection
-//!    hashes* of the recorded trace — so two prefixes merge only when no
+//!    a DAG walk. The fingerprint is one raw typed walk of the *live*
+//!    state (what [`camp_sim::Simulation::fingerprint`] digests: process
+//!    states, in-flight multiset, oracle) and the workload cursors, with
+//!    the per-process *projection hashes* of the recorded trace — so two prefixes merge only when no
 //!    per-process observer (hence no `camp-specs` property verdict on any
 //!    completed extension) could tell them apart. A memoized state is only
 //!    skipped when it was previously expanded with a sleep set no larger
@@ -317,6 +317,9 @@ struct SleepEntry {
 /// Drains all local steps of all processes (reduction layer 1), responding
 /// to nothing — proposals stay pending as branchable choices. Returns the
 /// number of local steps taken (the `modelcheck.steps_replayed` counter).
+///
+/// Each process steps until `step_process` returns `None`, which leaves the
+/// state unchanged, so no state is cloned to probe for a step.
 fn drain<B: BroadcastAlgorithm>(sim: &mut Simulation<B>) -> Result<usize, SimError> {
     let mut steps = 0;
     loop {
@@ -325,8 +328,7 @@ fn drain<B: BroadcastAlgorithm>(sim: &mut Simulation<B>) -> Result<usize, SimErr
             if sim.is_crashed(p) {
                 continue;
             }
-            while sim.has_local_step(p) {
-                sim.step_process(p)?;
+            while sim.step_process(p)?.is_some() {
                 steps += 1;
                 progressed = true;
             }
@@ -415,9 +417,7 @@ where
 /// The renaming quotient's working state, present only when a valid
 /// symmetry certificate armed it.
 struct Quotient {
-    /// The candidate renamings, and the buffers their walks share.
-    orbit: Orbit,
-    /// The current node's trace, bucketed by process for those walks.
+    /// The current node's trace, bucketed by process for the orbit's walks.
     trace: TraceBuckets,
     /// Canonical fingerprints of states expanded with an EMPTY sleep set.
     /// Only those may license a cross-renaming prune: a sleep-set signature
@@ -432,9 +432,8 @@ struct Quotient {
 }
 
 impl Quotient {
-    fn new(n: usize) -> Self {
+    fn new() -> Self {
         Self {
-            orbit: Orbit::new(n),
             trace: TraceBuckets::default(),
             visited: HashSet::new(),
             classes: HashSet::new(),
@@ -454,11 +453,12 @@ impl Quotient {
     /// invocations also correspond under the renaming.
     fn fingerprint<B: BroadcastAlgorithm>(
         &mut self,
+        orbit: &mut Orbit,
         sim: &Simulation<B>,
         workload: &Workload,
         issued: &[usize],
     ) -> u128 {
-        let Self { orbit, trace, .. } = self;
+        let trace = &mut self.trace;
         trace.fill(sim.trace());
         orbit.min_digest(|r| {
             sim.relabel_live(r);
@@ -475,29 +475,38 @@ impl Quotient {
 }
 
 /// The orbit class of a node: a digest of the sorted multiset of its
-/// per-process summaries.
+/// per-process summaries, refined once by the summaries of each process's
+/// peers.
 ///
-/// A summary holds only what no renaming changes, read from data the
-/// canonical walk feeds, as counts and kinds: the kinds of the process's
-/// steps in trace order, the numbers of messages in flight to and from it,
-/// its crash flag, whether a broadcast invocation or a k-SA proposal of it
-/// is pending, and how many workload broadcasts it has left. Raw ids and
-/// stored orders never enter it.
+/// A round-1 summary holds only what no renaming changes, read from data
+/// the canonical walk feeds, as counts and kinds: the kinds of the
+/// process's steps in trace order, the numbers of messages in flight to and
+/// from it, its crash flag, whether a broadcast invocation or a k-SA
+/// proposal of it is pending, and how many workload broadcasts it has left.
+/// The round-2 summary adds the processes the walk feeds next to the
+/// process's own data, each as "self" or as that peer's round-1 summary:
+/// the peer of each `Receive` and the origin of each `Deliver`, in trace
+/// order; the multiset of destinations of each send burst; and the
+/// multiset of senders of the messages in flight to it. Raw ids and stored
+/// orders never enter either round.
 ///
 /// Equal canonical fingerprints mean equal walks under some pair of
 /// renamings, which pairs each process of one node with a process of the
-/// other at the same renamed position, and so with an equal summary.
-/// Nodes with equal canonical fingerprints therefore have equal classes,
-/// and the explorer computes a node's canonical fingerprint only when it
-/// will record it or its class was recorded before.
+/// other at the same renamed position, with an equal round-1 summary. The
+/// walks feed every peer above renamed, so the pairing also pairs the
+/// peers, and paired processes have equal round-2 summaries too. Nodes
+/// with equal canonical fingerprints therefore have equal classes, and the
+/// explorer computes a node's canonical fingerprint only when it will
+/// record it or its class was recorded before.
 #[must_use]
 pub fn orbit_class<B: BroadcastAlgorithm>(
     sim: &Simulation<B>,
     workload: &Workload,
     issued: &[usize],
 ) -> u128 {
+    let n = sim.n();
     let in_flight = sim.network().in_flight();
-    let mut summaries: Vec<u128> = ProcessId::all(sim.n())
+    let round1: Vec<u128> = ProcessId::all(n)
         .map(|p| {
             let mut h = StateHasher::new();
             for step in sim.trace().steps_of(p) {
@@ -512,18 +521,79 @@ pub fn orbit_class<B: BroadcastAlgorithm>(
                 usize::from(sim.oracle().pending_of(p).is_some()),
                 workload.remaining(p, issued[p.index()]).len(),
             ] {
-                h.write_usize(count);
+                h.write_varint(count as u64);
             }
+            h.finish()
+        })
+        .collect();
+    // A peer is written as a code: 0 for the process itself, else one plus
+    // the rank of the peer's round-1 summary among the node's distinct
+    // ones. Every round-2 summary starts with its own round-1 summary, so
+    // two nodes can share a class only if they share the multiset of
+    // round-1 summaries, and then a rank stands for the same summary in
+    // both.
+    let mut distinct = round1.clone();
+    distinct.sort_unstable();
+    distinct.dedup();
+    let rank: Vec<usize> = round1
+        .iter()
+        .map(|summary| 1 + distinct.partition_point(|d| d < summary))
+        .collect();
+    let code = |p: ProcessId, q: ProcessId| if q == p { 0 } else { rank[q.index()] };
+    // A multiset of peers, as the count of each code.
+    let mut counts = vec![0u64; n + 1];
+    let mut summaries: Vec<u128> = ProcessId::all(n)
+        .map(|p| {
+            let mut h = StateHasher::new();
+            write_u128(&mut h, round1[p.index()]);
+            // Markers keep the encoding prefix-free: 1 precedes a receive
+            // peer or delivery origin, 2 a send burst, 3 the in-flight
+            // senders.
+            let mut burst = false;
+            for step in sim.trace().steps_of(p) {
+                if let Action::Send { to, .. } = step.action {
+                    counts[code(p, to)] += 1;
+                    burst = true;
+                    continue;
+                }
+                if std::mem::take(&mut burst) {
+                    write_counts(&mut h, 2, &mut counts);
+                }
+                if let Action::Receive { from, .. } | Action::Deliver { from, .. } = step.action {
+                    h.write_varint(1);
+                    h.write_varint(code(p, from) as u64);
+                }
+            }
+            if burst {
+                write_counts(&mut h, 2, &mut counts);
+            }
+            for m in in_flight.iter().filter(|m| m.to == p) {
+                counts[code(p, m.from)] += 1;
+            }
+            write_counts(&mut h, 3, &mut counts);
             h.finish()
         })
         .collect();
     summaries.sort_unstable();
     let mut h = StateHasher::new();
     for summary in summaries {
-        h.write_u64((summary >> 64) as u64);
-        h.write_u64(summary as u64);
+        write_u128(&mut h, summary);
     }
     h.finish()
+}
+
+fn write_u128(h: &mut StateHasher, x: u128) {
+    h.write_u64((x >> 64) as u64);
+    h.write_u64(x as u64);
+}
+
+/// Feeds `marker`, then the multiset of peer codes `counts` holds, and
+/// empties it.
+fn write_counts(h: &mut StateHasher, marker: u64, counts: &mut [u64]) {
+    h.write_varint(marker);
+    for count in counts {
+        h.write_varint(std::mem::take(count));
+    }
 }
 
 /// The kind of an action: the first word its canonical walk feeds.
@@ -541,20 +611,20 @@ fn action_kind(action: Action) -> u64 {
     }
 }
 
-/// The memoization fingerprint of a node: live simulation state, workload
-/// cursors, and the per-process projection hashes of the trace so far.
-fn combined_fingerprint<B: BroadcastAlgorithm>(sim: &Simulation<B>, issued: &[usize]) -> u128 {
-    let live = sim.fingerprint();
-    let mut h = StateHasher::new();
-    h.write_u64((live >> 64) as u64);
-    h.write_u64(live as u64);
-    for i in issued {
-        h.write_usize(*i);
-    }
-    for ph in sim.trace().projection_hashes() {
-        h.write_u64(*ph);
-    }
-    h.finish()
+/// The memoization fingerprint of a node: one raw walk of the live
+/// simulation state (what [`Simulation::fingerprint`] digests), the
+/// workload cursors, and the per-process projection hashes of the trace so
+/// far.
+fn combined_fingerprint<B: BroadcastAlgorithm>(
+    orbit: &mut Orbit,
+    sim: &Simulation<B>,
+    issued: &[usize],
+) -> u128 {
+    orbit.raw_digest(|r| {
+        sim.relabel_live(r);
+        issued.relabel(r);
+        sim.trace().projection_hashes().relabel(r);
+    })
 }
 
 /// Stored sleep signatures per memoized state. A state revisited with a
@@ -568,6 +638,10 @@ struct Engine<'a, S: ObsSink> {
     workload: &'a Workload,
     property: &'a dyn Fn(&Execution) -> SpecResult,
     cfg: EngineConfig,
+    // The candidate renamings and the buffers every fingerprint's walk
+    // shares: the plain fingerprint walks the identity, the canonical one
+    // the whole orbit.
+    orbit: Orbit,
     // The certificate-gated layers, as `explore` derived them: memoization
     // by canonical fingerprint, and the two halves of the widened relation
     // (see `widened_independent`).
@@ -634,7 +708,7 @@ impl<S: ObsSink> Engine<'_, S> {
         }
 
         if self.cfg.dedup {
-            let fp = combined_fingerprint(sim, issued);
+            let fp = combined_fingerprint(&mut self.orbit, sim, issued);
             // Signatures are keyed by the asleep events alone: the widened
             // flag is counter attribution and does not affect what a visit
             // explored, so it must not split otherwise-identical signatures.
@@ -658,7 +732,7 @@ impl<S: ObsSink> Engine<'_, S> {
             // its canonical fingerprint (see `orbit_class`).
             let class = orbit_class(sim, self.workload, issued);
             if sleep.is_empty() || quotient.classes.contains(&class) {
-                let cfp = quotient.fingerprint(sim, self.workload, issued);
+                let cfp = quotient.fingerprint(&mut self.orbit, sim, self.workload, issued);
                 self.sink.inc("modelcheck.canonical_fingerprints");
                 if quotient.visited.contains(&cfp) {
                     self.stats.dedup_hits += 1;
@@ -833,7 +907,8 @@ where
                 workload,
                 property,
                 cfg,
-                quotient: canonical.then(|| Quotient::new(root.n())),
+                orbit: Orbit::new(root.n()),
+                quotient: canonical.then(Quotient::new),
                 widen_receives: independence.is_some(),
                 widen_invokes: independence.is_some_and(|cert| cert.invoke_commutes),
                 stats: EngineStats::default(),
@@ -1132,10 +1207,10 @@ mod tests {
             orbit_class(&a, &workload, &a_issued),
             orbit_class(&b, &workload, &b_issued)
         );
-        let mut quotient = Quotient::new(2);
+        let (mut quotient, mut orbit) = (Quotient::new(), Orbit::new(2));
         assert_eq!(
-            quotient.fingerprint(&a, &workload, &a_issued),
-            quotient.fingerprint(&b, &workload, &b_issued)
+            quotient.fingerprint(&mut orbit, &a, &workload, &a_issued),
+            quotient.fingerprint(&mut orbit, &b, &workload, &b_issued)
         );
     }
 

@@ -123,8 +123,11 @@ impl<M: Relabel> Relabel for BroadcastStep<M> {
 ///
 /// # Contract
 ///
-/// * [`next_step`] must not mutate observable behaviour when it returns
-///   `None` (a blocked process stays blocked until an input event arrives);
+/// * [`next_step`] must leave the *state* unchanged when it returns `None`,
+///   not only its observable behaviour: a blocked process stays blocked,
+///   in the same state, until an input event arrives. The simulator takes
+///   every available step by calling it until `None`, on the live state,
+///   and the plain fingerprint reads every field;
 /// * after a [`BroadcastStep::Propose`] the automaton must return `None`
 ///   until [`on_decide`] is called for that object (the propose operation is
 ///   blocking);
@@ -159,7 +162,8 @@ pub trait BroadcastAlgorithm {
     fn on_decide(&self, st: &mut Self::State, obj: KsaId, value: Value);
 
     /// The next local step the process takes, or `None` if it is blocked
-    /// waiting for an input event. Taking the step consumes it.
+    /// waiting for an input event. Taking the step consumes it; a `None`
+    /// leaves `st` exactly as it was.
     fn next_step(&self, st: &mut Self::State) -> Option<BroadcastStep<Self::Msg>>;
 
     /// Text form of one process's state under the process renaming `perm`

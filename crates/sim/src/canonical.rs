@@ -42,6 +42,10 @@
 //! with it every model-checker counter, is therefore the one that text
 //! form computed (`docs/MODELCHECK.md`, layer 3½, gives the argument).
 //!
+//! The same walk, run *raw* ([`Orbit::raw_digest`]: identity renaming,
+//! message ids and values fed as they are, sort keys unmasked), is the
+//! plain fingerprint of [`crate::Simulation::fingerprint`].
+//!
 //! The canonical fingerprint is the **minimum digest over all
 //! permutations** ([`Orbit::min_digest`]): the walk of a renamed state
 //! under `π` equals the walk of the original under the composed
@@ -53,7 +57,7 @@
 //! digests allocate nothing.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::fmt;
+use std::fmt::{self, Write};
 
 use camp_trace::{Action, Execution, KsaId, MessageId, MessageKind, ProcessId, Value};
 use serde::{Deserialize, Serialize};
@@ -278,10 +282,16 @@ fn invert(perm: &[usize]) -> Vec<usize> {
 ///
 /// The walk must be injective up to the renaming: when two states walk to
 /// the same words under some pair of permutations, one must be a process,
-/// message-id and content renaming of the other. Feeding every field (a
-/// skipped field merges states that differ only there), re-indexing every
-/// position vector, and prefixing variable-length data with its length (as
-/// the container impls below do) keep it so.
+/// message-id and content renaming of the other. In a raw walk
+/// ([`Orbit::raw_digest`]: the identity renaming, ids and contents fed as
+/// they are) it must be injective outright: two states that walk to the
+/// same words must be equal, up to the stored order of a multiset walked
+/// through [`Relabeler::sorted`]. The plain fingerprint
+/// ([`crate::Simulation::fingerprint`]) is that raw walk, so a walk that is
+/// not injective makes the model checker merge distinct states. Feeding
+/// every field (a skipped field merges states that differ only there),
+/// re-indexing every position vector, and prefixing variable-length data
+/// with its length (as the container impls below do) keep it so.
 pub trait Relabel {
     /// Feeds `self` to `r`.
     fn relabel(&self, r: &mut Relabeler<'_>);
@@ -328,10 +338,16 @@ struct Scratch {
 /// resulting words into a [`StateHasher`]. [`Relabeler::sorted`] also runs
 /// *key* walks internally: those collect the words instead, with process
 /// ids renamed, message ids masked and values raw.
+///
+/// [`Orbit::raw_digest`] hands out a *raw* relabeler instead: it walks
+/// under the identity renaming and feeds message ids and values as they
+/// are, in its sort keys too, so the words are the state's own.
 #[derive(Debug)]
 pub struct Relabeler<'a> {
     perm: &'a [usize],
     inv: &'a [usize],
+    /// Set for a raw walk: ids and values are fed unnumbered and unmasked.
+    raw: bool,
     /// Set while collecting a sort key into `scratch.keys`; clear while
     /// hashing.
     keying: bool,
@@ -342,13 +358,15 @@ pub struct Relabeler<'a> {
 impl<'a> Relabeler<'a> {
     /// A hashing relabeler for the renaming `perm` (`perm[old_index]` = new
     /// 1-based id), given with its inverse `inv` (see [`invert`]), that
-    /// starts its first-occurrence numbering afresh in `scratch`.
-    fn digest(perm: &'a [usize], inv: &'a [usize], scratch: &'a mut Scratch) -> Self {
+    /// starts its first-occurrence numbering afresh in `scratch` unless it
+    /// is `raw`.
+    fn digest(perm: &'a [usize], inv: &'a [usize], raw: bool, scratch: &'a mut Scratch) -> Self {
         scratch.messages.clear();
         scratch.values.clear();
         Self {
             perm,
             inv,
+            raw,
             keying: false,
             hasher: StateHasher::new(),
             scratch,
@@ -394,9 +412,11 @@ impl<'a> Relabeler<'a> {
     }
 
     /// Feeds a message id: its first-occurrence number, or a mask in a sort
-    /// key.
+    /// key; in a raw walk, the id itself.
     pub fn message(&mut self, m: MessageId) {
-        let word = if self.keying {
+        let word = if self.raw {
+            m.raw()
+        } else if self.keying {
             MASKED
         } else {
             first_occurrence(&mut self.scratch.messages, m.raw())
@@ -405,9 +425,9 @@ impl<'a> Relabeler<'a> {
     }
 
     /// Feeds a content: its first-occurrence number, or the raw value in a
-    /// sort key.
+    /// sort key or a raw walk.
     pub fn value(&mut self, v: Value) {
-        let word = if self.keying {
+        let word = if self.raw || self.keying {
             v.raw()
         } else {
             first_occurrence(&mut self.scratch.values, v.raw())
@@ -433,12 +453,15 @@ impl<'a> Relabeler<'a> {
     }
 
     /// Feeds a value's `Debug` rendering as opaque text: nothing in it is
-    /// renamed or numbered.
+    /// renamed or numbered. Only for a component with no typed view, such
+    /// as a trait object.
     pub fn debug_text(&mut self, v: &dyn fmt::Debug) {
         if self.keying {
             self.bytes(format!("{v:?}").as_bytes());
         } else {
-            self.hasher.write_debug(&v);
+            // Formatting into a hasher cannot fail.
+            let _ = write!(self.hasher, "{v:?}");
+            self.hasher.sep();
         }
     }
 
@@ -456,7 +479,8 @@ impl<'a> Relabeler<'a> {
     }
 
     /// Feeds a multiset whose stored order carries no meaning: its size,
-    /// then the items in the stable order of their sort keys.
+    /// then the items in the stable order of their sort keys. A raw walk's
+    /// keys are unmasked, so there only items that walk alike tie.
     pub fn sorted<T: Relabel>(&mut self, items: &[T]) {
         let keys_from = self.scratch.keys.len();
         let bounds_from = self.scratch.bounds.len();
@@ -503,15 +527,16 @@ impl<'a> Relabeler<'a> {
 }
 
 /// The candidate renamings of an `n`-process system with the buffers their
-/// walks share: the reusable form of the renaming quotient's minimum.
+/// walks share: the reusable form of the renaming quotient's minimum and of
+/// the plain fingerprint.
 ///
 /// Building the value enumerates the `n!` permutations (only the identity
 /// above [`MAX_FULL_ORBIT_N`]) and their inverses once. Every
-/// [`Orbit::min_digest`] after that walks them all through the same
-/// first-occurrence lists and sort-key arena, so a digest allocates
-/// nothing once those have grown to the size of a state (only a sort key
-/// whose item feeds [`Relabeler::debug_text`] formats a `String`). The
-/// model checker keeps one per exploration.
+/// [`Orbit::min_digest`] or [`Orbit::raw_digest`] after that walks them
+/// through the same first-occurrence lists and sort-key arena, so a digest
+/// allocates nothing once those have grown to the size of a state (only a
+/// sort key whose item feeds [`Relabeler::debug_text`] formats a
+/// `String`). The model checker keeps one per exploration.
 #[derive(Debug)]
 pub struct Orbit {
     /// Every candidate renaming, identity first, with its inverse.
@@ -523,7 +548,17 @@ impl Orbit {
     /// The orbit of an `n`-process system.
     #[must_use]
     pub fn new(n: usize) -> Self {
-        let renamings = process_permutations(n)
+        Self::of(process_permutations(n))
+    }
+
+    /// The identity renaming of an `n`-process system alone: all that
+    /// [`Orbit::raw_digest`] reads.
+    pub(crate) fn identity(n: usize) -> Self {
+        Self::of(vec![(1..=n).collect()])
+    }
+
+    fn of(perms: Vec<Vec<usize>>) -> Self {
+        let renamings = perms
             .into_iter()
             .map(|perm| {
                 let inv = invert(&perm);
@@ -542,11 +577,26 @@ impl Orbit {
     pub fn min_digest(&mut self, mut walk: impl FnMut(&mut Relabeler<'_>)) -> u128 {
         let mut min = u128::MAX;
         for (perm, inv) in &self.renamings {
-            let mut r = Relabeler::digest(perm, inv, &mut self.scratch);
+            let mut r = Relabeler::digest(perm, inv, false, &mut self.scratch);
             walk(&mut r);
             min = min.min(r.finish());
         }
         min
+    }
+
+    /// The raw digest of whatever `walk` feeds: one raw walk, under the
+    /// identity renaming, with message ids and values fed as they are and
+    /// every sort key unmasked.
+    ///
+    /// Unmasked keys order a sorted multiset totally: items whose keys tie
+    /// walk to the same words, so the digest reads the multiset and never
+    /// its stored order. An injective walk (see [`Relabel`]) makes this
+    /// digest a structural fingerprint of what it fed.
+    pub fn raw_digest(&mut self, walk: impl FnOnce(&mut Relabeler<'_>)) -> u128 {
+        let (perm, inv) = &self.renamings[0];
+        let mut r = Relabeler::digest(perm, inv, true, &mut self.scratch);
+        walk(&mut r);
+        r.finish()
     }
 }
 
@@ -563,7 +613,7 @@ pub fn digest(text: &str) -> u128 {
 pub(crate) fn relabeled_digest(item: &impl Relabel, perm: &[usize]) -> u128 {
     let inv = invert(perm);
     let mut scratch = Scratch::default();
-    let mut r = Relabeler::digest(perm, &inv, &mut scratch);
+    let mut r = Relabeler::digest(perm, &inv, false, &mut scratch);
     item.relabel(&mut r);
     r.finish()
 }

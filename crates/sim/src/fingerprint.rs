@@ -9,15 +9,14 @@
 //! a 128-bit digest: a birthday collision among the ~10⁷ states a bounded
 //! exploration can visit is vanishingly unlikely (~10⁻²⁴).
 //!
-//! The plain fingerprint hashes algorithm states and message payloads
-//! through their `Debug` rendering: [`StateHasher`]
-//! implements [`fmt::Write`] and consumes the formatter output directly,
-//! without materializing a string. Derived `Debug` is itself structural —
-//! field order is declaration order, collections print in iteration order
-//! (deterministic for the `Vec`s and `BTreeMap`s used throughout) — which
-//! makes the rendering a faithful canonical form. The renaming-quotient
-//! fingerprint instead walks the same data through
-//! [`crate::canonical::Relabel`], which feeds [`StateHasher::write_varint`].
+//! Both fingerprints of [`crate::Simulation`] are typed walks through
+//! [`crate::canonical::Relabel`], which feeds [`StateHasher::write_varint`]
+//! words: the plain one walks the state raw, with its own process ids,
+//! message ids and contents, and the renaming-quotient one walks it under
+//! every candidate renaming. No state or payload is rendered as text. The
+//! one exception is the k-SA oracle's decision rule, a trait object whose
+//! only view is its `Debug` text: [`StateHasher`] implements [`fmt::Write`]
+//! so that text is consumed without materializing a string.
 
 use std::fmt::{self, Write};
 
@@ -92,13 +91,6 @@ impl StateHasher {
         self.byte(0x00);
     }
 
-    /// Feeds a value through its `Debug` rendering, without allocating.
-    pub fn write_debug(&mut self, v: &impl fmt::Debug) {
-        // Formatting into a hasher cannot fail.
-        let _ = write!(self, "{v:?}");
-        self.sep();
-    }
-
     /// The 128-bit digest of everything fed so far.
     #[must_use]
     pub fn finish(&self) -> u128 {
@@ -138,12 +130,11 @@ mod tests {
     }
 
     #[test]
-    fn debug_path_matches_byte_path() {
+    fn formatted_text_matches_byte_path() {
         let mut h1 = StateHasher::new();
-        h1.write_debug(&42u64);
+        write!(h1, "{:?}", 42u64).unwrap();
         let mut h2 = StateHasher::new();
         h2.write_bytes(b"42");
-        h2.sep();
         assert_eq!(h1.finish(), h2.finish());
     }
 

@@ -232,7 +232,11 @@ impl<B: BroadcastAlgorithm> Simulation<B> {
     /// Does `pid` currently have a local step available?
     ///
     /// Implemented by polling a clone of the state, so the observable state
-    /// is untouched; schedulers use this for quiescence detection.
+    /// is untouched; schedulers use this for quiescence detection. A loop
+    /// that takes every available step needs no probe: calling
+    /// [`Simulation::step_process`] until it returns `None` takes the same
+    /// steps without cloning, since a `None` leaves the state unchanged
+    /// (see [`BroadcastAlgorithm::next_step`]).
     #[must_use]
     pub fn has_local_step(&self, pid: ProcessId) -> bool {
         if self.crashed[pid.index()] {
@@ -243,7 +247,8 @@ impl<B: BroadcastAlgorithm> Simulation<B> {
     }
 
     /// Executes `pid`'s next local step, if any, applying its effects and
-    /// recording it in the trace.
+    /// recording it in the trace. `Ok(None)` means `pid` had no local step
+    /// and nothing changed.
     ///
     /// # Errors
     ///
@@ -416,57 +421,29 @@ impl<B: BroadcastAlgorithm> Simulation<B> {
     }
 
     /// A 128-bit structural fingerprint of the **live** state: process
-    /// states, pending invocations, crash flags, the in-flight message
-    /// multiset, the oracle, and the id allocator.
+    /// states, pending invocations, crash flags, the id allocator, the
+    /// in-flight message multiset and the oracle.
     ///
     /// Deliberately *not* included: the recorded trace. Two interleavings
     /// that re-converge to the same live state get the same fingerprint even
-    /// though their histories differ; the model checker combines this value
-    /// with [`camp_trace::Execution::projection_hashes`] when history
-    /// matters. The digest is deterministic across runs of the same binary
-    /// (see [`crate::fingerprint`]): the in-flight multiset is canonicalized
-    /// by sorting on (unique) message ids, and the oracle's pending list by
-    /// (object, proposer) — its order is operationally irrelevant, since
-    /// responses look proposals up by exact pair.
+    /// though their histories differ; the model checker walks the same state
+    /// together with [`camp_trace::Execution::projection_hashes`] when
+    /// history matters. The digest is one raw walk of [`Simulation::relabel_live`]
+    /// ([`crate::canonical::Orbit::raw_digest`]): every component is fed as
+    /// typed words, with its own ids and contents, so it is deterministic
+    /// across runs of the same binary (see [`crate::fingerprint`]). The
+    /// in-flight multiset and the oracle's pending proposals are walked in
+    /// the order of their unmasked sort keys, never in stored order; the
+    /// latter's order is operationally irrelevant, since responses look
+    /// proposals up by exact pair.
     #[must_use]
     pub fn fingerprint(&self) -> u128 {
-        let mut h = crate::fingerprint::StateHasher::new();
-        h.write_usize(self.n);
-        for state in &self.states {
-            h.write_debug(state);
-        }
-        for pending in &self.pending_broadcast {
-            h.write_debug(pending);
-        }
-        for crashed in &self.crashed {
-            h.write_u64(u64::from(*crashed));
-        }
-        h.write_u64(self.next_msg);
-        let mut slots: Vec<&InFlight<B::Msg>> = self.network.in_flight().iter().collect();
-        slots.sort_by_key(|m| m.id);
-        h.write_usize(slots.len());
-        for m in slots {
-            h.write_usize(m.from.index());
-            h.write_usize(m.to.index());
-            h.write_u64(m.id.raw());
-            h.write_debug(&m.payload);
-        }
-        h.write_usize(self.oracle.k());
-        h.write_debug(&self.oracle.rule());
-        for obj in self.oracle.objects() {
-            h.write_u64(obj.raw());
-            h.write_debug(&self.oracle.object(obj));
-        }
-        let mut pending: Vec<(KsaId, ProcessId)> = self.oracle.pending().to_vec();
-        pending.sort_unstable();
-        h.write_debug(&pending);
-        h.finish()
+        crate::canonical::Orbit::identity(self.n).raw_digest(|r| self.relabel_live(r))
     }
 
-    /// Feeds the **live** state to `r`, under `r`'s process renaming: the
-    /// same components as [`Simulation::fingerprint`], with the per-process
-    /// ones (algorithm state, pending invocation, crash flag) in renamed
-    /// order.
+    /// Feeds the **live** state to `r`, under `r`'s process renaming, with
+    /// the per-process components (algorithm state, pending invocation,
+    /// crash flag) in renamed order. Both fingerprints are walks of it.
     ///
     /// The in-flight slots go through [`Relabeler::sorted`], ordered by
     /// renamed sender and destination, then by payload with message ids

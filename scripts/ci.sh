@@ -132,24 +132,27 @@ smoke_dir="$PWD/target/bench-smoke"
 smoke_out="$smoke_dir/BENCH_explore.json"
 smoke_metrics="$PWD/target/BENCH_explore.smoke.metrics.json"
 CAMP_BENCH_OUT="$smoke_dir" scripts/bench.sh --quick --metrics "$smoke_metrics" >/dev/null
-for key in '"schema"' '"camp-bench/explore/v4"' '"explore_fifo_2x2"' \
+for key in '"schema"' '"camp-bench/explore/v5"' '"explore_fifo_2x2"' \
            '"explore_causal_3"' '"explore_agreed_2"' '"crashsweep_reliable"' \
            '"ns_per_op"' '"executions_per_sec"' '"nodes_per_sec"' \
            '"dedup_hits"' '"sleep_set_prunes"' '"max_frontier"' \
            '"canonical_hits"' '"cert_loaded"' \
-           '"independence_prunes"' '"independence_cert"'; do
+           '"independence_prunes"' '"independence_cert"' \
+           '"canonical_fingerprints"'; do
   grep -q -- "$key" "$smoke_out" \
     || { echo "$smoke_out malformed: missing $key" >&2; exit 1; }
 done
 # The reduction counters are deterministic, so the smoke run must
 # reproduce every non-timing field of every row of the committed
 # full-mode BENCH_explore.json exactly: the work done (executions, nodes),
-# each reduction's counters, and which certificates were loaded. Any drift
-# in the engine, the certificates or the scopes fails here.
+# each reduction's counters, which certificates were loaded, and how many
+# canonical fingerprints the orbit-class gate let through. Any drift in the
+# engine, the certificates or the scopes fails here.
 python3 - "$smoke_out" BENCH_explore.json <<'PY'
 import json, sys
 FIELDS = ("executions", "nodes", "dedup_hits", "sleep_set_prunes", "max_frontier",
-          "canonical_hits", "cert_loaded", "independence_prunes", "independence_cert")
+          "canonical_hits", "cert_loaded", "independence_prunes", "independence_cert",
+          "canonical_fingerprints")
 smoke = {b["name"]: b for b in json.load(open(sys.argv[1]))["benches"]}
 committed = {b["name"]: b for b in json.load(open(sys.argv[2]))["benches"]}
 assert smoke.keys() == committed.keys(), f"bench rows differ: {sorted(smoke)} vs {sorted(committed)}"

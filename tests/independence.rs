@@ -305,9 +305,10 @@ fn fifo_2x2_reduction_counters_are_pinned() {
             truncated: false,
         }
     );
-    // Canonical fingerprints computed, behind the orbit-class gate. Without
-    // it, every node that reaches the canonical layer computes one: 1,176.
-    assert_eq!(digests, 89);
+    // Canonical fingerprints computed, behind the peer-refined orbit-class
+    // gate. Without the gate, every node that reaches the canonical layer
+    // computes one: 1,176; behind the unrefined class, 89.
+    assert_eq!(digests, 84);
 }
 
 /// The causal n = 3 scope (`explore_causal_3`): its only dedup hits come
@@ -339,9 +340,10 @@ fn causal_3_reduction_counters_are_pinned() {
             truncated: false,
         }
     );
-    // Canonical fingerprints computed, behind the orbit-class gate. Without
-    // it, every node that reaches the canonical layer computes one: 10,976.
-    assert_eq!(digests, 3501);
+    // Canonical fingerprints computed, behind the peer-refined orbit-class
+    // gate. Without the gate, every node that reaches the canonical layer
+    // computes one: 10,976; behind the unrefined class, 3,501.
+    assert_eq!(digests, 1909);
 }
 
 /// The agreed-rounds n = 2 scope (`explore_agreed_2`) under the
@@ -376,9 +378,10 @@ fn agreed_2_reduction_counters_are_pinned() {
             truncated: false,
         }
     );
-    // Canonical fingerprints computed, behind the orbit-class gate. Without
-    // it, every node that reaches the canonical layer computes one: 627.
-    assert_eq!(digests, 597);
+    // Canonical fingerprints computed, behind the peer-refined orbit-class
+    // gate. Without the gate, every node that reaches the canonical layer
+    // computes one: 627; behind the unrefined class, 597.
+    assert_eq!(digests, 593);
 }
 
 /// Without a certificate the widened entry point is exactly the plain
