@@ -139,45 +139,48 @@ impl AdversarialRun {
         self.execution.project_broadcast_events()
     }
 
-    /// The `γ_{k,N,B,ℬ,i}` restriction of Definition 4: `p_i`'s steps
-    /// strictly before the final flush, plus `p_k`'s steps succeeded by a
-    /// `local_del` reset. All other processes crash initially; `p_k`
-    /// crashes before its first missing step (if it has one). The message
-    /// table is α's whole table, shared with `α` rather than copied.
+    /// The `γ_{k,N,B,ℬ,i}` restriction of Definition 4, as a view of `α`'s
+    /// steps: `p_i`'s steps strictly before the final flush, plus `p_k`'s
+    /// steps succeeded by a `local_del` reset. All other processes crash
+    /// initially; `p_k` crashes before its first missing step (if it has
+    /// one). [`crate::verify_lemmas`] checks this view without building it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is not a process of the run.
+    pub fn gamma_steps(&self, i: ProcessId) -> impl Iterator<Item = Step> + '_ {
+        let n = self.k + 1;
+        assert!(i.id() <= n, "γ is defined for the processes of the run");
+        let pk = ProcessId::new(self.k);
+        let reset_end = self.last_reset_end.unwrap_or(0);
+        let steps = self.execution.steps();
+        let crash = |p| Step::new(p, Action::Crash);
+        // Initially-crashed processes (Definition 4's closing remark).
+        let initial = ProcessId::all(n)
+            .filter(move |&p| p != i && p != pk)
+            .map(crash);
+        let kept = steps.iter().enumerate().filter_map(move |(idx, &step)| {
+            let keep = (step.process == i && idx < self.flush_start)
+                || (step.process == pk && idx < reset_end);
+            keep.then_some(step)
+        });
+        // Outside γ_{p_k}, p_k's steps from the last reset on are missing.
+        let pk_truncated = i != pk && steps[reset_end..].iter().any(|s| s.process == pk);
+        initial.chain(kept).chain(pk_truncated.then(|| crash(pk)))
+    }
+
+    /// [`Self::gamma_steps`] collected into an execution. The message table
+    /// is α's whole table, shared with `α` rather than copied.
     ///
     /// # Panics
     ///
     /// Panics if `i` is not a process of the run.
     #[must_use]
     pub fn gamma(&self, i: ProcessId) -> Execution {
-        let n = self.k + 1;
-        assert!(i.id() <= n, "γ is defined for the processes of the run");
-        let pk = ProcessId::new(self.k);
-        let reset_end = self.last_reset_end.unwrap_or(0);
-
-        // α's message table, shared, so filtered steps can reference it.
         let mut out = Execution::with_messages_of(&self.execution);
-        // Initially-crashed processes (Definition 4's closing remark).
-        for p in ProcessId::all(n) {
-            if p != i && p != pk {
-                out.push(Step::new(p, Action::Crash))
-                    .expect("valid crash step");
-            }
-        }
-        let mut pk_truncated = false;
-        for (idx, step) in self.execution.steps().iter().enumerate() {
-            let keep = (step.process == i && idx < self.flush_start)
-                || (step.process == pk && idx < reset_end);
-            if keep {
-                out.push(*step).expect("subset of a valid execution");
-            } else if step.process == pk && i != pk {
-                pk_truncated = true;
-            }
-        }
-        // p_k crashed before its first step absent from γ (if any).
-        if pk_truncated {
-            out.push(Step::new(pk, Action::Crash))
-                .expect("valid crash step");
+        for step in self.gamma_steps(i) {
+            out.push(step)
+                .expect("a view of a valid execution is valid");
         }
         out
     }

@@ -7,8 +7,9 @@
 //! carries its own certificate of admissibility. Lemma 9 is the other half
 //! of the reductio and lives in [`crate::theorem1`].
 
-use camp_specs::{channel, ksa, wellformed, SpecResult};
-use camp_trace::ProcessId;
+use camp_specs::monitor::{self, NoopSink, Property};
+use camp_specs::SpecResult;
+use camp_trace::{ProcessId, Step};
 
 use crate::adversary::AdversarialRun;
 use crate::nsolo::NSolo;
@@ -79,81 +80,92 @@ impl LemmaReport {
 /// * **α**: Lemma 1 (k-SA-Validity), Lemma 2 (k-SA-Agreement), Lemma 3
 ///   (k-SA-Termination), Lemma 4 (SR-Validity), Lemma 5
 ///   (SR-No-Duplication), Lemma 6 (well-formedness), Lemma 7 (termination —
-///   witnessed by the run being finite at all; recorded as the step count),
+///   witnessed by the run being finite at all, so recorded as passed),
 ///   Lemma 8 (SR-Termination), Lemma 10 (the `β` projection is N-solo with
 ///   the designated messages).
 /// * **each γ_i**: lemmas 1–6 (the properties the paper proves for the
 ///   restrictions).
+///
+/// α's checks run in one pass over α, each `γ_i`'s in one pass over the
+/// view [`AdversarialRun::gamma_steps`], so no `γ_i` is ever built.
 #[must_use]
 pub fn verify_lemmas(run: &AdversarialRun) -> LemmaReport {
     let k = run.k;
-    let alpha = &run.execution;
-    let beta = run.beta();
-
-    let mut alpha_outcomes = vec![
-        LemmaOutcome::new(1, "k-SA-Validity holds in α", ksa::ksa_validity(alpha)),
-        LemmaOutcome::new(2, "k-SA-Agreement holds in α", ksa::ksa_agreement(alpha, k)),
-        LemmaOutcome::new(
-            3,
-            "k-SA-Termination holds in α",
-            ksa::ksa_termination(alpha),
-        ),
-        // Not a numbered lemma: §4.1's standing one-shot usage assumption,
-        // re-checked so a misbehaving ℬ cannot slip through.
-        LemmaOutcome::new(
-            3,
-            "one-shot k-SA usage holds in α (§4.1)",
-            ksa::ksa_one_shot(alpha),
-        ),
-        LemmaOutcome::new(4, "SR-Validity holds in α", channel::sr_validity(alpha)),
-        LemmaOutcome::new(
-            5,
-            "SR-No-Duplication holds in α",
-            channel::sr_no_duplication(alpha),
-        ),
-        LemmaOutcome::new(
-            6,
-            "α is well-formed (structural half of Definition 1)",
-            wellformed::check_structure(alpha),
-        ),
-        // Lemma 7: α is finite — trivially witnessed because the scheduler
-        // returned. Recorded for completeness.
+    let n = k + 1;
+    let mut alpha_outcomes = check_lemmas(
+        &[
+            (1, "k-SA-Validity holds in α", Property::KsaValidity),
+            (2, "k-SA-Agreement holds in α", Property::KsaAgreement(k)),
+            (3, "k-SA-Termination holds in α", Property::KsaTermination),
+            // Not a numbered lemma: §4.1's standing one-shot usage
+            // assumption, re-checked so a misbehaving ℬ cannot slip through.
+            (
+                3,
+                "one-shot k-SA usage holds in α (§4.1)",
+                Property::KsaOneShot,
+            ),
+            (4, "SR-Validity holds in α", Property::SrValidity),
+            (5, "SR-No-Duplication holds in α", Property::SrNoDuplication),
+            (
+                6,
+                "α is well-formed (structural half of Definition 1)",
+                Property::WellFormedness,
+            ),
+            (8, "SR-Termination holds in α", Property::SrTermination),
+        ],
+        n,
+        run.execution.steps().iter().copied(),
+    );
+    // Lemma 7, α is finite, is witnessed by the scheduler having returned.
+    alpha_outcomes.insert(
+        7,
         LemmaOutcome::new(7, "α is finite (the scheduler terminated)", Ok(())),
-        LemmaOutcome::new(
-            8,
-            "SR-Termination holds in α",
-            channel::sr_termination(alpha),
-        ),
-    ];
+    );
     alpha_outcomes.push(LemmaOutcome::new(
         10,
         "β is an N-solo execution (designated messages verified)",
-        NSolo::new(run.n_solo).check(&beta, &run.designated),
+        NSolo::new(run.n_solo).check(&run.beta(), &run.designated),
     ));
 
-    let gammas = ProcessId::all(k + 1)
-        .map(|i| {
-            let g = run.gamma(i);
-            let outcomes = vec![
-                LemmaOutcome::new(1, "k-SA-Validity holds in γ_i", ksa::ksa_validity(&g)),
-                LemmaOutcome::new(2, "k-SA-Agreement holds in γ_i", ksa::ksa_agreement(&g, k)),
-                LemmaOutcome::new(3, "k-SA-Termination holds in γ_i", ksa::ksa_termination(&g)),
-                LemmaOutcome::new(4, "SR-Validity holds in γ_i", channel::sr_validity(&g)),
-                LemmaOutcome::new(
-                    5,
-                    "SR-No-Duplication holds in γ_i",
-                    channel::sr_no_duplication(&g),
-                ),
-                LemmaOutcome::new(6, "γ_i is well-formed", wellformed::check_structure(&g)),
-            ];
-            (i, outcomes)
-        })
+    let gamma_checks = [
+        (1, "k-SA-Validity holds in γ_i", Property::KsaValidity),
+        (2, "k-SA-Agreement holds in γ_i", Property::KsaAgreement(k)),
+        (3, "k-SA-Termination holds in γ_i", Property::KsaTermination),
+        (4, "SR-Validity holds in γ_i", Property::SrValidity),
+        (
+            5,
+            "SR-No-Duplication holds in γ_i",
+            Property::SrNoDuplication,
+        ),
+        (6, "γ_i is well-formed", Property::WellFormedness),
+    ];
+    let gammas = ProcessId::all(n)
+        .map(|i| (i, check_lemmas(&gamma_checks, n, run.gamma_steps(i))))
         .collect();
 
     LemmaReport {
         alpha: alpha_outcomes,
         gammas,
     }
+}
+
+/// One outcome per `(lemma, statement, property)` check, all judged in one
+/// pass over `steps`.
+fn check_lemmas(
+    checks: &[(usize, &'static str, Property)],
+    n: usize,
+    steps: impl IntoIterator<Item = Step>,
+) -> Vec<LemmaOutcome> {
+    let properties: Vec<Property> = checks.iter().map(|&(_, _, p)| p).collect();
+    let findings = monitor::run(n, steps, &properties, &mut NoopSink);
+    checks
+        .iter()
+        .zip(&findings)
+        .map(|(&(lemma, statement, _), found)| {
+            let result = found.first().map_or(Ok(()), |f| Err(f.violation()));
+            LemmaOutcome::new(lemma, statement, result)
+        })
+        .collect()
 }
 
 #[cfg(test)]

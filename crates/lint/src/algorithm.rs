@@ -13,10 +13,12 @@
 //!   imply coverage.
 //! * **stuck states** — completed executions (no environment choice left)
 //!   in which some process still has an undischarged obligation: a broadcast
-//!   that never returned or a proposal that never decided. Each finding
-//!   carries the *exposing schedule*, the concrete execution that drives the
-//!   algorithm into the stuck state (the paper's `BlockedSolo` adversary
-//!   finds exactly such schedules for non-wait-free algorithms).
+//!   that never returned or a proposal that never decided. These are the
+//!   BC-Local-Termination and k-SA-Termination findings of the `camp-specs`
+//!   monitors, rendered by rules L012 and L013. Each finding carries the
+//!   *exposing schedule*, the concrete execution that drives the algorithm
+//!   into the stuck state (the paper's `BlockedSolo` adversary finds exactly
+//!   such schedules for non-wait-free algorithms).
 
 use std::cell::RefCell;
 use std::collections::BTreeSet;
@@ -30,7 +32,7 @@ use camp_specs::SpecResult;
 use camp_trace::{Action, Execution};
 
 use crate::diagnostics::Diagnostic;
-use crate::rules::{lint_with, Rule, UnansweredProposal, UnreturnedBroadcast};
+use crate::rules::{default_rules, lint_with, Rule};
 
 /// How many exposing schedules to keep per audit (the first ones found, in
 /// depth-first order).
@@ -167,8 +169,10 @@ where
     let observed = RefCell::new(BTreeSet::new());
     let stuck = RefCell::new(Vec::new());
     let stuck_total = RefCell::new(0usize);
-    let liveness_rules: Vec<Box<dyn Rule>> =
-        vec![Box::new(UnreturnedBroadcast), Box::new(UnansweredProposal)];
+    let liveness_rules: Vec<Rule> = default_rules()
+        .into_iter()
+        .filter(|r| matches!(r.code(), "L012" | "L013"))
+        .collect();
 
     // The property is a visitor over completed executions: it records
     // coverage and stuck states and never fails. The reductions prune

@@ -134,41 +134,34 @@ fn cmd_trace(args: &[&str]) -> ExitCode {
 }
 
 fn cmd_rules(args: &[&str]) -> ExitCode {
-    let rules = default_rules();
     // The five rule families share one listing: L0xx trace rules, the S009
     // source rule, S02x protocol-graph rules, S03x symmetry rules, S04x
-    // dataflow rules.
-    let entry = |code: &str, name: &str, severity: &str, summary: &str| {
-        serde_json::Value::Object(vec![
-            ("code".to_string(), serde_json::Value::Str(code.to_string())),
-            ("name".to_string(), serde_json::Value::Str(name.to_string())),
-            (
-                "severity".to_string(),
-                serde_json::Value::Str(severity.to_string()),
-            ),
-            (
-                "summary".to_string(),
-                serde_json::Value::Str(summary.to_string()),
-            ),
-        ])
-    };
+    // dataflow rules. Only the trace rules carry their own severity.
+    let static_rules = camp_lint::SOURCE_RULES
+        .iter()
+        .chain(camp_lint::graph::GRAPH_RULES)
+        .chain(camp_lint::symmetry::SYMMETRY_RULES)
+        .chain(camp_lint::DATAFLOW_RULES)
+        .map(|&(code, name, summary)| (code, name, "error".to_string(), summary));
+    let listing: Vec<(&str, &str, String, &str)> = default_rules()
+        .iter()
+        .map(|r| (r.code(), r.name(), r.severity().to_string(), r.summary()))
+        .chain(static_rules)
+        .collect();
     if args.contains(&"--json") {
-        let mut entries: Vec<serde_json::Value> = rules
+        let field =
+            |key: &str, value: &str| (key.to_string(), serde_json::Value::Str(value.to_string()));
+        let entries = listing
             .iter()
-            .map(|r| entry(r.code(), r.name(), &r.severity().to_string(), r.summary()))
+            .map(|(code, name, severity, summary)| {
+                serde_json::Value::Object(vec![
+                    field("code", code),
+                    field("name", name),
+                    field("severity", severity),
+                    field("summary", summary),
+                ])
+            })
             .collect();
-        for (code, name, summary) in camp_lint::SOURCE_RULES {
-            entries.push(entry(code, name, "error", summary));
-        }
-        for (code, name, summary) in camp_lint::graph::GRAPH_RULES {
-            entries.push(entry(code, name, "error", summary));
-        }
-        for (code, name, summary) in camp_lint::symmetry::SYMMETRY_RULES {
-            entries.push(entry(code, name, "error", summary));
-        }
-        for (code, name, summary) in camp_lint::DATAFLOW_RULES {
-            entries.push(entry(code, name, "error", summary));
-        }
         match serde_json::to_string_pretty(&serde_json::Value::Array(entries)) {
             Ok(s) => emitln(s),
             Err(e) => {
@@ -177,26 +170,11 @@ fn cmd_rules(args: &[&str]) -> ExitCode {
             }
         }
     } else {
-        for r in &rules {
+        for (code, name, severity, summary) in &listing {
             emitln(format!(
-                "{} {:<28} {:<8} {}",
-                r.code(),
-                r.name(),
-                r.severity().to_string(),
-                r.summary()
+                "{code} {name:<28} {severity:<8} {}",
+                compact(summary)
             ));
-        }
-        for (code, name, summary) in camp_lint::SOURCE_RULES {
-            emitln(format!("{code} {name:<28} error    {}", compact(summary)));
-        }
-        for (code, name, summary) in camp_lint::graph::GRAPH_RULES {
-            emitln(format!("{code} {name:<28} error    {}", compact(summary)));
-        }
-        for (code, name, summary) in camp_lint::symmetry::SYMMETRY_RULES {
-            emitln(format!("{code} {name:<28} error    {}", compact(summary)));
-        }
-        for (code, name, summary) in camp_lint::DATAFLOW_RULES {
-            emitln(format!("{code} {name:<28} error    {}", compact(summary)));
         }
     }
     ExitCode::SUCCESS

@@ -12,7 +12,6 @@ use std::fmt;
 
 use camp_sim::scheduler::{seeded_run, CrashPlan, Workload};
 use camp_sim::{BroadcastAlgorithm, SimError, Simulation};
-use camp_specs::Violation;
 use camp_trace::{first_divergence, Divergence, Execution};
 
 /// A reproducibility failure: the same seed produced two different
@@ -29,16 +28,7 @@ pub struct DeterminismFailure {
     pub right: Execution,
 }
 
-impl DeterminismFailure {
-    /// The failure as a `camp-specs` [`Violation`].
-    #[must_use]
-    pub fn to_violation(&self) -> Violation {
-        Violation::new(
-            "determinism",
-            format!("seed {}: {}", self.seed, self.divergence),
-        )
-    }
-}
+impl DeterminismFailure {}
 
 impl fmt::Display for DeterminismFailure {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

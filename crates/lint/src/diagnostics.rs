@@ -8,7 +8,6 @@
 
 use std::fmt;
 
-use camp_specs::Violation;
 use camp_trace::{Execution, StepSpan};
 use serde::{Deserialize, Serialize};
 
@@ -68,38 +67,10 @@ impl Diagnostic {
         }
     }
 
-    /// Converts the diagnostic into a `camp-specs` [`Violation`], so linter
-    /// findings can flow through the same reporting channels as the paper's
-    /// property checkers.
-    #[must_use]
-    pub fn to_violation(&self) -> Violation {
-        Violation::new(
-            format!("{}:{}", self.code, self.name),
-            format!("{}: {}", self.span, self.message),
-        )
-    }
-
-    /// Wraps a `camp-specs` [`Violation`] as a diagnostic, anchoring it at
-    /// `span`. This is how the algorithm auditor reports findings produced
-    /// by the property checkers it runs under the model checker.
-    #[must_use]
-    pub fn from_violation(code: &str, name: &str, violation: &Violation, span: StepSpan) -> Self {
-        Self::new(
-            code,
-            name,
-            Severity::Error,
-            format!("{}: {}", violation.property(), violation.witness()),
-            span,
-        )
-    }
-
     /// Renders the diagnostic with its witness steps quoted from `exec`.
     #[must_use]
     pub fn render(&self, exec: &Execution) -> String {
-        let mut out = format!(
-            "{}[{}:{}] {}: {}",
-            self.severity, self.code, self.name, self.span, self.message
-        );
+        let mut out = self.to_string();
         for (offset, step) in self.span.steps(exec).iter().enumerate() {
             out.push_str(&format!("\n  {:>4} | {step}", self.span.start + offset));
         }
@@ -166,15 +137,6 @@ impl Report {
         self.errors > 0
     }
 
-    /// All findings as `camp-specs` [`Violation`]s.
-    #[must_use]
-    pub fn to_violations(&self) -> Vec<Violation> {
-        self.diagnostics
-            .iter()
-            .map(Diagnostic::to_violation)
-            .collect()
-    }
-
     /// Renders the full report for humans, quoting witness steps from the
     /// execution that was linted.
     #[must_use]
@@ -236,7 +198,6 @@ mod tests {
         assert!(r.has_errors());
         assert!(!r.is_clean());
         assert_eq!(r.diagnostics[0].span.start, 1);
-        assert_eq!(r.to_violations().len(), 2);
     }
 
     #[test]
@@ -245,15 +206,5 @@ mod tests {
         let json = r.to_json();
         let back: Report = serde_json::from_str(&json).expect("roundtrip");
         assert_eq!(back, r);
-    }
-
-    #[test]
-    fn violation_interop_preserves_rule_and_span() {
-        let d = diag("L009", 7, Severity::Error);
-        let v = d.to_violation();
-        assert_eq!(v.property(), "L009:some-rule");
-        assert!(v.witness().contains("step 7"));
-        let back = Diagnostic::from_violation("L009", "some-rule", &v, StepSpan::single(7));
-        assert_eq!(back.span, d.span);
     }
 }

@@ -1,13 +1,13 @@
 //! The trace linter: a registry of linear-time rules over executions.
 //!
-//! Each rule performs a single pass (plus constant-size bookkeeping per
-//! process and per message) over the step sequence and raises
-//! [`Diagnostic`]s anchored to witness spans. The error-severity rules
-//! encode the structural side of the paper's Definition 1 (well-formed
-//! executions) together with referential integrity of the trace encoding;
-//! the warning-severity rules flag undischarged liveness obligations —
-//! things a *completed, quiescent* execution of a correct algorithm never
-//! exhibits.
+//! Each rule raises [`Diagnostic`]s anchored to witness spans. L001–L003
+//! and L014 walk the steps themselves; the others word the findings of the
+//! `camp-specs` monitors, which [`lint_with`] runs in one pass. The
+//! error-severity rules encode the structural side of the paper's
+//! Definition 1 (well-formed executions) together with referential
+//! integrity of the trace encoding; the warning-severity rules flag
+//! undischarged liveness obligations — things a *completed, quiescent*
+//! execution of a correct algorithm never exhibits.
 //!
 //! The distinction matters for the toolkit's JSON pipeline: executions
 //! loaded from JSON bypass [`camp_trace::Execution`]'s validated
@@ -15,704 +15,415 @@
 //! hand-edited or machine-generated traces that reference processes or
 //! messages that do not exist.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
+use camp_specs::monitor::{self, Defect, Finding, NoopSink, Property};
 use camp_trace::{Action, Execution, MessageId, MessageKind, ProcessId, StepSpan};
 
 use crate::diagnostics::{Diagnostic, Report, Severity};
 
-/// A single lint rule: a named, linear-time pass over one execution.
-pub trait Rule {
+/// A lint rule: a named, linear-time check of one execution.
+#[derive(Debug, Clone, Copy)]
+pub struct Rule {
+    code: &'static str,
+    name: &'static str,
+    severity: Severity,
+    summary: &'static str,
+    check: Check,
+}
+
+/// How a rule finds what it reports.
+#[derive(Debug, Clone, Copy)]
+enum Check {
+    /// The rule reads the execution itself.
+    Own(fn(&Rule, &Execution, &mut Vec<Diagnostic>)),
+    /// The rule words, in its own voice, the findings of a property.
+    Findings(Property, fn(&Finding) -> Option<String>),
+}
+
+impl Rule {
     /// Stable short code, e.g. `"L004"`. Codes are never reused.
-    fn code(&self) -> &'static str;
+    #[must_use]
+    pub fn code(&self) -> &'static str {
+        self.code
+    }
+
     /// Human-readable kebab-case name, e.g. `"deliver-before-broadcast"`.
-    fn name(&self) -> &'static str;
+    #[must_use]
+    pub fn name(&self) -> &'static str {
+        self.name
+    }
+
     /// Severity of every diagnostic this rule raises.
-    fn severity(&self) -> Severity;
+    #[must_use]
+    pub fn severity(&self) -> Severity {
+        self.severity
+    }
+
     /// One-line description of what the rule guards.
-    fn summary(&self) -> &'static str;
-    /// Runs the rule, appending findings to `out`.
-    fn check(&self, exec: &Execution, out: &mut Vec<Diagnostic>);
-}
-
-/// Helper: builds a diagnostic in the voice of `rule`.
-fn raise(rule: &dyn Rule, message: String, span: StepSpan) -> Diagnostic {
-    Diagnostic::new(rule.code(), rule.name(), rule.severity(), message, span)
-}
-
-macro_rules! declare_rule {
-    ($ty:ident, $check:ident, $code:literal, $name:literal, $severity:expr, $summary:literal) => {
-        #[doc = concat!("Rule ", $code, " (`", $name, "`): ", $summary, ".")]
-        #[derive(Debug, Default, Clone, Copy)]
-        pub struct $ty;
-
-        impl $ty {
-            /// The rule's stable code.
-            pub const CODE: &'static str = $code;
-        }
-
-        impl Rule for $ty {
-            fn code(&self) -> &'static str {
-                $code
-            }
-            fn name(&self) -> &'static str {
-                $name
-            }
-            fn severity(&self) -> Severity {
-                $severity
-            }
-            fn summary(&self) -> &'static str {
-                $summary
-            }
-            fn check(&self, exec: &Execution, out: &mut Vec<Diagnostic>) {
-                $check(self, exec, out);
-            }
-        }
-    };
-}
-
-// ---------------------------------------------------------------------------
-// L001 process-out-of-range
-// ---------------------------------------------------------------------------
-
-declare_rule!(
-    ProcessOutOfRange,
-    check_process_out_of_range,
-    "L001",
-    "process-out-of-range",
-    Severity::Error,
-    "every process referenced by a step or a message registration exists in the system"
-);
-
-fn check_process_out_of_range(
-    rule: &ProcessOutOfRange,
-    exec: &Execution,
-    out: &mut Vec<Diagnostic>,
-) {
-    let n = exec.process_count();
-    let bad = |p: ProcessId| p.id() == 0 || p.id() > n;
-    for (i, step) in exec.steps().iter().enumerate() {
-        let mut referenced = vec![step.process];
-        match step.action {
-            Action::Send { to, .. } => referenced.push(to),
-            Action::Receive { from, .. } | Action::Deliver { from, .. } => referenced.push(from),
-            _ => {}
-        }
-        for p in referenced {
-            if bad(p) {
-                out.push(raise(
-                    rule,
-                    format!("step references {p}, but the system has processes 1..={n}"),
-                    StepSpan::single(i),
-                ));
-            }
-        }
+    #[must_use]
+    pub fn summary(&self) -> &'static str {
+        self.summary
     }
-    let end = exec.len();
-    for (id, info) in exec.messages() {
-        if bad(info.sender) {
-            out.push(raise(
-                rule,
-                format!(
-                    "message {id} is registered with sender {}, but the system has processes 1..={n}",
-                    info.sender
-                ),
-                StepSpan::new(end, end),
-            ));
-        }
+
+    fn raise(&self, message: String, span: StepSpan) -> Diagnostic {
+        Diagnostic::new(self.code, self.name, self.severity, message, span)
     }
 }
 
-// ---------------------------------------------------------------------------
-// L002 unknown-message
-// ---------------------------------------------------------------------------
-
-declare_rule!(
-    UnknownMessage,
-    check_unknown_message,
-    "L002",
-    "unknown-message",
-    Severity::Error,
-    "every message referenced by a step is registered in the execution's message table"
-);
-
-fn check_unknown_message(rule: &UnknownMessage, exec: &Execution, out: &mut Vec<Diagnostic>) {
-    for (i, step) in exec.steps().iter().enumerate() {
-        if let Some(msg) = step.action.message() {
-            if exec.message(msg).is_none() {
-                out.push(raise(
-                    rule,
-                    format!("step references unregistered message {msg}"),
-                    StepSpan::single(i),
-                ));
+/// All built-in rules, in code order.
+const RULES: [Rule; 15] = [
+    Rule {
+        code: "L001",
+        name: "process-out-of-range",
+        severity: Severity::Error,
+        summary: "every process referenced by a step or a message registration exists in the \
+             system",
+        check: Check::Own(|rule, exec, out| {
+            let n = exec.process_count();
+            let bad = |p: ProcessId| p.id() == 0 || p.id() > n;
+            for (i, step) in exec.steps().iter().enumerate() {
+                let mut referenced = vec![step.process];
+                match step.action {
+                    Action::Send { to, .. } => referenced.push(to),
+                    Action::Receive { from, .. } | Action::Deliver { from, .. } => {
+                        referenced.push(from)
+                    }
+                    _ => {}
+                }
+                for p in referenced {
+                    if bad(p) {
+                        out.push(rule.raise(
+                            format!("step references {p}, but the system has processes 1..={n}"),
+                            StepSpan::single(i),
+                        ));
+                    }
+                }
             }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// L003 foreign-sender
-// ---------------------------------------------------------------------------
-
-declare_rule!(
-    ForeignSender,
-    check_foreign_sender,
-    "L003",
-    "foreign-sender",
-    Severity::Error,
-    "broadcast invocations and deliveries attribute each message to its registered sender"
-);
-
-fn check_foreign_sender(rule: &ForeignSender, exec: &Execution, out: &mut Vec<Diagnostic>) {
-    for (i, step) in exec.steps().iter().enumerate() {
-        match step.action {
-            Action::Broadcast { msg } => {
-                if let Some(info) = exec.message(msg) {
-                    if info.sender != step.process {
-                        out.push(raise(
-                            rule,
+            let end = exec.len();
+            for (id, info) in exec.messages() {
+                if bad(info.sender) {
+                    out.push(rule.raise(
+                        format!(
+                            "message {id} is registered with sender {}, but the system has processes 1..={n}",
+                            info.sender
+                        ),
+                        StepSpan::new(end, end),
+                    ));
+                }
+            }
+        }),
+    },
+    Rule {
+        code: "L002",
+        name: "unknown-message",
+        severity: Severity::Error,
+        summary: "every message referenced by a step is registered in the execution's message \
+             table",
+        check: Check::Own(|rule, exec, out| {
+            for (i, step) in exec.steps().iter().enumerate() {
+                if let Some(msg) = step.action.message() {
+                    if exec.message(msg).is_none() {
+                        out.push(rule.raise(
+                            format!("step references unregistered message {msg}"),
+                            StepSpan::single(i),
+                        ));
+                    }
+                }
+            }
+        }),
+    },
+    Rule {
+        code: "L003",
+        name: "foreign-sender",
+        severity: Severity::Error,
+        summary: "broadcast invocations and deliveries attribute each message to its registered \
+             sender",
+        check: Check::Own(|rule, exec, out| {
+            for (i, step) in exec.steps().iter().enumerate() {
+                let message = match step.action {
+                    Action::Broadcast { msg } => exec
+                        .message(msg)
+                        .filter(|info| info.sender != step.process)
+                        .map(|info| {
                             format!(
                                 "{} invokes B.broadcast({msg}), but {msg} is registered to sender {}",
                                 step.process, info.sender
-                            ),
-                            StepSpan::single(i),
-                        ));
-                    }
-                }
-            }
-            Action::Deliver { from, msg } => {
-                if let Some(info) = exec.message(msg) {
-                    if info.sender != from {
-                        out.push(raise(
-                            rule,
+                            )
+                        }),
+                    Action::Deliver { from, msg } => exec
+                        .message(msg)
+                        .filter(|info| info.sender != from)
+                        .map(|info| {
                             format!(
                                 "{} B-delivers {msg} attributed to {from}, but {msg} was B-broadcast by {}",
                                 step.process, info.sender
-                            ),
-                            StepSpan::single(i),
-                        ));
-                    }
+                            )
+                        }),
+                    _ => None,
+                };
+                if let Some(message) = message {
+                    out.push(rule.raise(message, StepSpan::single(i)));
                 }
             }
-            _ => {}
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// L004 deliver-before-broadcast
-// ---------------------------------------------------------------------------
-
-declare_rule!(
-    DeliverBeforeBroadcast,
-    check_deliver_before_broadcast,
-    "L004",
-    "deliver-before-broadcast",
-    Severity::Error,
-    "no message is B-delivered before some process invoked B.broadcast on it (BC-Validity's causal half)"
-);
-
-fn check_deliver_before_broadcast(
-    rule: &DeliverBeforeBroadcast,
-    exec: &Execution,
-    out: &mut Vec<Diagnostic>,
-) {
-    let mut broadcast: BTreeSet<MessageId> = BTreeSet::new();
-    for (i, step) in exec.steps().iter().enumerate() {
-        match step.action {
-            Action::Broadcast { msg } => {
-                broadcast.insert(msg);
-            }
-            Action::Deliver { msg, .. } if !broadcast.contains(&msg) => {
-                out.push(raise(
-                    rule,
-                    format!(
-                        "{} B-delivers {msg}, but no B.broadcast({msg}) precedes this step",
-                        step.process
-                    ),
-                    StepSpan::single(i),
-                ));
-            }
-            _ => {}
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// L005 action-after-crash
-// ---------------------------------------------------------------------------
-
-declare_rule!(
-    ActionAfterCrash,
-    check_action_after_crash,
-    "L005",
-    "action-after-crash",
-    Severity::Error,
-    "a crashed process takes no further step (Definition 1, clause 1)"
-);
-
-fn check_action_after_crash(rule: &ActionAfterCrash, exec: &Execution, out: &mut Vec<Diagnostic>) {
-    let mut crashed_at: BTreeMap<ProcessId, usize> = BTreeMap::new();
-    for (i, step) in exec.steps().iter().enumerate() {
-        if let Some(&c) = crashed_at.get(&step.process) {
-            out.push(raise(
-                rule,
+        }),
+    },
+    Rule {
+        code: "L004",
+        name: "deliver-before-broadcast",
+        severity: Severity::Error,
+        summary: "no message is B-delivered before some process invoked B.broadcast on it \
+             (BC-Validity's causal half)",
+        check: Check::Findings(Property::BcValidity, |f| {
+            let Defect::DeliverUnbroadcast(_, msg) = f.defect else {
+                return None;
+            };
+            Some(format!(
+                "{} B-delivers {msg}, but no B.broadcast({msg}) precedes this step",
+                f.process
+            ))
+        }),
+    },
+    Rule {
+        code: "L005",
+        name: "action-after-crash",
+        severity: Severity::Error,
+        summary: "a crashed process takes no further step (Definition 1, clause 1)",
+        check: Check::Findings(Property::WellFormedness, |f| {
+            matches!(f.defect, Defect::StepAfterCrash | Defect::CrashAfterCrash).then(|| {
                 format!(
-                    "{} acts at step {i} after crashing at step {c}",
-                    step.process
-                ),
-                StepSpan::new(c, i + 1),
-            ));
-        } else if step.action == Action::Crash {
-            crashed_at.insert(step.process, i);
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// L006 duplicate-crash
-// ---------------------------------------------------------------------------
-
-declare_rule!(
-    DuplicateCrash,
-    check_duplicate_crash,
-    "L006",
-    "duplicate-crash",
-    Severity::Error,
-    "each process crashes at most once"
-);
-
-fn check_duplicate_crash(rule: &DuplicateCrash, exec: &Execution, out: &mut Vec<Diagnostic>) {
-    let mut crashed_at: BTreeMap<ProcessId, usize> = BTreeMap::new();
-    for (i, step) in exec.steps().iter().enumerate() {
-        if step.action != Action::Crash {
-            continue;
-        }
-        if let Some(&c) = crashed_at.get(&step.process) {
-            out.push(raise(
-                rule,
+                    "{} acts at step {} after crashing at step {}",
+                    f.process,
+                    f.step,
+                    f.span().start
+                )
+            })
+        }),
+    },
+    Rule {
+        code: "L006",
+        name: "duplicate-crash",
+        severity: Severity::Error,
+        summary: "each process crashes at most once",
+        check: Check::Findings(Property::WellFormedness, |f| {
+            matches!(f.defect, Defect::CrashAfterCrash).then(|| {
                 format!(
-                    "{} crashes again at step {i}; it already crashed at step {c}",
-                    step.process
-                ),
-                StepSpan::new(c, i + 1),
-            ));
-        } else {
-            crashed_at.insert(step.process, i);
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// L007 nested-broadcast
-// ---------------------------------------------------------------------------
-
-declare_rule!(
-    NestedBroadcast,
-    check_nested_broadcast,
-    "L007",
-    "nested-broadcast",
-    Severity::Error,
-    "a process does not invoke B.broadcast while a previous invocation is still pending (Definition 1, clause 2)"
-);
-
-fn check_nested_broadcast(rule: &NestedBroadcast, exec: &Execution, out: &mut Vec<Diagnostic>) {
-    let mut pending: BTreeMap<ProcessId, (MessageId, usize)> = BTreeMap::new();
-    for (i, step) in exec.steps().iter().enumerate() {
-        match step.action {
-            Action::Broadcast { msg } => {
-                if let Some(&(open, at)) = pending.get(&step.process) {
-                    out.push(raise(
-                        rule,
+                    "{} crashes again at step {}; it already crashed at step {}",
+                    f.process,
+                    f.step,
+                    f.span().start
+                )
+            })
+        }),
+    },
+    Rule {
+        code: "L007",
+        name: "nested-broadcast",
+        severity: Severity::Error,
+        summary: "a process does not invoke B.broadcast while a previous invocation is still \
+             pending (Definition 1, clause 2)",
+        check: Check::Findings(Property::WellFormedness, |f| {
+            let Defect::NestedBroadcast(msg, pending) = f.defect else {
+                return None;
+            };
+            Some(format!(
+                "{} invokes B.broadcast({msg}) at step {} while B.broadcast({pending}) from step {} has not returned",
+                f.process,
+                f.step,
+                f.span().start
+            ))
+        }),
+    },
+    Rule {
+        code: "L008",
+        name: "mismatched-return",
+        severity: Severity::Error,
+        summary: "every broadcast return matches that process's pending invocation (Definition 1, \
+             clause 2)",
+        check: Check::Findings(Property::WellFormedness, |f| {
+            match f.defect {
+                Defect::MismatchedReturn(msg, pending) => Some(format!(
+                    "{} returns from B.broadcast({msg}), but its pending invocation is B.broadcast({pending})",
+                    f.process
+                )),
+                Defect::ReturnWithoutInvocation(msg) => Some(format!(
+                    "{} returns from B.broadcast({msg}) with no pending invocation",
+                    f.process
+                )),
+                _ => None,
+            }
+        }),
+    },
+    Rule {
+        code: "L009",
+        name: "orphan-ksa-response",
+        severity: Severity::Error,
+        summary: "every k-SA decision responds to an earlier proposal by the same process on the \
+             same object",
+        check: Check::Findings(Property::KsaOneShot, |f| match f.defect {
+            Defect::DecideWithoutPropose(obj) => Some(format!(
+                "{} decides on {obj} without having proposed to it",
+                f.process
+            )),
+            Defect::DecideTwice(obj) => Some(format!(
+                "{} decides on {obj} a second time at step {}; it already decided at step {}",
+                f.process,
+                f.step,
+                f.span().start
+            )),
+            _ => None,
+        }),
+    },
+    Rule {
+        code: "L010",
+        name: "duplicate-ksa-proposal",
+        severity: Severity::Error,
+        summary: "each process proposes at most once per one-shot k-SA object",
+        check: Check::Findings(Property::KsaOneShot, |f| {
+            let Defect::ProposeTwice(obj) = f.defect else {
+                return None;
+            };
+            Some(format!(
+                "{} proposes to one-shot object {obj} again at step {}; it already proposed at step {}",
+                f.process,
+                f.step,
+                f.span().start
+            ))
+        }),
+    },
+    Rule {
+        code: "L011",
+        name: "message-leak",
+        severity: Severity::Warning,
+        summary: "every point-to-point message sent to a correct process is eventually received \
+             by it",
+        check: Check::Findings(Property::SrTermination, |f| {
+            let Defect::NeverReceived(to, msg) = f.defect else {
+                return None;
+            };
+            Some(format!(
+                "{msg}, sent to correct process {to}, is never received — the message leaks"
+            ))
+        }),
+    },
+    Rule {
+        code: "L012",
+        name: "unreturned-broadcast",
+        severity: Severity::Warning,
+        summary: "every broadcast invoked by a correct process returns (BC-Local-CS-Termination \
+             in completed executions)",
+        check: Check::Findings(Property::BcLocalTermination, |f| {
+            let Defect::NeverReturns(msg) = f.defect else {
+                return None;
+            };
+            Some(format!(
+                "B.broadcast({msg}) by correct process {} never returns",
+                f.process
+            ))
+        }),
+    },
+    Rule {
+        code: "L013",
+        name: "unanswered-proposal",
+        severity: Severity::Warning,
+        summary: "every proposal by a correct process decides — a completed execution left \
+             otherwise is not quiescent (k-SA Termination)",
+        check: Check::Findings(Property::KsaTermination, |f| {
+            let Defect::NeverDecides(obj) = f.defect else {
+                return None;
+            };
+            Some(format!(
+                "correct process {} proposes to {obj} but never decides — the execution is not quiescent",
+                f.process
+            ))
+        }),
+    },
+    Rule {
+        code: "L014",
+        name: "unused-broadcast-instance",
+        severity: Severity::Warning,
+        summary: "every broadcast-level message registered in the message table occurs in some \
+             step",
+        check: Check::Own(|rule, exec, out| {
+            let used: BTreeSet<MessageId> = exec
+                .steps()
+                .iter()
+                .filter_map(|step| step.action.message())
+                .collect();
+            let end = exec.len();
+            for (id, info) in exec.messages() {
+                if info.kind == MessageKind::Broadcast && !used.contains(&id) {
+                    out.push(rule.raise(
                         format!(
-                            "{} invokes B.broadcast({msg}) at step {i} while B.broadcast({open}) from step {at} has not returned",
-                            step.process
+                            "broadcast message {id} (from {}, label {:?}) is registered but appears in no step",
+                            info.sender, info.label
                         ),
-                        StepSpan::new(at, i + 1),
+                        StepSpan::new(end, end),
                     ));
                 }
-                pending.insert(step.process, (msg, i));
             }
-            Action::ReturnBroadcast { msg }
-                if pending
-                    .get(&step.process)
-                    .is_some_and(|&(open, _)| open == msg) =>
-            {
-                pending.remove(&step.process);
-            }
-            _ => {}
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// L008 mismatched-return
-// ---------------------------------------------------------------------------
-
-declare_rule!(
-    MismatchedReturn,
-    check_mismatched_return,
-    "L008",
-    "mismatched-return",
-    Severity::Error,
-    "every broadcast return matches that process's pending invocation (Definition 1, clause 2)"
-);
-
-fn check_mismatched_return(rule: &MismatchedReturn, exec: &Execution, out: &mut Vec<Diagnostic>) {
-    let mut pending: BTreeMap<ProcessId, MessageId> = BTreeMap::new();
-    for (i, step) in exec.steps().iter().enumerate() {
-        match step.action {
-            Action::Broadcast { msg } => {
-                pending.insert(step.process, msg);
-            }
-            Action::ReturnBroadcast { msg } => match pending.remove(&step.process) {
-                Some(open) if open == msg => {}
-                Some(open) => {
-                    out.push(raise(
-                        rule,
-                        format!(
-                            "{} returns from B.broadcast({msg}), but its pending invocation is B.broadcast({open})",
-                            step.process
-                        ),
-                        StepSpan::single(i),
-                    ));
-                }
-                None => {
-                    out.push(raise(
-                        rule,
-                        format!(
-                            "{} returns from B.broadcast({msg}) with no pending invocation",
-                            step.process
-                        ),
-                        StepSpan::single(i),
-                    ));
-                }
-            },
-            _ => {}
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// L009 orphan-ksa-response
-// ---------------------------------------------------------------------------
-
-declare_rule!(
-    OrphanKsaResponse,
-    check_orphan_ksa_response,
-    "L009",
-    "orphan-ksa-response",
-    Severity::Error,
-    "every k-SA decision responds to an earlier proposal by the same process on the same object"
-);
-
-fn check_orphan_ksa_response(
-    rule: &OrphanKsaResponse,
-    exec: &Execution,
-    out: &mut Vec<Diagnostic>,
-) {
-    let mut proposed: BTreeSet<(ProcessId, camp_trace::KsaId)> = BTreeSet::new();
-    let mut decided: BTreeMap<(ProcessId, camp_trace::KsaId), usize> = BTreeMap::new();
-    for (i, step) in exec.steps().iter().enumerate() {
-        match step.action {
-            Action::Propose { obj, .. } => {
-                proposed.insert((step.process, obj));
-            }
-            Action::Decide { obj, .. } => {
-                let key = (step.process, obj);
-                if !proposed.contains(&key) {
-                    out.push(raise(
-                        rule,
-                        format!(
-                            "{} decides on {obj} without having proposed to it",
-                            step.process
-                        ),
-                        StepSpan::single(i),
-                    ));
-                } else if let Some(&first) = decided.get(&key) {
-                    out.push(raise(
-                        rule,
-                        format!(
-                            "{} decides on {obj} a second time at step {i}; it already decided at step {first}",
-                            step.process
-                        ),
-                        StepSpan::new(first, i + 1),
-                    ));
-                } else {
-                    decided.insert(key, i);
-                }
-            }
-            _ => {}
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// L010 duplicate-ksa-proposal
-// ---------------------------------------------------------------------------
-
-declare_rule!(
-    DuplicateKsaProposal,
-    check_duplicate_ksa_proposal,
-    "L010",
-    "duplicate-ksa-proposal",
-    Severity::Error,
-    "each process proposes at most once per one-shot k-SA object"
-);
-
-fn check_duplicate_ksa_proposal(
-    rule: &DuplicateKsaProposal,
-    exec: &Execution,
-    out: &mut Vec<Diagnostic>,
-) {
-    let mut proposed: BTreeMap<(ProcessId, camp_trace::KsaId), usize> = BTreeMap::new();
-    for (i, step) in exec.steps().iter().enumerate() {
-        if let Action::Propose { obj, .. } = step.action {
-            let key = (step.process, obj);
-            if let Some(&first) = proposed.get(&key) {
-                out.push(raise(
-                    rule,
-                    format!(
-                        "{} proposes to one-shot object {obj} again at step {i}; it already proposed at step {first}",
-                        step.process
-                    ),
-                    StepSpan::new(first, i + 1),
-                ));
-            } else {
-                proposed.insert(key, i);
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// L011 message-leak
-// ---------------------------------------------------------------------------
-
-declare_rule!(
-    MessageLeak,
-    check_message_leak,
-    "L011",
-    "message-leak",
-    Severity::Warning,
-    "every point-to-point message sent to a correct process is eventually received by it"
-);
-
-fn check_message_leak(rule: &MessageLeak, exec: &Execution, out: &mut Vec<Diagnostic>) {
-    let mut received: BTreeSet<(ProcessId, MessageId)> = BTreeSet::new();
-    for step in exec.steps() {
-        if let Action::Receive { msg, .. } = step.action {
-            received.insert((step.process, msg));
-        }
-    }
-    for (i, step) in exec.steps().iter().enumerate() {
-        if let Action::Send { to, msg } = step.action {
-            if !exec.is_faulty(to) && !received.contains(&(to, msg)) {
-                out.push(raise(
-                    rule,
-                    format!(
-                        "{msg}, sent to correct process {to}, is never received — the message leaks",
-                    ),
-                    StepSpan::single(i),
-                ));
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// L012 unreturned-broadcast
-// ---------------------------------------------------------------------------
-
-declare_rule!(
-    UnreturnedBroadcast,
-    check_unreturned_broadcast,
-    "L012",
-    "unreturned-broadcast",
-    Severity::Warning,
-    "every broadcast invoked by a correct process returns (BC-Local-CS-Termination in completed executions)"
-);
-
-fn check_unreturned_broadcast(
-    rule: &UnreturnedBroadcast,
-    exec: &Execution,
-    out: &mut Vec<Diagnostic>,
-) {
-    let mut returned: BTreeSet<(ProcessId, MessageId)> = BTreeSet::new();
-    for step in exec.steps() {
-        if let Action::ReturnBroadcast { msg } = step.action {
-            returned.insert((step.process, msg));
-        }
-    }
-    for (i, step) in exec.steps().iter().enumerate() {
-        if let Action::Broadcast { msg } = step.action {
-            if !exec.is_faulty(step.process) && !returned.contains(&(step.process, msg)) {
-                out.push(raise(
-                    rule,
-                    format!(
-                        "B.broadcast({msg}) by correct process {} never returns",
-                        step.process
-                    ),
-                    StepSpan::single(i),
-                ));
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// L013 unanswered-proposal
-// ---------------------------------------------------------------------------
-
-declare_rule!(
-    UnansweredProposal,
-    check_unanswered_proposal,
-    "L013",
-    "unanswered-proposal",
-    Severity::Warning,
-    "every proposal by a correct process decides — a completed execution left otherwise is not quiescent (k-SA Termination)"
-);
-
-fn check_unanswered_proposal(
-    rule: &UnansweredProposal,
-    exec: &Execution,
-    out: &mut Vec<Diagnostic>,
-) {
-    let mut decided: BTreeSet<(ProcessId, camp_trace::KsaId)> = BTreeSet::new();
-    for step in exec.steps() {
-        if let Action::Decide { obj, .. } = step.action {
-            decided.insert((step.process, obj));
-        }
-    }
-    for (i, step) in exec.steps().iter().enumerate() {
-        if let Action::Propose { obj, .. } = step.action {
-            if !exec.is_faulty(step.process) && !decided.contains(&(step.process, obj)) {
-                out.push(raise(
-                    rule,
-                    format!(
-                        "correct process {} proposes to {obj} but never decides — the execution is not quiescent",
-                        step.process
-                    ),
-                    StepSpan::single(i),
-                ));
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// L014 unused-broadcast-instance
-// ---------------------------------------------------------------------------
-
-declare_rule!(
-    UnusedBroadcastInstance,
-    check_unused_broadcast_instance,
-    "L014",
-    "unused-broadcast-instance",
-    Severity::Warning,
-    "every broadcast-level message registered in the message table occurs in some step"
-);
-
-fn check_unused_broadcast_instance(
-    rule: &UnusedBroadcastInstance,
-    exec: &Execution,
-    out: &mut Vec<Diagnostic>,
-) {
-    let mut used: BTreeSet<MessageId> = BTreeSet::new();
-    for step in exec.steps() {
-        if let Some(msg) = step.action.message() {
-            used.insert(msg);
-        }
-    }
-    let end = exec.len();
-    for (id, info) in exec.messages() {
-        if info.kind == MessageKind::Broadcast && !used.contains(&id) {
-            out.push(raise(
-                rule,
-                format!(
-                    "broadcast message {id} (from {}, label {:?}) is registered but appears in no step",
-                    info.sender, info.label
-                ),
-                StepSpan::new(end, end),
-            ));
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// L015 duplicate-delivery
-// ---------------------------------------------------------------------------
-
-declare_rule!(
-    DuplicateDelivery,
-    check_duplicate_delivery,
-    "L015",
-    "duplicate-delivery",
-    Severity::Error,
-    "no process B-delivers the same message twice (BC-No-Duplication)"
-);
-
-fn check_duplicate_delivery(rule: &DuplicateDelivery, exec: &Execution, out: &mut Vec<Diagnostic>) {
-    let mut delivered: BTreeMap<(ProcessId, MessageId), usize> = BTreeMap::new();
-    for (i, step) in exec.steps().iter().enumerate() {
-        if let Action::Deliver { msg, .. } = step.action {
-            let key = (step.process, msg);
-            if let Some(&first) = delivered.get(&key) {
-                out.push(raise(
-                    rule,
-                    format!(
-                        "{} B-delivers {msg} again at step {i}; it already delivered it at step {first}",
-                        step.process
-                    ),
-                    StepSpan::new(first, i + 1),
-                ));
-            } else {
-                delivered.insert(key, i);
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Registry
-// ---------------------------------------------------------------------------
+        }),
+    },
+    Rule {
+        code: "L015",
+        name: "duplicate-delivery",
+        severity: Severity::Error,
+        summary: "no process B-delivers the same message twice (BC-No-Duplication)",
+        check: Check::Findings(Property::BcNoDuplication, |f| {
+            let Defect::DeliverTwice(msg) = f.defect else {
+                return None;
+            };
+            Some(format!(
+                "{} B-delivers {msg} again at step {}; it already delivered it at step {}",
+                f.process,
+                f.step,
+                f.span().start
+            ))
+        }),
+    },
+];
 
 /// All built-in rules, in code order.
 #[must_use]
-pub fn default_rules() -> Vec<Box<dyn Rule>> {
-    vec![
-        Box::new(ProcessOutOfRange),
-        Box::new(UnknownMessage),
-        Box::new(ForeignSender),
-        Box::new(DeliverBeforeBroadcast),
-        Box::new(ActionAfterCrash),
-        Box::new(DuplicateCrash),
-        Box::new(NestedBroadcast),
-        Box::new(MismatchedReturn),
-        Box::new(OrphanKsaResponse),
-        Box::new(DuplicateKsaProposal),
-        Box::new(MessageLeak),
-        Box::new(UnreturnedBroadcast),
-        Box::new(UnansweredProposal),
-        Box::new(UnusedBroadcastInstance),
-        Box::new(DuplicateDelivery),
-    ]
+pub fn default_rules() -> Vec<Rule> {
+    RULES.to_vec()
 }
 
-/// Lints `exec` with an explicit rule set.
+/// Lints `exec` with an explicit rule set: one monitor pass for every
+/// property the rules word, then each rule in turn.
 #[must_use]
-pub fn lint_with(rules: &[Box<dyn Rule>], exec: &Execution) -> Report {
+pub fn lint_with(rules: &[Rule], exec: &Execution) -> Report {
+    let mut properties: Vec<Property> = Vec::new();
+    for rule in rules {
+        if let Check::Findings(p, _) = rule.check {
+            if !properties.contains(&p) {
+                properties.push(p);
+            }
+        }
+    }
+    let steps = exec.steps().iter().copied();
+    let findings = monitor::run(exec.process_count(), steps, &properties, &mut NoopSink);
     let mut out = Vec::new();
     for rule in rules {
-        rule.check(exec, &mut out);
+        match rule.check {
+            Check::Own(check) => check(rule, exec, &mut out),
+            Check::Findings(property, word) => {
+                let at = properties.iter().position(|&p| p == property);
+                for f in &findings[at.expect("collected above")] {
+                    if let Some(message) = word(f) {
+                        out.push(rule.raise(message, f.span()));
+                    }
+                }
+            }
+        }
     }
-    Report::new(rules.iter().map(|r| r.code().to_string()).collect(), out)
+    Report::new(rules.iter().map(|r| r.code.to_string()).collect(), out)
 }
 
 /// Lints `exec` with every built-in rule.
 #[must_use]
 pub fn lint_execution(exec: &Execution) -> Report {
-    lint_with(&default_rules(), exec)
+    lint_with(&RULES, exec)
 }
 
 #[cfg(test)]

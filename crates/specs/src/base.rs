@@ -2,39 +2,56 @@
 //! (paper §3.1): BC-Validity, BC-No-Duplication, BC-Local-Termination,
 //! BC-Global-CS-Termination.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
-use camp_trace::{Action, Execution, MessageId, ProcessId};
+use camp_obs::NoopSink;
+use camp_trace::{Action, Execution, MessageId, ProcessId, Step};
 
-use crate::violation::{SpecResult, Violation};
+use crate::monitor::{self, Defect, End, Finding, Monitor, Property};
+use crate::violation::SpecResult;
+
+/// The two broadcast safety properties, in checking order.
+pub const SAFETY: [Property; 2] = [Property::BcValidity, Property::BcNoDuplication];
+
+/// The four base broadcast properties, in checking order.
+pub const ALL: [Property; 4] = [
+    Property::BcValidity,
+    Property::BcNoDuplication,
+    Property::BcLocalTermination,
+    Property::BcGlobalCsTermination,
+];
 
 /// **BC-Validity.** If a process B-delivers a message `m` from `p_j`, then
 /// `p_j` has previously B-broadcast `m`.
 ///
 /// # Errors
 ///
-/// Returns a [`Violation`] naming the offending delivery.
+/// Returns a [`crate::Violation`] naming the offending delivery.
 pub fn bc_validity(exec: &Execution) -> SpecResult {
-    let mut broadcast: BTreeSet<(ProcessId, MessageId)> = BTreeSet::new();
-    for (i, step) in exec.steps().iter().enumerate() {
+    monitor::check(exec, &[Property::BcValidity], &mut NoopSink)
+}
+
+/// The BC-Validity monitor: every `(message, broadcaster)` invocation so far.
+#[derive(Default)]
+pub(crate) struct BcValidity(BTreeSet<(MessageId, ProcessId)>);
+
+impl Monitor for BcValidity {
+    fn observe(&mut self, i: usize, step: &Step, out: &mut Vec<Finding>) {
         match step.action {
             Action::Broadcast { msg } => {
-                broadcast.insert((step.process, msg));
+                self.0.insert((msg, step.process));
             }
-            Action::Deliver { from, msg } if !broadcast.contains(&(from, msg)) => {
-                return Err(Violation::new(
-                    "BC-Validity",
-                    format!(
-                        "step {i}: {} B-delivers {msg} from {from}, but {from} never \
-                             B-broadcast {msg} beforehand",
-                        step.process
-                    ),
-                ));
+            Action::Deliver { from, msg } if !self.0.contains(&(msg, from)) => {
+                let defect = if monitor::any_process(&self.0, msg) {
+                    Defect::DeliverFromAnother(from, msg)
+                } else {
+                    Defect::DeliverUnbroadcast(from, msg)
+                };
+                out.push(Finding::new(i, step.process, defect));
             }
             _ => {}
         }
     }
-    Ok(())
 }
 
 /// **BC-No-Duplication.** A process does not B-deliver the same message more
@@ -42,20 +59,25 @@ pub fn bc_validity(exec: &Execution) -> SpecResult {
 ///
 /// # Errors
 ///
-/// Returns a [`Violation`] naming the duplicated delivery.
+/// Returns a [`crate::Violation`] naming the duplicated delivery.
 pub fn bc_no_duplication(exec: &Execution) -> SpecResult {
-    let mut delivered: BTreeSet<(ProcessId, MessageId)> = BTreeSet::new();
-    for (i, step) in exec.steps().iter().enumerate() {
+    monitor::check(exec, &[Property::BcNoDuplication], &mut NoopSink)
+}
+
+/// The BC-No-Duplication monitor: the step of each `(deliverer, message)`
+/// first delivery.
+#[derive(Default)]
+pub(crate) struct BcNoDuplication(BTreeMap<(ProcessId, MessageId), usize>);
+
+impl Monitor for BcNoDuplication {
+    fn observe(&mut self, i: usize, step: &Step, out: &mut Vec<Finding>) {
         if let Action::Deliver { msg, .. } = step.action {
-            if !delivered.insert((step.process, msg)) {
-                return Err(Violation::new(
-                    "BC-No-Duplication",
-                    format!("step {i}: {} B-delivers {msg} a second time", step.process),
-                ));
+            let first = *self.0.entry((step.process, msg)).or_insert(i);
+            if first != i {
+                out.push(Finding::new(i, step.process, Defect::DeliverTwice(msg)).after(first));
             }
         }
     }
-    Ok(())
 }
 
 /// **BC-Local-Termination.** If a correct process invokes `B.broadcast(m)`,
@@ -65,29 +87,37 @@ pub fn bc_no_duplication(exec: &Execution) -> SpecResult {
 ///
 /// # Errors
 ///
-/// Returns a [`Violation`] naming the unreturned invocation.
+/// Returns a [`crate::Violation`] naming the unreturned invocation.
 pub fn bc_local_termination(exec: &Execution) -> SpecResult {
-    let mut returned: BTreeSet<(ProcessId, MessageId)> = BTreeSet::new();
-    for step in exec.steps() {
-        if let Action::ReturnBroadcast { msg } = step.action {
-            returned.insert((step.process, msg));
+    monitor::check(exec, &[Property::BcLocalTermination], &mut NoopSink)
+}
+
+/// The BC-Local-Termination monitor: every return, and every invocation,
+/// judged when the sequence ends.
+#[derive(Default)]
+pub(crate) struct BcLocalTermination {
+    returned: BTreeSet<(ProcessId, MessageId)>,
+    invoked: Vec<(usize, ProcessId, MessageId)>,
+}
+
+impl Monitor for BcLocalTermination {
+    fn observe(&mut self, i: usize, step: &Step, _out: &mut Vec<Finding>) {
+        match step.action {
+            Action::ReturnBroadcast { msg } => {
+                self.returned.insert((step.process, msg));
+            }
+            Action::Broadcast { msg } => self.invoked.push((i, step.process, msg)),
+            _ => {}
         }
     }
-    for (i, step) in exec.steps().iter().enumerate() {
-        if let Action::Broadcast { msg } = step.action {
-            if !exec.is_faulty(step.process) && !returned.contains(&(step.process, msg)) {
-                return Err(Violation::new(
-                    "BC-Local-Termination",
-                    format!(
-                        "step {i}: correct process {} invoked B.broadcast({msg}) and never \
-                         returned from it",
-                        step.process
-                    ),
-                ));
+
+    fn finish(&mut self, end: &End, out: &mut Vec<Finding>) {
+        for &(i, p, msg) in &self.invoked {
+            if end.is_correct(p) && !self.returned.contains(&(p, msg)) {
+                out.push(Finding::new(i, p, Defect::NeverReturns(msg)));
             }
         }
     }
-    Ok(())
 }
 
 /// **BC-Global-CS-Termination.** If a *correct* process B-broadcasts `m`,
@@ -98,34 +128,9 @@ pub fn bc_local_termination(exec: &Execution) -> SpecResult {
 ///
 /// # Errors
 ///
-/// Returns a [`Violation`] naming the missing delivery.
+/// Returns a [`crate::Violation`] naming the missing delivery.
 pub fn bc_global_cs_termination(exec: &Execution) -> SpecResult {
-    let mut delivered: BTreeSet<(ProcessId, MessageId)> = BTreeSet::new();
-    for step in exec.steps() {
-        if let Action::Deliver { msg, .. } = step.action {
-            delivered.insert((step.process, msg));
-        }
-    }
-    for (i, step) in exec.steps().iter().enumerate() {
-        if let Action::Broadcast { msg } = step.action {
-            if exec.is_faulty(step.process) {
-                continue;
-            }
-            for q in exec.correct_processes() {
-                if !delivered.contains(&(q, msg)) {
-                    return Err(Violation::new(
-                        "BC-Global-CS-Termination",
-                        format!(
-                            "step {i}: correct process {} B-broadcast {msg}, but correct \
-                             process {q} never B-delivers it",
-                            step.process
-                        ),
-                    ));
-                }
-            }
-        }
-    }
-    Ok(())
+    monitor::check(exec, &[Property::BcGlobalCsTermination], &mut NoopSink)
 }
 
 /// **BC-Uniform-Agreement** (the *uniform reliable broadcast* guarantee of
@@ -141,31 +146,63 @@ pub fn bc_global_cs_termination(exec: &Execution) -> SpecResult {
 ///
 /// # Errors
 ///
-/// Returns a [`Violation`] naming the non-uniform delivery.
+/// Returns a [`crate::Violation`] naming the non-uniform delivery.
 pub fn bc_uniform_agreement(exec: &Execution) -> SpecResult {
-    let mut delivered: BTreeSet<(ProcessId, MessageId)> = BTreeSet::new();
-    for step in exec.steps() {
-        if let Action::Deliver { msg, .. } = step.action {
-            delivered.insert((step.process, msg));
+    monitor::check(exec, &[Property::BcUniformAgreement], &mut NoopSink)
+}
+
+/// The monitor of BC-Global-CS-Termination, whose obligations are the
+/// invocations of correct processes, and of BC-Uniform-Agreement
+/// (`uniform`), whose obligations are all deliveries: each obligation's
+/// message must reach every correct process.
+#[derive(Default)]
+pub(crate) struct DeliveredEverywhere {
+    uniform: bool,
+    delivered: BTreeSet<(ProcessId, MessageId)>,
+    obligations: Vec<(usize, ProcessId, MessageId)>,
+}
+
+impl DeliveredEverywhere {
+    pub(crate) fn new(uniform: bool) -> Self {
+        Self {
+            uniform,
+            ..Self::default()
         }
     }
-    for (i, step) in exec.steps().iter().enumerate() {
-        if let Action::Deliver { msg, .. } = step.action {
-            for q in exec.correct_processes() {
-                if !delivered.contains(&(q, msg)) {
-                    return Err(Violation::new(
-                        "BC-Uniform-Agreement",
-                        format!(
-                            "step {i}: {} B-delivers {msg}, but correct process {q} never \
-                             B-delivers it",
-                            step.process
-                        ),
-                    ));
+}
+
+impl Monitor for DeliveredEverywhere {
+    fn observe(&mut self, i: usize, step: &Step, _out: &mut Vec<Finding>) {
+        let p = step.process;
+        match step.action {
+            Action::Deliver { msg, .. } => {
+                self.delivered.insert((p, msg));
+                if self.uniform {
+                    self.obligations.push((i, p, msg));
+                }
+            }
+            Action::Broadcast { msg } if !self.uniform => self.obligations.push((i, p, msg)),
+            _ => {}
+        }
+    }
+
+    fn finish(&mut self, end: &End, out: &mut Vec<Finding>) {
+        for &(i, p, msg) in &self.obligations {
+            if !self.uniform && !end.is_correct(p) {
+                continue;
+            }
+            for &missing in &end.correct {
+                if !self.delivered.contains(&(missing, msg)) {
+                    let defect = if self.uniform {
+                        Defect::NotUniform(msg, missing)
+                    } else {
+                        Defect::NeverDelivered(msg, missing)
+                    };
+                    out.push(Finding::new(i, p, defect));
                 }
             }
         }
     }
-    Ok(())
 }
 
 /// Checks the two broadcast **safety** properties (BC-Validity,
@@ -173,58 +210,18 @@ pub fn bc_uniform_agreement(exec: &Execution) -> SpecResult {
 ///
 /// # Errors
 ///
-/// Propagates the first violation found.
+/// Returns the first violation of the first failing property.
 pub fn check_safety(exec: &Execution) -> SpecResult {
-    bc_validity(exec)?;
-    bc_no_duplication(exec)
+    monitor::check(exec, &SAFETY, &mut NoopSink)
 }
 
 /// Checks all four base broadcast properties — for completed executions.
 ///
 /// # Errors
 ///
-/// Propagates the first violation found.
+/// Returns the first violation of the first failing property.
 pub fn check_all(exec: &Execution) -> SpecResult {
-    check_safety(exec)?;
-    bc_local_termination(exec)?;
-    bc_global_cs_termination(exec)
-}
-
-/// [`check_safety`] with an observability sink: records
-/// `specs.properties_evaluated` per property actually run (short-circuits on
-/// the first violation, like the plain checker) and `specs.events_scanned`
-/// per property × execution length (each checker walks the full step list).
-///
-/// # Errors
-///
-/// Propagates the first violation found.
-pub fn check_safety_obs(exec: &Execution, sink: &mut impl camp_obs::ObsSink) -> SpecResult {
-    for check in [bc_validity, bc_no_duplication] {
-        sink.inc("specs.properties_evaluated");
-        sink.add("specs.events_scanned", exec.len() as u64);
-        check(exec)?;
-    }
-    Ok(())
-}
-
-/// [`check_all`] with an observability sink; same accounting as
-/// [`check_safety_obs`], over all four base properties.
-///
-/// # Errors
-///
-/// Propagates the first violation found.
-pub fn check_all_obs(exec: &Execution, sink: &mut impl camp_obs::ObsSink) -> SpecResult {
-    for check in [
-        bc_validity,
-        bc_no_duplication,
-        bc_local_termination,
-        bc_global_cs_termination,
-    ] {
-        sink.inc("specs.properties_evaluated");
-        sink.add("specs.events_scanned", exec.len() as u64);
-        check(exec)?;
-    }
-    Ok(())
+    monitor::check(exec, &ALL, &mut NoopSink)
 }
 
 #[cfg(test)]
@@ -248,29 +245,6 @@ mod tests {
     #[test]
     fn good_execution_passes_all() {
         assert!(check_all(&good_execution()).is_ok());
-    }
-
-    #[test]
-    fn obs_checkers_count_properties_and_events() {
-        let exec = good_execution();
-        let mut sink = camp_obs::Counters::new();
-        assert!(check_all_obs(&exec, &mut sink).is_ok());
-        assert_eq!(sink.count("specs.properties_evaluated"), 4);
-        assert_eq!(sink.count("specs.events_scanned"), 4 * exec.len() as u64);
-    }
-
-    #[test]
-    fn obs_checker_short_circuits_like_the_plain_one() {
-        // Delivery without a broadcast: BC-Validity (the first property)
-        // fails, so exactly one property is counted.
-        let mut b = ExecutionBuilder::new(2);
-        let m = b.fresh_broadcast_message(p(1), Value::new(1));
-        b.step(p(2), Action::Deliver { from: p(1), msg: m });
-        let exec = b.build();
-        let mut sink = camp_obs::Counters::new();
-        let err = check_safety_obs(&exec, &mut sink).unwrap_err();
-        assert_eq!(err.property(), "BC-Validity");
-        assert_eq!(sink.count("specs.properties_evaluated"), 1);
     }
 
     #[test]

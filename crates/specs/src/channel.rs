@@ -3,9 +3,11 @@
 
 use std::collections::BTreeSet;
 
-use camp_trace::{Action, Execution, MessageId, ProcessId};
+use camp_obs::NoopSink;
+use camp_trace::{Action, Execution, MessageId, ProcessId, Step};
 
-use crate::violation::{SpecResult, Violation};
+use crate::monitor::{self, Defect, End, Finding, Monitor, Property};
+use crate::violation::SpecResult;
 
 /// **SR-Validity.** If a process `p_r` receives a message `m` from `p_s`,
 /// then `p_s` has indeed sent `m` to `p_r` (and did so earlier in the
@@ -13,48 +15,51 @@ use crate::violation::{SpecResult, Violation};
 ///
 /// # Errors
 ///
-/// Returns a [`Violation`] naming the offending reception.
+/// Returns a [`crate::Violation`] naming the offending reception.
 pub fn sr_validity(exec: &Execution) -> SpecResult {
-    let mut sent: BTreeSet<(ProcessId, ProcessId, MessageId)> = BTreeSet::new();
-    for (i, step) in exec.steps().iter().enumerate() {
+    monitor::check(exec, &[Property::SrValidity], &mut NoopSink)
+}
+
+/// The SR-Validity monitor: every `(sender, receiver, message)` sent so far.
+#[derive(Default)]
+pub(crate) struct SrValidity(BTreeSet<(ProcessId, ProcessId, MessageId)>);
+
+impl Monitor for SrValidity {
+    fn observe(&mut self, i: usize, step: &Step, out: &mut Vec<Finding>) {
+        let p = step.process;
         match step.action {
             Action::Send { to, msg } => {
-                sent.insert((step.process, to, msg));
+                self.0.insert((p, to, msg));
             }
-            Action::Receive { from, msg } if !sent.contains(&(from, step.process, msg)) => {
-                return Err(Violation::new(
-                    "SR-Validity",
-                    format!(
-                        "step {i}: {} receives {msg} from {from}, but {from} never \
-                             sent {msg} to {} beforehand",
-                        step.process, step.process
-                    ),
-                ));
+            Action::Receive { from, msg } if !self.0.contains(&(from, p, msg)) => {
+                out.push(Finding::new(i, p, Defect::ReceiveUnsent(from, msg)));
             }
             _ => {}
         }
     }
-    Ok(())
 }
 
 /// **SR-No-Duplication.** No process receives the same message more than once.
 ///
 /// # Errors
 ///
-/// Returns a [`Violation`] naming the duplicated reception.
+/// Returns a [`crate::Violation`] naming the duplicated reception.
 pub fn sr_no_duplication(exec: &Execution) -> SpecResult {
-    let mut received: BTreeSet<(ProcessId, MessageId)> = BTreeSet::new();
-    for (i, step) in exec.steps().iter().enumerate() {
+    monitor::check(exec, &[Property::SrNoDuplication], &mut NoopSink)
+}
+
+/// The SR-No-Duplication monitor: every `(receiver, message)` so far.
+#[derive(Default)]
+pub(crate) struct SrNoDuplication(BTreeSet<(ProcessId, MessageId)>);
+
+impl Monitor for SrNoDuplication {
+    fn observe(&mut self, i: usize, step: &Step, out: &mut Vec<Finding>) {
         if let Action::Receive { msg, .. } = step.action {
-            if !received.insert((step.process, msg)) {
-                return Err(Violation::new(
-                    "SR-No-Duplication",
-                    format!("step {i}: {} receives {msg} a second time", step.process),
-                ));
+            if !self.0.insert((step.process, msg)) {
+                out.push(Finding::new(i, step.process, Defect::ReceiveTwice(msg)));
             }
         }
     }
-    Ok(())
 }
 
 /// **SR-Termination.** If a process `p_s` sends a message `m` to a correct
@@ -66,29 +71,43 @@ pub fn sr_no_duplication(exec: &Execution) -> SpecResult {
 ///
 /// # Errors
 ///
-/// Returns a [`Violation`] naming an undelivered message.
+/// Returns a [`crate::Violation`] naming an undelivered message.
 pub fn sr_termination(exec: &Execution) -> SpecResult {
-    let mut received: BTreeSet<(ProcessId, ProcessId, MessageId)> = BTreeSet::new();
-    for step in exec.steps() {
-        if let Action::Receive { from, msg } = step.action {
-            received.insert((from, step.process, msg));
-        }
-    }
-    for (i, step) in exec.steps().iter().enumerate() {
-        if let Action::Send { to, msg } = step.action {
-            if !exec.is_faulty(to) && !received.contains(&(step.process, to, msg)) {
-                return Err(Violation::new(
-                    "SR-Termination",
-                    format!(
-                        "step {i}: {} sent {msg} to correct process {to}, which never \
-                         receives it",
-                        step.process
-                    ),
-                ));
+    monitor::check(exec, &[Property::SrTermination], &mut NoopSink)
+}
+
+/// The SR-Termination monitor: every reception, keyed `((receiver,
+/// message), sender)`, and every send, judged when the sequence ends.
+#[derive(Default)]
+pub(crate) struct SrTermination {
+    received: BTreeSet<((ProcessId, MessageId), ProcessId)>,
+    sends: Vec<(usize, ProcessId, ProcessId, MessageId)>,
+}
+
+impl Monitor for SrTermination {
+    fn observe(&mut self, i: usize, step: &Step, _out: &mut Vec<Finding>) {
+        match step.action {
+            Action::Receive { from, msg } => {
+                self.received.insert(((step.process, msg), from));
             }
+            Action::Send { to, msg } => self.sends.push((i, step.process, to, msg)),
+            _ => {}
         }
     }
-    Ok(())
+
+    fn finish(&mut self, end: &End, out: &mut Vec<Finding>) {
+        for &(i, p, to, msg) in &self.sends {
+            if !end.is_correct(to) || self.received.contains(&((to, msg), p)) {
+                continue;
+            }
+            let defect = if monitor::any_process(&self.received, (to, msg)) {
+                Defect::ReceivedFromAnother(to, msg)
+            } else {
+                Defect::NeverReceived(to, msg)
+            };
+            out.push(Finding::new(i, p, defect));
+        }
+    }
 }
 
 /// Checks the two channel **safety** properties (SR-Validity,
@@ -96,20 +115,21 @@ pub fn sr_termination(exec: &Execution) -> SpecResult {
 ///
 /// # Errors
 ///
-/// Propagates the first violation found.
+/// Returns the first violation of the first failing property.
 pub fn check_safety(exec: &Execution) -> SpecResult {
-    sr_validity(exec)?;
-    sr_no_duplication(exec)
+    let safety = [Property::SrValidity, Property::SrNoDuplication];
+    monitor::check(exec, &safety, &mut NoopSink)
 }
 
 /// Checks all three channel properties — for completed executions.
 ///
 /// # Errors
 ///
-/// Propagates the first violation found.
+/// Returns the first violation of the first failing property.
 pub fn check_all(exec: &Execution) -> SpecResult {
-    check_safety(exec)?;
-    sr_termination(exec)
+    use Property::*;
+    let all = [SrValidity, SrNoDuplication, SrTermination];
+    monitor::check(exec, &all, &mut NoopSink)
 }
 
 #[cfg(test)]

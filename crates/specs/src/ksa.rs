@@ -3,9 +3,11 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use camp_trace::{Action, Execution, KsaId, ProcessId, Value};
+use camp_obs::NoopSink;
+use camp_trace::{Action, Execution, KsaId, ProcessId, Step, Value};
 
-use crate::violation::{SpecResult, Violation};
+use crate::monitor::{self, Defect, End, Finding, Monitor, Property};
+use crate::violation::SpecResult;
 
 /// **k-SA-Validity.** If a process decides a value `v` on an object `ksa`,
 /// then `v` was proposed by some process on `ksa`, and the proposal precedes
@@ -13,28 +15,28 @@ use crate::violation::{SpecResult, Violation};
 ///
 /// # Errors
 ///
-/// Returns a [`Violation`] naming the invalid decision.
+/// Returns a [`crate::Violation`] naming the invalid decision.
 pub fn ksa_validity(exec: &Execution) -> SpecResult {
-    let mut proposed: BTreeSet<(KsaId, Value)> = BTreeSet::new();
-    for (i, step) in exec.steps().iter().enumerate() {
+    monitor::check(exec, &[Property::KsaValidity], &mut NoopSink)
+}
+
+/// The k-SA-Validity monitor: every `(object, value)` proposed so far.
+#[derive(Default)]
+pub(crate) struct KsaValidity(BTreeSet<(KsaId, Value)>);
+
+impl Monitor for KsaValidity {
+    fn observe(&mut self, i: usize, step: &Step, out: &mut Vec<Finding>) {
         match step.action {
             Action::Propose { obj, value } => {
-                proposed.insert((obj, value));
+                self.0.insert((obj, value));
             }
-            Action::Decide { obj, value } if !proposed.contains(&(obj, value)) => {
-                return Err(Violation::new(
-                    "k-SA-Validity",
-                    format!(
-                        "step {i}: {} decides {value} on {obj}, but no process \
-                             proposed {value} to {obj} beforehand",
-                        step.process
-                    ),
-                ));
+            Action::Decide { obj, value } if !self.0.contains(&(obj, value)) => {
+                let defect = Defect::DecideUnproposed(obj, value);
+                out.push(Finding::new(i, step.process, defect));
             }
             _ => {}
         }
     }
-    Ok(())
 }
 
 /// **k-SA-Agreement.** No more than `k` distinct values are decided on any
@@ -42,29 +44,28 @@ pub fn ksa_validity(exec: &Execution) -> SpecResult {
 ///
 /// # Errors
 ///
-/// Returns a [`Violation`] listing the `k+1`-th distinct decided value.
+/// Returns a [`crate::Violation`] listing the `k+1`-th distinct decided value.
 pub fn ksa_agreement(exec: &Execution, k: usize) -> SpecResult {
-    let mut decided: BTreeMap<KsaId, Vec<Value>> = BTreeMap::new();
-    for (i, step) in exec.steps().iter().enumerate() {
+    monitor::check(exec, &[Property::KsaAgreement(k)], &mut NoopSink)
+}
+
+/// The k-SA-Agreement monitor: `k`, and the distinct values decided on
+/// each object, in first-decision order.
+pub(crate) struct KsaAgreement(pub(crate) usize, pub(crate) BTreeMap<KsaId, Vec<Value>>);
+
+impl Monitor for KsaAgreement {
+    fn observe(&mut self, i: usize, step: &Step, out: &mut Vec<Finding>) {
         if let Action::Decide { obj, value } = step.action {
-            let values = decided.entry(obj).or_default();
+            let values = self.1.entry(obj).or_default();
             if !values.contains(&value) {
                 values.push(value);
-                if values.len() > k {
-                    return Err(Violation::new(
-                        "k-SA-Agreement",
-                        format!(
-                            "step {i}: {} decides {value} on {obj}, the {}-th distinct \
-                             value (k = {k}); decided so far: {values:?}",
-                            step.process,
-                            values.len()
-                        ),
-                    ));
+                if values.len() > self.0 {
+                    let defect = Defect::TooManyValues(obj, self.0, values.clone());
+                    out.push(Finding::new(i, step.process, defect));
                 }
             }
         }
     }
-    Ok(())
 }
 
 /// **k-SA-Termination.** Every non-faulty process that invokes `propose()`
@@ -74,28 +75,37 @@ pub fn ksa_agreement(exec: &Execution, k: usize) -> SpecResult {
 ///
 /// # Errors
 ///
-/// Returns a [`Violation`] naming the undecided proposal.
+/// Returns a [`crate::Violation`] naming the undecided proposal.
 pub fn ksa_termination(exec: &Execution) -> SpecResult {
-    let mut decided: BTreeSet<(ProcessId, KsaId)> = BTreeSet::new();
-    for step in exec.steps() {
-        if let Action::Decide { obj, .. } = step.action {
-            decided.insert((step.process, obj));
+    monitor::check(exec, &[Property::KsaTermination], &mut NoopSink)
+}
+
+/// The k-SA-Termination monitor: every decision, and every proposal,
+/// judged when the sequence ends.
+#[derive(Default)]
+pub(crate) struct KsaTermination {
+    decided: BTreeSet<(ProcessId, KsaId)>,
+    proposals: Vec<(usize, ProcessId, KsaId)>,
+}
+
+impl Monitor for KsaTermination {
+    fn observe(&mut self, i: usize, step: &Step, _out: &mut Vec<Finding>) {
+        match step.action {
+            Action::Decide { obj, .. } => {
+                self.decided.insert((step.process, obj));
+            }
+            Action::Propose { obj, .. } => self.proposals.push((i, step.process, obj)),
+            _ => {}
         }
     }
-    for (i, step) in exec.steps().iter().enumerate() {
-        if let Action::Propose { obj, .. } = step.action {
-            if !exec.is_faulty(step.process) && !decided.contains(&(step.process, obj)) {
-                return Err(Violation::new(
-                    "k-SA-Termination",
-                    format!(
-                        "step {i}: correct process {} proposed on {obj} and never decides",
-                        step.process
-                    ),
-                ));
+
+    fn finish(&mut self, end: &End, out: &mut Vec<Finding>) {
+        for &(i, p, obj) in &self.proposals {
+            if end.is_correct(p) && !self.decided.contains(&(p, obj)) {
+                out.push(Finding::new(i, p, Defect::NeverDecides(obj)));
             }
         }
     }
-    Ok(())
 }
 
 /// **One-shot usage.** Each process invokes `propose()` at most once per k-SA
@@ -104,39 +114,36 @@ pub fn ksa_termination(exec: &Execution) -> SpecResult {
 ///
 /// # Errors
 ///
-/// Returns a [`Violation`] naming the misuse.
+/// Returns a [`crate::Violation`] naming the misuse.
 pub fn ksa_one_shot(exec: &Execution) -> SpecResult {
-    let mut proposed: BTreeSet<(ProcessId, KsaId)> = BTreeSet::new();
-    let mut decided: BTreeSet<(ProcessId, KsaId)> = BTreeSet::new();
-    for (i, step) in exec.steps().iter().enumerate() {
-        match step.action {
-            Action::Propose { obj, .. } if !proposed.insert((step.process, obj)) => {
-                return Err(Violation::new(
-                    "k-SA-One-Shot",
-                    format!("step {i}: {} proposes twice on {obj}", step.process),
-                ));
+    monitor::check(exec, &[Property::KsaOneShot], &mut NoopSink)
+}
+
+/// The one-shot usage monitor: the step of each `(process, object)` first
+/// proposal and first decision.
+#[derive(Default)]
+pub(crate) struct KsaOneShot {
+    proposed: BTreeMap<(ProcessId, KsaId), usize>,
+    decided: BTreeMap<(ProcessId, KsaId), usize>,
+}
+
+impl Monitor for KsaOneShot {
+    fn observe(&mut self, i: usize, step: &Step, out: &mut Vec<Finding>) {
+        let p = step.process;
+        let (firsts, obj, defect) = match step.action {
+            Action::Propose { obj, .. } => (&mut self.proposed, obj, Defect::ProposeTwice(obj)),
+            Action::Decide { obj, .. } if !self.proposed.contains_key(&(p, obj)) => {
+                out.push(Finding::new(i, p, Defect::DecideWithoutPropose(obj)));
+                return;
             }
-            Action::Decide { obj, .. } => {
-                if !proposed.contains(&(step.process, obj)) {
-                    return Err(Violation::new(
-                        "k-SA-One-Shot",
-                        format!(
-                            "step {i}: {} decides on {obj} without having proposed",
-                            step.process
-                        ),
-                    ));
-                }
-                if !decided.insert((step.process, obj)) {
-                    return Err(Violation::new(
-                        "k-SA-One-Shot",
-                        format!("step {i}: {} decides twice on {obj}", step.process),
-                    ));
-                }
-            }
-            _ => {}
+            Action::Decide { obj, .. } => (&mut self.decided, obj, Defect::DecideTwice(obj)),
+            _ => return,
+        };
+        let first = *firsts.entry((p, obj)).or_insert(i);
+        if first != i {
+            out.push(Finding::new(i, p, defect).after(first));
         }
     }
-    Ok(())
 }
 
 /// Checks the k-SA **safety** properties (validity, agreement, one-shot
@@ -144,21 +151,22 @@ pub fn ksa_one_shot(exec: &Execution) -> SpecResult {
 ///
 /// # Errors
 ///
-/// Propagates the first violation found.
+/// Returns the first violation of the first failing property.
 pub fn check_safety(exec: &Execution, k: usize) -> SpecResult {
-    ksa_validity(exec)?;
-    ksa_agreement(exec, k)?;
-    ksa_one_shot(exec)
+    use Property::*;
+    let safety = [KsaValidity, KsaAgreement(k), KsaOneShot];
+    monitor::check(exec, &safety, &mut NoopSink)
 }
 
 /// Checks all k-SA properties — for completed executions.
 ///
 /// # Errors
 ///
-/// Propagates the first violation found.
+/// Returns the first violation of the first failing property.
 pub fn check_all(exec: &Execution, k: usize) -> SpecResult {
-    check_safety(exec, k)?;
-    ksa_termination(exec)
+    use Property::*;
+    let all = [KsaValidity, KsaAgreement(k), KsaOneShot, KsaTermination];
+    monitor::check(exec, &all, &mut NoopSink)
 }
 
 #[cfg(test)]

@@ -14,6 +14,8 @@
 //!   k-SA-Agreement, k-SA-Termination);
 //! * [`wellformed`] — the structural half of Definition 1 (well-formed
 //!   executions);
+//! * [`monitor`] — each of those properties as a monitor, and the one
+//!   driver that runs any set of them in one pass over a step sequence;
 //! * [`ordering`] — ordering specifications as [`BroadcastSpec`] trait
 //!   objects: FIFO, Causal, Total Order, k-Bounded Order, k-Stepped,
 //!   First-k, Mutual, and the content-sensitive `TypedSa` counterexample;
@@ -35,6 +37,7 @@
 pub mod base;
 pub mod channel;
 pub mod ksa;
+pub mod monitor;
 pub mod ordering;
 pub mod restrict;
 pub mod symmetry;

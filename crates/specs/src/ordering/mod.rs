@@ -30,7 +30,6 @@ use std::fmt;
 
 use camp_trace::Execution;
 
-use crate::base;
 use crate::violation::SpecResult;
 
 pub use causal::CausalSpec;
@@ -67,31 +66,6 @@ pub trait BroadcastSpec: fmt::Debug + Send + Sync {
     /// empirical one.
     fn is_content_sensitive(&self) -> bool {
         false
-    }
-
-    /// Convenience: base broadcast safety properties (BC-Validity,
-    /// BC-No-Duplication) *and* the ordering predicate.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first violation found.
-    fn admits_with_base(&self, exec: &Execution) -> SpecResult {
-        base::check_safety(exec)?;
-        self.admits(exec)
-    }
-
-    /// [`BroadcastSpec::admits`] with an observability sink: records one
-    /// `specs.properties_evaluated` and `specs.events_scanned` (the full
-    /// step count — ordering predicates walk the whole execution) before
-    /// delegating. `&mut dyn` keeps the trait object-safe.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`crate::Violation`] witnessing the rejection.
-    fn admits_obs(&self, exec: &Execution, sink: &mut dyn camp_obs::ObsSink) -> SpecResult {
-        sink.inc("specs.properties_evaluated");
-        sink.add("specs.events_scanned", exec.len() as u64);
-        self.admits(exec)
     }
 }
 
@@ -139,21 +113,7 @@ mod tests {
         b.step(p2, Action::Deliver { from: p1, msg: m1 });
         let e = b.build();
         assert!(SendToAllSpec::new().admits(&e).is_ok());
-        assert!(SendToAllSpec::new().admits_with_base(&e).is_ok());
         assert!(!SendToAllSpec::new().is_content_sensitive());
-        let mut sink = camp_obs::Counters::new();
-        assert!(SendToAllSpec::new().admits_obs(&e, &mut sink).is_ok());
-        assert_eq!(sink.count("specs.properties_evaluated"), 1);
-        assert_eq!(sink.count("specs.events_scanned"), e.len() as u64);
-    }
-
-    #[test]
-    fn admits_with_base_still_rejects_bogus_delivery() {
-        let p1 = ProcessId::new(1);
-        let mut b = ExecutionBuilder::new(1);
-        let m = b.fresh_broadcast_message(p1, Value::new(1));
-        b.step(p1, Action::Deliver { from: p1, msg: m }); // never broadcast
-        assert!(SendToAllSpec::new().admits_with_base(&b.build()).is_err());
     }
 
     #[test]

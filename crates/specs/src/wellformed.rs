@@ -13,85 +13,82 @@
 
 use std::collections::BTreeMap;
 
-use camp_trace::{Action, Execution, ProcessId};
+use camp_obs::NoopSink;
+use camp_trace::{Action, Execution, MessageId, ProcessId, Step};
 
-use crate::violation::{SpecResult, Violation};
+use crate::monitor::{self, Defect, Finding, Monitor, Property};
+use crate::violation::SpecResult;
 
 /// Checks the structural well-formedness conditions:
 ///
 /// * no process takes a step after crashing;
 /// * broadcast invocations and responses alternate per process, and each
-///   response matches the message of the pending invocation;
-/// * k-SA `propose` invocations are not nested with pending broadcast
-///   invocations of the same process are *allowed* (an algorithm `ℬ` may
-///   propose while implementing a broadcast), but `decide` responses must
-///   match a pending `propose` on the same object (checked in
-///   [`crate::ksa::ksa_one_shot`]).
+///   response matches the message of the pending invocation.
+///
+/// k-SA `propose` invocations may overlap a pending broadcast invocation of
+/// the same process (an algorithm `ℬ` may propose while implementing a
+/// broadcast); that each `decide` answers an earlier `propose` on the same
+/// object is one-shot usage, checked by [`crate::ksa::ksa_one_shot`].
 ///
 /// # Errors
 ///
-/// Returns a [`Violation`] naming the structural defect.
+/// Returns a [`crate::Violation`] naming the structural defect.
 pub fn check_structure(exec: &Execution) -> SpecResult {
-    let mut crashed: BTreeMap<ProcessId, usize> = BTreeMap::new();
-    // The message of the currently pending B.broadcast invocation, per process.
-    let mut pending_broadcast: BTreeMap<ProcessId, camp_trace::MessageId> = BTreeMap::new();
+    monitor::check(exec, &[Property::WellFormedness], &mut NoopSink)
+}
 
-    for (i, step) in exec.steps().iter().enumerate() {
-        if let Some(at) = crashed.get(&step.process) {
-            return Err(Violation::new(
-                "Well-Formedness",
-                format!(
-                    "step {i}: {} takes a step after crashing at step {at}",
-                    step.process
-                ),
-            ));
+/// A pending `B.broadcast` invocation: message, step, and whether a
+/// mismatched return answered it ([`Defect::ReturnWithoutInvocation`]).
+struct Pending(MessageId, usize, bool);
+
+/// The Well-Formedness monitor: each process's first crash and pending
+/// broadcast invocation.
+#[derive(Default)]
+pub(crate) struct WellFormedness {
+    crashed_at: BTreeMap<ProcessId, usize>,
+    pending: BTreeMap<ProcessId, Pending>,
+}
+
+impl Monitor for WellFormedness {
+    fn observe(&mut self, i: usize, step: &Step, out: &mut Vec<Finding>) {
+        let p = step.process;
+        if let Some(&crashed_at) = self.crashed_at.get(&p) {
+            let defect = if step.action == Action::Crash {
+                Defect::CrashAfterCrash
+            } else {
+                Defect::StepAfterCrash
+            };
+            out.push(Finding::new(i, p, defect).after(crashed_at));
+        } else if step.action == Action::Crash {
+            self.crashed_at.insert(p, i);
         }
         match step.action {
-            Action::Crash => {
-                crashed.insert(step.process, i);
-            }
             Action::Broadcast { msg } => {
-                if let Some(pending) = pending_broadcast.get(&step.process) {
-                    return Err(Violation::new(
-                        "Well-Formedness",
-                        format!(
-                            "step {i}: {} invokes B.broadcast({msg}) while its \
-                             B.broadcast({pending}) is still pending",
-                            step.process
-                        ),
-                    ));
+                if let Some(Pending(pending, at, _)) =
+                    self.pending.insert(p, Pending(msg, i, false))
+                {
+                    out.push(Finding::new(i, p, Defect::NestedBroadcast(msg, pending)).after(at));
                 }
-                pending_broadcast.insert(step.process, msg);
             }
-            Action::ReturnBroadcast { msg } => match pending_broadcast.get(&step.process) {
-                Some(pending) if *pending == msg => {
-                    pending_broadcast.remove(&step.process);
-                }
-                Some(pending) => {
-                    return Err(Violation::new(
-                        "Well-Formedness",
-                        format!(
-                            "step {i}: {} returns from B.broadcast({msg}) but its pending \
-                             invocation is B.broadcast({pending})",
-                            step.process
-                        ),
-                    ));
-                }
-                None => {
-                    return Err(Violation::new(
-                        "Well-Formedness",
-                        format!(
-                            "step {i}: {} returns from B.broadcast({msg}) without a \
-                             pending invocation",
-                            step.process
-                        ),
-                    ));
-                }
-            },
+            Action::ReturnBroadcast { msg } => {
+                let defect = match self.pending.get_mut(&p) {
+                    // Its own return closes an invocation, answered or not.
+                    Some(Pending(pending, _, answered)) if *pending == msg => {
+                        let answered = *answered;
+                        self.pending.remove(&p);
+                        answered.then_some(Defect::ReturnWithoutInvocation(msg))
+                    }
+                    Some(Pending(pending, _, answered)) if !*answered => {
+                        *answered = true;
+                        Some(Defect::MismatchedReturn(msg, *pending))
+                    }
+                    _ => Some(Defect::ReturnWithoutInvocation(msg)),
+                };
+                out.extend(defect.map(|d| Finding::new(i, p, d)));
+            }
             _ => {}
         }
     }
-    Ok(())
 }
 
 #[cfg(test)]

@@ -15,7 +15,7 @@ use std::collections::BTreeSet;
 use campkit::broadcast::AgreedBroadcast;
 use campkit::impossibility::{adversarial_scheduler, verify_lemmas, NSolo};
 use campkit::obs::{Counters, ObsSink};
-use campkit::specs::base::check_safety_obs;
+use campkit::specs::{base, monitor};
 use campkit::trace::render_timeline;
 
 fn main() {
@@ -71,7 +71,7 @@ fn main() {
     // counter registry and print what the run cost. The registry is a pure
     // function of the execution, so these numbers are reproducible.
     let mut counters = Counters::new();
-    check_safety_obs(&run.execution, &mut counters).expect("α satisfies base safety");
+    monitor::check(&run.execution, &base::SAFETY, &mut counters).expect("α satisfies base safety");
     counters.add("figure1.execution_len", run.execution.len() as u64);
     counters.add(
         "figure1.ksa_objects",

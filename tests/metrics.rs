@@ -21,7 +21,7 @@ use campkit::obs::{Obs, ObsSink, Snapshot};
 use campkit::runtime::ThreadedRuntime;
 use campkit::sim::scheduler::{run_random_obs, CrashPlan, Workload};
 use campkit::sim::{CertStore, KsaOracle, OwnValueRule, Simulation};
-use campkit::specs::{base, BroadcastSpec, TotalOrderSpec};
+use campkit::specs::{base, monitor, BroadcastSpec, TotalOrderSpec};
 use campkit::trace::{timeline_of, Execution, ProcessId, Value};
 use proptest::prelude::*;
 
@@ -66,10 +66,10 @@ fn figure1_metrics(timings: bool) -> Snapshot {
     let golden = std::fs::read_to_string(FIGURE1_TRACE).expect("figure1 golden trace present");
     let fig1: Execution = serde_json::from_str(&golden).expect("figure1 golden trace parses");
     obs.begin("specs");
-    base::check_safety_obs(&fig1, &mut obs).expect("figure1 satisfies base safety");
+    monitor::check(&fig1, &base::SAFETY, &mut obs).expect("figure1 satisfies base safety");
     // The ordering verdict itself is pinned by the impossibility suites;
     // here only the specs.* counters it records matter.
-    let _ = TotalOrderSpec::new().admits_obs(&fig1, &mut obs);
+    let _ = monitor::judge(&TotalOrderSpec::new(), &fig1, &mut obs);
     obs.end("specs");
     // The v2 instruments: the exploration above fills the
     // `modelcheck.branch_fanout` histogram through the same sink, and the
