@@ -112,6 +112,21 @@ cargo fmt --check
 echo "==> camp-lint: trace linter on the Figure 1 golden trace"
 cargo run --release -q -p camp-lint --bin camp-lint -- trace tests/golden/figure1.json
 
+# The same binary on a trace with findings: it must exit 1 and print, byte
+# for byte, the committed report (the trace's verdicts are also pinned in
+# tests/golden/verdicts.json).
+echo "==> camp-lint: trace linter on a malformed corpus trace (exit 1, pinned report)"
+malformed="tests/golden/corpus/mismatched-return"
+malformed_out="$PWD/target/ci.malformed-lint.json"
+status=0
+cargo run --release -q -p camp-lint --bin camp-lint -- trace --json "$malformed.json" \
+  > "$malformed_out" || status=$?
+[[ "$status" -eq 1 ]] \
+  || { echo "camp-lint trace exited $status on $malformed.json, expected 1" >&2; exit 1; }
+diff -u "$malformed.lint.json" "$malformed_out" \
+  || { echo "camp-lint trace --json drifted from $malformed.lint.json; regenerate with scripts/regen-goldens.sh" >&2; exit 1; }
+echo "malformed trace: exit 1, report matches $malformed.lint.json"
+
 echo "==> camp-lint: determinism + branch audit of the built-in algorithms"
 cargo run --release -q -p camp-lint --bin camp-lint -- audit --seeds 5
 
