@@ -11,7 +11,7 @@
 //! same stream (pigeonhole), and those two are delivered in the same order
 //! by all processes — exactly the k-BO predicate.
 
-use camp_obs::{NoopSink, ObsSink};
+use camp_obs::ObsSink;
 use camp_sim::{AgreementAlgorithm, AgreementStep, AppMessage};
 use camp_trace::{Action, Execution, ExecutionBuilder, MessageId, ProcessId, Value};
 use rand::rngs::StdRng;
@@ -27,6 +27,14 @@ use crate::outcome::AgreementOutcome;
 /// The result is a `β`-style execution (broadcast events only) admitted by
 /// `KBoundedOrderSpec::new(k)` and satisfying the four base properties.
 ///
+/// `sink` records the `generator.broadcasts` and `generator.deliveries`
+/// counters plus two histograms — `generator.stream_len` (messages per
+/// k-stream: how the pigeonhole partitions the broadcasts) and
+/// `generator.stream_switches` (per-process count of stream changes along
+/// its delivery order: how much of the interleaving freedom the seed
+/// actually used). Pass `NoopSink` to record nothing; the execution does
+/// not depend on the sink.
+///
 /// # Panics
 ///
 /// Panics if `proposals` is empty or `k == 0`.
@@ -36,31 +44,16 @@ use crate::outcome::AgreementOutcome;
 /// ```
 /// use camp_agreement::generator::{kbo_execution, replay};
 /// use camp_agreement::FirstDelivered;
+/// use camp_obs::NoopSink;
 /// use camp_trace::Value;
 ///
 /// let proposals: Vec<Value> = (1..=4).map(Value::new).collect();
-/// let exec = kbo_execution(&proposals, 2, 7);
+/// let exec = kbo_execution(&proposals, 2, 7, &mut NoopSink);
 /// let out = replay(&FirstDelivered::new(), &proposals, &exec);
 /// assert!(out.satisfies_agreement(2)); // the k-BO ⇒ k-SA direction
 /// ```
 #[must_use]
-pub fn kbo_execution(proposals: &[Value], k: usize, seed: u64) -> Execution {
-    kbo_execution_obs(proposals, k, seed, &mut NoopSink)
-}
-
-/// [`kbo_execution`] with an observability sink: records the
-/// `generator.broadcasts` and `generator.deliveries` counters plus two
-/// histograms — `generator.stream_len` (messages per k-stream: how the
-/// pigeonhole partitions the broadcasts) and `generator.stream_switches`
-/// (per-process count of stream changes along its delivery order: how much
-/// of the interleaving freedom the seed actually used). The execution is
-/// identical to [`kbo_execution`]'s.
-///
-/// # Panics
-///
-/// Panics if `proposals` is empty or `k == 0`.
-#[must_use]
-pub fn kbo_execution_obs<S: ObsSink>(
+pub fn kbo_execution<S: ObsSink>(
     proposals: &[Value],
     k: usize,
     seed: u64,
@@ -287,6 +280,7 @@ pub fn firstk_two_phase_execution(
 mod tests {
     use super::*;
     use crate::algorithms::FirstDelivered;
+    use camp_obs::NoopSink;
     use camp_specs::{base, BroadcastSpec, KBoundedOrderSpec};
 
     fn proposals(n: usize) -> Vec<Value> {
@@ -297,7 +291,7 @@ mod tests {
     fn generated_executions_are_kbo_admissible() {
         for k in 1..=4 {
             for seed in 0..10 {
-                let e = kbo_execution(&proposals(5), k, seed);
+                let e = kbo_execution(&proposals(5), k, seed, &mut NoopSink);
                 base::check_all(&e).unwrap();
                 KBoundedOrderSpec::new(k).admits(&e).unwrap_or_else(|v| {
                     panic!("k = {k}, seed = {seed}: {v}");
@@ -312,7 +306,7 @@ mod tests {
         // produces an execution rejected by k-BO(2).
         let mut rejected = false;
         for seed in 0..50 {
-            let e = kbo_execution(&proposals(6), 3, seed);
+            let e = kbo_execution(&proposals(6), 3, seed, &mut NoopSink);
             if KBoundedOrderSpec::new(2).admits(&e).is_err() {
                 rejected = true;
                 break;
@@ -327,7 +321,7 @@ mod tests {
         for k in 1..=4 {
             for seed in 0..20 {
                 let props = proposals(6);
-                let e = kbo_execution(&props, k, seed);
+                let e = kbo_execution(&props, k, seed, &mut NoopSink);
                 let out = replay(&FirstDelivered::new(), &props, &e);
                 assert!(
                     out.satisfies_agreement(k),
@@ -343,7 +337,7 @@ mod tests {
     #[test]
     fn consensus_case_all_equal() {
         let props = proposals(4);
-        let e = kbo_execution(&props, 1, 9);
+        let e = kbo_execution(&props, 1, 9, &mut NoopSink);
         let out = replay(&FirstDelivered::new(), &props, &e);
         assert_eq!(out.distinct_decisions().len(), 1);
     }
@@ -351,18 +345,18 @@ mod tests {
     #[test]
     #[should_panic(expected = "k must be at least 1")]
     fn zero_k_rejected() {
-        let _ = kbo_execution(&proposals(2), 0, 0);
+        let _ = kbo_execution(&proposals(2), 0, 0, &mut NoopSink);
     }
 
     #[test]
-    fn obs_variant_counts_the_schedule_without_perturbing_it() {
+    fn sink_counts_the_schedule_without_perturbing_it() {
         use camp_obs::Counters;
         let (n, k, seed) = (6, 3, 11);
         let mut sink = Counters::new();
-        let observed = kbo_execution_obs(&proposals(n), k, seed, &mut sink);
+        let observed = kbo_execution(&proposals(n), k, seed, &mut sink);
         assert_eq!(
             observed,
-            kbo_execution(&proposals(n), k, seed),
+            kbo_execution(&proposals(n), k, seed, &mut NoopSink),
             "sink must not perturb the schedule"
         );
         assert_eq!(sink.count("generator.broadcasts"), n as u64);

@@ -2,13 +2,20 @@
 //! complete fair run, across algorithms and system sizes.
 
 use camp_broadcast::{AgreedBroadcast, CausalBroadcast, EagerReliable, FifoBroadcast, SendToAll};
+use camp_obs::NoopSink;
 use camp_sim::scheduler::{run_fair, Workload};
 use camp_sim::{BroadcastAlgorithm, FirstProposalRule, KsaOracle, Simulation};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 fn run<B: BroadcastAlgorithm>(algo: B, n: usize, m: usize) -> usize {
     let mut sim = Simulation::new(algo, n, KsaOracle::new(1, Box::new(FirstProposalRule)));
-    let report = run_fair(&mut sim, &Workload::uniform(n, m), 100_000_000).expect("run");
+    let report = run_fair(
+        &mut sim,
+        &Workload::uniform(n, m),
+        100_000_000,
+        &mut NoopSink,
+    )
+    .expect("run");
     assert!(report.quiescent);
     sim.trace().len()
 }

@@ -28,7 +28,7 @@ use camp_impossibility::{adversarial_scheduler, refute_spec, theorem1, verify_le
 use camp_modelcheck::crashsweep::{crash_point_sweep, SweepOutcome};
 use camp_modelcheck::explore::{explore, EngineConfig, ExploreConfig, ExploreOutcome, Sensitivity};
 use camp_modelcheck::schedules::{is_one_solo_all_own, ScheduleQuery};
-use camp_obs::{Obs, ObsSink, SegmentKind, Timeline, TimelineBuilder};
+use camp_obs::{NoopSink, Obs, ObsSink, SegmentKind, Timeline, TimelineBuilder};
 use camp_runtime::ThreadedRuntime;
 use camp_sim::canonical::CertStore;
 use camp_sim::scheduler::{CrashPlan, Workload};
@@ -663,6 +663,7 @@ fn boundaries() {
             seed,
             600,
             CrashPlan::none(),
+            &mut NoopSink,
         )
         .expect("run");
         to_ok &= TotalOrderSpec::new().admits(sim.trace()).is_ok();
@@ -719,7 +720,7 @@ fn boundaries() {
         let props: Vec<Value> = (1..=6u64).map(Value::new).collect();
         let mut max_distinct = 0;
         for seed in 0..25 {
-            let e = kbo_execution(&props, k, seed);
+            let e = kbo_execution(&props, k, seed, &mut NoopSink);
             let out = replay(&FirstDelivered::new(), &props, &e);
             max_distinct = max_distinct.max(out.distinct_decisions().len());
         }
@@ -1213,8 +1214,13 @@ fn complexity() {
 fn complexity_row<B: BroadcastAlgorithm>(name: &str, algo: B, n: usize, k: usize) {
     use camp_trace::ExecutionStats;
     let mut sim = Simulation::new(algo, n, KsaOracle::new(k, Box::new(OwnValueRule)));
-    let report = camp_sim::scheduler::run_fair(&mut sim, &Workload::uniform(n, 4), 100_000_000)
-        .expect("fair run");
+    let report = camp_sim::scheduler::run_fair(
+        &mut sim,
+        &Workload::uniform(n, 4),
+        100_000_000,
+        &mut NoopSink,
+    )
+    .expect("fair run");
     assert!(report.quiescent, "{name} must reach quiescence");
     let stats = ExecutionStats::of(sim.trace());
     println!(

@@ -7,6 +7,7 @@
 use std::path::PathBuf;
 
 use camp_broadcast::SendToAll;
+use camp_obs::NoopSink;
 use camp_sim::canonical::CertStore;
 use camp_sim::scheduler::{run_fair, Workload};
 use camp_sim::{FirstProposalRule, KsaOracle, Simulation};
@@ -50,28 +51,27 @@ pub fn write_bench_ledger(layer: &str, version: u32, rows: Vec<Json>) -> PathBuf
     out
 }
 
-/// Static-analysis certificates for the registered algorithms, issued by
-/// running `camp-lint`'s symmetry engine (rules S030–S035, symmetry
-/// certificates licensing renaming-quotient canonicalization) and dataflow
-/// engine (rules S040–S048, independence certificates licensing widened
-/// sleep-set POR) over the workspace sources. The benchmarks and table
-/// generators run from the repository checkout, so the sources are
-/// available; a read failure degrades to an empty store — both reductions
-/// stay off and the engines fall back to their unassisted behaviour —
-/// rather than aborting.
+/// Static-analysis certificates for the registered algorithms: the
+/// [`camp_lint::cert_store`] of `camp-lint`'s symmetry engine (rules
+/// S030–S035, symmetry certificates licensing renaming-quotient
+/// canonicalization) and dataflow engine (rules S040–S048, independence
+/// certificates licensing widened sleep-set POR) over the workspace
+/// sources. Only those two engines run, not the whole `camp-lint check`:
+/// this is the set-up every campbench workload times as `setup_s`. The
+/// benchmarks and table generators run from the repository checkout,
+/// so the sources are available; a read failure degrades to an empty store
+/// — both reductions stay off and the engines fall back to their
+/// unassisted behaviour — rather than aborting.
 #[must_use]
 pub fn workspace_certs() -> CertStore {
     let root = std::path::Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."));
-    let mut store = match camp_lint::symmetry_check(root, false) {
-        Ok(report) => report.cert_store(),
-        Err(_) => CertStore::new(),
-    };
-    if let Ok(report) = camp_lint::dataflow_check(root, false) {
-        for cert in &report.certs {
-            store.insert_independence(cert.clone());
-        }
+    match (
+        camp_lint::symmetry_check(root, false),
+        camp_lint::dataflow_check(root, false),
+    ) {
+        (Ok(symmetry), Ok(dataflow)) => camp_lint::cert_store(&symmetry, &dataflow),
+        _ => CertStore::new(),
     }
-    store
 }
 
 /// Builds a completed Send-To-All execution over `n` processes with `m`
@@ -87,8 +87,13 @@ pub fn send_to_all_corpus(n: usize, m: usize) -> Execution {
         n,
         KsaOracle::new(1, Box::new(FirstProposalRule)),
     );
-    let report =
-        run_fair(&mut sim, &Workload::uniform(n, m), 10_000_000).expect("send-to-all cannot fail");
+    let report = run_fair(
+        &mut sim,
+        &Workload::uniform(n, m),
+        10_000_000,
+        &mut NoopSink,
+    )
+    .expect("send-to-all cannot fail");
     assert!(report.quiescent, "corpus run must complete");
     sim.into_trace()
 }

@@ -205,7 +205,7 @@ impl BroadcastAlgorithm for AgreedBroadcast {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use camp_sim::scheduler::{run_fair, run_random, CrashPlan, Workload};
+    use camp_sim::scheduler::{run_fair, run_random, CrashPlan, NoopSink, Workload};
     use camp_sim::{FirstProposalRule, KsaOracle, OwnValueRule, Simulation};
     use camp_specs::{base, BroadcastSpec, KBoundedOrderSpec, TotalOrderSpec};
 
@@ -228,6 +228,7 @@ mod tests {
                 seed,
                 600,
                 CrashPlan::none(),
+                &mut NoopSink,
             )
             .unwrap();
             let trace = s.into_trace();
@@ -242,7 +243,7 @@ mod tests {
     #[test]
     fn fair_run_with_k2_oracle_still_delivers_everything() {
         let mut s = sim(3, 2, true);
-        let report = run_fair(&mut s, &Workload::uniform(3, 2), 100_000).unwrap();
+        let report = run_fair(&mut s, &Workload::uniform(3, 2), 100_000, &mut NoopSink).unwrap();
         assert!(report.quiescent);
         let trace = s.into_trace();
         base::check_all(&trace).unwrap();
@@ -268,6 +269,7 @@ mod tests {
                 seed,
                 600,
                 CrashPlan::none(),
+                &mut NoopSink,
             )
             .unwrap();
             let trace = s.into_trace();
@@ -370,7 +372,7 @@ mod tests {
         // k-BO(M); combined with the divergence test above this brackets
         // where the real bound lives.
         let mut s = sim(3, 2, true);
-        run_fair(&mut s, &Workload::uniform(3, 2), 100_000).unwrap();
+        run_fair(&mut s, &Workload::uniform(3, 2), 100_000, &mut NoopSink).unwrap();
         let trace = s.into_trace();
         KBoundedOrderSpec::new(6).admits(&trace).unwrap();
     }

@@ -168,7 +168,7 @@ impl BroadcastAlgorithm for CausalBroadcast {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use camp_sim::scheduler::{run_fair, run_random, CrashPlan, Workload};
+    use camp_sim::scheduler::{run_fair, run_random, CrashPlan, NoopSink, Workload};
     use camp_sim::{FirstProposalRule, KsaOracle, Simulation};
     use camp_specs::{base, BroadcastSpec, CausalSpec, FifoSpec};
 
@@ -183,7 +183,7 @@ mod tests {
     #[test]
     fn fair_run_is_causal_and_complete() {
         let mut s = sim(3);
-        let report = run_fair(&mut s, &Workload::uniform(3, 3), 100_000).unwrap();
+        let report = run_fair(&mut s, &Workload::uniform(3, 3), 100_000, &mut NoopSink).unwrap();
         assert!(report.quiescent);
         let trace = s.into_trace();
         base::check_all(&trace).unwrap();
@@ -257,6 +257,7 @@ mod tests {
                 seed,
                 600,
                 CrashPlan::none(),
+                &mut NoopSink,
             )
             .unwrap();
             let trace = s.into_trace();
@@ -275,6 +276,7 @@ mod tests {
                 seed,
                 500,
                 CrashPlan::up_to(2, 0.02),
+                &mut NoopSink,
             )
             .unwrap();
             let trace = s.into_trace();

@@ -11,8 +11,8 @@
 //! | [`Duplicating`] | BC-No-Duplication | `camp_specs::base::bc_no_duplication` |
 //! | [`Misattributing`] | BC-Validity (wrong origin) | `camp_specs::base::bc_validity` |
 //! | [`Lossy`] | BC-Global-CS-Termination (drops foreign messages) | `camp_specs::base::bc_global_cs_termination` |
-//! | [`RankBiased`] | process-renaming equivariance (fixed id-priority delivery) | `camp-lint symmetry` (S030/S032) |
-//! | [`ContentGated`] | content-neutrality (delivery branches on payload content) | `camp-lint dataflow` (S043), `camp-lint symmetry` (S034) |
+//! | [`RankBiased`] | process-renaming equivariance (fixed id-priority delivery) | camp-lint's symmetry engine (S030/S032) |
+//! | [`ContentGated`] | content-neutrality (delivery branches on payload content) | camp-lint's dataflow (S043) and symmetry (S034) engines |
 //!
 //! [`RankBiased`] is the one defect the dynamic probes of the protocol-graph
 //! rules (S020–S025) cannot see: probed from `p1` — the highest-priority
@@ -417,7 +417,7 @@ impl BroadcastAlgorithm for ContentGated {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use camp_sim::scheduler::{run_fair, Workload};
+    use camp_sim::scheduler::{run_fair, NoopSink, Workload};
     use camp_sim::{FirstProposalRule, KsaOracle, Simulation};
     use camp_specs::base;
 
@@ -428,7 +428,7 @@ mod tests {
     #[test]
     fn duplicating_fails_no_duplication() {
         let mut s = sim(Duplicating::new(), 2);
-        run_fair(&mut s, &Workload::uniform(2, 1), 10_000).unwrap();
+        run_fair(&mut s, &Workload::uniform(2, 1), 10_000, &mut NoopSink).unwrap();
         let err = base::bc_no_duplication(s.trace()).unwrap_err();
         assert_eq!(err.property(), "BC-No-Duplication");
     }
@@ -436,7 +436,7 @@ mod tests {
     #[test]
     fn misattributing_fails_validity() {
         let mut s = sim(Misattributing::new(), 2);
-        run_fair(&mut s, &Workload::uniform(2, 1), 10_000).unwrap();
+        run_fair(&mut s, &Workload::uniform(2, 1), 10_000, &mut NoopSink).unwrap();
         let err = base::bc_validity(s.trace()).unwrap_err();
         assert_eq!(err.property(), "BC-Validity");
     }
@@ -444,7 +444,7 @@ mod tests {
     #[test]
     fn lossy_fails_cs_termination_only() {
         let mut s = sim(Lossy::new(), 3);
-        run_fair(&mut s, &Workload::uniform(3, 1), 10_000).unwrap();
+        run_fair(&mut s, &Workload::uniform(3, 1), 10_000, &mut NoopSink).unwrap();
         let trace = s.into_trace();
         base::check_safety(&trace).unwrap(); // safety is intact
         let err = base::bc_global_cs_termination(&trace).unwrap_err();
@@ -459,7 +459,7 @@ mod tests {
         let mut s = sim(RankBiased::new(), 3);
         let mut only_p1 = Workload::new(3);
         only_p1.push(ProcessId::new(1), Value::new(7));
-        run_fair(&mut s, &only_p1, 10_000).unwrap();
+        run_fair(&mut s, &only_p1, 10_000, &mut NoopSink).unwrap();
         let trace = s.into_trace();
         base::check_safety(&trace).unwrap();
         base::bc_global_cs_termination(&trace).unwrap();
@@ -467,7 +467,7 @@ mod tests {
         // A full workload exposes the bias: p3's message is dropped by both
         // lower-id peers, breaking global termination.
         let mut s = sim(RankBiased::new(), 3);
-        run_fair(&mut s, &Workload::uniform(3, 1), 10_000).unwrap();
+        run_fair(&mut s, &Workload::uniform(3, 1), 10_000, &mut NoopSink).unwrap();
         let trace = s.into_trace();
         base::check_safety(&trace).unwrap(); // never delivers wrong data
         let err = base::bc_global_cs_termination(&trace).unwrap_err();
@@ -480,7 +480,7 @@ mod tests {
         let mut s = sim(ContentGated::new(), 3);
         let mut even = Workload::new(3);
         even.push(ProcessId::new(1), Value::new(12));
-        run_fair(&mut s, &even, 10_000).unwrap();
+        run_fair(&mut s, &even, 10_000, &mut NoopSink).unwrap();
         let trace = s.into_trace();
         base::check_all(&trace).unwrap();
         for p in ProcessId::all(3) {
@@ -492,7 +492,7 @@ mod tests {
         let mut s = sim(ContentGated::new(), 3);
         let mut odd = Workload::new(3);
         odd.push(ProcessId::new(1), Value::new(73));
-        run_fair(&mut s, &odd, 10_000).unwrap();
+        run_fair(&mut s, &odd, 10_000, &mut NoopSink).unwrap();
         let trace = s.into_trace();
         base::check_safety(&trace).unwrap();
         let err = base::bc_global_cs_termination(&trace).unwrap_err();
@@ -504,7 +504,7 @@ mod tests {
         // A solo process can never reach a majority of 3: the fair run ends
         // non-quiescent with the invocation pending.
         let mut s = sim(QuorumBlocking::new(), 3);
-        let report = run_fair(&mut s, &Workload::uniform(3, 1), 10_000).unwrap();
+        let report = run_fair(&mut s, &Workload::uniform(3, 1), 10_000, &mut NoopSink).unwrap();
         // With all three running the fair scheduler the echoes arrive and
         // everything completes…
         assert!(report.quiescent);
@@ -512,7 +512,7 @@ mod tests {
         let mut s = sim(QuorumBlocking::new(), 3);
         s.crash(ProcessId::new(2)).unwrap();
         s.crash(ProcessId::new(3)).unwrap();
-        let report = run_fair(&mut s, &Workload::uniform(3, 1), 10_000).unwrap();
+        let report = run_fair(&mut s, &Workload::uniform(3, 1), 10_000, &mut NoopSink).unwrap();
         assert!(!report.quiescent, "p1 must be stuck awaiting a quorum");
         let err = base::bc_local_termination(s.trace()).unwrap_err();
         assert_eq!(err.property(), "BC-Local-Termination");

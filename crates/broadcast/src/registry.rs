@@ -20,7 +20,7 @@
 //!   equivariance (behaviour independent of concrete process identities).
 //!   [`SequencerBroadcast`] honestly declares `false`: all delivery routes
 //!   through the fixed sequencer `p1`. The faulty [`RankBiased`] claims
-//!   `true` — the symmetry analyzer (`camp-lint symmetry`, S03x) convicts
+//!   `true` — the symmetry analyzer (`camp-lint check`, S03x) convicts
 //!   that claim.
 //! * `file` — the workspace-relative source file defining the algorithm, so
 //!   graph-level findings can be anchored to a real `file:line` span.

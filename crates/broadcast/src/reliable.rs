@@ -152,7 +152,7 @@ impl BroadcastAlgorithm for EagerReliable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use camp_sim::scheduler::{run_fair, run_random, CrashPlan, Workload};
+    use camp_sim::scheduler::{run_fair, run_random, CrashPlan, NoopSink, Workload};
     use camp_sim::{Executed, FirstProposalRule, KsaOracle, Simulation};
     use camp_specs::{base, channel};
 
@@ -164,7 +164,8 @@ mod tests {
     fn fair_run_satisfies_base_properties() {
         for algo in [EagerReliable::uniform(), EagerReliable::non_uniform()] {
             let mut s = sim(3, algo);
-            let report = run_fair(&mut s, &Workload::uniform(3, 2), 100_000).unwrap();
+            let report =
+                run_fair(&mut s, &Workload::uniform(3, 2), 100_000, &mut NoopSink).unwrap();
             assert!(report.quiescent);
             let trace = s.into_trace();
             base::check_all(&trace).unwrap();
@@ -175,7 +176,7 @@ mod tests {
     #[test]
     fn no_duplicate_delivery_despite_relays() {
         let mut s = sim(4, EagerReliable::uniform());
-        run_fair(&mut s, &Workload::uniform(4, 2), 100_000).unwrap();
+        run_fair(&mut s, &Workload::uniform(4, 2), 100_000, &mut NoopSink).unwrap();
         let trace = s.into_trace();
         base::bc_no_duplication(&trace).unwrap();
         for p in ProcessId::all(4) {
@@ -302,6 +303,7 @@ mod tests {
                 seed,
                 400,
                 CrashPlan::up_to(2, 0.02),
+                &mut NoopSink,
             )
             .unwrap();
             let trace = s.into_trace();

@@ -96,7 +96,7 @@ impl BroadcastAlgorithm for SendToAll {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use camp_sim::scheduler::{run_fair, Workload};
+    use camp_sim::scheduler::{run_fair, NoopSink, Workload};
     use camp_sim::{FirstProposalRule, KsaOracle, Simulation};
     use camp_specs::{base, channel, wellformed};
 
@@ -111,7 +111,7 @@ mod tests {
     #[test]
     fn fair_run_satisfies_all_base_properties() {
         let mut s = sim(3);
-        let report = run_fair(&mut s, &Workload::uniform(3, 2), 10_000).unwrap();
+        let report = run_fair(&mut s, &Workload::uniform(3, 2), 10_000, &mut NoopSink).unwrap();
         assert!(report.quiescent);
         let trace = s.into_trace();
         base::check_all(&trace).unwrap();
@@ -122,7 +122,7 @@ mod tests {
     #[test]
     fn every_process_delivers_every_message() {
         let mut s = sim(4);
-        run_fair(&mut s, &Workload::uniform(4, 3), 100_000).unwrap();
+        run_fair(&mut s, &Workload::uniform(4, 3), 100_000, &mut NoopSink).unwrap();
         let trace = s.into_trace();
         let msgs: Vec<_> = trace.broadcast_messages().collect();
         assert_eq!(msgs.len(), 12);
@@ -168,7 +168,7 @@ mod tests {
     #[test]
     fn single_process_system_self_delivers() {
         let mut s = sim(1);
-        let report = run_fair(&mut s, &Workload::uniform(1, 5), 10_000).unwrap();
+        let report = run_fair(&mut s, &Workload::uniform(1, 5), 10_000, &mut NoopSink).unwrap();
         assert!(report.quiescent);
         let trace = s.into_trace();
         assert_eq!(trace.delivery_order(ProcessId::new(1)).len(), 5);

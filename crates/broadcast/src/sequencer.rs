@@ -168,7 +168,7 @@ impl BroadcastAlgorithm for SequencerBroadcast {
 mod tests {
     use super::*;
     use camp_impossibility::{adversarial_scheduler, AdversaryError};
-    use camp_sim::scheduler::{run_fair, run_random, CrashPlan, Workload};
+    use camp_sim::scheduler::{run_fair, run_random, CrashPlan, NoopSink, Workload};
     use camp_sim::{FirstProposalRule, KsaOracle, Simulation};
     use camp_specs::{base, BroadcastSpec, TotalOrderSpec};
 
@@ -190,6 +190,7 @@ mod tests {
                 seed,
                 500,
                 CrashPlan::none(),
+                &mut NoopSink,
             )
             .unwrap();
             let trace = s.into_trace();
@@ -207,7 +208,7 @@ mod tests {
         s.crash(SequencerBroadcast::sequencer()).unwrap();
         let mut w = Workload::new(3);
         w.push(ProcessId::new(2), Value::new(5));
-        let report = run_fair(&mut s, &w, 10_000).unwrap();
+        let report = run_fair(&mut s, &w, 10_000, &mut NoopSink).unwrap();
         // The system even looks quiescent — the broadcast *returned*
         // (fire-and-forget to the sequencer) — but nobody ever delivers.
         assert!(report.quiescent);

@@ -232,7 +232,7 @@ impl BroadcastAlgorithm for SteppedBroadcast {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use camp_sim::scheduler::{run_fair, run_random, CrashPlan, Workload};
+    use camp_sim::scheduler::{run_fair, run_random, CrashPlan, NoopSink, Workload};
     use camp_sim::{FirstProposalRule, KsaOracle, OwnValueRule, Simulation};
     use camp_specs::{base, BroadcastSpec, KSteppedSpec};
 
@@ -248,7 +248,8 @@ mod tests {
     fn fair_run_satisfies_k_stepped_spec() {
         for k in [1, 2] {
             let mut s = sim(3, k);
-            let report = run_fair(&mut s, &Workload::uniform(3, 2), 100_000).unwrap();
+            let report =
+                run_fair(&mut s, &Workload::uniform(3, 2), 100_000, &mut NoopSink).unwrap();
             assert!(report.quiescent, "k = {k}");
             let trace = s.into_trace();
             base::check_all(&trace).unwrap();
@@ -269,6 +270,7 @@ mod tests {
                 seed,
                 600,
                 CrashPlan::none(),
+                &mut NoopSink,
             )
             .unwrap();
             let trace = s.into_trace();
@@ -291,6 +293,7 @@ mod tests {
                 seed,
                 600,
                 CrashPlan::none(),
+                &mut NoopSink,
             )
             .unwrap();
             let trace = s.into_trace();
@@ -307,7 +310,7 @@ mod tests {
         w.push(ProcessId::new(1), Value::new(2));
         w.push(ProcessId::new(2), Value::new(3));
         let mut s = sim(3, 2);
-        let report = run_fair(&mut s, &w, 100_000).unwrap();
+        let report = run_fair(&mut s, &w, 100_000, &mut NoopSink).unwrap();
         assert!(report.quiescent);
         let trace = s.into_trace();
         base::check_all(&trace).unwrap();

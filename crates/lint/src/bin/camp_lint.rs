@@ -2,17 +2,15 @@
 //!
 //! ```text
 //! camp-lint trace <file.json> [--json] [--strict]   lint a JSON execution trace
-//! camp-lint check [--json] [--deny-warnings]        S009 + graph + symmetry + dataflow analysis
-//! camp-lint symmetry [--json] [--certs OUT.json] [--metrics OUT.json]
-//!                                                    symmetry analysis alone, with certificates
-//! camp-lint dataflow [--json] [--certs OUT.json] [--metrics OUT.json]
-//!                                                    dataflow analysis alone, with certificates
+//! camp-lint check [--json] [--deny-warnings] [--timings] [--root DIR]
+//!                 [--metrics OUT.json] [--certs OUT.json]
+//!                                                    S009 + graph + symmetry + dataflow analysis
 //! camp-lint audit [--seeds N] [--metrics OUT.json]  audit the built-in algorithms
 //! camp-lint rules [--json]                          list the rule registry
 //! ```
 //!
-//! Exit codes: `0` clean, `1` findings (or audit failure), `2` usage or I/O
-//! error.
+//! A subcommand accepts only the arguments listed for it. Exit codes: `0`
+//! clean, `1` findings (or audit failure), `2` usage or I/O error.
 
 use std::process::ExitCode;
 
@@ -21,7 +19,7 @@ use camp_broadcast::{
     SteppedBroadcast,
 };
 use camp_lint::{
-    audit_branches, audit_determinism, check_workspace, default_rules, lint_execution,
+    audit_branches, audit_determinism, cert_store, check_workspace, default_rules, lint_execution,
 };
 use camp_modelcheck::ExploreConfig;
 use camp_sim::scheduler::{CrashPlan, Workload};
@@ -33,41 +31,126 @@ const USAGE: &str = "usage:
                                          lint a JSON execution trace (--strict also
                                          re-validates well-formedness on load)
   camp-lint check [--json] [--deny-warnings] [--timings] [--root DIR]
-                  [--metrics OUT.json]   payload inspection (S009) + static protocol-graph (S02x)
+                  [--metrics OUT.json] [--certs OUT.json]
+                                         payload inspection (S009) + static protocol-graph (S02x)
                                          + symmetry (S03x) + dataflow (S04x) analysis of the
                                          registered broadcast algorithms; --metrics writes a
-                                         camp-obs/v2 counter snapshot
-  camp-lint symmetry [--json] [--certs OUT.json] [--deny-warnings] [--timings]
-                     [--root DIR] [--metrics OUT.json]
-                                         symmetry engine alone: S03x rules plus the
-                                         camp-symmetry-cert/v1 certificates that license
-                                         renaming-quotient canonicalization in camp-modelcheck;
-                                         --metrics writes the lint.symmetry.* snapshot
-  camp-lint dataflow [--json] [--certs OUT.json] [--deny-warnings] [--timings]
-                     [--root DIR] [--metrics OUT.json]
-                                         dataflow engine alone: S04x rules (quorum bounds,
-                                         content taint, handler footprints) plus the
-                                         camp-independence-cert/v1 certificates that widen
-                                         sleep-set POR in camp-modelcheck; --metrics writes
-                                         the lint.dataflow.* snapshot
+                                         camp-obs/v2 counter snapshot; --certs writes the
+                                         camp-symmetry-cert/v1 and camp-independence-cert/v1
+                                         certificates as the one CertStore camp-modelcheck loads
   camp-lint audit [--seeds N] [--metrics OUT.json]
                                          determinism + branch audit of the built-in
                                          algorithms; --metrics writes a camp-obs/v2
                                          counter snapshot
   camp-lint rules [--json]               list the rule registry";
 
+/// A subcommand and the arguments it accepts.
+struct Command {
+    name: &'static str,
+    run: fn(&Args) -> ExitCode,
+    /// Flags that take no value.
+    flags: &'static [&'static str],
+    /// Options that take the next argument as their value.
+    options: &'static [&'static str],
+    /// The exact number of arguments that are not `--` flags or options.
+    positional: usize,
+}
+
+const COMMANDS: &[Command] = &[
+    Command {
+        name: "trace",
+        run: cmd_trace,
+        flags: &["--json", "--strict"],
+        options: &[],
+        positional: 1,
+    },
+    Command {
+        name: "check",
+        run: cmd_check,
+        flags: &["--json", "--deny-warnings", "--timings"],
+        options: &["--root", "--metrics", "--certs"],
+        positional: 0,
+    },
+    Command {
+        name: "audit",
+        run: cmd_audit,
+        flags: &[],
+        options: &["--seeds", "--metrics"],
+        positional: 0,
+    },
+    Command {
+        name: "rules",
+        run: cmd_rules,
+        flags: &["--json"],
+        options: &[],
+        positional: 0,
+    },
+];
+
+/// One subcommand's arguments, each checked against its [`Command`].
+#[derive(Debug, Default, PartialEq, Eq)]
+struct Args<'a> {
+    flags: Vec<&'a str>,
+    options: Vec<(&'a str, &'a str)>,
+    positional: Vec<&'a str>,
+}
+
+impl<'a> Args<'a> {
+    fn flag(&self, name: &str) -> bool {
+        self.flags.contains(&name)
+    }
+
+    /// The value of the first `name` option given, if any.
+    fn option(&self, name: &str) -> Option<&'a str> {
+        self.options
+            .iter()
+            .find(|(key, _)| *key == name)
+            .map(|&(_, value)| value)
+    }
+}
+
+/// Splits the command line (without the program name) into the subcommand
+/// and its arguments, rejecting a subcommand, flag, option or positional
+/// argument it does not take.
+fn parse<'a>(argv: &[&'a str]) -> Result<(&'static Command, Args<'a>), String> {
+    let (name, rest) = argv.split_first().ok_or("no subcommand given")?;
+    let command = COMMANDS
+        .iter()
+        .find(|c| c.name == *name)
+        .ok_or_else(|| format!("unknown subcommand `{name}`"))?;
+    let mut args = Args::default();
+    let mut it = rest.iter();
+    while let Some(&arg) = it.next() {
+        if command.flags.contains(&arg) {
+            args.flags.push(arg);
+        } else if command.options.contains(&arg) {
+            let value = it
+                .next()
+                .ok_or_else(|| format!("{arg} needs an argument"))?;
+            args.options.push((arg, value));
+        } else if arg.starts_with("--") {
+            return Err(format!("`{name}` does not take `{arg}`"));
+        } else {
+            args.positional.push(arg);
+        }
+    }
+    if args.positional.len() != command.positional {
+        return Err(format!(
+            "`{name}` takes {} file argument(s), got {}",
+            command.positional,
+            args.positional.len()
+        ));
+    }
+    Ok((command, args))
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let argv: Vec<&str> = args.iter().map(String::as_str).collect();
-    match argv.split_first() {
-        Some((&"trace", rest)) => cmd_trace(rest),
-        Some((&"check", rest)) => cmd_check(rest),
-        Some((&"symmetry", rest)) => cmd_symmetry(rest),
-        Some((&"dataflow", rest)) => cmd_dataflow(rest),
-        Some((&"audit", rest)) => cmd_audit(rest),
-        Some((&"rules", rest)) => cmd_rules(rest),
-        _ => {
-            eprintln!("{USAGE}");
+    match parse(&argv) {
+        Ok((command, args)) => (command.run)(&args),
+        Err(e) => {
+            eprintln!("camp-lint: {e}\n{USAGE}");
             ExitCode::from(2)
         }
     }
@@ -89,14 +172,8 @@ fn emitln(text: impl std::fmt::Display) {
     }
 }
 
-fn cmd_trace(args: &[&str]) -> ExitCode {
-    let json = args.contains(&"--json");
-    let strict = args.contains(&"--strict");
-    let paths: Vec<&&str> = args.iter().filter(|a| !a.starts_with("--")).collect();
-    let [path] = paths.as_slice() else {
-        eprintln!("{USAGE}");
-        return ExitCode::from(2);
-    };
+fn cmd_trace(args: &Args) -> ExitCode {
+    let path = args.positional[0];
     let text = match std::fs::read_to_string(path) {
         Ok(t) => t,
         Err(e) => {
@@ -114,14 +191,14 @@ fn cmd_trace(args: &[&str]) -> ExitCode {
     // The loader is intentionally non-validating (malformed traces must be
     // loadable so the linter can diagnose them); --strict opts back into
     // the full well-formedness validation a builder-produced trace passes.
-    if strict {
+    if args.flag("--strict") {
         if let Err(e) = exec.validate() {
             eprintln!("camp-lint: {path} failed strict validation: {e}");
             return ExitCode::from(2);
         }
     }
     let report = lint_execution(&exec);
-    if json {
+    if args.flag("--json") {
         emitln(report.to_json());
     } else {
         emit(report.render(&exec));
@@ -133,7 +210,7 @@ fn cmd_trace(args: &[&str]) -> ExitCode {
     }
 }
 
-fn cmd_rules(args: &[&str]) -> ExitCode {
+fn cmd_rules(args: &Args) -> ExitCode {
     // The five rule families share one listing: L0xx trace rules, the S009
     // source rule, S02x protocol-graph rules, S03x symmetry rules, S04x
     // dataflow rules. Only the trace rules carry their own severity.
@@ -148,7 +225,7 @@ fn cmd_rules(args: &[&str]) -> ExitCode {
         .map(|r| (r.code(), r.name(), r.severity().to_string(), r.summary()))
         .chain(static_rules)
         .collect();
-    if args.contains(&"--json") {
+    if args.flag("--json") {
         let field =
             |key: &str, value: &str| (key.to_string(), serde_json::Value::Str(value.to_string()));
         let entries = listing
@@ -185,25 +262,9 @@ fn compact(text: &str) -> String {
     text.split_whitespace().collect::<Vec<_>>().join(" ")
 }
 
-fn cmd_check(args: &[&str]) -> ExitCode {
-    let json = args.contains(&"--json");
-    let deny_warnings = args.contains(&"--deny-warnings");
-    let timings = args.contains(&"--timings");
-    let root = match parse_value(args, "--root") {
-        Ok(r) => std::path::PathBuf::from(r.unwrap_or_else(|| ".".to_string())),
-        Err(e) => {
-            eprintln!("camp-lint: {e}\n{USAGE}");
-            return ExitCode::from(2);
-        }
-    };
-    let metrics_path = match parse_value(args, "--metrics") {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("camp-lint: {e}\n{USAGE}");
-            return ExitCode::from(2);
-        }
-    };
-    let report = match check_workspace(&root, timings) {
+fn cmd_check(args: &Args) -> ExitCode {
+    let root = std::path::PathBuf::from(args.option("--root").unwrap_or("."));
+    let report = match check_workspace(&root, args.flag("--timings")) {
         Ok(r) => r,
         Err(e) => {
             eprintln!(
@@ -213,14 +274,28 @@ fn cmd_check(args: &[&str]) -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    if let Some(path) = metrics_path {
+    if let Some(path) = args.option("--metrics") {
         let snapshot = check_metrics(&report).snapshot();
-        if let Err(e) = std::fs::write(&path, snapshot.to_json_string()) {
+        if let Err(e) = std::fs::write(path, snapshot.to_json_string()) {
             eprintln!("camp-lint: cannot write metrics to {path}: {e}");
             return ExitCode::from(2);
         }
     }
-    if json {
+    if let Some(path) = args.option("--certs") {
+        let store = cert_store(&report.symmetry, &report.dataflow);
+        let text = match serde_json::to_string_pretty(&store) {
+            Ok(s) => s,
+            Err(e) => {
+                eprintln!("camp-lint: {e}");
+                return ExitCode::from(2);
+            }
+        };
+        if let Err(e) = std::fs::write(path, text) {
+            eprintln!("camp-lint: cannot write certificates to {path}: {e}");
+            return ExitCode::from(2);
+        }
+    }
+    if args.flag("--json") {
         match serde_json::to_string_pretty(&report) {
             Ok(s) => emitln(s),
             Err(e) => {
@@ -247,159 +322,7 @@ fn cmd_check(args: &[&str]) -> ExitCode {
             }
         ));
     }
-    if report.failed(deny_warnings) {
-        ExitCode::from(1)
-    } else {
-        ExitCode::SUCCESS
-    }
-}
-
-fn cmd_symmetry(args: &[&str]) -> ExitCode {
-    let json = args.contains(&"--json");
-    let deny_warnings = args.contains(&"--deny-warnings");
-    let timings = args.contains(&"--timings");
-    let root = match parse_value(args, "--root") {
-        Ok(r) => std::path::PathBuf::from(r.unwrap_or_else(|| ".".to_string())),
-        Err(e) => {
-            eprintln!("camp-lint: {e}\n{USAGE}");
-            return ExitCode::from(2);
-        }
-    };
-    let certs_path = match parse_value(args, "--certs") {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("camp-lint: {e}\n{USAGE}");
-            return ExitCode::from(2);
-        }
-    };
-    let metrics_path = match parse_value(args, "--metrics") {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("camp-lint: {e}\n{USAGE}");
-            return ExitCode::from(2);
-        }
-    };
-    let report = match camp_lint::symmetry_check(&root, timings) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!(
-                "camp-lint: cannot run the symmetry engine at {} (pass --root): {e}",
-                root.display()
-            );
-            return ExitCode::from(2);
-        }
-    };
-    if let Some(path) = metrics_path {
-        let mut counters = camp_obs::Counters::new();
-        symmetry_metrics_into(&report, &mut counters);
-        if let Err(e) = std::fs::write(&path, counters.snapshot().to_json_string()) {
-            eprintln!("camp-lint: cannot write metrics to {path}: {e}");
-            return ExitCode::from(2);
-        }
-    }
-    if let Some(path) = certs_path {
-        let store = report.cert_store();
-        let text = match serde_json::to_string_pretty(&store) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("camp-lint: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        if let Err(e) = std::fs::write(&path, text) {
-            eprintln!("camp-lint: cannot write certificates to {path}: {e}");
-            return ExitCode::from(2);
-        }
-    }
-    if json {
-        match serde_json::to_string_pretty(&report) {
-            Ok(s) => emitln(s),
-            Err(e) => {
-                eprintln!("camp-lint: {e}");
-                return ExitCode::from(2);
-            }
-        }
-    } else {
-        emit(report.render());
-    }
-    let warned = deny_warnings && report.warnings > 0;
-    if !report.healthy_clean() || warned {
-        ExitCode::from(1)
-    } else {
-        ExitCode::SUCCESS
-    }
-}
-
-fn cmd_dataflow(args: &[&str]) -> ExitCode {
-    let json = args.contains(&"--json");
-    let deny_warnings = args.contains(&"--deny-warnings");
-    let timings = args.contains(&"--timings");
-    let root = match parse_value(args, "--root") {
-        Ok(r) => std::path::PathBuf::from(r.unwrap_or_else(|| ".".to_string())),
-        Err(e) => {
-            eprintln!("camp-lint: {e}\n{USAGE}");
-            return ExitCode::from(2);
-        }
-    };
-    let certs_path = match parse_value(args, "--certs") {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("camp-lint: {e}\n{USAGE}");
-            return ExitCode::from(2);
-        }
-    };
-    let metrics_path = match parse_value(args, "--metrics") {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("camp-lint: {e}\n{USAGE}");
-            return ExitCode::from(2);
-        }
-    };
-    let report = match camp_lint::dataflow_check(&root, timings) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!(
-                "camp-lint: cannot run the dataflow engine at {} (pass --root): {e}",
-                root.display()
-            );
-            return ExitCode::from(2);
-        }
-    };
-    if let Some(path) = metrics_path {
-        let mut counters = camp_obs::Counters::new();
-        dataflow_metrics_into(&report, &mut counters);
-        if let Err(e) = std::fs::write(&path, counters.snapshot().to_json_string()) {
-            eprintln!("camp-lint: cannot write metrics to {path}: {e}");
-            return ExitCode::from(2);
-        }
-    }
-    if let Some(path) = certs_path {
-        let store = report.cert_store();
-        let text = match serde_json::to_string_pretty(&store) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("camp-lint: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        if let Err(e) = std::fs::write(&path, text) {
-            eprintln!("camp-lint: cannot write certificates to {path}: {e}");
-            return ExitCode::from(2);
-        }
-    }
-    if json {
-        match serde_json::to_string_pretty(&report) {
-            Ok(s) => emitln(s),
-            Err(e) => {
-                eprintln!("camp-lint: {e}");
-                return ExitCode::from(2);
-            }
-        }
-    } else {
-        emit(report.render());
-    }
-    let warned = deny_warnings && report.warnings > 0;
-    if !report.healthy_clean() || warned {
+    if report.failed(args.flag("--deny-warnings")) {
         ExitCode::from(1)
     } else {
         ExitCode::SUCCESS
@@ -429,26 +352,13 @@ fn check_metrics(report: &camp_lint::CheckReport) -> camp_obs::Counters {
     c.add("lint.graph.errors", g.errors as u64);
     c.add("lint.graph.warnings", g.warnings as u64);
     c.add("lint.graph.algorithms_probed", g.algorithms.len() as u64);
-    symmetry_metrics_into(&report.symmetry, &mut c);
-    dataflow_metrics_into(&report.dataflow, &mut c);
-    c
-}
-
-/// The `lint.symmetry.*` keys — shared by `check --metrics` and the
-/// standalone `symmetry --metrics` so the two snapshots agree.
-fn symmetry_metrics_into(y: &camp_lint::SymmetryReport, c: &mut camp_obs::Counters) {
-    use camp_obs::ObsSink;
+    let y = &report.symmetry;
     c.add("lint.symmetry.rules_checked", y.rules_checked.len() as u64);
     c.add("lint.symmetry.errors", y.errors as u64);
     c.add("lint.symmetry.warnings", y.warnings as u64);
     c.add("lint.symmetry.algorithms_probed", y.algorithms.len() as u64);
     c.add("lint.symmetry.certs_issued", y.certs.len() as u64);
-}
-
-/// The `lint.dataflow.*` keys — shared by `check --metrics` and the
-/// standalone `dataflow --metrics` so the two snapshots agree.
-fn dataflow_metrics_into(d: &camp_lint::DataflowReport, c: &mut camp_obs::Counters) {
-    use camp_obs::ObsSink;
+    let d = &report.dataflow;
     c.add("lint.dataflow.rules_checked", d.rules_checked.len() as u64);
     c.add("lint.dataflow.errors", d.errors as u64);
     c.add("lint.dataflow.warnings", d.warnings as u64);
@@ -461,52 +371,19 @@ fn dataflow_metrics_into(d: &camp_lint::DataflowReport, c: &mut camp_obs::Counte
         "lint.dataflow.receives_commute",
         d.algorithms.iter().filter(|a| a.receives_commute).count() as u64,
     );
-}
-
-/// Parses `--flag value` into `Some(value)`; `Ok(None)` when absent.
-fn parse_value(args: &[&str], name: &str) -> Result<Option<String>, String> {
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if *a == name {
-            return it
-                .next()
-                .map(|v| Some((*v).to_string()))
-                .ok_or_else(|| format!("{name} needs an argument"));
-        }
-    }
-    Ok(None)
-}
-
-fn parse_flag(args: &[&str], name: &str, default: usize) -> Result<usize, String> {
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if *a == name {
-            return it
-                .next()
-                .and_then(|v| v.parse().ok())
-                .ok_or_else(|| format!("{name} needs a numeric argument"));
-        }
-    }
-    Ok(default)
+    c
 }
 
 fn oracle() -> KsaOracle {
     KsaOracle::new(1, Box::new(FirstProposalRule))
 }
 
-fn cmd_audit(args: &[&str]) -> ExitCode {
+fn cmd_audit(args: &Args) -> ExitCode {
     use camp_obs::ObsSink;
-    let seed_count = match parse_flag(args, "--seeds", 5) {
+    let seed_count = match args.option("--seeds").map_or(Ok(5), str::parse::<usize>) {
         Ok(n) => n.max(1),
-        Err(e) => {
-            eprintln!("camp-lint: {e}\n{USAGE}");
-            return ExitCode::from(2);
-        }
-    };
-    let metrics_path = match parse_value(args, "--metrics") {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("camp-lint: {e}\n{USAGE}");
+        Err(_) => {
+            eprintln!("camp-lint: --seeds needs a numeric argument\n{USAGE}");
             return ExitCode::from(2);
         }
     };
@@ -602,9 +479,9 @@ fn cmd_audit(args: &[&str]) -> ExitCode {
     audit!("stepped", SteppedBroadcast::new(), WITH_KSA);
     audit!("sequencer", SequencerBroadcast::new(), COMMON);
 
-    if let Some(path) = metrics_path {
+    if let Some(path) = args.option("--metrics") {
         let snapshot = counters.snapshot();
-        if let Err(e) = std::fs::write(&path, snapshot.to_json_string()) {
+        if let Err(e) = std::fs::write(path, snapshot.to_json_string()) {
             eprintln!("camp-lint: cannot write metrics to {path}: {e}");
             return ExitCode::from(2);
         }
@@ -613,5 +490,61 @@ fn cmd_audit(args: &[&str]) -> ExitCode {
         ExitCode::from(1)
     } else {
         ExitCode::SUCCESS
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parsed<'a>(argv: &[&'a str]) -> Result<(&'static str, Args<'a>), String> {
+        parse(argv).map(|(command, args)| (command.name, args))
+    }
+
+    #[test]
+    fn subcommands_take_their_documented_arguments() {
+        let (name, args) = parsed(&[
+            "check",
+            "--deny-warnings",
+            "--root",
+            "ws",
+            "--certs",
+            "c.json",
+            "--json",
+        ])
+        .unwrap();
+        assert_eq!(name, "check");
+        assert!(args.flag("--deny-warnings") && args.flag("--json"));
+        assert!(!args.flag("--timings"));
+        assert_eq!(args.option("--root"), Some("ws"));
+        assert_eq!(args.option("--certs"), Some("c.json"));
+        assert_eq!(args.option("--metrics"), None);
+
+        let (_, args) = parsed(&["trace", "--strict", "t.json"]).unwrap();
+        assert_eq!(args.positional, ["t.json"]);
+        assert!(args.flag("--strict"));
+        let (_, args) = parsed(&["audit", "--seeds", "3"]).unwrap();
+        assert_eq!(args.option("--seeds"), Some("3"));
+        assert_eq!(parsed(&["rules"]).unwrap().1, Args::default());
+    }
+
+    #[test]
+    fn arguments_a_subcommand_does_not_take_are_rejected() {
+        for argv in [
+            &["check", "--deny-warning"][..],
+            &["audit", "--seed", "3"],
+            &["audit", "--json"],
+            &["rules", "--strict"],
+            &["trace", "t.json", "--certs", "c.json"],
+            &["check", "stray"],
+            &["trace"],
+            &["trace", "a.json", "b.json"],
+            &["check", "--metrics"],
+            &["symmetry", "--json"],
+            &["dataflow"],
+            &[],
+        ] {
+            assert!(parsed(argv).is_err(), "{argv:?} must be rejected");
+        }
     }
 }

@@ -9,6 +9,7 @@
 use std::io;
 use std::path::Path;
 
+use camp_sim::canonical::CertStore;
 use serde::Serialize;
 
 use crate::dataflow::{dataflow_check, DataflowReport};
@@ -54,6 +55,19 @@ impl CheckReport {
             || !self.faulty_convicted
             || (deny_warnings && warned)
     }
+}
+
+/// The certificates the symmetry and dataflow engines issued, as the one
+/// [`CertStore`] `camp-modelcheck` loads: symmetry certificates arm its
+/// renaming quotient, independence certificates widen its sleep sets.
+/// `camp-lint check --certs` writes this store.
+#[must_use]
+pub fn cert_store(symmetry: &SymmetryReport, dataflow: &DataflowReport) -> CertStore {
+    let mut store = symmetry.cert_store();
+    for cert in &dataflow.certs {
+        store.insert_independence(cert.clone());
+    }
+    store
 }
 
 /// Runs all four engines over the workspace at `root` and joins the

@@ -55,7 +55,7 @@ pub mod source;
 pub mod symmetry;
 
 pub use algorithm::{audit_branches, branch_label, BranchReport, ExploreFailed, StuckState};
-pub use check::{check_workspace, CheckReport};
+pub use check::{cert_store, check_workspace, CheckReport};
 pub use dataflow::{dataflow_check, AlgoDataflow, DataflowReport, DATAFLOW_RULES};
 pub use determinism::{audit_determinism, AuditError, DeterminismFailure, DeterminismOutcome};
 pub use diagnostics::{Diagnostic, Report, Severity};

@@ -566,6 +566,7 @@ fn judge<B: BroadcastAlgorithm>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use camp_obs::NoopSink;
     use camp_sim::scheduler::{run_fair, Workload};
     use camp_sim::{FirstProposalRule, KsaOracle, Simulation};
     use camp_specs::symmetry::{check_content_neutral, SymmetryConfig};
@@ -703,7 +704,7 @@ mod tests {
             3,
             KsaOracle::new(1, Box::new(FirstProposalRule)),
         );
-        run_fair(&mut fifo, &Workload::uniform(3, 2), 100_000).unwrap();
+        run_fair(&mut fifo, &Workload::uniform(3, 2), 100_000, &mut NoopSink).unwrap();
         let fifo_exec = fifo.into_trace();
         assert!(dynamic_closed(&fifo_exec, &FifoSpec::new()));
 
@@ -712,7 +713,13 @@ mod tests {
             3,
             KsaOracle::new(1, Box::new(FirstProposalRule)),
         );
-        run_fair(&mut causal, &Workload::uniform(3, 1), 100_000).unwrap();
+        run_fair(
+            &mut causal,
+            &Workload::uniform(3, 1),
+            100_000,
+            &mut NoopSink,
+        )
+        .unwrap();
         assert!(dynamic_closed(&causal.into_trace(), &CausalSpec::new()));
 
         // Negative control: the content-sensitive Typed-SA spec breaks under

@@ -47,7 +47,7 @@
 //!
 //! Two further layers are licensed by certificates, never configured: a
 //! valid `camp-symmetry-cert/v1` adds memoization up to a process renaming,
-//! and a valid `camp-independence-cert/v1` (issued by `camp-lint dataflow`,
+//! and a valid `camp-independence-cert/v1` (issued by `camp-lint check`,
 //! stating that the receive handler's state footprint is sliced by the
 //! *originating broadcaster*) together with a caller-declared
 //! [`Sensitivity::PerSender`] property widens layer 2: two receptions at the
@@ -840,7 +840,7 @@ impl<S: ObsSink> Engine<'_, S> {
 /// * **Renaming quotient.** States are also memoized by their canonical
 ///   fingerprint if — and only if — `certs` holds a valid
 ///   `camp-symmetry-cert/v1` for the simulated algorithm. The certificate
-///   (issued by `camp-lint symmetry`) attests that the algorithm is
+///   (issued by `camp-lint check`) attests that the algorithm is
 ///   process-renaming equivariant and statically content-neutral, so every
 ///   execution reachable from a pruned state is, up to a process renaming
 ///   and an injective message-id/content renaming, also reachable from the

@@ -151,8 +151,8 @@ fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
     })
 }
 
-/// Every algorithm `camp-lint symmetry` certifies (the `certs` of
-/// `tests/golden/symmetry.json`): the quotient is armed for exactly these.
+/// Every algorithm the symmetry engine certifies (the `symmetry.certs` of
+/// `tests/golden/check.json`): the quotient is armed for exactly these.
 const CERTIFIED: [&str; 10] = [
     "agreed-rounds",
     "causal",
@@ -388,7 +388,7 @@ proptest! {
     /// baseline on every scope, for symmetric algorithms — correct and
     /// seeded-faulty alike. (Asymmetric algorithms never reach the
     /// canonical engine: `explore` keeps the layer off without a
-    /// certificate, and `camp-lint symmetry` refuses them a certificate.)
+    /// certificate, and `camp-lint check` refuses them a certificate.)
     #[test]
     fn canonical_engine_agrees_with_baseline(
         algo in 0usize..7,

@@ -124,7 +124,7 @@ where
 }
 
 /// A hand-built independence certificate store for `algo` — the engine-side
-/// soundness test deliberately bypasses `camp-lint dataflow` (whose issuance
+/// soundness test deliberately bypasses `camp-lint check` (whose issuance
 /// is tested separately) so that *any* algorithm can be forced through the
 /// widened engine and checked against the reference walk.
 fn hand_cert(algo: &str, invoke_commutes: bool) -> CertStore {

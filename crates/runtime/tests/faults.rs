@@ -85,8 +85,13 @@ fn every_healthy_algorithm_survives_heavy_loss() {
     assert!(total_retransmits > 0, "loss was never recovered");
 }
 
-/// A healthy plan is a behavioural no-op: full delivery, no injections,
-/// no retransmissions — only ACK bookkeeping distinguishes the run.
+/// A healthy plan is a behavioural no-op: full delivery and no injections.
+/// Retransmissions may still happen: a frame is resent whenever its ACK is
+/// late by the link's base backoff, which a loaded host causes with no
+/// fault injected. Each late copy is suppressed as a duplicate and
+/// acknowledged again, and only a frame's first ACK retires it at the
+/// sender. So the link suppresses no more duplicates than it retransmitted,
+/// and every ACK sent either retired a frame or answered a duplicate.
 #[test]
 fn healthy_plan_injects_nothing() {
     let (trace, counters) = run_with_plan(SendToAll::new(), 3, 2, 1, FaultPlan::healthy());
@@ -95,12 +100,16 @@ fn healthy_plan_injects_nothing() {
     assert_eq!(counters.count("faults.dups_injected"), 0);
     assert_eq!(counters.count("faults.delays_injected"), 0);
     assert_eq!(counters.count("faults.crashes_fired"), 0);
-    assert_eq!(counters.count("perflink.retransmits"), 0);
-    assert_eq!(counters.count("perflink.dup_suppressed"), 0);
+    assert!(
+        counters.count("perflink.dup_suppressed") <= counters.count("perflink.retransmits"),
+        "duplicates beyond the retransmissions: {} suppressed, {} retransmitted",
+        counters.count("perflink.dup_suppressed"),
+        counters.count("perflink.retransmits")
+    );
     assert!(counters.count("perflink.acks_sent") > 0);
     assert_eq!(
         counters.count("perflink.acks_sent"),
-        counters.count("perflink.acks_received")
+        counters.count("perflink.acks_received") + counters.count("perflink.dup_suppressed")
     );
 }
 

@@ -8,8 +8,8 @@
 //! identities are permuted. The bounded model checker can therefore merge
 //! states that differ only by such a renaming — *provided* the algorithm
 //! under check really is renaming-equivariant and content-neutral. That
-//! proof obligation is discharged statically by `camp-lint symmetry`
-//! (rules S030–S035), which serializes its verdict as a [`SymmetryCert`];
+//! proof obligation is discharged statically by the symmetry engine of
+//! `camp-lint check` (rules S030–S035), which issues a [`SymmetryCert`];
 //! the engines in `camp-modelcheck` enable the quotient only when a valid
 //! certificate is presented.
 //!
@@ -78,8 +78,8 @@ pub const INDEPENDENCE_CERT_SCHEMA: &str = "camp-independence-cert/v1";
 pub const MAX_FULL_ORBIT_N: usize = 4;
 
 /// A machine-checked symmetry certificate for one registered algorithm,
-/// issued by `camp-lint symmetry` when the static analysis proves both
-/// process-renaming equivariance (S030–S033) and content-neutrality
+/// issued by `camp-lint`'s symmetry engine when the static analysis proves
+/// both process-renaming equivariance (S030–S033) and content-neutrality
 /// (S034–S035) of the protocol graph.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SymmetryCert {
@@ -111,13 +111,13 @@ impl SymmetryCert {
 }
 
 /// A machine-checked handler-independence certificate for one registered
-/// algorithm, issued by `camp-lint dataflow` (rules S045–S048) when the
-/// static read/write-set analysis proves that the algorithm's environment
-/// handlers commute whenever they concern **different origin broadcasters**:
-/// every state field written by `on_receive` is either sliced by the
-/// payload's origin sender, a commutative insert keyed by the (unique)
-/// message identity, or a step buffer that the engine drains between
-/// environment events.
+/// algorithm, issued by `camp-lint`'s dataflow engine (rules S045–S048)
+/// when the static read/write-set analysis proves that the algorithm's
+/// environment handlers commute whenever they concern **different origin
+/// broadcasters**: every state field written by `on_receive` is either
+/// sliced by the payload's origin sender, a commutative insert keyed by the
+/// (unique) message identity, or a step buffer that the engine drains
+/// between environment events.
 ///
 /// The model checker's sleep-set POR consumes the certificate to treat two
 /// same-process environment events with distinct origin classes as
@@ -153,9 +153,10 @@ impl IndependenceCert {
     }
 }
 
-/// A set of certificates keyed by algorithm name, as produced by
-/// `camp-lint symmetry --certs` / `camp-lint dataflow --certs` and consumed
-/// by the cert-gated engine entry points in `camp-modelcheck`.
+/// A set of certificates keyed by algorithm name: the symmetry and
+/// independence certificates of `camp-lint`'s two engines, merged by
+/// `camp_lint::cert_store` and written by `camp-lint check --certs`, and
+/// consumed by `camp_modelcheck::explore` and `crash_point_sweep`.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CertStore {
     certs: BTreeMap<String, SymmetryCert>,

@@ -128,7 +128,7 @@ pub struct ProbeReport {
 pub fn probe_broadcast<B: BroadcastAlgorithm>(algo: &B, n: usize) -> ProbeReport {
     let run_a = probe_propagation(algo, n, 1, Value::new(12));
     let run_b = probe_propagation(algo, n, 1, Value::new(73));
-    let divergence = diff_runs(&run_a.activations, &run_b.activations);
+    let divergence = diff_activations(&run_a.activations, &run_b.activations);
     let solo = (1..=n).map(|p| solo_probe(algo, n, p)).collect();
     ProbeReport {
         algorithm: algo.name(),
@@ -219,8 +219,8 @@ fn drain<B: BroadcastAlgorithm>(
 }
 
 /// Everything one propagation probe observed, for one choice of
-/// broadcaster. The per-broadcaster entry point of the symmetry analysis
-/// (`camp-lint symmetry`): comparing these across broadcasters — after
+/// broadcaster. The per-broadcaster entry point of `camp-lint`'s symmetry
+/// analysis: comparing these across broadcasters — after
 /// relabeling process ids — is its equivariance check.
 #[derive(Debug, Clone)]
 pub struct PropagationProbe {
@@ -407,15 +407,10 @@ fn solo_probe<B: BroadcastAlgorithm>(algo: &B, n: usize, p: usize) -> SoloProbe 
 }
 
 /// First index where two activation sequences differ, if any (the
-/// differential content probe's comparator, public for `camp-lint
-/// symmetry`'s per-broadcaster content checks).
+/// differential content probe's comparator, public for the symmetry
+/// engine's per-broadcaster content checks in `camp-lint`).
 #[must_use]
 pub fn diff_activations(a: &[Activation], b: &[Activation]) -> Option<Divergence> {
-    diff_runs(a, b)
-}
-
-/// First index where two activation sequences differ, if any.
-fn diff_runs(a: &[Activation], b: &[Activation]) -> Option<Divergence> {
     let absent = || "<absent>".to_string();
     let summarize =
         |x: &Activation| format!("p{} {} -> [{}]", x.process, x.trigger, x.steps.join(", "));

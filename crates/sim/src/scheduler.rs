@@ -5,7 +5,7 @@
 //! adversarial scheduler (Algorithm 1) lives in `camp-impossibility` and
 //! drives [`Simulation`] through the same primitives these drivers use.
 
-use camp_obs::{NoopSink, ObsSink};
+pub use camp_obs::{NoopSink, ObsSink};
 use camp_trace::{Execution, ProcessId, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -66,11 +66,6 @@ impl Workload {
             .unwrap_or_default()
     }
 
-    /// Remaining contents of `pid` starting at cursor `done`.
-    fn next_for(&self, pid: ProcessId, done: usize) -> Option<Value> {
-        self.get(pid, done)
-    }
-
     /// Total number of broadcasts in the workload.
     #[must_use]
     pub fn total(&self) -> usize {
@@ -97,36 +92,35 @@ pub struct RunReport {
 /// FIFO, is the point). This schedule discharges every liveness hypothesis,
 /// so a correct algorithm's trace passes all `camp-specs` liveness checkers.
 ///
+/// `sink` records `sim.invocations`, `sim.steps`, `sim.responses`,
+/// `sim.receptions`, the `sim.net_sends` delta, the `sim.net_in_flight_max`
+/// high-water mark, and a `sim.round_len` histogram of events per fair round
+/// (one outer sweep over all processes); pass [`NoopSink`] to record
+/// nothing. The schedule does not depend on the sink.
+///
 /// # Errors
 ///
 /// Propagates any [`SimError`] raised by the simulation (e.g. a decision
 /// rule violating k-SA, or an algorithm misusing a one-shot object).
-pub fn run_fair<B: BroadcastAlgorithm>(
-    sim: &mut Simulation<B>,
-    workload: &Workload,
-    max_events: usize,
-) -> Result<RunReport, SimError> {
-    run_fair_obs(sim, workload, max_events, &mut NoopSink)
-}
-
-/// [`run_fair`] with an observability sink: records `sim.invocations`,
-/// `sim.steps`, `sim.responses`, `sim.receptions`, the `sim.net_sends`
-/// delta, the `sim.net_in_flight_max` high-water mark, and a
-/// `sim.round_len` histogram of events per fair round (one outer sweep over
-/// all processes). The schedule (and hence the trace) is identical to
-/// [`run_fair`]'s.
-///
-/// # Errors
-///
-/// Propagates any [`SimError`] raised by the simulation.
-pub fn run_fair_obs<B: BroadcastAlgorithm, S: ObsSink>(
+pub fn run_fair<B: BroadcastAlgorithm, S: ObsSink>(
     sim: &mut Simulation<B>,
     workload: &Workload,
     max_events: usize,
     sink: &mut S,
 ) -> Result<RunReport, SimError> {
+    fair_rounds(sim, workload, &mut vec![0; sim.n()], max_events, sink)
+}
+
+/// The fair schedule of [`run_fair`], issuing each process's workload from
+/// its cursor in `issued` on.
+fn fair_rounds<B: BroadcastAlgorithm, S: ObsSink>(
+    sim: &mut Simulation<B>,
+    workload: &Workload,
+    issued: &mut [usize],
+    max_events: usize,
+    sink: &mut S,
+) -> Result<RunReport, SimError> {
     let n = sim.n();
-    let mut issued = vec![0usize; n];
     let mut events = 0;
     let sends_before = sim.network().total_sent();
 
@@ -139,7 +133,7 @@ pub fn run_fair_obs<B: BroadcastAlgorithm, S: ObsSink>(
             }
             // Issue the next workload broadcast once the previous returned.
             if sim.pending_broadcast(pid).is_none() {
-                if let Some(content) = workload.next_for(pid, issued[pid.index()]) {
+                if let Some(content) = workload.get(pid, issued[pid.index()]) {
                     sim.invoke_broadcast(pid, content)?;
                     issued[pid.index()] += 1;
                     events += 1;
@@ -182,7 +176,7 @@ pub fn run_fair_obs<B: BroadcastAlgorithm, S: ObsSink>(
         }
         sink.observe("sim.round_len", (events - round_start) as u64);
         let done = ProcessId::all(n)
-            .all(|p| sim.is_crashed(p) || workload.next_for(p, issued[p.index()]).is_none());
+            .all(|p| sim.is_crashed(p) || workload.get(p, issued[p.index()]).is_none());
         if done && sim.is_quiescent() {
             break RunReport {
                 events,
@@ -244,29 +238,15 @@ impl CrashPlan {
 /// Determinism: the run is a pure function of (algorithm, workload, seed,
 /// plan, budgets).
 ///
-/// # Errors
-///
-/// Propagates any [`SimError`] raised by the simulation.
-pub fn run_random<B: BroadcastAlgorithm>(
-    sim: &mut Simulation<B>,
-    workload: &Workload,
-    seed: u64,
-    random_events: usize,
-    plan: CrashPlan,
-) -> Result<RunReport, SimError> {
-    run_random_obs(sim, workload, seed, random_events, plan, &mut NoopSink)
-}
-
-/// [`run_random`] with an observability sink: the random phase records the
-/// same `sim.*` counters as [`run_fair_obs`] plus `sim.crashes`; the fair
-/// drain phase records through the same sink. The schedule is identical to
-/// [`run_random`]'s — counters are a pure function of (algorithm, workload,
-/// seed, plan, budgets), like the run itself.
+/// `sink` records the random phase's events under the same `sim.*` keys as
+/// [`run_fair`], plus `sim.crashes`; the fair drain records through the
+/// same sink. The counters, like the run, are a pure function of those
+/// inputs, and the schedule does not depend on the sink.
 ///
 /// # Errors
 ///
 /// Propagates any [`SimError`] raised by the simulation.
-pub fn run_random_obs<B: BroadcastAlgorithm, S: ObsSink>(
+pub fn run_random<B: BroadcastAlgorithm, S: ObsSink>(
     sim: &mut Simulation<B>,
     workload: &Workload,
     seed: u64,
@@ -310,7 +290,7 @@ pub fn run_random_obs<B: BroadcastAlgorithm, S: ObsSink>(
                 continue;
             }
             if sim.pending_broadcast(pid).is_none()
-                && workload.next_for(pid, issued[pid.index()]).is_some()
+                && workload.get(pid, issued[pid.index()]).is_some()
             {
                 choices.push(Choice::Invoke(pid));
             }
@@ -332,7 +312,7 @@ pub fn run_random_obs<B: BroadcastAlgorithm, S: ObsSink>(
         match choices[rng.gen_range(0..choices.len())] {
             Choice::Invoke(pid) => {
                 let content = workload
-                    .next_for(pid, issued[pid.index()])
+                    .get(pid, issued[pid.index()])
                     .expect("enabled implies available");
                 sim.invoke_broadcast(pid, content)?;
                 issued[pid.index()] += 1;
@@ -360,23 +340,13 @@ pub fn run_random_obs<B: BroadcastAlgorithm, S: ObsSink>(
         sink.tick();
     }
 
-    // Fair drain: no more crashes; discharge all liveness obligations.
-    let remaining = Workload {
-        per_process: ProcessId::all(n)
-            .map(|p| {
-                workload.per_process[p.index()]
-                    .iter()
-                    .skip(issued[p.index()])
-                    .copied()
-                    .collect()
-            })
-            .collect(),
-    };
     // Credit the random phase's sends before the drain records its own.
     sink.add("sim.net_sends", sim.network().total_sent() - sends_before);
-    let drain = run_fair_obs(
+    // Fair drain: no more crashes; discharge all liveness obligations.
+    let drain = fair_rounds(
         sim,
-        &remaining,
+        workload,
+        &mut issued,
         random_events.saturating_mul(20) + 10_000,
         sink,
     )?;
@@ -411,7 +381,7 @@ where
     F: FnOnce() -> Simulation<B>,
 {
     let mut sim = factory();
-    let report = run_random(&mut sim, workload, seed, random_events, plan)?;
+    let report = run_random(&mut sim, workload, seed, random_events, plan, &mut NoopSink)?;
     Ok((sim.into_trace(), report))
 }
 
@@ -423,8 +393,8 @@ mod tests {
     fn workload_uniform_counts() {
         let w = Workload::uniform(3, 2);
         assert_eq!(w.total(), 6);
-        assert!(w.next_for(ProcessId::new(1), 0).is_some());
-        assert!(w.next_for(ProcessId::new(1), 2).is_none());
+        assert!(w.get(ProcessId::new(1), 0).is_some());
+        assert!(w.get(ProcessId::new(1), 2).is_none());
     }
 
     #[test]
@@ -432,7 +402,7 @@ mod tests {
         let mut w = Workload::new(2);
         w.push(ProcessId::new(2), Value::new(9));
         assert_eq!(w.total(), 1);
-        assert_eq!(w.next_for(ProcessId::new(2), 0), Some(Value::new(9)));
+        assert_eq!(w.get(ProcessId::new(2), 0), Some(Value::new(9)));
     }
 
     #[test]

@@ -1,10 +1,8 @@
 //! Direct unit tests of the Simulation harness: guard rails, quiescence,
 //! and the fair/random drivers, using a minimal inline algorithm.
 
-use camp_obs::Counters;
-use camp_sim::scheduler::{
-    run_fair, run_fair_obs, run_random, run_random_obs, CrashPlan, Workload,
-};
+use camp_obs::{Counters, NoopSink};
+use camp_sim::scheduler::{run_fair, run_random, CrashPlan, Workload};
 use camp_sim::{
     AppMessage, BroadcastAlgorithm, BroadcastStep, Executed, FirstProposalRule, KsaOracle,
     OwnValueRule, Relabel, Relabeler, SimError, Simulation,
@@ -288,7 +286,7 @@ fn respond_without_proposal_rejected() {
 #[test]
 fn fair_run_reaches_quiescence_and_counts_events() {
     let mut s = sim(3);
-    let report = run_fair(&mut s, &Workload::uniform(3, 2), 100_000).unwrap();
+    let report = run_fair(&mut s, &Workload::uniform(3, 2), 100_000, &mut NoopSink).unwrap();
     assert!(report.quiescent);
     assert!(report.events > 0);
     // 6 broadcasts × (3 sends + 1 return + deliver per receive) + receives.
@@ -298,7 +296,7 @@ fn fair_run_reaches_quiescence_and_counts_events() {
 #[test]
 fn fair_run_respects_event_budget() {
     let mut s = sim(3);
-    let report = run_fair(&mut s, &Workload::uniform(3, 5), 10).unwrap();
+    let report = run_fair(&mut s, &Workload::uniform(3, 5), 10, &mut NoopSink).unwrap();
     assert!(!report.quiescent, "budget too small to finish");
 }
 
@@ -312,6 +310,7 @@ fn random_runs_are_deterministic_per_seed() {
             seed,
             300,
             CrashPlan::none(),
+            &mut NoopSink,
         )
         .unwrap();
         s.into_trace()
@@ -324,7 +323,7 @@ fn random_runs_are_deterministic_per_seed() {
 fn fair_obs_counters_account_for_every_event() {
     let mut s = sim(2);
     let mut sink = Counters::new();
-    let report = run_fair_obs(&mut s, &Workload::uniform(2, 2), 100_000, &mut sink).unwrap();
+    let report = run_fair(&mut s, &Workload::uniform(2, 2), 100_000, &mut sink).unwrap();
     assert!(report.quiescent);
     let counted = sink.count("sim.invocations")
         + sink.count("sim.steps")
@@ -349,10 +348,18 @@ fn fair_obs_counters_account_for_every_event() {
 fn obs_drivers_leave_the_schedule_unchanged() {
     let workload = Workload::uniform(3, 2);
     let mut plain = sim(3);
-    let r1 = run_random(&mut plain, &workload, 7, 300, CrashPlan::none()).unwrap();
+    let r1 = run_random(
+        &mut plain,
+        &workload,
+        7,
+        300,
+        CrashPlan::none(),
+        &mut NoopSink,
+    )
+    .unwrap();
     let mut observed = sim(3);
     let mut sink = Counters::new();
-    let r2 = run_random_obs(
+    let r2 = run_random(
         &mut observed,
         &workload,
         7,
@@ -375,7 +382,7 @@ fn obs_counters_are_deterministic_per_seed() {
     let run = |seed| {
         let mut s = sim(3);
         let mut sink = Counters::new();
-        run_random_obs(
+        run_random(
             &mut s,
             &Workload::uniform(3, 2),
             seed,
@@ -399,6 +406,7 @@ fn random_runs_never_crash_below_min_survivors() {
             seed,
             300,
             CrashPlan::up_to(5, 0.5),
+            &mut NoopSink,
         )
         .unwrap();
         let survivors = s.trace().correct_processes().count();

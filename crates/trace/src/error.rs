@@ -22,6 +22,9 @@ pub enum TraceError {
     DuplicateMessage(MessageId),
     /// A renaming was not injective or collided with an existing message.
     InvalidRenaming(MessageId),
+    /// The execution's system has no process (`n = 0`); the model has at
+    /// least one.
+    NoProcesses,
 }
 
 impl fmt::Display for TraceError {
@@ -37,6 +40,7 @@ impl fmt::Display for TraceError {
             TraceError::InvalidRenaming(m) => {
                 write!(f, "renaming is not injective at message {m}")
             }
+            TraceError::NoProcesses => f.write_str("an execution needs at least one process"),
         }
     }
 }

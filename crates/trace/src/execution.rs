@@ -426,12 +426,17 @@ impl Execution {
     ///
     /// # Errors
     ///
+    /// * [`TraceError::NoProcesses`] if `n = 0`, which [`Self::new`]
+    ///   refuses;
     /// * [`TraceError::UnknownProcess`] if a registered message's sender, a
     ///   step's acting process, or a peer referenced by an action is outside
     ///   `p1 … pn`;
     /// * [`TraceError::UnknownMessage`] if a step references a message id
     ///   that was never registered.
     pub fn validate(&self) -> Result<(), TraceError> {
+        if self.n == 0 {
+            return Err(TraceError::NoProcesses);
+        }
         for info in self.messages.values() {
             self.check_process(info.sender)?;
         }

@@ -33,6 +33,9 @@ const OUT_OF_RANGE_PROCESSES: &str = r#"{
   }
 }"#;
 
+/// A trace over a system of no processes, which `Execution::new` refuses.
+const NO_PROCESSES: &str = r#"{"n":0,"steps":[],"messages":{}}"#;
+
 #[test]
 fn loader_accepts_unregistered_message_reference() {
     let exec: Execution = serde_json::from_str(UNREGISTERED_MESSAGE)
@@ -53,6 +56,15 @@ fn loader_accepts_out_of_range_processes() {
         matches!(err, TraceError::UnknownProcess { .. }),
         "got {err:?}"
     );
+}
+
+#[test]
+fn loader_accepts_an_empty_system() {
+    let exec: Execution = serde_json::from_str(NO_PROCESSES)
+        .expect("the loader must accept ill-formed traces so the linter can diagnose them");
+    assert_eq!(exec.process_count(), 0);
+    let err = exec.validate().unwrap_err();
+    assert_eq!(err, TraceError::NoProcesses);
 }
 
 #[test]

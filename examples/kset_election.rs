@@ -21,6 +21,7 @@
 use campkit::agreement::generator::{kbo_execution, replay};
 use campkit::agreement::{FirstDelivered, Stack};
 use campkit::broadcast::AgreedBroadcast;
+use campkit::obs::NoopSink;
 use campkit::sim::scheduler::CrashPlan;
 use campkit::sim::{KsaOracle, OwnValueRule};
 use campkit::trace::{ProcessId, Value};
@@ -35,7 +36,7 @@ fn main() {
     // Route 1: over the k-BO broadcast *specification*.
     println!("route 1 — k-BO broadcast (spec-driven schedules):");
     for seed in 0..5 {
-        let schedule = kbo_execution(&candidates, k, seed);
+        let schedule = kbo_execution(&candidates, k, seed, &mut NoopSink);
         let outcome = replay(&FirstDelivered::new(), &candidates, &schedule);
         let leaders: Vec<String> = outcome
             .distinct_decisions()

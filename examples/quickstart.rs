@@ -6,6 +6,7 @@
 //! ```
 
 use campkit::broadcast::FifoBroadcast;
+use campkit::obs::NoopSink;
 use campkit::sim::scheduler::{run_random, CrashPlan, Workload};
 use campkit::sim::{FirstProposalRule, KsaOracle, Simulation};
 use campkit::specs::{base, channel, BroadcastSpec, CausalSpec, FifoSpec, TotalOrderSpec};
@@ -25,8 +26,15 @@ fn main() {
     // interleaves steps, receptions, and crashes arbitrarily, then drains
     // fairly so the execution is complete.
     let workload = Workload::uniform(n, 3);
-    let report = run_random(&mut sim, &workload, 42, 500, CrashPlan::none())
-        .expect("simulation cannot fail under this workload");
+    let report = run_random(
+        &mut sim,
+        &workload,
+        42,
+        500,
+        CrashPlan::none(),
+        &mut NoopSink,
+    )
+    .expect("simulation cannot fail under this workload");
     println!(
         "run: {} events, quiescent: {}",
         report.events, report.quiescent

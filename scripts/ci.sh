@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # The full CI gate, runnable locally: the protocol crates' determinism fence
 # (clippy's shared ban list), strict lints on the whole workspace, the
-# camp-lint static-analysis engines, tier-1 verify, formatting, and the
-# camp-lint trace linter over the committed Figure 1 golden trace.
+# camp-lint static check and its certificate store, tier-1 verify,
+# formatting, and the camp-lint trace linter over the committed Figure 1
+# golden trace.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -69,33 +70,36 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 # camp-lint's static check runs no simulated schedule: S009 (no payload
 # inspection in broadcast code, hypothesis H1) plus the protocol-graph,
-# symmetry and dataflow engines over the registered algorithms.
+# symmetry and dataflow engines over the registered algorithms. It fails if
+# a healthy algorithm draws a finding or a seeded faulty one goes
+# unconvicted; tier-1's tests/check.rs pins the whole report as
+# tests/golden/check.json. --certs writes the certificates the two engines
+# issue, the store that arms the model checker's renaming quotient and
+# widened sleep sets below.
 echo "==> camp-lint check: S009 + graph, symmetry, dataflow engines (deny warnings)"
-cargo run --release -q -p camp-lint --bin camp-lint -- check --deny-warnings
+certs_out="$PWD/target/ci.certs.json"
+cargo run --release -q -p camp-lint --bin camp-lint -- check --deny-warnings --certs "$certs_out"
 
-# The symmetry engine must certify every healthy equivariant algorithm and
-# convict the seeded asymmetric variant — the certificates it issues are
-# what arm the model checker's renaming-quotient canonicalization below.
-echo "==> camp-lint: symmetry engine (S030-S035, deny warnings)"
-cargo run --release -q -p camp-lint --bin camp-lint -- symmetry --deny-warnings
-
-# The dataflow engine must certify the commuting receive handlers and
-# convict the quorum-blocked, content-gated, and misattributing variants —
-# the camp-independence-cert/v1 certificates it issues are what widen the
-# model checker's sleep sets below. The committed golden pins the whole
-# report byte for byte, so any drift in a conviction witness or a
-# certificate footprint fails here, not in production.
-echo "==> camp-lint: dataflow engine (S040-S048, deny warnings, golden)"
-cargo run --release -q -p camp-lint --bin camp-lint -- dataflow --deny-warnings
-dataflow_out="$PWD/target/ci.dataflow.json"
-cargo run --release -q -p camp-lint --bin camp-lint -- dataflow --json > "$dataflow_out"
-python3 - "$dataflow_out" tests/golden/dataflow.json <<'PY'
+# The written store must hold exactly the certificates the committed report
+# lists: every symmetry certificate and every independence certificate.
+echo "==> camp-lint check --certs: the store holds every certificate check.json lists"
+python3 - "$certs_out" tests/golden/check.json <<'PY'
 import json, sys
-live = json.load(open(sys.argv[1]))
-golden = json.load(open(sys.argv[2]))
-assert live == golden, "camp-lint dataflow drifted from tests/golden/dataflow.json; regenerate with scripts/regen-goldens.sh"
-print("dataflow report matches the committed golden")
+store, report = (json.load(open(path)) for path in sys.argv[1:])
+for kind, member, want in (("certs", "symmetry", 10), ("independence", "dataflow", 6)):
+    listed = {cert["algorithm"]: cert for cert in report[member]["certs"]}
+    assert len(listed) == want, f"check.json lists {len(listed)} {member} certificates, expected {want}"
+    assert store[kind] == listed, f"the store's {kind} differ from check.json's {member} certificates"
+print("certificate store: 10 symmetry + 6 independence certificates, as check.json lists")
 PY
+
+# A misspelt flag must not run a check that silently ignores it.
+echo "==> camp-lint: an argument a subcommand does not take exits 2"
+status=0
+cargo run --release -q -p camp-lint --bin camp-lint -- check --deny-warning 2> /dev/null || status=$?
+[[ "$status" -eq 2 ]] \
+  || { echo "camp-lint check --deny-warning exited $status, expected 2" >&2; exit 1; }
+echo "camp-lint check --deny-warning: exit 2"
 
 echo "==> tier-1: cargo build --release"
 cargo build --release

@@ -2,9 +2,9 @@
 # Regenerates every committed golden file that pins a deterministic report
 # byte for byte, in one command:
 #
-#   tests/golden/check.json            camp-lint check --json (all four engines)
-#   tests/golden/symmetry.json         camp-lint symmetry --json
-#   tests/golden/dataflow.json         camp-lint dataflow --json
+#   tests/golden/check.json            camp-lint check --json (all four engines;
+#                                      tests/symmetry.rs and tests/dataflow.rs
+#                                      pin their engine's member of it)
 #   tests/golden/metrics_figure1.json  the figure-1 camp-obs/v2 snapshot
 #   tests/golden/verdicts.json         every checker and lint verdict on
 #                                      the seeded and hand-written corpus
@@ -23,7 +23,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-for t in check symmetry dataflow metrics verdicts; do
+for t in check metrics verdicts; do
   echo "==> regenerating golden via tests/$t.rs"
   cargo test -q -p campkit --test "$t" -- --ignored regenerate
 done

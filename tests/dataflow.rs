@@ -1,27 +1,22 @@
-//! Workspace-level acceptance tests for `camp-lint dataflow`: the static
-//! convictions land exactly where the seeded faults live, the certificate
-//! set is the one the model checker loads, and the JSON report is a
-//! deterministic function of the sources.
+//! Workspace-level acceptance tests for the dataflow engine of `camp-lint
+//! check`: the static convictions land exactly where the seeded faults
+//! live, the certificate set is the one the model checker loads, and the
+//! JSON report is a deterministic function of the sources.
 //!
-//! The committed golden file pins the full report byte for byte; if an
-//! intentional change (new rule, new algorithm, moved handler) alters it,
-//! regenerate with:
-//!
-//! ```sh
-//! cargo test -p campkit --test dataflow -- --ignored regenerate
-//! ```
-//!
-//! or run `scripts/regen-goldens.sh` to refresh every golden at once.
+//! The committed `camp-lint check` golden pins the full report byte for
+//! byte as its `dataflow` member; if an intentional change (new rule, new
+//! algorithm, moved handler) alters it, regenerate with
+//! `scripts/regen-goldens.sh`.
 
 use std::path::Path;
 
 use campkit::lint::dataflow_check;
 use campkit::sim::canonical::INDEPENDENCE_CERT_SCHEMA;
 
-const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/dataflow.json");
+const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/check.json");
 
-/// Runs the dataflow engine (timings off) and serialises it exactly as
-/// `camp-lint dataflow --json` does.
+/// Runs the dataflow engine (timings off) and serialises it as the
+/// `dataflow` member of `camp-lint check --json`, printed alone.
 fn dataflow_json() -> String {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let report = dataflow_check(root, false).expect("workspace must be scannable");
@@ -67,20 +62,16 @@ fn healthy_clean_faulty_convicted_certs_issued() {
 
 #[test]
 fn dataflow_report_matches_the_committed_golden() {
-    let golden = std::fs::read_to_string(GOLDEN_PATH)
-        .expect("golden file missing — run the regenerate test");
+    let golden: serde_json::Value = serde_json::from_str(
+        &std::fs::read_to_string(GOLDEN_PATH).expect("the check golden is committed"),
+    )
+    .expect("the check golden is JSON");
+    let member = golden
+        .get("dataflow")
+        .expect("the check golden has a dataflow member");
     assert_eq!(
         dataflow_json(),
-        golden.trim_end(),
+        serde_json::to_string_pretty(member).unwrap(),
         "the dataflow report changed; if intentional, regenerate the golden file"
     );
-}
-
-/// Not a test: rewrites the golden file. Run explicitly with `--ignored`.
-#[test]
-#[ignore = "regenerates the golden file"]
-fn regenerate() {
-    let mut json = dataflow_json();
-    json.push('\n');
-    std::fs::write(GOLDEN_PATH, json).unwrap();
 }

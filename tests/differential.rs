@@ -35,7 +35,7 @@ fn simulate<B: campkit::sim::BroadcastAlgorithm>(
         Box::new(FirstProposalRule)
     };
     let mut sim = Simulation::new(algo, n, KsaOracle::new(k, rule));
-    let report = run_fair(&mut sim, &Workload::uniform(n, m), 1_000_000).unwrap();
+    let report = run_fair(&mut sim, &Workload::uniform(n, m), 1_000_000, &mut NoopSink).unwrap();
     assert!(report.quiescent);
     sim.into_trace()
 }

@@ -13,6 +13,7 @@
 use campkit::broadcast::{AgreedBroadcast, CausalBroadcast, FifoBroadcast};
 use campkit::impossibility::adversarial_scheduler;
 use campkit::lint::lint_execution;
+use campkit::obs::NoopSink;
 use campkit::sim::canonical::canonical_execution_digest;
 use campkit::sim::scheduler::{run_random, CrashPlan, Workload};
 use campkit::sim::{
@@ -98,7 +99,15 @@ fn random_end_state<B: BroadcastAlgorithm>(
     plan: CrashPlan,
 ) -> Simulation<B> {
     let mut sim = Simulation::new(algo, n, KsaOracle::new(1, rule));
-    run_random(&mut sim, &Workload::uniform(n, 2), seed, 60, plan).expect("simulation succeeds");
+    run_random(
+        &mut sim,
+        &Workload::uniform(n, 2),
+        seed,
+        60,
+        plan,
+        &mut NoopSink,
+    )
+    .expect("simulation succeeds");
     sim
 }
 

@@ -3,7 +3,7 @@
 //! hand-built stores (the engine-level equivalence tests in
 //! `camp-modelcheck` cover those).
 //!
-//! For every healthy algorithm that `camp-lint dataflow` certifies, the
+//! For every healthy algorithm that the dataflow engine certifies, the
 //! plain reduced engine and the independence-widened engine must agree on:
 //!
 //! * the verdict (both verify, untruncated), and
@@ -25,7 +25,7 @@ use camp_trace::{Action, Execution, ProcessId, Value};
 use campkit::broadcast::{
     AgreedBroadcast, CausalBroadcast, EagerReliable, FifoBroadcast, SendToAll,
 };
-use campkit::lint::{dataflow_check, symmetry_check};
+use campkit::lint::{cert_store, dataflow_check, symmetry_check};
 use campkit::modelcheck::{explore, EngineConfig, EngineStats, ExploreOutcome, Sensitivity};
 use campkit::obs::{Counters, NoopSink};
 use campkit::sim::canonical::CertStore;
@@ -238,17 +238,15 @@ fn fifo_2x2_prunes_with_lint_issued_certs() {
     assert!(prunes > 0, "the independence relation never fired");
 }
 
-/// Both certificate kinds as the benchmarks load them: the symmetry
-/// certificates plus the dataflow independence certificates.
+/// Both certificate kinds as the benchmarks load them: the store
+/// `camp-lint check --certs` writes.
 fn symmetry_and_dataflow_certs() -> CertStore {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let mut certs = symmetry_check(root, false)
-        .expect("workspace sources must be readable")
-        .cert_store();
-    for cert in lint_certs().iter_independence() {
-        certs.insert_independence(cert.clone());
-    }
-    certs
+    let readable = "workspace sources must be readable";
+    cert_store(
+        &symmetry_check(root, false).expect(readable),
+        &dataflow_check(root, false).expect(readable),
+    )
 }
 
 /// Explores `sim` under both certificate kinds and returns the counters of

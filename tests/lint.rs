@@ -19,6 +19,7 @@ use campkit::broadcast::{
 };
 use campkit::lint::{audit_branches, audit_determinism, lint_execution, DeterminismOutcome};
 use campkit::modelcheck::ExploreConfig;
+use campkit::obs::NoopSink;
 use campkit::sim::scheduler::{run_random, seeded_run, CrashPlan, Workload};
 use campkit::sim::{BroadcastAlgorithm, FirstProposalRule, KsaOracle, Simulation};
 use campkit::trace::Execution;
@@ -39,7 +40,8 @@ fn lint_simulator_run<B: BroadcastAlgorithm + Clone>(algo: B, n: usize, seed: u6
     } else {
         CrashPlan::none()
     };
-    let report = run_random(&mut sim, &workload, seed, 80, plan).expect("simulation succeeds");
+    let report = run_random(&mut sim, &workload, seed, 80, plan, &mut NoopSink)
+        .expect("simulation succeeds");
     let lint = lint_execution(sim.trace());
     assert_eq!(
         lint.errors, 0,
@@ -132,7 +134,15 @@ fn faulty_algorithms_trip_their_rules() {
 
     let duplicating = run(|| {
         let mut sim = Simulation::new(faulty::Duplicating::new(), 2, oracle());
-        run_random(&mut sim, &Workload::uniform(2, 1), 7, 40, CrashPlan::none()).unwrap();
+        run_random(
+            &mut sim,
+            &Workload::uniform(2, 1),
+            7,
+            40,
+            CrashPlan::none(),
+            &mut NoopSink,
+        )
+        .unwrap();
         sim.into_trace()
     });
     let report = lint_execution(&duplicating);
@@ -144,7 +154,15 @@ fn faulty_algorithms_trip_their_rules() {
 
     let misattributing = run(|| {
         let mut sim = Simulation::new(faulty::Misattributing::new(), 3, oracle());
-        run_random(&mut sim, &Workload::uniform(3, 1), 7, 40, CrashPlan::none()).unwrap();
+        run_random(
+            &mut sim,
+            &Workload::uniform(3, 1),
+            7,
+            40,
+            CrashPlan::none(),
+            &mut NoopSink,
+        )
+        .unwrap();
         sim.into_trace()
     });
     let report = lint_execution(&misattributing);

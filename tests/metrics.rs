@@ -19,7 +19,7 @@ use campkit::faults::FaultPlan;
 use campkit::modelcheck::{explore, EngineConfig, Sensitivity};
 use campkit::obs::{Obs, ObsSink, Snapshot};
 use campkit::runtime::ThreadedRuntime;
-use campkit::sim::scheduler::{run_random_obs, CrashPlan, Workload};
+use campkit::sim::scheduler::{run_random, CrashPlan, Workload};
 use campkit::sim::{CertStore, KsaOracle, OwnValueRule, Simulation};
 use campkit::specs::{base, monitor, BroadcastSpec, TotalOrderSpec};
 use campkit::trace::{timeline_of, Execution, ProcessId, Value};
@@ -107,7 +107,7 @@ fn seeded_simulator_runs_fill_identical_registries() {
     let run = |seed: u64| {
         let mut sim = agreed_sim();
         let mut counters = campkit::obs::Counters::new();
-        run_random_obs(
+        run_random(
             &mut sim,
             &Workload::uniform(2, 2),
             seed,

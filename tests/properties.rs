@@ -7,6 +7,7 @@ use std::collections::BTreeSet;
 use campkit::agreement::generator::{kbo_execution, replay};
 use campkit::agreement::FirstDelivered;
 use campkit::broadcast::{AgreedBroadcast, CausalBroadcast, FifoBroadcast, SendToAll};
+use campkit::obs::NoopSink;
 use campkit::sim::scheduler::{run_random, CrashPlan, Workload};
 use campkit::sim::{FirstProposalRule, KsaOracle, OwnValueRule, Simulation};
 use campkit::specs::{
@@ -161,13 +162,13 @@ proptest! {
             0 => {
                 let mut s = Simulation::new(SendToAll::new(), n,
                     KsaOracle::new(1, Box::new(FirstProposalRule)));
-                run_random(&mut s, &workload, seed, 300, plan).unwrap();
+                run_random(&mut s, &workload, seed, 300, plan, &mut NoopSink).unwrap();
                 s.into_trace()
             }
             1 => {
                 let mut s = Simulation::new(FifoBroadcast::new(), n,
                     KsaOracle::new(1, Box::new(FirstProposalRule)));
-                run_random(&mut s, &workload, seed, 300, plan).unwrap();
+                run_random(&mut s, &workload, seed, 300, plan, &mut NoopSink).unwrap();
                 let t = s.into_trace();
                 FifoSpec::new().admits(&t).unwrap();
                 t
@@ -175,7 +176,7 @@ proptest! {
             2 => {
                 let mut s = Simulation::new(CausalBroadcast::new(), n,
                     KsaOracle::new(1, Box::new(FirstProposalRule)));
-                run_random(&mut s, &workload, seed, 300, plan).unwrap();
+                run_random(&mut s, &workload, seed, 300, plan, &mut NoopSink).unwrap();
                 let t = s.into_trace();
                 CausalSpec::new().admits(&t).unwrap();
                 t
@@ -183,7 +184,7 @@ proptest! {
             _ => {
                 let mut s = Simulation::new(AgreedBroadcast::new(), n,
                     KsaOracle::new(2, Box::new(OwnValueRule)));
-                run_random(&mut s, &workload, seed, 300, plan).unwrap();
+                run_random(&mut s, &workload, seed, 300, plan, &mut NoopSink).unwrap();
                 let t = s.into_trace();
                 ksa::check_safety(&t, 2).unwrap();
                 t
@@ -203,7 +204,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let proposals: Vec<Value> = (1..=n as u64).map(Value::new).collect();
-        let exec = kbo_execution(&proposals, k, seed);
+        let exec = kbo_execution(&proposals, k, seed, &mut NoopSink);
         base::check_all(&exec).unwrap();
         KBoundedOrderSpec::new(k).admits(&exec).unwrap();
         let out = replay(&FirstDelivered::new(), &proposals, &exec);

@@ -1,25 +1,23 @@
-//! Workspace-level acceptance tests for `camp-lint symmetry`: every healthy
-//! algorithm that claims process-renaming equivariance earns a certificate,
-//! every seeded asymmetric variant is convicted with a source-anchored
-//! witness, and the JSON report is a deterministic function of the sources.
+//! Workspace-level acceptance tests for the symmetry engine of `camp-lint
+//! check`: every healthy algorithm that claims process-renaming
+//! equivariance earns a certificate, every seeded asymmetric variant is
+//! convicted with a source-anchored witness, and the JSON report is a
+//! deterministic function of the sources.
 //!
-//! The committed golden file pins the full symmetry report byte for byte;
-//! if an intentional change (new rule, new algorithm, moved struct) alters
-//! it, regenerate with:
-//!
-//! ```sh
-//! cargo test -p campkit --test symmetry -- --ignored regenerate
-//! ```
+//! The committed `camp-lint check` golden pins the full symmetry report
+//! byte for byte as its `symmetry` member; if an intentional change (new
+//! rule, new algorithm, moved struct) alters it, regenerate with
+//! `scripts/regen-goldens.sh`.
 
 use std::path::Path;
 
 use campkit::lint::symmetry_check;
 use proptest::prelude::*;
 
-const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/symmetry.json");
+const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/check.json");
 
-/// Runs the symmetry engine (timings off) and serialises it exactly as
-/// `camp-lint symmetry --json` does.
+/// Runs the symmetry engine (timings off) and serialises it as the
+/// `symmetry` member of `camp-lint check --json`, printed alone.
 fn symmetry_json() -> String {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let report = symmetry_check(root, false).expect("workspace must be scannable");
@@ -95,11 +93,16 @@ fn seeded_asymmetric_variants_are_convicted_with_witnesses() {
 
 #[test]
 fn symmetry_report_matches_the_committed_golden() {
-    let golden = std::fs::read_to_string(GOLDEN_PATH)
-        .expect("golden file missing — run the regenerate test");
+    let golden: serde_json::Value = serde_json::from_str(
+        &std::fs::read_to_string(GOLDEN_PATH).expect("the check golden is committed"),
+    )
+    .expect("the check golden is JSON");
+    let member = golden
+        .get("symmetry")
+        .expect("the check golden has a symmetry member");
     assert_eq!(
         symmetry_json(),
-        golden.trim_end(),
+        serde_json::to_string_pretty(member).unwrap(),
         "the symmetry report changed; if intentional, regenerate the golden file"
     );
 }
@@ -114,13 +117,4 @@ proptest! {
     fn symmetry_json_is_byte_identical_across_runs(_case in 0u8..4) {
         prop_assert_eq!(symmetry_json(), symmetry_json());
     }
-}
-
-/// Not a test: rewrites the golden file. Run explicitly with `--ignored`.
-#[test]
-#[ignore = "regenerates the golden file"]
-fn regenerate() {
-    let mut json = symmetry_json();
-    json.push('\n');
-    std::fs::write(GOLDEN_PATH, json).unwrap();
 }
