@@ -1,13 +1,13 @@
 //! # camp-agreement
 //!
 //! The `𝒜` role of the paper's reduction: algorithms solving k-set
-//! agreement *over a broadcast abstraction*, together with the harnesses
-//! that run them — over a concrete broadcast algorithm `ℬ` (the
-//! [`Stack`]), or over delivery schedules generated directly from a
-//! broadcast *specification* (the [`generator`]), which is how one runs an
-//! algorithm on an abstraction that exists only as a predicate (such as
-//! k-BO broadcast, which by Theorem 1 has no message-passing implementation
-//! from k-SA).
+//! agreement *over a broadcast abstraction*, and two ways to run them. Over
+//! a concrete broadcast algorithm `ℬ`, an [`AgreementClient`] is the client
+//! that `camp_sim::scheduler`'s fair and random schedules drive. Over
+//! delivery schedules generated directly from a broadcast *specification*,
+//! the [`generator`] runs an algorithm on an abstraction that exists only as
+//! a predicate (such as k-BO broadcast, which by Theorem 1 has no
+//! message-passing implementation from k-SA).
 //!
 //! Algorithms:
 //!
@@ -26,10 +26,10 @@
 #![warn(missing_docs)]
 
 mod algorithms;
+mod client;
 pub mod generator;
 mod outcome;
-mod stack;
 
 pub use algorithms::{FirstDelivered, Patient, ThresholdKsa, TrivialNsa};
+pub use client::AgreementClient;
 pub use outcome::AgreementOutcome;
-pub use stack::Stack;

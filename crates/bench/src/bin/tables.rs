@@ -19,7 +19,7 @@ use std::collections::BTreeSet;
 use std::time::Duration;
 
 use camp_agreement::generator::{kbo_execution, replay};
-use camp_agreement::{FirstDelivered, Stack, ThresholdKsa, TrivialNsa};
+use camp_agreement::{AgreementClient, FirstDelivered, ThresholdKsa, TrivialNsa};
 use camp_broadcast::{
     AgreedBroadcast, CausalBroadcast, EagerReliable, FifoBroadcast, SendToAll, SteppedBroadcast,
 };
@@ -672,14 +672,23 @@ fn boundaries() {
     // Direction 2: TO broadcast ⇒ consensus (first-delivered over it).
     let mut cons_ok = true;
     for seed in 0..10 {
-        let mut stack = Stack::new(
-            FirstDelivered::new(),
+        let mut sim = Simulation::new(
             AgreedBroadcast::new(),
+            3,
             KsaOracle::new(1, Box::new(OwnValueRule)),
-            (1..=3).map(|i| Value::new(i * 100)).collect(),
         );
-        stack.run_random(seed, 500, CrashPlan::none()).expect("run");
-        let out = stack.into_outcome();
+        let props = (1..=3).map(|i| Value::new(i * 100)).collect();
+        let mut client = AgreementClient::new(FirstDelivered::new(), props);
+        camp_sim::scheduler::run_random(
+            &mut sim,
+            &mut client,
+            seed,
+            500,
+            CrashPlan::none(),
+            &mut NoopSink,
+        )
+        .expect("run");
+        let out = client.into_outcome(sim.into_trace());
         cons_ok &= out.satisfies_agreement(1)
             && out.satisfies_validity()
             && out.satisfies_termination(ProcessId::all(3));
@@ -691,14 +700,15 @@ fn boundaries() {
 
     header("E-POS2: k = n — n-SA is communication-free (equivalent to Send-To-All)");
     for n in 2..=6 {
-        let mut stack = Stack::new(
-            TrivialNsa::new(),
+        let mut sim = Simulation::new(
             SendToAll::new(),
+            n,
             KsaOracle::new(1, Box::new(FirstProposalRule)),
-            (1..=n as u64).map(Value::new).collect(),
         );
-        stack.run_fair(100_000).expect("run");
-        let out = stack.into_outcome();
+        let props = (1..=n as u64).map(Value::new).collect();
+        let mut client = AgreementClient::new(TrivialNsa::new(), props);
+        camp_sim::scheduler::run_fair(&mut sim, &mut client, 100_000, &mut NoopSink).expect("run");
+        let out = client.into_outcome(sim.into_trace());
         println!(
             "n = {n}: {} distinct decisions (bound n = {n}), {} trace steps: {}",
             out.distinct_decisions().len(),
@@ -736,16 +746,23 @@ fn boundaries() {
         let mut worst = 0;
         let mut all_terminated = true;
         for seed in 0..10 {
-            let mut stack = Stack::new(
-                ThresholdKsa::new(t),
+            let mut sim = Simulation::new(
                 SendToAll::new(),
+                n,
                 KsaOracle::new(1, Box::new(FirstProposalRule)),
-                (1..=n as u64).map(Value::new).collect(),
             );
-            stack
-                .run_random(seed, 400, CrashPlan::up_to(t, 0.05))
-                .expect("run");
-            let out = stack.into_outcome();
+            let props = (1..=n as u64).map(Value::new).collect();
+            let mut client = AgreementClient::new(ThresholdKsa::new(t), props);
+            camp_sim::scheduler::run_random(
+                &mut sim,
+                &mut client,
+                seed,
+                400,
+                CrashPlan::up_to(t, 0.05),
+                &mut NoopSink,
+            )
+            .expect("run");
+            let out = client.into_outcome(sim.into_trace());
             worst = worst.max(out.distinct_decisions().len());
             let correct: Vec<ProcessId> = out.trace().correct_processes().collect();
             all_terminated &= out.satisfies_termination(correct);

@@ -244,6 +244,12 @@ pub trait AgreementAlgorithm {
     fn on_deliver(&self, st: &mut Self::State, msg: AppMessage);
 
     /// The next local step, or `None` if blocked waiting for deliveries.
+    ///
+    /// Must be a deterministic function of the state. The scheduler client
+    /// that runs `𝒜` over `ℬ` (`camp_agreement::AgreementClient`) peeks
+    /// by calling this on a clone of the state, and takes the step later by
+    /// calling it again on the real state; the two calls must return the
+    /// same step (debug builds assert this).
     fn next_step(&self, st: &mut Self::State) -> Option<AgreementStep>;
 }
 

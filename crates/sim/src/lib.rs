@@ -24,7 +24,8 @@
 //! * [`Simulation`] — the harness tying algorithm, oracle, network and the
 //!   recorded [`camp_trace::Execution`] together;
 //! * [`scheduler`] — ready-made fair (round-robin) and seeded-random
-//!   schedulers with crash injection, plus broadcast workloads.
+//!   schedulers with crash injection, driving a client of `ℬ`: a broadcast
+//!   workload, or a k-SA algorithm `𝒜` run over `ℬ`.
 //!
 //! Determinism invariant: a run is a pure function of (algorithm, workload,
 //! scheduler, seed). Everything the environment may choose — which process

@@ -1,5 +1,12 @@
-//! Ready-made schedulers: the fair round-robin driver and a seeded random
-//! driver with crash injection.
+//! The ready-made schedulers: the fair round-robin driver [`run_fair`] and
+//! the seeded random driver [`run_random`] with crash injection.
+//!
+//! Both drive a [`Simulation`] of `ℬ` on behalf of a [`Client`], the layer
+//! above `ℬ` that invokes `B.broadcast` and consumes B-deliveries. There are
+//! two clients: a [`Workload`], the static one, whose invocations are a
+//! fixed list of contents per process, and `camp_agreement::AgreementClient`,
+//! the reactive one, a k-SA algorithm `𝒜` whose next step depends on what
+//! it has B-delivered. The schedule treats both alike.
 //!
 //! Schedulers own all the nondeterminism of the model. The paper's own
 //! adversarial scheduler (Algorithm 1) lives in `camp-impossibility` and
@@ -10,12 +17,62 @@ use camp_trace::{Execution, ProcessId, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::algorithm::BroadcastAlgorithm;
+use crate::algorithm::{AppMessage, BroadcastAlgorithm};
 use crate::error::SimError;
-use crate::simulation::Simulation;
+use crate::simulation::{Executed, Simulation};
 
-/// A broadcast workload: for each process, the sequence of contents it
-/// B-broadcasts (each invocation issued once the previous one returned).
+/// A client's next step at a process, as [`Client::peek`] reports it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ClientStep {
+    /// Invoke `B.broadcast` with this content.
+    Invoke(Value),
+    /// A step that stays inside the client, such as a decision.
+    Local,
+}
+
+/// The layer above `ℬ`: what invokes `B.broadcast` and consumes
+/// B-deliveries. `invoked` is the number of invocations the run has issued
+/// at `pid` so far.
+pub trait Client {
+    /// `pid`'s next step, without taking it; `None` while it has none.
+    fn peek(&self, pid: ProcessId, invoked: usize) -> Option<ClientStep>;
+
+    /// Takes the step [`Client::peek`] reports. The scheduler takes an
+    /// `Invoke` step only once `pid`'s previous invocation has returned
+    /// (well-formedness, Definition 1), and issues the invocation itself.
+    fn take(&mut self, pid: ProcessId, invoked: usize);
+
+    /// `ℬ` B-delivered `msg` at `pid`.
+    fn deliver(&mut self, pid: ProcessId, msg: AppMessage);
+}
+
+impl Client for &Workload {
+    fn peek(&self, pid: ProcessId, invoked: usize) -> Option<ClientStep> {
+        self.get(pid, invoked).map(ClientStep::Invoke)
+    }
+
+    fn take(&mut self, _: ProcessId, _: usize) {}
+
+    fn deliver(&mut self, _: ProcessId, _: AppMessage) {}
+}
+
+impl<C: Client> Client for &mut C {
+    fn peek(&self, pid: ProcessId, invoked: usize) -> Option<ClientStep> {
+        (**self).peek(pid, invoked)
+    }
+
+    fn take(&mut self, pid: ProcessId, invoked: usize) {
+        (**self).take(pid, invoked);
+    }
+
+    fn deliver(&mut self, pid: ProcessId, msg: AppMessage) {
+        (**self).deliver(pid, msg);
+    }
+}
+
+/// A broadcast workload, the static [`Client`]: for each process, the
+/// sequence of contents it B-broadcasts (each invocation issued once the
+/// previous one returned).
 #[derive(Debug, Clone, Default)]
 pub struct Workload {
     per_process: Vec<Vec<Value>>,
@@ -76,46 +133,50 @@ impl Workload {
 /// Outcome of a driver run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunReport {
-    /// Number of environment events executed (process steps, receptions,
-    /// oracle responses, invocations, crashes).
+    /// Number of environment events executed (client steps, invocations,
+    /// process steps, receptions, oracle responses, crashes).
     pub events: usize,
     /// Did the run reach quiescence (all liveness obligations discharged)?
     pub quiescent: bool,
 }
 
-/// Drives the simulation with a fair round-robin schedule until the workload
-/// completes and the system is quiescent, or `max_events` is exceeded.
+/// Drives the simulation with a fair round-robin schedule until the client
+/// has no step left and the system is quiescent, or `max_events` is
+/// exceeded.
 ///
-/// Per turn of each live process: issue its next workload broadcast if idle,
-/// drain its local steps, respond its pending k-SA proposal, and deliver all
-/// in-flight messages addressed to it (in emission order — fairness, not
-/// FIFO, is the point). This schedule discharges every liveness hypothesis,
-/// so a correct algorithm's trace passes all `camp-specs` liveness checkers.
+/// Per turn of each live process: take its client steps (an invocation only
+/// once the previous one returned), drain its local steps, handing each
+/// B-delivery to the client and responding each k-SA proposal at once, and
+/// deliver all in-flight messages addressed to it (in emission order —
+/// fairness, not FIFO, is the point). This schedule discharges every
+/// liveness hypothesis, so a correct algorithm's trace passes all
+/// `camp-specs` liveness checkers.
 ///
-/// `sink` records `sim.invocations`, `sim.steps`, `sim.responses`,
-/// `sim.receptions`, the `sim.net_sends` delta, the `sim.net_in_flight_max`
-/// high-water mark, and a `sim.round_len` histogram of events per fair round
-/// (one outer sweep over all processes); pass [`NoopSink`] to record
-/// nothing. The schedule does not depend on the sink.
+/// `sink` records `sim.invocations`, `sim.client_steps` (the client's other
+/// steps), `sim.steps`, `sim.responses`, `sim.receptions`, the
+/// `sim.net_sends` delta, the `sim.net_in_flight_max` high-water mark, and a
+/// `sim.round_len` histogram of events per fair round (one outer sweep over
+/// all processes); pass [`NoopSink`] to record nothing. The schedule does
+/// not depend on the sink.
 ///
 /// # Errors
 ///
 /// Propagates any [`SimError`] raised by the simulation (e.g. a decision
 /// rule violating k-SA, or an algorithm misusing a one-shot object).
-pub fn run_fair<B: BroadcastAlgorithm, S: ObsSink>(
+pub fn run_fair<B: BroadcastAlgorithm, C: Client, S: ObsSink>(
     sim: &mut Simulation<B>,
-    workload: &Workload,
+    mut client: C,
     max_events: usize,
     sink: &mut S,
 ) -> Result<RunReport, SimError> {
-    fair_rounds(sim, workload, &mut vec![0; sim.n()], max_events, sink)
+    fair_rounds(sim, &mut client, &mut vec![0; sim.n()], max_events, sink)
 }
 
-/// The fair schedule of [`run_fair`], issuing each process's workload from
-/// its cursor in `issued` on.
-fn fair_rounds<B: BroadcastAlgorithm, S: ObsSink>(
+/// The fair schedule of [`run_fair`], counting each process's invocations
+/// from its cursor in `issued` on.
+fn fair_rounds<B: BroadcastAlgorithm, C: Client, S: ObsSink>(
     sim: &mut Simulation<B>,
-    workload: &Workload,
+    client: &mut C,
     issued: &mut [usize],
     max_events: usize,
     sink: &mut S,
@@ -131,35 +192,29 @@ fn fair_rounds<B: BroadcastAlgorithm, S: ObsSink>(
             if sim.is_crashed(pid) {
                 continue;
             }
-            // Issue the next workload broadcast once the previous returned.
-            if sim.pending_broadcast(pid).is_none() {
-                if let Some(content) = workload.get(pid, issued[pid.index()]) {
-                    sim.invoke_broadcast(pid, content)?;
-                    issued[pid.index()] += 1;
-                    events += 1;
-                    sink.inc("sim.invocations");
-                    sink.tick();
-                    progressed = true;
-                }
+            // Take its client steps; local ones count against the budget.
+            let cursor = &mut issued[pid.index()];
+            while let Some(step) = ready_step(sim, client, pid, *cursor)
+                .filter(|step| *step != ClientStep::Local || events < max_events)
+            {
+                take_step(sim, client, pid, step, cursor, sink)?;
+                events += 1;
+                sink.tick();
+                progressed = true;
             }
             // Drain local steps.
-            while events < max_events {
-                match sim.step_process(pid)? {
-                    Some(_) => {
-                        events += 1;
-                        sink.inc("sim.steps");
-                        sink.record_max("sim.net_in_flight_max", sim.network().len() as u64);
-                        sink.tick();
-                        progressed = true;
-                        // Respond immediately to a proposal so the process
-                        // does not stay blocked (fair oracle).
-                        if let Some(obj) = sim.oracle().pending_of(pid) {
-                            sim.respond_ksa(obj, pid)?;
-                            events += 1;
-                            sink.inc("sim.responses");
-                        }
-                    }
-                    None => break,
+            while events < max_events && step_process(sim, client, pid)? {
+                events += 1;
+                sink.inc("sim.steps");
+                sink.record_max("sim.net_in_flight_max", sim.network().len() as u64);
+                sink.tick();
+                progressed = true;
+                // Respond immediately to a proposal so the process does not
+                // stay blocked (fair oracle).
+                if let Some(obj) = sim.oracle().pending_of(pid) {
+                    sim.respond_ksa(obj, pid)?;
+                    events += 1;
+                    sink.inc("sim.responses");
                 }
             }
             // Deliver everything addressed to this process.
@@ -176,7 +231,7 @@ fn fair_rounds<B: BroadcastAlgorithm, S: ObsSink>(
         }
         sink.observe("sim.round_len", (events - round_start) as u64);
         let done = ProcessId::all(n)
-            .all(|p| sim.is_crashed(p) || workload.get(p, issued[p.index()]).is_none());
+            .all(|p| sim.is_crashed(p) || client.peek(p, issued[p.index()]).is_none());
         if done && sim.is_quiescent() {
             break RunReport {
                 events,
@@ -192,6 +247,67 @@ fn fair_rounds<B: BroadcastAlgorithm, S: ObsSink>(
     };
     sink.add("sim.net_sends", sim.network().total_sent() - sends_before);
     Ok(report)
+}
+
+/// `pid`'s next client step if the scheduler may take it now: an
+/// invocation waits until `pid`'s previous one has returned.
+fn ready_step<B: BroadcastAlgorithm, C: Client>(
+    sim: &Simulation<B>,
+    client: &C,
+    pid: ProcessId,
+    invoked: usize,
+) -> Option<ClientStep> {
+    client
+        .peek(pid, invoked)
+        .filter(|step| *step == ClientStep::Local || sim.pending_broadcast(pid).is_none())
+}
+
+/// Takes `step`, which [`ready_step`] reported for `pid`, issuing the
+/// invocation of an `Invoke` step and advancing `pid`'s cursor past it.
+fn take_step<B: BroadcastAlgorithm, C: Client, S: ObsSink>(
+    sim: &mut Simulation<B>,
+    client: &mut C,
+    pid: ProcessId,
+    step: ClientStep,
+    invoked: &mut usize,
+    sink: &mut S,
+) -> Result<(), SimError> {
+    client.take(pid, *invoked);
+    match step {
+        ClientStep::Invoke(content) => {
+            sim.invoke_broadcast(pid, content)?;
+            *invoked += 1;
+            sink.inc("sim.invocations");
+        }
+        ClientStep::Local => sink.inc("sim.client_steps"),
+    }
+    Ok(())
+}
+
+/// Executes `pid`'s next local step, if any, handing a B-delivery up to
+/// `client`. Returns whether a step ran.
+fn step_process<B: BroadcastAlgorithm, C: Client>(
+    sim: &mut Simulation<B>,
+    client: &mut C,
+    pid: ProcessId,
+) -> Result<bool, SimError> {
+    let Some(executed) = sim.step_process(pid)? else {
+        return Ok(false);
+    };
+    if let Executed::Delivered { origin, msg } = executed {
+        let content = sim
+            .trace()
+            .message(msg)
+            .expect("delivered messages are registered")
+            .content;
+        let msg = AppMessage {
+            id: msg,
+            content,
+            sender: origin,
+        };
+        client.deliver(pid, msg);
+    }
+    Ok(true)
 }
 
 /// A probability fed to the seeded RNG, e.g. [`CrashPlan::crash_probability`].
@@ -233,9 +349,10 @@ impl CrashPlan {
 
 /// Drives the simulation with a seeded random schedule (uniform choice among
 /// enabled events, optional crash injection), then a fair drain phase so the
-/// returned execution is *completed* and liveness checkers apply.
+/// returned execution is *completed* and liveness checkers apply. A client
+/// step is one enabled event per process, like a local step of `ℬ`.
 ///
-/// Determinism: the run is a pure function of (algorithm, workload, seed,
+/// Determinism: the run is a pure function of (algorithm, client, seed,
 /// plan, budgets).
 ///
 /// `sink` records the random phase's events under the same `sim.*` keys as
@@ -246,9 +363,9 @@ impl CrashPlan {
 /// # Errors
 ///
 /// Propagates any [`SimError`] raised by the simulation.
-pub fn run_random<B: BroadcastAlgorithm, S: ObsSink>(
+pub fn run_random<B: BroadcastAlgorithm, C: Client, S: ObsSink>(
     sim: &mut Simulation<B>,
-    workload: &Workload,
+    mut client: C,
     seed: u64,
     random_events: usize,
     plan: CrashPlan,
@@ -263,7 +380,7 @@ pub fn run_random<B: BroadcastAlgorithm, S: ObsSink>(
 
     #[derive(Clone, Copy)]
     enum Choice {
-        Invoke(ProcessId),
+        Client(ProcessId, ClientStep),
         Step(ProcessId),
         Receive(usize),
         Respond(ProcessId),
@@ -289,10 +406,8 @@ pub fn run_random<B: BroadcastAlgorithm, S: ObsSink>(
             if sim.is_crashed(pid) {
                 continue;
             }
-            if sim.pending_broadcast(pid).is_none()
-                && workload.get(pid, issued[pid.index()]).is_some()
-            {
-                choices.push(Choice::Invoke(pid));
+            if let Some(step) = ready_step(sim, &client, pid, issued[pid.index()]) {
+                choices.push(Choice::Client(pid, step));
             }
             if sim.has_local_step(pid) {
                 choices.push(Choice::Step(pid));
@@ -310,16 +425,11 @@ pub fn run_random<B: BroadcastAlgorithm, S: ObsSink>(
             break;
         }
         match choices[rng.gen_range(0..choices.len())] {
-            Choice::Invoke(pid) => {
-                let content = workload
-                    .get(pid, issued[pid.index()])
-                    .expect("enabled implies available");
-                sim.invoke_broadcast(pid, content)?;
-                issued[pid.index()] += 1;
-                sink.inc("sim.invocations");
+            Choice::Client(pid, step) => {
+                take_step(sim, &mut client, pid, step, &mut issued[pid.index()], sink)?;
             }
             Choice::Step(pid) => {
-                sim.step_process(pid)?;
+                step_process(sim, &mut client, pid)?;
                 sink.inc("sim.steps");
             }
             Choice::Receive(slot) => {
@@ -345,7 +455,7 @@ pub fn run_random<B: BroadcastAlgorithm, S: ObsSink>(
     // Fair drain: no more crashes; discharge all liveness obligations.
     let drain = fair_rounds(
         sim,
-        workload,
+        &mut client,
         &mut issued,
         random_events.saturating_mul(20) + 10_000,
         sink,

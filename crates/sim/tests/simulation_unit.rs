@@ -2,7 +2,7 @@
 //! and the fair/random drivers, using a minimal inline algorithm.
 
 use camp_obs::{Counters, NoopSink};
-use camp_sim::scheduler::{run_fair, run_random, CrashPlan, Workload};
+use camp_sim::scheduler::{run_fair, run_random, Client, ClientStep, CrashPlan, Workload};
 use camp_sim::{
     AppMessage, BroadcastAlgorithm, BroadcastStep, Executed, FirstProposalRule, KsaOracle,
     OwnValueRule, Relabel, Relabeler, SimError, Simulation,
@@ -298,6 +298,29 @@ fn fair_run_respects_event_budget() {
     let mut s = sim(3);
     let report = run_fair(&mut s, &Workload::uniform(3, 5), 10, &mut NoopSink).unwrap();
     assert!(!report.quiescent, "budget too small to finish");
+}
+
+/// A client that always has a local step, like an `𝒜` that never blocks.
+struct Restless;
+
+impl Client for Restless {
+    fn peek(&self, _: ProcessId, _: usize) -> Option<ClientStep> {
+        Some(ClientStep::Local)
+    }
+
+    fn take(&mut self, _: ProcessId, _: usize) {}
+
+    fn deliver(&mut self, _: ProcessId, _: AppMessage) {}
+}
+
+#[test]
+fn fair_run_stops_a_restless_client_at_the_event_budget() {
+    let mut s = sim(2);
+    let mut sink = Counters::new();
+    let report = run_fair(&mut s, Restless, 50, &mut sink).unwrap();
+    assert_eq!(report.events, 50);
+    assert_eq!(sink.count("sim.client_steps"), 50);
+    assert!(s.trace().is_empty(), "client steps stay out of ℬ's trace");
 }
 
 #[test]

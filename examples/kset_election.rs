@@ -19,11 +19,11 @@
 //! ```
 
 use campkit::agreement::generator::{kbo_execution, replay};
-use campkit::agreement::{FirstDelivered, Stack};
+use campkit::agreement::{AgreementClient, FirstDelivered};
 use campkit::broadcast::AgreedBroadcast;
 use campkit::obs::NoopSink;
-use campkit::sim::scheduler::CrashPlan;
-use campkit::sim::{KsaOracle, OwnValueRule};
+use campkit::sim::scheduler::{run_random, CrashPlan};
+use campkit::sim::{KsaOracle, OwnValueRule, Simulation};
 use campkit::trace::{ProcessId, Value};
 
 fn main() {
@@ -51,14 +51,19 @@ fn main() {
     // Route 2: over a k-SA-backed broadcast algorithm in message passing.
     println!("\nroute 2 — agreed-rounds candidate over a {k}-SA oracle:");
     for seed in 0..5 {
-        let mut stack = Stack::new(
-            FirstDelivered::new(),
-            AgreedBroadcast::new(),
-            KsaOracle::new(k, Box::new(OwnValueRule)),
-            candidates.clone(),
-        );
-        stack.run_random(seed, 800, CrashPlan::none()).expect("run");
-        let outcome = stack.into_outcome();
+        let oracle = KsaOracle::new(k, Box::new(OwnValueRule));
+        let mut sim = Simulation::new(AgreedBroadcast::new(), n, oracle);
+        let mut client = AgreementClient::new(FirstDelivered::new(), candidates.clone());
+        run_random(
+            &mut sim,
+            &mut client,
+            seed,
+            800,
+            CrashPlan::none(),
+            &mut NoopSink,
+        )
+        .expect("run");
+        let outcome = client.into_outcome(sim.into_trace());
         let leaders: Vec<String> = outcome
             .distinct_decisions()
             .iter()

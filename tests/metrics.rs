@@ -14,12 +14,13 @@
 //! cargo test -p campkit --test metrics -- --ignored regenerate
 //! ```
 
+use campkit::agreement::{AgreementClient, AgreementOutcome, FirstDelivered};
 use campkit::broadcast::{AgreedBroadcast, EagerReliable};
 use campkit::faults::FaultPlan;
 use campkit::modelcheck::{explore, EngineConfig, Sensitivity};
-use campkit::obs::{Obs, ObsSink, Snapshot};
+use campkit::obs::{NoopSink, Obs, ObsSink, Snapshot};
 use campkit::runtime::ThreadedRuntime;
-use campkit::sim::scheduler::{run_random, CrashPlan, Workload};
+use campkit::sim::scheduler::{run_fair, run_random, CrashPlan, RunReport, Workload};
 use campkit::sim::{CertStore, KsaOracle, OwnValueRule, Simulation};
 use campkit::specs::{base, monitor, BroadcastSpec, TotalOrderSpec};
 use campkit::trace::{timeline_of, Execution, ProcessId, Value};
@@ -121,6 +122,60 @@ fn seeded_simulator_runs_fill_identical_registries() {
     for seed in [1u64, 7, 42] {
         assert_eq!(run(seed), run(seed), "seed {seed}");
     }
+}
+
+/// The `sim.*` counters that count one scheduler event each.
+const EVENT_KEYS: [&str; 6] = [
+    "sim.invocations",
+    "sim.steps",
+    "sim.responses",
+    "sim.receptions",
+    "sim.client_steps",
+    "sim.crashes",
+];
+
+/// First-delivered over agreed-rounds at 3 processes (a stacked run): the
+/// fair schedule, or the seeded random one with up to one crash.
+fn stacked_run<S: ObsSink>(seed: Option<u64>, sink: &mut S) -> (RunReport, AgreementOutcome) {
+    let mut sim = Simulation::new(
+        AgreedBroadcast::new(),
+        3,
+        KsaOracle::new(1, Box::new(OwnValueRule)),
+    );
+    let proposals = (1..=3).map(Value::new).collect();
+    let mut client = AgreementClient::new(FirstDelivered::new(), proposals);
+    let report = match seed {
+        None => run_fair(&mut sim, &mut client, 10_000, sink),
+        Some(seed) => {
+            let plan = CrashPlan::up_to(1, 0.05);
+            run_random(&mut sim, &mut client, seed, 300, plan, sink)
+        }
+    }
+    .expect("stacked run completes");
+    (report, client.into_outcome(sim.into_trace()))
+}
+
+#[test]
+fn stacked_runs_count_every_event_and_ignore_the_sink() {
+    let mut crashed = false;
+    for seed in [None, Some(1), Some(2), Some(3), Some(4)] {
+        let mut counters = campkit::obs::Counters::new();
+        let (report, out) = stacked_run(seed, &mut counters);
+        let counted: u64 = EVENT_KEYS.iter().map(|k| counters.count(k)).sum();
+        assert_eq!(counted, report.events as u64, "{seed:?}: {counters:?}");
+        assert!(counters.count("sim.client_steps") > 0, "𝒜 decides");
+        assert!(
+            counters.count("sim.responses") > 0,
+            "ℬ uses its k-SA objects"
+        );
+        crashed |= counters.count("sim.crashes") > 0;
+
+        let (quiet_report, quiet) = stacked_run(seed, &mut NoopSink);
+        assert_eq!(quiet_report, report, "{seed:?}");
+        assert_eq!(quiet.trace(), out.trace(), "{seed:?}");
+        assert_eq!(quiet.decisions(), out.decisions(), "{seed:?}");
+    }
+    assert!(crashed, "some seeded run crashes a process");
 }
 
 #[test]
