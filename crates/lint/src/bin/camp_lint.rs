@@ -24,7 +24,7 @@ use camp_lint::{
 use camp_modelcheck::ExploreConfig;
 use camp_sim::scheduler::{CrashPlan, Workload};
 use camp_sim::{FirstProposalRule, KsaOracle, Simulation};
-use camp_trace::Execution;
+use camp_trace::{Execution, TraceError};
 
 const USAGE: &str = "usage:
   camp-lint trace <file.json> [--json] [--strict]
@@ -181,22 +181,13 @@ fn cmd_trace(args: &Args) -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let exec: Execution = match serde_json::from_str(&text) {
+    let exec = match load_trace(&text, args.flag("--strict")) {
         Ok(e) => e,
         Err(e) => {
-            eprintln!("camp-lint: {path} is not a valid execution trace: {e}");
+            eprintln!("camp-lint: {path} {e}");
             return ExitCode::from(2);
         }
     };
-    // The loader is intentionally non-validating (malformed traces must be
-    // loadable so the linter can diagnose them); --strict opts back into
-    // the full well-formedness validation a builder-produced trace passes.
-    if args.flag("--strict") {
-        if let Err(e) = exec.validate() {
-            eprintln!("camp-lint: {path} failed strict validation: {e}");
-            return ExitCode::from(2);
-        }
-    }
     let report = lint_execution(&exec);
     if args.flag("--json") {
         emitln(report.to_json());
@@ -208,6 +199,29 @@ fn cmd_trace(args: &Args) -> ExitCode {
     } else {
         ExitCode::from(1)
     }
+}
+
+/// Parses the JSON execution trace `text` for linting.
+///
+/// The loader is intentionally non-validating (malformed traces must be
+/// loadable so the linter can diagnose them), but a system of no processes
+/// is no input to lint: no rule could find anything in it. `strict` opts
+/// back into the full well-formedness validation a builder-produced trace
+/// passes.
+fn load_trace(text: &str, strict: bool) -> Result<Execution, String> {
+    let exec: Execution =
+        serde_json::from_str(text).map_err(|e| format!("is not a valid execution trace: {e}"))?;
+    if exec.process_count() == 0 {
+        return Err(format!(
+            "is not a valid execution trace: {}",
+            TraceError::NoProcesses
+        ));
+    }
+    if strict {
+        exec.validate()
+            .map_err(|e| format!("failed strict validation: {e}"))?;
+    }
+    Ok(exec)
 }
 
 fn cmd_rules(args: &Args) -> ExitCode {
@@ -526,6 +540,17 @@ mod tests {
         let (_, args) = parsed(&["audit", "--seeds", "3"]).unwrap();
         assert_eq!(args.option("--seeds"), Some("3"));
         assert_eq!(parsed(&["rules"]).unwrap().1, Args::default());
+    }
+
+    #[test]
+    fn a_trace_over_no_processes_is_bad_input() {
+        let empty = r#"{"n":0,"steps":[],"messages":{}}"#;
+        for strict in [false, true] {
+            let err = load_trace(empty, strict).unwrap_err();
+            assert!(err.contains("at least one process"), "{err}");
+        }
+        let idle = r#"{"n":1,"steps":[],"messages":{}}"#;
+        assert_eq!(load_trace(idle, false).unwrap().process_count(), 1);
     }
 
     #[test]
