@@ -63,7 +63,10 @@ impl CheckReport {
 /// `camp-lint check --certs` writes this store.
 #[must_use]
 pub fn cert_store(symmetry: &SymmetryReport, dataflow: &DataflowReport) -> CertStore {
-    let mut store = symmetry.cert_store();
+    let mut store = CertStore::new();
+    for cert in &symmetry.certs {
+        store.insert(cert.clone());
+    }
     for cert in &dataflow.certs {
         store.insert_independence(cert.clone());
     }

@@ -44,7 +44,7 @@ use std::path::Path;
 
 use camp_broadcast::registry::{visit_builtins, visit_faulty, AlgoSpec, AlgorithmVisitor};
 use camp_obs::clock::Stopwatch;
-use camp_sim::canonical::{digest, CertStore, SymmetryCert, CERT_SCHEMA};
+use camp_sim::canonical::{digest, SymmetryCert, CERT_SCHEMA};
 use camp_sim::probe::{diff_activations, probe_broadcast, probe_propagation, PropagationProbe};
 use camp_sim::BroadcastAlgorithm;
 use camp_trace::Value;
@@ -168,17 +168,6 @@ impl SymmetryReport {
         self.algorithms
             .iter()
             .any(|a| a.name == name && a.has_errors())
-    }
-
-    /// The issued certificates as a [`CertStore`], ready to hand to the
-    /// cert-gated engines of `camp-modelcheck`.
-    #[must_use]
-    pub fn cert_store(&self) -> CertStore {
-        let mut store = CertStore::new();
-        for cert in &self.certs {
-            store.insert(cert.clone());
-        }
-        store
     }
 
     /// Renders the report for humans, one line per algorithm.
@@ -576,6 +565,14 @@ mod tests {
         std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
     }
 
+    /// Does `report` issue a valid certificate for `name`?
+    fn certified(report: &SymmetryReport, name: &str) -> bool {
+        report
+            .certs
+            .iter()
+            .any(|c| c.algorithm == name && c.valid())
+    }
+
     #[test]
     fn healthy_symmetric_algorithms_are_certified() {
         let report = symmetry_check(&workspace_root(), false).expect("symmetry check runs");
@@ -596,11 +593,10 @@ mod tests {
                 );
             }
         }
-        let store = report.cert_store();
-        assert!(store.valid_for("fifo"));
-        assert!(store.valid_for("causal"));
-        assert!(!store.valid_for("sequencer"));
-        assert!(!store.valid_for("faulty:rank-biased"));
+        assert!(certified(&report, "fifo"));
+        assert!(certified(&report, "causal"));
+        assert!(!certified(&report, "sequencer"));
+        assert!(!certified(&report, "faulty:rank-biased"));
     }
 
     #[test]
@@ -643,7 +639,7 @@ mod tests {
             "faulty:lossy",
         ] {
             assert!(!report.convicted(name), "{name} is symmetric");
-            assert!(report.cert_store().valid_for(name), "{name} gets a cert");
+            assert!(certified(&report, name), "{name} gets a cert");
         }
     }
 
@@ -688,8 +684,8 @@ mod tests {
     #[test]
     fn static_certs_agree_with_dynamic_content_closure() {
         let report = symmetry_check(&workspace_root(), false).expect("symmetry check runs");
-        assert!(report.cert_store().valid_for("fifo"));
-        assert!(report.cert_store().valid_for("causal"));
+        assert!(certified(&report, "fifo"));
+        assert!(certified(&report, "causal"));
 
         let cfg = SymmetryConfig {
             sampled_renamings: 8,

@@ -10,7 +10,7 @@
 
 use std::path::Path;
 
-use campkit::lint::dataflow_check;
+use campkit::lint::{cert_store, dataflow_check, symmetry_check};
 use campkit::sim::canonical::INDEPENDENCE_CERT_SCHEMA;
 
 const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/check.json");
@@ -50,8 +50,9 @@ fn healthy_clean_faulty_convicted_certs_issued() {
             report.render()
         );
     }
-    // Every certificate is schema-valid and the store honours it.
-    let store = report.cert_store();
+    // Every certificate is schema-valid and the store the engines consume
+    // honours it.
+    let store = cert_store(&symmetry_check(root, false).unwrap(), &report);
     for cert in &report.certs {
         assert_eq!(cert.schema, INDEPENDENCE_CERT_SCHEMA);
         assert!(store.independence_valid_for(&cert.algorithm));

@@ -41,12 +41,16 @@ fn cases_from_env() -> u32 {
         .unwrap_or(12)
 }
 
-/// The certificates exactly as the lint engine issues them from this
-/// checkout's sources — the store the benchmarks and CI load.
+/// The independence certificates exactly as the dataflow engine issues them
+/// from this checkout's sources, without the symmetry certificates.
 fn lint_certs() -> CertStore {
     let report = dataflow_check(Path::new(env!("CARGO_MANIFEST_DIR")), false)
         .expect("workspace sources must be readable");
-    report.cert_store()
+    let mut store = CertStore::new();
+    for cert in report.certs {
+        store.insert_independence(cert);
+    }
+    store
 }
 
 fn fresh<B: BroadcastAlgorithm>(algo: B, n: usize) -> Simulation<B> {

@@ -11,7 +11,7 @@
 
 use std::path::Path;
 
-use campkit::lint::symmetry_check;
+use campkit::lint::{cert_store, dataflow_check, symmetry_check};
 use proptest::prelude::*;
 
 const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/check.json");
@@ -52,7 +52,7 @@ fn healthy_symmetric_algorithms_are_certified() {
         "at least one certificate must be issued"
     );
     // Certificates round-trip into the store the engines consume.
-    let store = report.cert_store();
+    let store = cert_store(&report, &dataflow_check(root, false).unwrap());
     assert_eq!(store.len(), report.certs.len());
     for cert in &report.certs {
         assert!(store.valid_for(&cert.algorithm));
