@@ -131,6 +131,18 @@ diff -u "$malformed.lint.json" "$malformed_out" \
   || { echo "camp-lint trace --json drifted from $malformed.lint.json; regenerate with scripts/regen-goldens.sh" >&2; exit 1; }
 echo "malformed trace: exit 1, report matches $malformed.lint.json"
 
+# Each example asserts its own claims and panics when one fails;
+# kset_election is the only caller of the stacked A-over-B path outside
+# `tables`. So every example must build in release and exit 0.
+echo "==> examples: every example builds in release and exits 0"
+cargo build --release -q --examples
+for example in examples/*.rs; do
+  name="$(basename "$example" .rs)"
+  "target/release/examples/$name" > /dev/null \
+    || { echo "example $name failed" >&2; exit 1; }
+done
+echo "examples: $(ls examples/*.rs | wc -l) ran, each exit 0"
+
 echo "==> camp-lint: determinism + branch audit of the built-in algorithms"
 cargo run --release -q -p camp-lint --bin camp-lint -- audit --seeds 5
 
