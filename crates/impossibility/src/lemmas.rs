@@ -9,7 +9,7 @@
 
 use camp_specs::monitor::{self, NoopSink, Property};
 use camp_specs::SpecResult;
-use camp_trace::{ProcessId, Step};
+use camp_trace::{Execution, ProcessId, Step};
 
 use crate::adversary::AdversarialRun;
 use crate::nsolo::NSolo;
@@ -90,6 +90,12 @@ impl LemmaReport {
 /// view [`AdversarialRun::gamma_steps`], so no `γ_i` is ever built.
 #[must_use]
 pub fn verify_lemmas(run: &AdversarialRun) -> LemmaReport {
+    verify_lemmas_with_beta(run, &run.beta())
+}
+
+/// [`verify_lemmas`] with `run`'s `β` projection already built, for a
+/// caller that goes on to use it.
+pub(crate) fn verify_lemmas_with_beta(run: &AdversarialRun, beta: &Execution) -> LemmaReport {
     let k = run.k;
     let n = k + 1;
     let mut alpha_outcomes = check_lemmas(
@@ -124,7 +130,7 @@ pub fn verify_lemmas(run: &AdversarialRun) -> LemmaReport {
     alpha_outcomes.push(LemmaOutcome::new(
         10,
         "β is an N-solo execution (designated messages verified)",
-        NSolo::new(run.n_solo).check(&run.beta(), &run.designated),
+        NSolo::new(run.n_solo).check(beta, &run.designated),
     ));
 
     let gamma_checks = [

@@ -4,7 +4,9 @@ use std::error::Error;
 use std::fmt;
 
 use camp_sim::{AgreementAlgorithm, AgreementStep, AppMessage};
-use camp_trace::{Action, Execution, MessageId, MessageInfo, MessageKind, ProcessId, Step, Value};
+use camp_trace::{
+    Action, Execution, Label, MessageId, MessageInfo, MessageKind, ProcessId, Step, Value,
+};
 
 /// Errors of the solo construction — each certifies that the candidate `𝒜`
 /// does not solve k-SA in `CAMP_n[B]`.
@@ -144,7 +146,7 @@ pub fn solo_run<A: AgreementAlgorithm>(
                         sender: i,
                         kind: MessageKind::Broadcast,
                         content,
-                        label: String::new(),
+                        label: Label::default(),
                     },
                 )
                 .expect("fresh id");

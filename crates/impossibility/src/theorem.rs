@@ -10,7 +10,7 @@ use camp_specs::{BroadcastSpec, Violation};
 use camp_trace::{Action, Execution, MessageId, ProcessId, Renaming, Step, Value};
 
 use crate::adversary::{adversarial_scheduler, AdversarialRun, AdversaryError};
-use crate::lemmas::{verify_lemmas, LemmaReport};
+use crate::lemmas::{verify_lemmas_with_beta, LemmaReport};
 use crate::solo::{solo_run, SoloError, SoloRun};
 
 /// Message-id region reserved for solo-run messages, disjoint from the
@@ -232,13 +232,13 @@ where
     // Step 2: Algorithm 1 with N = n_used; lemma certificates, Lemma 10's
     // N-solo check of β included.
     let run = adversarial_scheduler(k, n_used, broadcast, max_steps)?;
-    let lemma_report = verify_lemmas(&run);
+    let beta = run.beta();
+    let lemma_report = verify_lemmas_with_beta(&run, &beta);
     if let Some(failure) = lemma_report.failures().first() {
         return Err(TheoremError::LemmaFailed(
             failure.result.clone().unwrap_err(),
         ));
     }
-    let beta = run.beta();
 
     // Step 3: compositionality restriction to N_i messages per process …
     let keep: std::collections::BTreeSet<_> = ProcessId::all(n)

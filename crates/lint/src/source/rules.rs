@@ -39,7 +39,8 @@ const COMPARISON_METHODS: &[&str] = &["eq", "ne", "cmp", "partial_cmp", "lt", "l
 ///
 /// Carrying a payload (`content: msg.content`, relaying it in a send,
 /// binding it with a plain `let`) is content-neutral and allowed;
-/// *branching* on it is not. See [`inspection`] for the shapes caught.
+/// *branching* on it is not. The private `inspection` helper lists the
+/// shapes caught.
 #[must_use]
 pub fn payload_inspection(tokens: &[Token]) -> Vec<Finding> {
     (1..tokens.len())

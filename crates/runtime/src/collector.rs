@@ -241,7 +241,7 @@ impl Collector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use camp_trace::{MessageKind, Value};
+    use camp_trace::{Label, MessageKind, Value};
 
     fn p(i: usize) -> ProcessId {
         ProcessId::new(i)
@@ -252,7 +252,7 @@ mod tests {
             sender: p(sender),
             kind: MessageKind::PointToPoint,
             content: Value::new(0),
-            label: String::new(),
+            label: Label::default(),
         }
     }
 

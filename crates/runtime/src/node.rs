@@ -11,7 +11,7 @@ use std::time::Duration;
 use camp_faults::{CrashTrigger, FaultPlan};
 use camp_obs::{FlightRecorder, ObsSink};
 use camp_sim::{AppMessage, BroadcastAlgorithm, BroadcastStep, KsaOracle};
-use camp_trace::{Action, MessageId, MessageInfo, MessageKind, ProcessId, Step, Value};
+use camp_trace::{Action, Label, MessageId, MessageInfo, MessageKind, ProcessId, Step, Value};
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 
@@ -173,7 +173,7 @@ pub(crate) fn run_node<B: BroadcastAlgorithm>(ctx: NodeCtx<B>) {
                             sender: me,
                             kind: MessageKind::PointToPoint,
                             content: Value::default(),
-                            label: format!("{payload:?}"),
+                            label: Label::debug_of(payload.clone()),
                         },
                     ));
                     let _ = trace.send(TraceEvent::Step(Step::new(
@@ -273,7 +273,7 @@ pub(crate) fn run_node<B: BroadcastAlgorithm>(ctx: NodeCtx<B>) {
                         sender: me,
                         kind: MessageKind::Broadcast,
                         content,
-                        label: String::new(),
+                        label: Label::default(),
                     },
                 ));
                 let _ = trace.send(TraceEvent::Step(Step::new(

@@ -246,7 +246,6 @@ impl ThreadedRuntime {
     where
         B: BroadcastAlgorithm + Clone + Send + 'static,
         B::State: Send,
-        B::Msg: Send,
     {
         Self::start_with_plan(algo, n, k, FaultPlan::healthy())
     }
@@ -265,7 +264,6 @@ impl ThreadedRuntime {
     where
         B: BroadcastAlgorithm + Clone + Send + 'static,
         B::State: Send,
-        B::Msg: Send,
     {
         Self::start_inner(algo, n, k, plan, None)
     }
@@ -287,7 +285,6 @@ impl ThreadedRuntime {
     where
         B: BroadcastAlgorithm + Clone + Send + 'static,
         B::State: Send,
-        B::Msg: Send,
     {
         Self::start_inner(
             algo,
@@ -308,7 +305,6 @@ impl ThreadedRuntime {
     where
         B: BroadcastAlgorithm + Clone + Send + 'static,
         B::State: Send,
-        B::Msg: Send,
     {
         assert!(n > 0, "at least one node required");
         let plan = Arc::new(plan);

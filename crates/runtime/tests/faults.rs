@@ -21,7 +21,6 @@ fn run_with_plan<B>(algo: B, n: usize, m: usize, k: usize, plan: FaultPlan) -> (
 where
     B: BroadcastAlgorithm + Clone + Send + 'static,
     B::State: Send,
-    B::Msg: Send,
 {
     let mut rt = ThreadedRuntime::start_with_plan(algo, n, k, plan);
     for p in ProcessId::all(n) {

@@ -143,8 +143,10 @@ impl<M: Relabel> Relabel for BroadcastStep<M> {
 pub trait BroadcastAlgorithm {
     /// Per-process local state.
     type State: Clone + fmt::Debug + Relabel;
-    /// Low-level wire-message payload.
-    type Msg: Clone + fmt::Debug + Relabel;
+    /// Low-level wire-message payload. A send shares a clone of it with
+    /// the trace as the message's [`Label`](camp_trace::Label), so it must
+    /// be `Send + Sync + 'static`.
+    type Msg: Clone + fmt::Debug + Relabel + Send + Sync + 'static;
 
     /// Display name of the algorithm (used in experiment tables).
     fn name(&self) -> String;

@@ -80,7 +80,7 @@ pub struct SoloProbe {
     pub delivered_own_solo: bool,
     /// If it did not return solo: how many foreign receptions (echoes of
     /// its own messages) it took before `ReturnBroadcast` appeared, or
-    /// `None` if it still had not returned after [`MAX_ECHOES`].
+    /// `None` if it still had not returned after `MAX_ECHOES` of them.
     pub foreign_needed: Option<usize>,
 }
 

@@ -141,8 +141,9 @@ pub struct RunReport {
 }
 
 /// Drives the simulation with a fair round-robin schedule until the client
-/// has no step left and the system is quiescent, or `max_events` is
-/// exceeded.
+/// has no step left and the system is quiescent, or `max_events` events
+/// have run. Every event counts against that budget, client steps and k-SA
+/// responses included, so [`RunReport::events`] never exceeds `max_events`.
 ///
 /// Per turn of each live process: take its client steps (an invocation only
 /// once the previous one returned), drain its local steps, handing each
@@ -192,10 +193,10 @@ fn fair_rounds<B: BroadcastAlgorithm, C: Client, S: ObsSink>(
             if sim.is_crashed(pid) {
                 continue;
             }
-            // Take its client steps; local ones count against the budget.
+            // Take its client steps.
             let cursor = &mut issued[pid.index()];
-            while let Some(step) = ready_step(sim, client, pid, *cursor)
-                .filter(|step| *step != ClientStep::Local || events < max_events)
+            while let Some(step) =
+                ready_step(sim, client, pid, *cursor).filter(|_| events < max_events)
             {
                 take_step(sim, client, pid, step, cursor, sink)?;
                 events += 1;
@@ -210,8 +211,8 @@ fn fair_rounds<B: BroadcastAlgorithm, C: Client, S: ObsSink>(
                 sink.tick();
                 progressed = true;
                 // Respond immediately to a proposal so the process does not
-                // stay blocked (fair oracle).
-                if let Some(obj) = sim.oracle().pending_of(pid) {
+                // stay blocked (fair oracle), budget permitting.
+                if let Some(obj) = sim.oracle().pending_of(pid).filter(|_| events < max_events) {
                     sim.respond_ksa(obj, pid)?;
                     events += 1;
                     sink.inc("sim.responses");

@@ -2,7 +2,7 @@
 //! states, the k-SA oracle, the network, and the recorded execution.
 
 use camp_trace::{
-    Action, Execution, KsaId, MessageId, MessageInfo, MessageKind, ProcessId, Step, Value,
+    Action, Execution, KsaId, Label, MessageId, MessageInfo, MessageKind, ProcessId, Step, Value,
 };
 
 use crate::algorithm::{AppMessage, BroadcastAlgorithm, BroadcastStep};
@@ -213,7 +213,7 @@ impl<B: BroadcastAlgorithm> Simulation<B> {
                 sender: pid,
                 kind: MessageKind::Broadcast,
                 content,
-                label: String::new(),
+                label: Label::default(),
             },
         )?;
         self.trace
@@ -273,7 +273,7 @@ impl<B: BroadcastAlgorithm> Simulation<B> {
                         sender: pid,
                         kind: MessageKind::PointToPoint,
                         content: Value::default(),
-                        label: format!("{payload:?}"),
+                        label: Label::debug_of(payload.clone()),
                     },
                 )?;
                 self.trace

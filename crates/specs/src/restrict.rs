@@ -57,7 +57,7 @@ pub fn correct_view(exec: &Execution) -> Execution {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use camp_trace::{ExecutionBuilder, MessageInfo, MessageKind, ProcessId, Step, Value};
+    use camp_trace::{ExecutionBuilder, Label, MessageInfo, MessageKind, ProcessId, Step, Value};
 
     fn p(i: usize) -> ProcessId {
         ProcessId::new(i)
@@ -83,7 +83,7 @@ mod tests {
                 sender: p(1),
                 kind: MessageKind::Broadcast,
                 content: Value::new(1),
-                label: String::new(),
+                label: Label::default(),
             },
         )
         .unwrap();
@@ -121,7 +121,7 @@ mod tests {
                 sender: p(1),
                 kind: MessageKind::PointToPoint,
                 content: Value::new(0),
-                label: String::new(),
+                label: Label::default(),
             },
         )
         .unwrap();

@@ -95,7 +95,7 @@ impl ExecutionBuilder {
                     sender,
                     kind,
                     content,
-                    label,
+                    label: label.into(),
                 },
             )
             .expect("builder produced an invalid message");
@@ -194,7 +194,7 @@ mod tests {
         let mut b = ExecutionBuilder::new(1);
         let m = b.fresh_p2p_message(p(1), "echo(m3)");
         let e = b.build();
-        assert_eq!(e.message(m).unwrap().label, "echo(m3)");
+        assert_eq!(e.message(m).unwrap().label.text(), "echo(m3)");
         assert_eq!(e.message(m).unwrap().kind, MessageKind::PointToPoint);
     }
 }

@@ -11,6 +11,7 @@ use serde::{expect_object, obj_field, DeError, Deserialize, Json, Serialize};
 use crate::action::{Action, Step};
 use crate::error::TraceError;
 use crate::ids::{MessageId, ProcessId, Value};
+use crate::label::Label;
 
 /// Whether a message lives at the broadcast-abstraction level or at the
 /// point-to-point level.
@@ -35,9 +36,10 @@ pub struct MessageInfo {
     pub kind: MessageKind,
     /// The message content. Unique messages may share contents.
     pub content: Value,
-    /// Free-form human-readable label used when rendering executions
-    /// (e.g. `"SYNCH"` or `"echo(m3)"`). Never inspected by checkers.
-    pub label: String,
+    /// Human-readable label used when rendering executions (e.g.
+    /// `"SYNCH"` or `"echo(m3)"`; a simulated send's wire payload, rendered
+    /// through `Debug` only when read). Never inspected by checkers.
+    pub label: Label,
 }
 
 /// Steps per frozen spine segment. Small enough that the mutable tail stays
@@ -55,7 +57,7 @@ const SEGMENT: usize = 64;
 ///
 /// # Representation: shared prefixes
 ///
-/// The log is stored as a *persistent spine*: full segments of [`SEGMENT`]
+/// The log is stored as a *persistent spine*: full segments of `SEGMENT`
 /// steps are frozen into `Arc<[Step]>` blocks, and only the short tail is a
 /// plain mutable `Vec`. Cloning an execution therefore bumps one reference
 /// count per segment instead of deep-copying the whole history — the
@@ -631,7 +633,7 @@ mod tests {
             sender: p(1),
             kind: MessageKind::Broadcast,
             content: Value::new(0),
-            label: String::new(),
+            label: Label::default(),
         };
         e.register_message(MessageId::new(1), info.clone()).unwrap();
         let err = e.register_message(MessageId::new(1), info).unwrap_err();

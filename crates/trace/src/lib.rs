@@ -50,6 +50,7 @@ mod diff;
 mod error;
 mod execution;
 mod ids;
+mod label;
 mod mermaid;
 mod render;
 mod stats;
@@ -63,6 +64,7 @@ pub use diff::{first_divergence, Divergence, StepSpan};
 pub use error::TraceError;
 pub use execution::{Execution, MessageInfo, MessageKind};
 pub use ids::{KsaId, MessageId, ProcessId, Value};
+pub use label::Label;
 pub use mermaid::render_mermaid;
 pub use render::render_timeline;
 pub use stats::{EventCounts, ExecutionStats};

@@ -56,7 +56,7 @@ pub fn render_mermaid(exec: &Execution, highlight: &BTreeSet<MessageId>) -> Stri
                 unreceived.retain(|&(m, ..)| m != msg);
                 let label = exec
                     .message(msg)
-                    .map(|i| i.label.clone())
+                    .map(|i| i.label.text().into_owned())
                     .filter(|l| !l.is_empty())
                     .unwrap_or_else(|| msg.to_string());
                 let _ = writeln!(out, "    {from}->>{p}: {}{}", star(msg), escape(&label));

@@ -2,8 +2,8 @@
 # The full CI gate, runnable locally: the protocol crates' determinism fence
 # (clippy's shared ban list), strict lints on the whole workspace, the
 # camp-lint static check and its certificate store, tier-1 verify,
-# formatting, and the camp-lint trace linter over the committed Figure 1
-# golden trace.
+# formatting, the API docs, and the camp-lint trace linter over the
+# committed Figure 1 golden trace.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -112,6 +112,11 @@ cargo test --workspace -q
 
 echo "==> rustfmt check"
 cargo fmt --check
+
+# The API docs of campkit and its camp-* crates (not the vendored stand-ins):
+# a broken or private intra-doc link fails here.
+echo "==> rustdoc (deny warnings): campkit and the camp-* crates"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q -p campkit -p 'camp-*'
 
 echo "==> camp-lint: trace linter on the Figure 1 golden trace"
 cargo run --release -q -p camp-lint --bin camp-lint -- trace tests/golden/figure1.json

@@ -6,6 +6,8 @@ use campkit::broadcast::{AgreedBroadcast, EagerReliable, SendToAll, SteppedBroad
 use campkit::impossibility::{
     adversarial_scheduler, fair_completion, refute_spec, theorem1, verify_lemmas, NSolo,
 };
+use campkit::sim::scheduler::{run_fair, NoopSink, Workload};
+use campkit::sim::{BroadcastAlgorithm, FirstProposalRule, KsaOracle, Simulation};
 use campkit::specs::{
     base, channel, ksa, wellformed, BroadcastSpec, KBoundedOrderSpec, KSteppedSpec, MutualSpec,
     TotalOrderSpec,
@@ -159,6 +161,36 @@ fn delta_matches_solo_views() {
 fn scheduler_failure_modes_are_reported() {
     let err = adversarial_scheduler(2, 100, AgreedBroadcast::new(), 50).unwrap_err();
     assert!(err.to_string().contains("Lemma 7"), "{err}");
+}
+
+/// `run_fair`'s `max_events` caps every event it counts, invocations and
+/// k-SA responses included, on a scope without and one with k-SA objects.
+/// Each event of a workload run is one trace step.
+#[test]
+fn fair_runs_stop_at_their_event_budget() {
+    fn check<B: BroadcastAlgorithm + Clone>(algo: &B, workload: &Workload) {
+        let n = 3;
+        let run = |budget| {
+            let oracle = KsaOracle::new(1, Box::new(FirstProposalRule));
+            let mut sim = Simulation::new(algo.clone(), n, oracle);
+            let report = run_fair(&mut sim, workload, budget, &mut NoopSink).unwrap();
+            assert_eq!(report.events, sim.trace().len(), "{}", algo.name());
+            report
+        };
+        let full = run(usize::MAX);
+        assert!(full.quiescent, "{}", algo.name());
+        for budget in 1..=full.events {
+            let report = run(budget);
+            assert!(
+                report.events <= budget,
+                "{} at budget {budget}: {} events",
+                algo.name(),
+                report.events
+            );
+        }
+    }
+    check(&SendToAll::new(), &Workload::uniform(3, 5));
+    check(&AgreedBroadcast::new(), &Workload::uniform(3, 2));
 }
 
 /// k-SA-Validity propagates content through the whole pipeline: decisions

@@ -1,5 +1,6 @@
 //! Determinism and serialization goldens: the adversarial construction is a
-//! pure function of its inputs, executions round-trip through serde, and the
+//! pure function of its inputs, executions round-trip through serde, a
+//! simulated message's label is its payload's `Debug` text, and the
 //! renaming quotient's canonical digests keep their values.
 //!
 //! The committed golden file pins the Figure 1 execution byte for byte; if
@@ -10,6 +11,9 @@
 //! cargo test -p campkit --test golden -- --ignored regenerate
 //! ```
 
+use std::collections::BTreeMap;
+
+use campkit::broadcast::registry::{visit_builtins, visit_faulty, AlgoSpec, AlgorithmVisitor};
 use campkit::broadcast::{AgreedBroadcast, CausalBroadcast, FifoBroadcast};
 use campkit::impossibility::adversarial_scheduler;
 use campkit::lint::lint_execution;
@@ -19,7 +23,9 @@ use campkit::sim::scheduler::{run_random, CrashPlan, Workload};
 use campkit::sim::{
     BroadcastAlgorithm, DecisionRule, FirstProposalRule, KsaOracle, OwnValueRule, Simulation,
 };
-use campkit::trace::Execution;
+use campkit::trace::{Execution, MessageKind, ProcessId};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/figure1.json");
 const LINT_GOLDEN_PATH: &str = concat!(
@@ -46,6 +52,87 @@ fn executions_round_trip_through_serde() {
     let json = serde_json::to_string_pretty(&e).unwrap();
     let back: Execution = serde_json::from_str(&json).unwrap();
     assert_eq!(e, back);
+}
+
+/// A seeded run of `algo` over 3 processes: the final trace, and the
+/// `Debug` text of each point-to-point payload while it was in flight.
+fn labelled_run<B: BroadcastAlgorithm>(algo: B, seed: u64) -> (Execution, BTreeMap<u64, String>) {
+    let n = 3;
+    let workload = Workload::uniform(n, 2);
+    let mut sim = Simulation::new(algo, n, KsaOracle::new(1, Box::new(FirstProposalRule)));
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut issued = [0; 3];
+    let mut payloads = BTreeMap::new();
+    for event in 0..=400 {
+        for m in sim.network().in_flight() {
+            payloads
+                .entry(m.id.raw())
+                .or_insert_with(|| format!("{:?}", m.payload));
+        }
+        if event == 400 {
+            break;
+        }
+        let p = ProcessId::new(1 + rng.gen_range(0..n));
+        match rng.gen_range(0..3u8) {
+            0 => {
+                let next = workload.get(p, issued[p.index()]);
+                if let (None, Some(content)) = (sim.pending_broadcast(p), next) {
+                    sim.invoke_broadcast(p, content).unwrap();
+                    issued[p.index()] += 1;
+                }
+            }
+            1 => {
+                sim.step_process(p).unwrap();
+                if let Some(obj) = sim.oracle().pending_of(p) {
+                    sim.respond_ksa(obj, p).unwrap();
+                }
+            }
+            _ => {
+                if let Some(slot) = sim.network().first_slot_to(p) {
+                    sim.receive(slot).unwrap();
+                }
+            }
+        }
+    }
+    (sim.into_trace(), payloads)
+}
+
+/// On a seeded run of each of the 13 registered algorithms, every
+/// point-to-point message's label renders exactly as its in-flight
+/// payload's `Debug` text, and the trace round-trips through JSON: the
+/// loaded labels are text, the simulated ones payload handles, and the two
+/// compare equal and serialize to the same bytes.
+#[test]
+fn simulated_labels_render_their_payloads() {
+    struct Labels(usize);
+    impl AlgorithmVisitor for Labels {
+        fn visit<B: BroadcastAlgorithm + 'static>(&mut self, spec: AlgoSpec, algo: B) {
+            let (trace, payloads) = labelled_run(algo, 7 + self.0 as u64);
+            let mut p2p = 0;
+            for (id, info) in trace.messages() {
+                if info.kind == MessageKind::PointToPoint {
+                    assert_eq!(
+                        info.label.text(),
+                        payloads[&id.raw()],
+                        "{}: {id}",
+                        spec.name
+                    );
+                    p2p += 1;
+                }
+            }
+            assert!(p2p > 0, "{}: the run sent nothing", spec.name);
+            assert_eq!(p2p, payloads.len(), "{}", spec.name);
+            let json = serde_json::to_string(&trace).unwrap();
+            let back: Execution = serde_json::from_str(&json).unwrap();
+            assert_eq!(back, trace, "{}", spec.name);
+            assert_eq!(serde_json::to_string(&back).unwrap(), json, "{}", spec.name);
+            self.0 += 1;
+        }
+    }
+    let mut labels = Labels(0);
+    visit_builtins(&mut labels);
+    visit_faulty(&mut labels);
+    assert_eq!(labels.0, 13);
 }
 
 #[test]
