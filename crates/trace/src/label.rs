@@ -60,12 +60,6 @@ impl From<String> for Label {
     }
 }
 
-impl From<&str> for Label {
-    fn from(text: &str) -> Self {
-        Self(Repr::Text(text.into()))
-    }
-}
-
 impl PartialEq for Label {
     fn eq(&self, other: &Self) -> bool {
         match (&self.0, &other.0) {
@@ -109,19 +103,19 @@ mod tests {
     #[test]
     fn a_payload_label_renders_its_debug_text() {
         assert_eq!(echo().text(), ECHO);
-        assert_eq!(Label::from("SYNCH").text(), "SYNCH");
+        assert_eq!(Label::from("SYNCH".to_string()).text(), "SYNCH");
         assert_eq!(Label::default().text(), "");
     }
 
     #[test]
     fn text_and_payload_labels_with_one_rendering_are_equal() {
-        let (text, payload) = (Label::from(ECHO), echo());
+        let (text, payload) = (Label::from(ECHO.to_string()), echo());
         assert_eq!(text, payload);
         assert_eq!(payload, text);
         assert_eq!(payload, echo(), "two handles, one rendering");
         assert_eq!(payload, payload.clone(), "one shared handle");
-        assert_eq!(Label::default(), Label::from(""));
-        assert_ne!(payload, Label::from("(3, None)"));
+        assert_eq!(Label::default(), Label::from(String::new()));
+        assert_ne!(payload, Label::from("(3, None)".to_string()));
         assert_ne!(Label::default(), echo());
     }
 
@@ -133,7 +127,7 @@ mod tests {
 
     #[test]
     fn both_kinds_serialize_identically_and_round_trip_as_text() {
-        let (text, payload) = (Label::from(ECHO), echo());
+        let (text, payload) = (Label::from(ECHO.to_string()), echo());
         let json = serde_json::to_string(&payload).unwrap();
         assert_eq!(json, serde_json::to_string(&text).unwrap());
         assert_eq!(json, serde_json::to_string(&ECHO.to_string()).unwrap());

@@ -63,15 +63,7 @@ fn labelled_run<B: BroadcastAlgorithm>(algo: B, seed: u64) -> (Execution, BTreeM
     let mut rng = StdRng::seed_from_u64(seed);
     let mut issued = [0; 3];
     let mut payloads = BTreeMap::new();
-    for event in 0..=400 {
-        for m in sim.network().in_flight() {
-            payloads
-                .entry(m.id.raw())
-                .or_insert_with(|| format!("{:?}", m.payload));
-        }
-        if event == 400 {
-            break;
-        }
+    for _ in 0..400 {
         let p = ProcessId::new(1 + rng.gen_range(0..n));
         match rng.gen_range(0..3u8) {
             0 => {
@@ -92,6 +84,12 @@ fn labelled_run<B: BroadcastAlgorithm>(algo: B, seed: u64) -> (Execution, BTreeM
                     sim.receive(slot).unwrap();
                 }
             }
+        }
+        // A message is in flight from the event that sent it on.
+        for m in sim.network().in_flight() {
+            payloads
+                .entry(m.id.raw())
+                .or_insert_with(|| format!("{:?}", m.payload));
         }
     }
     (sim.into_trace(), payloads)
