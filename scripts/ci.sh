@@ -163,66 +163,39 @@ CAMP_PROPTEST_CASES=128 cargo test -q --release -p camp-modelcheck --test canoni
 
 # The smoke run writes into a scratch directory so it never clobbers the
 # committed full-mode ledgers; regenerate those with scripts/bench.sh.
-echo "==> bench smoke: the ledger benches reproduce the committed deterministic fields"
+# Every field of a ledger row outside its `timings` object is deterministic
+# (the engine's reduction counters, the Theorem-1 run shapes, trace and
+# corpus lengths, schedule and case counts), so the smoke run must
+# reproduce each committed BENCH_*.json exactly there: same schema, same
+# rows in the same order, equal values. Any drift in an engine, the
+# certificates or a scope fails here. Each timing must be present and
+# positive.
+echo "==> bench smoke: every ledger reproduces its committed deterministic fields"
 smoke_dir="$PWD/target/bench-smoke"
-smoke_out="$smoke_dir/BENCH_explore.json"
 smoke_metrics="$PWD/target/BENCH_explore.smoke.metrics.json"
+rm -rf "$smoke_dir"
 CAMP_BENCH_OUT="$smoke_dir" scripts/bench.sh --quick --metrics "$smoke_metrics" >/dev/null
-for key in '"schema"' '"camp-bench/explore/v5"' '"explore_fifo_2x2"' \
-           '"explore_causal_3"' '"explore_agreed_2"' '"crashsweep_reliable"' \
-           '"ns_per_op"' '"executions_per_sec"' '"nodes_per_sec"' \
-           '"dedup_hits"' '"sleep_set_prunes"' '"max_frontier"' \
-           '"canonical_hits"' '"cert_loaded"' \
-           '"independence_prunes"' '"independence_cert"' \
-           '"canonical_fingerprints"'; do
-  grep -q -- "$key" "$smoke_out" \
-    || { echo "$smoke_out malformed: missing $key" >&2; exit 1; }
-done
-# The reduction counters are deterministic, so the smoke run must
-# reproduce every non-timing field of every row of the committed
-# full-mode BENCH_explore.json exactly: the work done (executions, nodes),
-# each reduction's counters, which certificates were loaded, and how many
-# canonical fingerprints the orbit-class gate let through. Any drift in the
-# engine, the certificates or the scopes fails here.
-python3 - "$smoke_out" BENCH_explore.json <<'PY'
-import json, sys
-FIELDS = ("executions", "nodes", "dedup_hits", "sleep_set_prunes", "max_frontier",
-          "canonical_hits", "cert_loaded", "independence_prunes", "independence_cert",
-          "canonical_fingerprints")
-smoke = {b["name"]: b for b in json.load(open(sys.argv[1]))["benches"]}
-committed = {b["name"]: b for b in json.load(open(sys.argv[2]))["benches"]}
-assert smoke.keys() == committed.keys(), f"bench rows differ: {sorted(smoke)} vs {sorted(committed)}"
-for name, row in committed.items():
-    for field in FIELDS:
-        assert smoke[name][field] == row[field], \
-            f"{name}.{field}: smoke run {smoke[name][field]}, committed {row[field]}"
-print(f"bench smoke: {len(FIELDS)} counters x {len(committed)} rows match BENCH_explore.json")
+python3 - "$smoke_dir" BENCH_*.json <<'PY'
+import json, os, sys
+smoke_dir, committed = sys.argv[1], sys.argv[2:]
+assert sorted(os.listdir(smoke_dir)) == sorted(committed), \
+    f"smoke ledgers {sorted(os.listdir(smoke_dir))}, committed {sorted(committed)}"
+for path in committed:
+    want, got = json.load(open(path)), json.load(open(os.path.join(smoke_dir, path)))
+    assert got["schema"] == want["schema"], f"{path}: schema {got['schema']}, committed {want['schema']}"
+    names = [[row["name"] for row in doc["benches"]] for doc in (got, want)]
+    assert names[0] == names[1], f"{path}: rows {names[0]}, committed {names[1]}"
+    for row, pinned in zip(got["benches"], want["benches"]):
+        timings, pinned_timings = row.pop("timings"), pinned.pop("timings")
+        assert row == pinned, f"{path} {row['name']}: smoke run {row}, committed {pinned}"
+        assert timings.keys() == pinned_timings.keys(), \
+            f"{path} {row['name']}: timings {sorted(timings)}, committed {sorted(pinned_timings)}"
+        bad = {k: v for k, v in timings.items() if type(v) not in (int, float) or v <= 0}
+        assert not bad, f"{path} {row['name']}: timings not positive: {bad}"
+    print(f"bench smoke: {path} reproduces {len(want['benches'])} rows")
 PY
 grep -q '"camp-obs/v2"' "$smoke_metrics" \
   || { echo "$smoke_metrics malformed: missing camp-obs/v2 schema" >&2; exit 1; }
-# The Theorem-1 ledger: every row's run shape (|α|, where the line-26
-# flush starts, the N the pipeline chose) is deterministic, so the smoke
-# run must reproduce those of the committed BENCH_theorem.json exactly;
-# each timing field must be present and positive.
-python3 - "$smoke_dir/BENCH_theorem.json" BENCH_theorem.json <<'PY'
-import json, sys
-FIELDS = ("k", "n_solo", "adv_steps", "flush_start", "n_used")
-TIMINGS = ("scheduler_ns", "lemmas_ns", "theorem1_ns", "scheduler_ns_per_step",
-           "lemmas_ns_per_step", "theorem1_ns_per_step")
-smoke_doc, committed_doc = (json.load(open(path)) for path in sys.argv[1:])
-for doc in (smoke_doc, committed_doc):
-    assert doc["schema"] == "camp-bench/theorem/v1", f"schema {doc['schema']}"
-smoke = {b["name"]: b for b in smoke_doc["benches"]}
-committed = {b["name"]: b for b in committed_doc["benches"]}
-assert smoke.keys() == committed.keys(), f"bench rows differ: {sorted(smoke)} vs {sorted(committed)}"
-for name, row in committed.items():
-    for field in FIELDS:
-        assert smoke[name][field] == row[field], \
-            f"{name}.{field}: smoke run {smoke[name][field]}, committed {row[field]}"
-    for field in TIMINGS:
-        assert smoke[name][field] > 0, f"{name}.{field}: {smoke[name][field]}"
-print(f"bench smoke: {len(FIELDS)} fields x {len(committed)} rows match BENCH_theorem.json")
-PY
 
 # The timeline view over the figure-1 scope must render non-empty lanes:
 # every process row needs at least one non-idle glyph, or the
