@@ -1,7 +1,7 @@
 //! The static dataflow engine: `S04x` rules, and the [`IndependenceCert`]s
 //! that widen sleep-set partial-order reduction in `camp-modelcheck`.
 //!
-//! The fifth engine of `camp-lint check`. The other engines judge
+//! The fourth engine of `camp-lint check`. The other engines judge
 //! *behaviour* (probe runs) or *tokens* (the lexical `S009`); this engine sits
 //! between: it parses each registered algorithm's handlers into token trees
 //! ([`crate::source::tree`]) and runs three intra-procedural analyses over
@@ -30,7 +30,8 @@
 //!    receives with distinct origins commute as state transformers, and
 //!    the engine issues a versioned [`IndependenceCert`]
 //!    (`camp-independence-cert/v1`). A two-order differential probe
-//!    (`S048`) cross-checks every certificate before it is issued.
+//!    (`S048`, run through `camp_sim::probe::drain`) cross-checks every
+//!    certificate before it is issued.
 //!
 //! | rule | checks | convicts |
 //! |---|---|---|
@@ -51,33 +52,20 @@
 //! analysis *refutes*.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::fs;
 use std::io;
 use std::path::Path;
 
-use camp_broadcast::registry::{visit_builtins, visit_faulty, AlgoSpec, AlgorithmVisitor};
-use camp_obs::clock::Stopwatch;
 use camp_sim::canonical::{IndependenceCert, INDEPENDENCE_CERT_SCHEMA};
+use camp_sim::probe::{drain, CONTENTS, PROBE_N};
 use camp_sim::{AppMessage, BroadcastAlgorithm, BroadcastStep};
-use camp_trace::{KsaId, MessageId, ProcessId, Value};
+use camp_trace::{MessageId, ProcessId};
 use serde::Serialize;
 
 use crate::diagnostics::Severity;
-use crate::graph::locate_struct;
 use crate::source::lexer::{self, adjacent, Token};
 use crate::source::tree::{self, FnDef, ImplBlock};
 use crate::source::SourceDiagnostic;
-
-/// System size the analyses are evaluated at; 3 is the smallest size where
-/// self/origin/third-party roles are all distinct.
-const PROBE_N: usize = 3;
-
-/// The two opaque payload contents of the differential probe.
-const CONTENT_A: Value = Value::new(12);
-const CONTENT_B: Value = Value::new(73);
-
-/// Step cap when draining one process, mirroring `camp_sim::probe`.
-const MAX_DRAIN_STEPS: usize = 10_000;
+use crate::walk::{rule_error, walk, Engine, Registered, Rules};
 
 /// Metadata for the dataflow rules, mirrored by `camp-lint rules`.
 pub const DATAFLOW_RULES: &[(&str, &str, &str)] = &[
@@ -623,19 +611,8 @@ struct Analyzer<'a> {
 
 impl Analyzer<'_> {
     fn raise(&mut self, code: &str, line: usize, col: usize, message: String) {
-        let (_, name, _) = DATAFLOW_RULES
-            .iter()
-            .find(|(c, _, _)| *c == code)
-            .expect("dataflow rule codes are static");
-        self.diagnostics.push(SourceDiagnostic {
-            code: code.to_string(),
-            name: (*name).to_string(),
-            severity: Severity::Error,
-            message,
-            file: self.file.to_string(),
-            line,
-            col,
-        });
+        let finding = rule_error(DATAFLOW_RULES, code, self.file, (line, col), message);
+        self.diagnostics.push(finding);
     }
 
     /// S040–S042 over every branch condition of one handler.
@@ -1262,29 +1239,6 @@ pub(crate) fn analyze_source(
 // the S048 differential probe
 // ---------------------------------------------------------------------------
 
-fn drain<B: BroadcastAlgorithm>(
-    algo: &B,
-    st: &mut B::State,
-    oracle: &mut BTreeMap<KsaId, Value>,
-    sends: &mut Vec<(usize, B::Msg)>,
-    deliveries: &mut Vec<(u64, usize)>,
-) {
-    for _ in 0..MAX_DRAIN_STEPS {
-        let Some(step) = algo.next_step(st) else {
-            return;
-        };
-        match step {
-            BroadcastStep::Send { to, payload } => sends.push((to.id(), payload)),
-            BroadcastStep::Propose { obj, value } => {
-                let decided = *oracle.entry(obj).or_insert(value);
-                algo.on_decide(st, obj, decided);
-            }
-            BroadcastStep::Deliver { msg } => deliveries.push((msg.id.raw(), msg.sender.id())),
-            BroadcastStep::ReturnBroadcast | BroadcastStep::Internal { .. } => {}
-        }
-    }
-}
-
 /// One receive-order's observable outcome at the probed process.
 #[derive(Debug, PartialEq, Eq)]
 struct Observation {
@@ -1300,7 +1254,7 @@ struct Observation {
 fn probe_independence<B: BroadcastAlgorithm>(algo: &B) -> Result<(), String> {
     // Harvest each broadcaster's wire messages addressed to p1.
     let mut supplies: Vec<(ProcessId, Vec<B::Msg>)> = Vec::new();
-    for (b, content) in [(2usize, CONTENT_A), (3usize, CONTENT_B)] {
+    for (b, content) in [2, 3].into_iter().zip(CONTENTS) {
         let pid = ProcessId::new(b);
         let mut st = algo.init(pid, PROBE_N);
         algo.on_invoke_broadcast(
@@ -1311,43 +1265,43 @@ fn probe_independence<B: BroadcastAlgorithm>(algo: &B) -> Result<(), String> {
                 sender: pid,
             },
         );
-        let mut oracle = BTreeMap::new();
-        let mut sends = Vec::new();
-        let mut deliveries = Vec::new();
-        drain(algo, &mut st, &mut oracle, &mut sends, &mut deliveries);
-        let to_p1 = sends
-            .into_iter()
-            .filter(|(to, _)| *to == 1)
-            .map(|(_, m)| m)
-            .collect();
+        let mut to_p1 = Vec::new();
+        drain(algo, &mut st, &mut BTreeMap::new(), |step| {
+            if let BroadcastStep::Send { to, payload } = step {
+                if to.id() == 1 {
+                    to_p1.push(payload);
+                }
+            }
+        });
         supplies.push((pid, to_p1));
     }
 
     let observe = |order: [usize; 2]| -> Observation {
         let mut st = algo.init(ProcessId::new(1), PROBE_N);
         let mut oracle = BTreeMap::new();
+        let mut streams: BTreeMap<usize, Vec<u64>> = BTreeMap::new();
         let mut sends = Vec::new();
-        let mut deliveries = Vec::new();
         for b in order {
             let (from, payloads) = &supplies[b - 2];
             for m in payloads {
                 algo.on_receive(&mut st, *from, m.clone());
-                drain(algo, &mut st, &mut oracle, &mut sends, &mut deliveries);
+                drain(algo, &mut st, &mut oracle, |step| match step {
+                    BroadcastStep::Send { to, payload } => {
+                        sends.push(format!("{payload:?}->p{}", to.id()));
+                    }
+                    BroadcastStep::Deliver { msg } => {
+                        let stream = streams.entry(msg.sender.id()).or_default();
+                        stream.push(msg.id.raw());
+                    }
+                    _ => {}
+                });
             }
         }
-        let mut streams: BTreeMap<usize, Vec<u64>> = BTreeMap::new();
-        for (id, sender) in deliveries {
-            streams.entry(sender).or_default().push(id);
-        }
-        let mut sent: Vec<String> = sends
-            .iter()
-            .map(|(to, m)| format!("{m:?}->p{to}"))
-            .collect();
-        sent.sort_unstable();
+        sends.sort_unstable();
         Observation {
             state: format!("{st:?}"),
             streams,
-            sends: sent,
+            sends,
         }
     };
 
@@ -1482,146 +1436,81 @@ impl DataflowReport {
 ///
 /// Propagates I/O errors from reading the registered source files.
 pub fn dataflow_check(root: &Path, timings: bool) -> io::Result<DataflowReport> {
-    let watch = Stopwatch::started(timings);
-    let mut linter = DataflowLinter {
-        root,
-        expected_faulty: false,
-        sources: BTreeMap::new(),
-        algorithms: Vec::new(),
-        certs: Vec::new(),
-        io_error: None,
-    };
-    visit_builtins(&mut linter);
-    linter.expected_faulty = true;
-    visit_faulty(&mut linter);
-    if let Some(e) = linter.io_error {
-        return Err(e);
-    }
-    let (errors, warnings) = linter.algorithms.iter().fold((0, 0), |(e, w), a| {
-        let ae = a
-            .diagnostics
-            .iter()
-            .filter(|d| d.severity == Severity::Error)
-            .count();
-        (e + ae, w + a.diagnostics.len() - ae)
-    });
-    linter.certs.sort_by(|a, b| a.algorithm.cmp(&b.algorithm));
+    let mut engine = Dataflow { certs: Vec::new() };
+    let walk = walk(root, timings, &mut engine)?;
+    engine.certs.sort_by(|a, b| a.algorithm.cmp(&b.algorithm));
     Ok(DataflowReport {
-        rules_checked: DATAFLOW_RULES
-            .iter()
-            .map(|(c, _, _)| (*c).to_string())
-            .collect(),
-        errors,
-        warnings,
-        algorithms: linter.algorithms,
-        certs: linter.certs,
-        millis: watch.elapsed_millis(),
+        rules_checked: walk.rules_checked,
+        errors: walk.errors,
+        warnings: walk.warnings,
+        algorithms: walk.algorithms,
+        certs: engine.certs,
+        millis: walk.millis,
     })
 }
 
-struct DataflowLinter<'a> {
-    root: &'a Path,
-    expected_faulty: bool,
-    sources: BTreeMap<String, String>,
-    algorithms: Vec<AlgoDataflow>,
+/// The dataflow engine, with the certificates it issued so far.
+struct Dataflow {
     certs: Vec<IndependenceCert>,
-    io_error: Option<io::Error>,
 }
 
-impl AlgorithmVisitor for DataflowLinter<'_> {
-    fn visit<B: BroadcastAlgorithm + 'static>(&mut self, spec: AlgoSpec, algo: B) {
-        if self.io_error.is_some() {
-            return;
-        }
-        if !self.sources.contains_key(spec.file) {
-            match fs::read_to_string(self.root.join(spec.file)) {
-                Ok(text) => {
-                    self.sources.insert(spec.file.to_string(), text);
-                }
-                Err(e) => {
-                    self.io_error = Some(e);
-                    return;
-                }
-            }
-        }
-        let anchor = match locate_struct(self.root, spec.file, spec.struct_name) {
-            Ok(a) => a,
-            Err(e) => {
-                self.io_error = Some(e);
-                return;
-            }
-        };
-        let source = &self.sources[spec.file];
-        let (verdict, cert) = judge(&spec, self.expected_faulty, &algo, source, anchor);
-        self.algorithms.push(verdict);
-        if let Some(cert) = cert {
-            self.certs.push(cert);
-        }
+impl Engine for Dataflow {
+    const RULES: Rules = DATAFLOW_RULES;
+    type Verdict = AlgoDataflow;
+
+    fn diagnostics(verdict: &AlgoDataflow) -> &[SourceDiagnostic] {
+        &verdict.diagnostics
     }
-}
 
-/// Applies the `S04x` rules to one algorithm.
-fn judge<B: BroadcastAlgorithm>(
-    spec: &AlgoSpec,
-    expected_faulty: bool,
-    algo: &B,
-    source: &str,
-    anchor: (usize, usize),
-) -> (AlgoDataflow, Option<IndependenceCert>) {
-    let sa = analyze_source(spec.file, source, spec.struct_name, spec.wait_free);
-    let mut diagnostics = sa.diagnostics;
-    let mut receives_commute = sa.found_impl && sa.receives_commute;
+    /// Applies the `S04x` rules to one algorithm, and certifies it if its
+    /// receives commute.
+    fn judge<B: BroadcastAlgorithm>(&mut self, at: &Registered<'_>, algo: &B) -> AlgoDataflow {
+        let spec = &at.spec;
+        let sa = analyze_source(spec.file, at.source, spec.struct_name, spec.wait_free);
+        let mut diagnostics = sa.diagnostics;
+        let mut receives_commute = sa.found_impl && sa.receives_commute;
 
-    // S048: a static independence claim must survive the two-order probe.
-    // Divergence without a static claim is expected (order-sensitive
-    // algorithms like the sequencer never claimed independence) and silent.
-    if receives_commute {
-        if let Err(why) = probe_independence(algo) {
-            let (_, name, _) = DATAFLOW_RULES
-                .iter()
-                .find(|(c, _, _)| *c == "S048")
-                .expect("S048 is registered");
-            diagnostics.push(SourceDiagnostic {
-                code: "S048".to_string(),
-                name: (*name).to_string(),
-                severity: Severity::Error,
-                message: format!(
-                    "[{}] the static footprint claims receives commute, but the two-order \
-                     probe refutes it: {why}",
-                    spec.name
-                ),
-                file: spec.file.to_string(),
-                line: anchor.0,
-                col: anchor.1,
+        // S048: a static independence claim must survive the two-order
+        // probe. Divergence without a static claim is expected
+        // (order-sensitive algorithms like the sequencer never claimed
+        // independence) and silent.
+        if receives_commute {
+            if let Err(why) = probe_independence(algo) {
+                diagnostics.push(at.finding(
+                    "S048",
+                    format!(
+                        "the static footprint claims receives commute, but the two-order \
+                         probe refutes it: {why}"
+                    ),
+                ));
+                receives_commute = false;
+            }
+        }
+
+        diagnostics.sort_by(|a, b| (a.line, a.col, &a.code).cmp(&(b.line, b.col, &b.code)));
+        let has_errors = diagnostics.iter().any(|d| d.severity == Severity::Error);
+        let certified = receives_commute && !has_errors;
+        if certified {
+            self.certs.push(IndependenceCert {
+                schema: INDEPENDENCE_CERT_SCHEMA.to_string(),
+                algorithm: spec.name.to_string(),
+                handlers_analyzed: sa.handlers_analyzed,
+                receives_commute: true,
+                invoke_commutes: sa.invoke_commutes,
+                evidence: sa.footprint,
             });
-            receives_commute = false;
         }
-    }
-
-    diagnostics.sort_by(|a, b| (a.line, a.col, &a.code).cmp(&(b.line, b.col, &b.code)));
-    let has_errors = diagnostics.iter().any(|d| d.severity == Severity::Error);
-    let certified = receives_commute && !has_errors;
-    let cert = certified.then(|| IndependenceCert {
-        schema: INDEPENDENCE_CERT_SCHEMA.to_string(),
-        algorithm: spec.name.to_string(),
-        handlers_analyzed: sa.handlers_analyzed,
-        receives_commute: true,
-        invoke_commutes: sa.invoke_commutes,
-        evidence: sa.footprint.clone(),
-    });
-    (
         AlgoDataflow {
             name: spec.name.to_string(),
-            expected_faulty,
+            expected_faulty: at.expected_faulty,
             claims_wait_free: spec.wait_free,
             analyzed: sa.found_impl,
             receives_commute,
             invoke_commutes: certified && sa.invoke_commutes,
             certified,
             diagnostics,
-        },
-        cert,
-    )
+        }
+    }
 }
 
 #[cfg(test)]

@@ -25,26 +25,23 @@
 //! confirms what this engine predicts.
 //!
 //! Findings are anchored at the `struct` definition of the offending
-//! algorithm (located with the source lexer), so every diagnostic carries a
-//! real `file:line:col` span.
+//! algorithm (located with the source lexer by the registry walk the
+//! behavioural engines share), so every diagnostic carries a real
+//! `file:line:col` span.
+//!
+//! [`AlgoSpec`]: camp_broadcast::registry::AlgoSpec
 
-use std::fs;
+use std::collections::BTreeMap;
 use std::io;
 use std::path::Path;
 
-use camp_broadcast::registry::{visit_builtins, visit_faulty, AlgoSpec, AlgorithmVisitor};
-use camp_obs::clock::Stopwatch;
-use camp_sim::probe::{probe_broadcast, ProbeReport};
+use camp_sim::probe::probe_broadcast;
 use camp_sim::BroadcastAlgorithm;
 use serde::Serialize;
 
 use crate::diagnostics::Severity;
-use crate::source::lexer;
 use crate::source::SourceDiagnostic;
-
-/// System size the probe runs with; 3 is the smallest size where
-/// self/foreign/third-party roles are all distinct.
-const PROBE_N: usize = 3;
+use crate::walk::{walk, Engine, Registered, Rules};
 
 /// Metadata for the graph rules, mirrored by `camp-lint rules`.
 pub const GRAPH_RULES: &[(&str, &str, &str)] = &[
@@ -183,199 +180,128 @@ impl GraphReport {
 /// Propagates I/O errors from reading the registered source files (the
 /// anchors must exist for the diagnostics to be honest).
 pub fn graph_check(root: &Path, timings: bool) -> io::Result<GraphReport> {
-    let watch = Stopwatch::started(timings);
-    let mut linter = GraphLinter {
-        root,
-        expected_faulty: false,
-        algorithms: Vec::new(),
-        io_error: None,
-    };
-    visit_builtins(&mut linter);
-    linter.expected_faulty = true;
-    visit_faulty(&mut linter);
-    if let Some(e) = linter.io_error {
-        return Err(e);
-    }
-    let (errors, warnings) = linter.algorithms.iter().fold((0, 0), |(e, w), a| {
-        let ae = a
-            .diagnostics
-            .iter()
-            .filter(|d| d.severity == Severity::Error)
-            .count();
-        (e + ae, w + a.diagnostics.len() - ae)
-    });
+    let walk = walk(root, timings, &mut Graph)?;
     Ok(GraphReport {
-        rules_checked: GRAPH_RULES
-            .iter()
-            .map(|(c, _, _)| (*c).to_string())
-            .collect(),
-        errors,
-        warnings,
-        algorithms: linter.algorithms,
-        millis: watch.elapsed_millis(),
+        rules_checked: walk.rules_checked,
+        errors: walk.errors,
+        warnings: walk.warnings,
+        algorithms: walk.algorithms,
+        millis: walk.millis,
     })
 }
 
-struct GraphLinter<'a> {
-    root: &'a Path,
-    expected_faulty: bool,
-    algorithms: Vec<AlgoGraph>,
-    io_error: Option<io::Error>,
-}
+/// The protocol-graph engine.
+struct Graph;
 
-impl AlgorithmVisitor for GraphLinter<'_> {
-    fn visit<B: BroadcastAlgorithm + 'static>(&mut self, spec: AlgoSpec, algo: B) {
-        if self.io_error.is_some() {
-            return;
+impl Engine for Graph {
+    const RULES: Rules = GRAPH_RULES;
+    type Verdict = AlgoGraph;
+
+    fn diagnostics(verdict: &AlgoGraph) -> &[SourceDiagnostic] {
+        &verdict.diagnostics
+    }
+
+    /// Applies the `S02x` rules to the algorithm's probe report.
+    fn judge<B: BroadcastAlgorithm>(&mut self, at: &Registered<'_>, algo: &B) -> AlgoGraph {
+        let probe = probe_broadcast(algo);
+        let run = &probe.propagation;
+        let mut diagnostics = Vec::new();
+        let mut raise = |code: &str, message: String| diagnostics.push(at.finding(code, message));
+
+        // S020: kinds received by foreign processes whose receptions all no-op.
+        for kind in run.foreign_received.difference(&run.foreign_handled) {
+            raise(
+                "S020",
+                format!(
+                    "message kind `{kind}` is sent to foreign processes but every foreign \
+                     reception is a no-op: those sends can never be handled"
+                ),
+            );
         }
-        let anchor = match locate_struct(self.root, spec.file, spec.struct_name) {
-            Ok(a) => a,
-            Err(e) => {
-                self.io_error = Some(e);
-                return;
+
+        // S021/S022: the solo phases, for algorithms claiming wait-freedom.
+        if at.spec.wait_free {
+            for solo in &probe.solo {
+                if !solo.returned_solo {
+                    let cause = match solo.foreign_needed {
+                        Some(k) => format!(
+                            "it returns only after {k} foreign reception(s), but in the \
+                             wait-free model (t = n-1) no foreign reception is guaranteed"
+                        ),
+                        None => "it never returned within the probe budget".to_string(),
+                    };
+                    raise(
+                        "S021",
+                        format!(
+                            "p{} cannot complete B.broadcast with every peer silent: {cause} \
+                             (Lemma 7: a correct broadcast completes solo)",
+                            solo.process
+                        ),
+                    );
+                } else if !solo.delivered_own_solo {
+                    raise(
+                        "S022",
+                        format!(
+                            "p{} returns from a solo B.broadcast without ever delivering its \
+                             own message",
+                            solo.process
+                        ),
+                    );
+                }
             }
-        };
-        let probe = probe_broadcast(&algo, PROBE_N);
-        self.algorithms
-            .push(judge(&spec, self.expected_faulty, &probe, anchor));
-    }
-}
-
-/// Finds the `struct <name>` definition in `file`, returning its
-/// `(line, col)`; falls back to `(1, 1)` if the lexer cannot see it.
-pub(crate) fn locate_struct(
-    root: &Path,
-    file: &str,
-    struct_name: &str,
-) -> io::Result<(usize, usize)> {
-    let source = fs::read_to_string(root.join(file))?;
-    let scanned = lexer::scan(&source);
-    for w in scanned.tokens.windows(2) {
-        if w[0].text == "struct" && w[1].text == struct_name {
-            return Ok((w[1].line, w[1].col));
         }
-    }
-    Ok((1, 1))
-}
 
-/// Applies the `S02x` rules to one probe report.
-fn judge(
-    spec: &AlgoSpec,
-    expected_faulty: bool,
-    probe: &ProbeReport,
-    anchor: (usize, usize),
-) -> AlgoGraph {
-    let mut diagnostics = Vec::new();
-    let mut raise = |code: &str, message: String| {
-        let (_, name, _) = GRAPH_RULES
-            .iter()
-            .find(|(c, _, _)| *c == code)
-            .expect("graph rule codes are static");
-        diagnostics.push(SourceDiagnostic {
-            code: code.to_string(),
-            name: (*name).to_string(),
-            severity: Severity::Error,
-            message: format!("[{}] {}", spec.name, message),
-            file: spec.file.to_string(),
-            line: anchor.0,
-            col: anchor.1,
-        });
-    };
-
-    // S020: kinds received by foreign processes whose receptions all no-op.
-    for kind in probe.foreign_received.difference(&probe.foreign_handled) {
-        raise(
-            "S020",
-            format!(
-                "message kind `{kind}` is sent to foreign processes but every foreign \
-                 reception is a no-op: those sends can never be handled"
-            ),
-        );
-    }
-
-    // S021/S022: the solo phases, for algorithms claiming wait-freedom.
-    if spec.wait_free {
-        for solo in &probe.solo {
-            if !solo.returned_solo {
-                let cause = match solo.foreign_needed {
-                    Some(k) => format!(
-                        "it returns only after {k} foreign reception(s), but in the \
-                         wait-free model (t = n-1) no foreign reception is guaranteed"
-                    ),
-                    None => "it never returned within the probe budget".to_string(),
-                };
+        // S023: per-(process, message) delivery counts.
+        let mut counts = BTreeMap::new();
+        for (process, msg_id, _) in run.deliveries() {
+            *counts.entry((process, msg_id)).or_insert(0usize) += 1;
+        }
+        for ((process, msg_id), count) in counts {
+            if count > 1 {
                 raise(
-                    "S021",
+                    "S023",
                     format!(
-                        "p{} cannot complete B.broadcast with every peer silent: {cause} \
-                         (Lemma 7: a correct broadcast completes solo)",
-                        solo.process
-                    ),
-                );
-            } else if !solo.delivered_own_solo {
-                raise(
-                    "S022",
-                    format!(
-                        "p{} returns from a solo B.broadcast without ever delivering its \
-                         own message",
-                        solo.process
+                        "p{process} delivers message m{msg_id} {count} times during one \
+                         broadcast (BC-No-Duplication)"
                     ),
                 );
             }
         }
-    }
 
-    // S023: per-(process, message) delivery counts.
-    let mut counts = std::collections::BTreeMap::new();
-    for d in &probe.deliveries {
-        *counts.entry((d.process, d.msg_id)).or_insert(0usize) += 1;
-    }
-    for ((process, msg_id), count) in counts {
-        if count > 1 {
+        // S024: deliveries naming someone other than the broadcaster (p1).
+        for (process, msg_id, sender) in run.deliveries() {
+            if sender != 1 {
+                raise(
+                    "S024",
+                    format!(
+                        "p{process} delivers m{msg_id} attributed to p{sender}, but the \
+                         registered broadcaster is p1 (BC-Validity)"
+                    ),
+                );
+            }
+        }
+
+        // S025: differential control flow.
+        if let Some(div) = &probe.divergence {
             raise(
-                "S023",
+                "S025",
                 format!(
-                    "p{process} delivers message m{msg_id} {count} times during one \
-                     broadcast (BC-No-Duplication)"
+                    "control flow depends on payload content: activation #{} is `{}` for one \
+                     opaque payload and `{}` for another (content-neutrality, hypothesis H1)",
+                    div.index, div.left, div.right
                 ),
             );
         }
-    }
 
-    // S024: deliveries naming someone other than the broadcaster (p1).
-    for d in &probe.deliveries {
-        if d.sender != 1 {
-            raise(
-                "S024",
-                format!(
-                    "p{} delivers m{} attributed to p{}, but the registered broadcaster \
-                     is p1 (BC-Validity)",
-                    d.process, d.msg_id, d.sender
-                ),
-            );
+        diagnostics.sort_by(|a, b| (&a.code, &a.message).cmp(&(&b.code, &b.message)));
+        AlgoGraph {
+            name: at.spec.name.to_string(),
+            expected_faulty: at.expected_faulty,
+            wait_free: at.spec.wait_free,
+            uses_ksa: at.spec.uses_ksa,
+            kinds_sent: run.sends.keys().cloned().collect(),
+            diagnostics,
         }
-    }
-
-    // S025: differential control flow.
-    if let Some(div) = &probe.divergence {
-        raise(
-            "S025",
-            format!(
-                "control flow depends on payload content: activation #{} is `{}` for one \
-                 opaque payload and `{}` for another (content-neutrality, hypothesis H1)",
-                div.index, div.left, div.right
-            ),
-        );
-    }
-
-    diagnostics.sort_by(|a, b| (&a.code, &a.message).cmp(&(&b.code, &b.message)));
-    AlgoGraph {
-        name: spec.name.to_string(),
-        expected_faulty,
-        wait_free: spec.wait_free,
-        uses_ksa: spec.uses_ksa,
-        kinds_sent: probe.sends.keys().cloned().collect(),
-        diagnostics,
     }
 }
 

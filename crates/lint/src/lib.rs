@@ -1,6 +1,6 @@
 //! # camp-lint
 //!
-//! Static analysis for the campkit toolkit, in three layers:
+//! Static analysis for the campkit toolkit, in four layers:
 //!
 //! * the **trace linter** ([`lint_execution`], [`rules`]) — a registry of
 //!   linear-time rules that check one execution for structural
@@ -15,12 +15,18 @@
 //! * the **algorithm auditor** ([`audit_branches`]) — drives a broadcast
 //!   algorithm through `camp-modelcheck`'s exhaustive exploration and
 //!   reports unreachable handler branches and stuck (non-quiescing) terminal
-//!   states together with the exposing schedule.
+//!   states together with the exposing schedule;
+//! * the **static check** ([`check_workspace`]) — runs no schedule: the
+//!   `S009` source rule ([`source`]) plus three behavioural engines that
+//!   probe every registered algorithm ([`graph`], [`symmetry`],
+//!   [`dataflow`]), the last two issuing the certificates ([`cert_store`])
+//!   that arm `camp-modelcheck`'s renaming quotient and widened sleep sets.
 //!
 //! Everything is also available from the `camp-lint` command-line binary:
 //!
 //! ```text
 //! camp-lint trace tests/golden/figure1.json          # lint a JSON trace
+//! camp-lint check --certs certs.json                 # the static check, writing its certificates
 //! camp-lint audit --seeds 5                          # audit the built-in algorithms
 //! camp-lint rules                                    # list the rule registry
 //! ```
@@ -53,6 +59,7 @@ pub mod graph;
 pub mod rules;
 pub mod source;
 pub mod symmetry;
+mod walk;
 
 pub use algorithm::{audit_branches, branch_label, BranchReport, ExploreFailed, StuckState};
 pub use check::{cert_store, check_workspace, CheckReport};

@@ -1,15 +1,17 @@
 //! The static symmetry engine: `S03x` rules, and the [`SymmetryCert`]s
 //! that license renaming-quotient canonicalization in `camp-modelcheck`.
 //!
-//! The fourth engine of `camp-lint check`. The protocol-graph engine
+//! The third engine of `camp-lint check`. The protocol-graph engine
 //! ([`crate::graph`]) probes each algorithm from a *single* broadcaster
 //! (`p1`); this engine re-runs the propagation probe **once per
-//! broadcaster** and compares the resulting profiles after relabeling
-//! process ids through the rotation that maps each broadcaster to `p1`. A
-//! process-renaming-equivariant algorithm — one whose decisions depend on
-//! process identity only through symmetric roles (self vs. foreign, quorum
-//! counting) — produces identical relabeled profiles from every
-//! broadcaster; any mismatch pins a decision to a *concrete* identity:
+//! broadcaster** and compares the resulting profiles after renaming the
+//! process ids of the typed probe records
+//! ([`camp_sim::probe::Activation::renamed`]) through the rotation that
+//! maps each broadcaster to `p1`. A process-renaming-equivariant
+//! algorithm — one whose decisions depend on process identity only through
+//! symmetric roles (self vs. foreign, quorum counting) — produces identical
+//! relabeled profiles from every broadcaster; any mismatch pins a decision
+//! to a *concrete* identity:
 //!
 //! | rule | checks | convicts |
 //! |---|---|---|
@@ -37,30 +39,23 @@
 //! renaming. Profiles are compared as *sorted multisets*: the breadth-first
 //! feed order of the probe is itself schedule-like and may legitimately
 //! differ across broadcasters even for perfectly symmetric algorithms.
+//!
+//! [`AlgoSpec`]: camp_broadcast::registry::AlgoSpec
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::io;
 use std::path::Path;
 
-use camp_broadcast::registry::{visit_builtins, visit_faulty, AlgoSpec, AlgorithmVisitor};
-use camp_obs::clock::Stopwatch;
 use camp_sim::canonical::{digest, SymmetryCert, CERT_SCHEMA};
-use camp_sim::probe::{diff_activations, probe_broadcast, probe_propagation, PropagationProbe};
+use camp_sim::probe::{
+    diff_activations, probe_propagation, solo_probes, PropagationProbe, CONTENTS, PROBE_N,
+};
 use camp_sim::BroadcastAlgorithm;
-use camp_trace::Value;
 use serde::Serialize;
 
 use crate::diagnostics::Severity;
-use crate::graph::locate_struct;
 use crate::source::SourceDiagnostic;
-
-/// System size the probes run with; 3 is the smallest size where
-/// self/foreign/third-party roles are all distinct.
-const PROBE_N: usize = 3;
-
-/// The two opaque payload contents of the differential content checks.
-const CONTENT_A: Value = Value::new(12);
-const CONTENT_B: Value = Value::new(73);
+use crate::walk::{walk, Engine, Registered, Rules};
 
 /// Metadata for the symmetry rules, mirrored by `camp-lint rules`.
 pub const SYMMETRY_RULES: &[(&str, &str, &str)] = &[
@@ -208,109 +203,23 @@ impl SymmetryReport {
 /// Propagates I/O errors from reading the registered source files (the
 /// anchors must exist for the diagnostics to be honest).
 pub fn symmetry_check(root: &Path, timings: bool) -> io::Result<SymmetryReport> {
-    let watch = Stopwatch::started(timings);
-    let mut linter = SymmetryLinter {
-        root,
-        expected_faulty: false,
-        algorithms: Vec::new(),
-        certs: Vec::new(),
-        io_error: None,
-    };
-    visit_builtins(&mut linter);
-    linter.expected_faulty = true;
-    visit_faulty(&mut linter);
-    if let Some(e) = linter.io_error {
-        return Err(e);
-    }
-    let (errors, warnings) = linter.algorithms.iter().fold((0, 0), |(e, w), a| {
-        let ae = a
-            .diagnostics
-            .iter()
-            .filter(|d| d.severity == Severity::Error)
-            .count();
-        (e + ae, w + a.diagnostics.len() - ae)
-    });
-    linter.certs.sort_by(|a, b| a.algorithm.cmp(&b.algorithm));
+    let mut engine = Symmetry { certs: Vec::new() };
+    let walk = walk(root, timings, &mut engine)?;
+    engine.certs.sort_by(|a, b| a.algorithm.cmp(&b.algorithm));
     Ok(SymmetryReport {
-        rules_checked: SYMMETRY_RULES
-            .iter()
-            .map(|(c, _, _)| (*c).to_string())
-            .collect(),
-        errors,
-        warnings,
-        algorithms: linter.algorithms,
-        certs: linter.certs,
-        millis: watch.elapsed_millis(),
+        rules_checked: walk.rules_checked,
+        errors: walk.errors,
+        warnings: walk.warnings,
+        algorithms: walk.algorithms,
+        certs: engine.certs,
+        millis: walk.millis,
     })
 }
 
-struct SymmetryLinter<'a> {
-    root: &'a Path,
-    expected_faulty: bool,
-    algorithms: Vec<AlgoSymmetry>,
-    certs: Vec<SymmetryCert>,
-    io_error: Option<io::Error>,
-}
-
-impl AlgorithmVisitor for SymmetryLinter<'_> {
-    fn visit<B: BroadcastAlgorithm + 'static>(&mut self, spec: AlgoSpec, algo: B) {
-        if self.io_error.is_some() {
-            return;
-        }
-        let anchor = match locate_struct(self.root, spec.file, spec.struct_name) {
-            Ok(a) => a,
-            Err(e) => {
-                self.io_error = Some(e);
-                return;
-            }
-        };
-        let (verdict, cert) = judge(&spec, self.expected_faulty, &algo, anchor);
-        self.algorithms.push(verdict);
-        if let Some(cert) = cert {
-            self.certs.push(cert);
-        }
-    }
-}
-
-/// The rotation that maps broadcaster `b` to `p1` in an `n`-process system:
-/// `x ↦ ((x - b) mod n) + 1`.
-fn rotation(n: usize, b: usize) -> impl Fn(usize) -> usize {
-    move |x| ((x + n - b) % n) + 1
-}
-
-/// Rewrites every `p<digits>` token in `text` through `sigma`, touching only
-/// ids in `1..=n` at identifier boundaries (so `p2p` or `p10` in a 3-process
-/// system stay as they are).
-fn relabel(text: &str, n: usize, sigma: &impl Fn(usize) -> usize) -> String {
-    let bytes = text.as_bytes();
-    let mut out = String::with_capacity(text.len());
-    let mut i = 0;
-    while i < bytes.len() {
-        let boundary = i == 0 || !(bytes[i - 1].is_ascii_alphanumeric() || bytes[i - 1] == b'_');
-        if boundary && bytes[i] == b'p' {
-            let start = i + 1;
-            let mut j = start;
-            while j < bytes.len() && bytes[j].is_ascii_digit() {
-                j += 1;
-            }
-            let followed_ok =
-                j == bytes.len() || !(bytes[j].is_ascii_alphanumeric() || bytes[j] == b'_');
-            if j > start && followed_ok {
-                if let Ok(id) = text[start..j].parse::<usize>() {
-                    if (1..=n).contains(&id) {
-                        out.push('p');
-                        out.push_str(&sigma(id).to_string());
-                        i = j;
-                        continue;
-                    }
-                }
-            }
-        }
-        let ch = text[i..].chars().next().expect("i is a char boundary");
-        out.push(ch);
-        i += ch.len_utf8();
-    }
-    out
+/// The rotation that maps broadcaster `b` to `p1`:
+/// `x ↦ ((x - b) mod n) + 1` with `n = PROBE_N`.
+fn rotation(b: usize) -> impl Fn(usize) -> usize {
+    move |x| ((x + PROBE_N - b) % PROBE_N) + 1
 }
 
 /// The relabeled, order-insensitive profile of one propagation probe.
@@ -324,30 +233,37 @@ struct Profile {
     activations: Vec<String>,
 }
 
-fn profile(run: &PropagationProbe, n: usize, sigma: &impl Fn(usize) -> usize) -> Profile {
+/// The profile of `run` with its broadcaster renamed to `p1`.
+fn profile(run: &PropagationProbe) -> Profile {
+    let sigma = rotation(run.broadcaster);
     let sends = run
         .sends
         .iter()
         .map(|(kind, dests)| (kind.clone(), dests.iter().map(|&d| sigma(d)).collect()))
         .collect();
     let mut deliveries: Vec<(usize, usize)> = run
-        .deliveries
-        .iter()
-        .map(|d| (sigma(d.process), sigma(d.sender)))
+        .deliveries()
+        .map(|(process, _, sender)| (sigma(process), sigma(sender)))
         .collect();
     deliveries.sort_unstable();
     let mut activations: Vec<String> = run
         .activations
         .iter()
         .map(|a| {
-            // Steps within an activation are relabeled and then sorted: the
-            // emission order of sends encodes the absolute-id iteration
-            // order of a `for p in 1..=n` loop, which the asynchronous
-            // network erases — only the multiset is observable.
-            let mut steps: Vec<String> = a.steps.iter().map(|s| relabel(s, n, sigma)).collect();
+            let a = a.clone().renamed(&sigma);
+            // Steps within an activation are sorted: the emission order of
+            // sends encodes the absolute-id iteration order of a
+            // `for p in 1..=n` loop, which the asynchronous network
+            // erases — only the multiset is observable.
+            let mut steps: Vec<String> = a.steps.iter().map(ToString::to_string).collect();
             steps.sort_unstable();
-            relabel(&format!("p{} {}", a.process, a.trigger), n, sigma)
-                + &format!(" [{}] changed={}", steps.join(", "), a.state_changed)
+            format!(
+                "p{} {} [{}] changed={}",
+                a.process,
+                a.trigger,
+                steps.join(", "),
+                a.state_changed
+            )
         })
         .collect();
     activations.sort_unstable();
@@ -366,190 +282,167 @@ fn profile_text(p: &Profile) -> String {
     )
 }
 
-/// Applies the `S03x` rules to one algorithm.
-fn judge<B: BroadcastAlgorithm>(
-    spec: &AlgoSpec,
-    expected_faulty: bool,
-    algo: &B,
-    anchor: (usize, usize),
-) -> (AlgoSymmetry, Option<SymmetryCert>) {
-    let mut diagnostics: Vec<SourceDiagnostic> = Vec::new();
-    let raise = |diagnostics: &mut Vec<SourceDiagnostic>, code: &str, message: String| {
-        let (_, name, _) = SYMMETRY_RULES
-            .iter()
-            .find(|(c, _, _)| *c == code)
-            .expect("symmetry rule codes are static");
-        diagnostics.push(SourceDiagnostic {
-            code: code.to_string(),
-            name: (*name).to_string(),
-            severity: Severity::Error,
-            message: format!("[{}] {}", spec.name, message),
-            file: spec.file.to_string(),
-            line: anchor.0,
-            col: anchor.1,
-        });
-    };
+/// The symmetry engine, with the certificates it issued so far.
+struct Symmetry {
+    certs: Vec<SymmetryCert>,
+}
 
-    // One propagation probe per broadcaster, each relabeled so its own
-    // broadcaster becomes p1.
-    let runs: Vec<PropagationProbe> = (1..=PROBE_N)
-        .map(|b| probe_propagation(algo, PROBE_N, b, CONTENT_A))
-        .collect();
-    let profiles: Vec<Profile> = runs
-        .iter()
-        .map(|run| profile(run, PROBE_N, &rotation(PROBE_N, run.broadcaster)))
-        .collect();
-    let reference = &profiles[0];
-    let evidence = format!("{:032x}", digest(&profile_text(reference)));
+impl Engine for Symmetry {
+    const RULES: Rules = SYMMETRY_RULES;
+    type Verdict = AlgoSymmetry;
 
-    // S030/S031/S032: equivariance across broadcasters, for algorithms
-    // claiming symmetry.
-    if spec.symmetric {
-        for (run, prof) in runs.iter().zip(&profiles).skip(1) {
-            let b = run.broadcaster;
-            if prof.deliveries != reference.deliveries {
-                raise(
-                    &mut diagnostics,
-                    "S030",
-                    format!(
-                        "a broadcast from p{b} is delivered differently than one from p1: \
-                         relabeled (deliverer, origin) pairs are {:?} from p{b} but {:?} \
-                         from p1 — a delivery decision reads concrete process identity",
-                        prof.deliveries, reference.deliveries
-                    ),
-                );
-            }
-            if prof.sends != reference.sends {
-                raise(
-                    &mut diagnostics,
-                    "S031",
-                    format!(
-                        "a broadcast from p{b} sends differently than one from p1: \
-                         relabeled fan-out is {:?} from p{b} but {:?} from p1",
-                        prof.sends, reference.sends
-                    ),
-                );
-            }
-            if prof.activations != reference.activations {
-                let witness = prof
-                    .activations
-                    .iter()
-                    .find(|a| !reference.activations.contains(a))
-                    .or_else(|| {
-                        reference
-                            .activations
-                            .iter()
-                            .find(|a| !prof.activations.contains(a))
-                    })
-                    .cloned()
-                    .unwrap_or_default();
-                raise(
-                    &mut diagnostics,
-                    "S032",
-                    format!(
-                        "handler activations differ between broadcasters p1 and p{b} after \
-                         relabeling (first unmatched activation: `{witness}`)"
-                    ),
-                );
-            }
-        }
+    fn diagnostics(verdict: &AlgoSymmetry) -> &[SourceDiagnostic] {
+        &verdict.diagnostics
     }
 
-    // S033: the solo probe must be process-uniform (claimed-symmetric only).
-    let report = probe_broadcast(algo, PROBE_N);
-    if spec.symmetric {
-        let verdicts: BTreeSet<(bool, bool, Option<usize>)> = report
-            .solo
-            .iter()
-            .map(|s| (s.returned_solo, s.delivered_own_solo, s.foreign_needed))
+    /// Applies the `S03x` rules to one algorithm, and certifies it if it
+    /// passes them all.
+    fn judge<B: BroadcastAlgorithm>(&mut self, at: &Registered<'_>, algo: &B) -> AlgoSymmetry {
+        let spec = &at.spec;
+        // Findings of S030–S033, then of S034/S035.
+        let (mut equivariance, mut content) = (Vec::new(), Vec::new());
+
+        // One propagation probe per broadcaster, each relabeled so its own
+        // broadcaster becomes p1.
+        let runs: Vec<PropagationProbe> = (1..=PROBE_N)
+            .map(|b| probe_propagation(algo, b, CONTENTS[0]))
             .collect();
-        if verdicts.len() > 1 {
-            let listing: Vec<String> = report
-                .solo
+        let profiles: Vec<Profile> = runs.iter().map(profile).collect();
+        let reference = &profiles[0];
+        let evidence = format!("{:032x}", digest(&profile_text(reference)));
+
+        // S030/S031/S032/S033: equivariance, for algorithms claiming
+        // symmetry.
+        if spec.symmetric {
+            for (b, prof) in (1..=PROBE_N).zip(&profiles).skip(1) {
+                if prof.deliveries != reference.deliveries {
+                    equivariance.push(at.finding(
+                        "S030",
+                        format!(
+                            "a broadcast from p{b} is delivered differently than one from p1: \
+                             relabeled (deliverer, origin) pairs are {:?} from p{b} but {:?} \
+                             from p1 — a delivery decision reads concrete process identity",
+                            prof.deliveries, reference.deliveries
+                        ),
+                    ));
+                }
+                if prof.sends != reference.sends {
+                    equivariance.push(at.finding(
+                        "S031",
+                        format!(
+                            "a broadcast from p{b} sends differently than one from p1: \
+                             relabeled fan-out is {:?} from p{b} but {:?} from p1",
+                            prof.sends, reference.sends
+                        ),
+                    ));
+                }
+                if prof.activations != reference.activations {
+                    let unmatched = |x: &Profile, y: &Profile| {
+                        x.activations
+                            .iter()
+                            .find(|a| !y.activations.contains(a))
+                            .cloned()
+                    };
+                    let witness = unmatched(prof, reference)
+                        .or_else(|| unmatched(reference, prof))
+                        .unwrap_or_default();
+                    equivariance.push(at.finding(
+                        "S032",
+                        format!(
+                            "handler activations differ between broadcasters p1 and p{b} \
+                             after relabeling (first unmatched activation: `{witness}`)"
+                        ),
+                    ));
+                }
+            }
+
+            // S033: the solo probe must be process-uniform.
+            let solo = solo_probes(algo);
+            let verdicts: BTreeSet<(bool, bool, Option<usize>)> = solo
                 .iter()
-                .map(|s| {
-                    format!(
-                        "p{}: returned={} self-delivered={} foreign_needed={:?}",
-                        s.process, s.returned_solo, s.delivered_own_solo, s.foreign_needed
-                    )
-                })
+                .map(|s| (s.returned_solo, s.delivered_own_solo, s.foreign_needed))
                 .collect();
-            raise(
-                &mut diagnostics,
-                "S033",
-                format!(
-                    "solo behaviour differs between processes: {}",
-                    listing.join("; ")
-                ),
-            );
-        }
-    }
-    let equivariance_errors = diagnostics.len();
-
-    // S034: content independence, from every broadcaster.
-    for b in 1..=PROBE_N {
-        let alt = probe_propagation(algo, PROBE_N, b, CONTENT_B);
-        let base = &runs[b - 1];
-        if let Some(div) = diff_activations(&base.activations, &alt.activations) {
-            raise(
-                &mut diagnostics,
-                "S034",
-                format!(
-                    "control flow from broadcaster p{b} depends on payload content: \
-                     activation #{} is `{}` for one opaque payload and `{}` for another",
-                    div.index, div.left, div.right
-                ),
-            );
-        }
-    }
-
-    // S035: every delivery must name the one message the probe broadcast
-    // (id 0); anything else fabricates message identity.
-    let mut synthesized: BTreeSet<u64> = BTreeSet::new();
-    for run in &runs {
-        for d in &run.deliveries {
-            if d.msg_id != 0 {
-                synthesized.insert(d.msg_id);
+            if verdicts.len() > 1 {
+                let listing: Vec<String> = solo
+                    .iter()
+                    .map(|s| {
+                        format!(
+                            "p{}: returned={} self-delivered={} foreign_needed={:?}",
+                            s.process, s.returned_solo, s.delivered_own_solo, s.foreign_needed
+                        )
+                    })
+                    .collect();
+                equivariance.push(at.finding(
+                    "S033",
+                    format!(
+                        "solo behaviour differs between processes: {}",
+                        listing.join("; ")
+                    ),
+                ));
             }
         }
-    }
-    for msg_id in synthesized {
-        raise(
-            &mut diagnostics,
-            "S035",
-            format!(
-                "a delivery names message m{msg_id}, which the probe never broadcast — \
-                 message identity is not carried opaquely"
-            ),
-        );
-    }
 
-    let content_neutral = diagnostics.len() == equivariance_errors;
-    let equivariant = spec.symmetric && equivariance_errors == 0;
-    let certified = equivariant && content_neutral;
-    let cert = certified.then(|| SymmetryCert {
-        schema: CERT_SCHEMA.to_string(),
-        algorithm: spec.name.to_string(),
-        probe_n: PROBE_N,
-        broadcasters_checked: PROBE_N,
-        equivariant,
-        content_neutral,
-        evidence,
-    });
+        // S034: content independence, from every broadcaster.
+        for (b, base) in (1..=PROBE_N).zip(&runs) {
+            let alt = probe_propagation(algo, b, CONTENTS[1]);
+            if let Some(div) = diff_activations(&base.activations, &alt.activations) {
+                content.push(at.finding(
+                    "S034",
+                    format!(
+                        "control flow from broadcaster p{b} depends on payload content: \
+                         activation #{} is `{}` for one opaque payload and `{}` for another",
+                        div.index, div.left, div.right
+                    ),
+                ));
+            }
+        }
 
-    diagnostics.sort_by(|a, b| (&a.code, &a.message).cmp(&(&b.code, &b.message)));
-    (
+        // S035: every delivery must name the one message the probe
+        // broadcast (id 0); anything else fabricates message identity.
+        let synthesized: BTreeSet<u64> = runs
+            .iter()
+            .flat_map(PropagationProbe::deliveries)
+            .map(|(_, msg_id, _)| msg_id)
+            .filter(|&id| id != 0)
+            .collect();
+        for msg_id in synthesized {
+            content.push(at.finding(
+                "S035",
+                format!(
+                    "a delivery names message m{msg_id}, which the probe never broadcast — \
+                     message identity is not carried opaquely"
+                ),
+            ));
+        }
+
+        let equivariant = spec.symmetric && equivariance.is_empty();
+        let content_neutral = content.is_empty();
+        let certified = equivariant && content_neutral;
+        if certified {
+            self.certs.push(SymmetryCert {
+                schema: CERT_SCHEMA.to_string(),
+                algorithm: spec.name.to_string(),
+                probe_n: PROBE_N,
+                broadcasters_checked: PROBE_N,
+                equivariant,
+                content_neutral,
+                evidence,
+            });
+        }
+
+        let mut diagnostics = equivariance;
+        diagnostics.append(&mut content);
+        diagnostics.sort_by(|a, b| (&a.code, &a.message).cmp(&(&b.code, &b.message)));
         AlgoSymmetry {
             name: spec.name.to_string(),
-            expected_faulty,
+            expected_faulty: at.expected_faulty,
             claims_symmetric: spec.symmetric,
             equivariant,
             content_neutral,
             certified,
             diagnostics,
-        },
-        cert,
-    )
+        }
+    }
 }
 
 #[cfg(test)]
@@ -663,19 +556,6 @@ mod tests {
         assert!(with.millis.is_some());
     }
 
-    #[test]
-    fn relabel_respects_token_boundaries() {
-        let sigma = rotation(3, 2); // 2->1, 3->2, 1->3
-        assert_eq!(
-            relabel("receive:Kind from p2", 3, &sigma),
-            "receive:Kind from p1"
-        );
-        assert_eq!(
-            relabel("send:Kind->p1 p2p p10 xp3", 3, &sigma),
-            "send:Kind->p3 p2p p10 xp3"
-        );
-    }
-
     /// Cross-validation with `camp_specs::symmetry`: the *dynamic* closure
     /// test of Definition 3 agrees with the static `content_neutral`
     /// verdict on executions the certified algorithms actually produce —
@@ -722,7 +602,7 @@ mod tests {
         // a typing renaming (each process delivers its own message first;
         // mapping both contents into one SA group makes that disagreement),
         // so the dynamic oracle is not vacuous.
-        use camp_trace::{Action, ExecutionBuilder, ProcessId};
+        use camp_trace::{Action, ExecutionBuilder, ProcessId, Value};
         let p = ProcessId::new;
         let mut b = ExecutionBuilder::new(2);
         let m1 = b.fresh_broadcast_message(p(1), Value::new(1));

@@ -3,8 +3,8 @@
 //! Plain `u64` values in `BTreeMap`s keyed by `&'static str` dotted names
 //! (`"modelcheck.dedup_hits"`). Two merge disciplines, and nothing else:
 //!
-//! * **counts** accumulate by addition — merging partial registries from
-//!   parallel workers in a fixed order is associative and deterministic;
+//! * **counts** accumulate by addition — folding the registry each runtime
+//!   node fills into the run's is associative and order-insensitive;
 //! * **gauges** record high-water marks by `max` — also order-insensitive.
 //!
 //! No floats, no wall time, no interior mutability: a `Counters` filled by a
@@ -78,10 +78,9 @@ impl Counters {
     /// Folds `other` into `self`: counts add, gauges take the max,
     /// histograms add bucket-wise.
     ///
-    /// Used to combine per-worker registries from the parallel explorer;
-    /// callers merge in deterministic (unit-index) order, and because all
-    /// three operations are commutative and associative the result would be
-    /// the same in any order — the fixed order is belt and braces.
+    /// The runtime collector folds each node's registry into the run's with
+    /// it. All three operations are commutative and associative, so the
+    /// result does not depend on the order in which the nodes report.
     pub fn merge(&mut self, other: &Counters) {
         for (k, v) in &other.counts {
             *self.counts.entry(k).or_insert(0) += v;
@@ -95,7 +94,7 @@ impl Counters {
 
     /// Replays this registry into any sink: counts as `add`, gauges as
     /// `record_max`, histograms as `merge_histogram`. The generic dual of
-    /// [`Counters::merge`], for folding a worker's local registry into a
+    /// [`Counters::merge`], for folding a local registry into a
     /// caller-supplied [`ObsSink`].
     pub fn replay_into<S: ObsSink>(&self, sink: &mut S) {
         for (k, v) in &self.counts {

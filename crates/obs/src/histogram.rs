@@ -6,8 +6,8 @@
 //! the serialized shape is a pure function of the observed multiset — no
 //! configuration, no float boundaries (clippy bans floats), no allocation-order
 //! dependence. Merging is bucket-wise addition (plus `min`-of-mins and
-//! `max`-of-maxes), which is associative and exact, so per-worker and
-//! per-node registries fold together exactly like the counters do.
+//! `max`-of-maxes), which is associative and exact, so per-node registries
+//! fold together exactly like the counters do.
 //!
 //! [`LatencySummary`] is the wall-clock counterpart used for span
 //! durations: its deterministic skeleton (the observation `count`) is

@@ -97,11 +97,6 @@ impl Obs {
         &self.counters
     }
 
-    /// Folds a partial registry (e.g. from a parallel worker) into this one.
-    pub fn merge_counters(&mut self, other: &Counters) {
-        self.counters.merge(other);
-    }
-
     /// Attaches a named per-process timeline to the next snapshot.
     ///
     /// Re-recording under the same name replaces the previous timeline, so
@@ -280,15 +275,5 @@ mod tests {
         obs.observe("fanout", 3);
         obs.observe("fanout", 5);
         assert_eq!(obs.counters().histogram("fanout").unwrap().count(), 2);
-    }
-
-    #[test]
-    fn merge_counters_folds_worker_registries() {
-        let mut worker = Counters::new();
-        worker.add("n", 5);
-        let mut obs = Obs::new();
-        obs.inc("n");
-        obs.merge_counters(&worker);
-        assert_eq!(obs.counters().count("n"), 6);
     }
 }

@@ -189,12 +189,6 @@ impl TimelineBuilder {
         }
     }
 
-    /// Number of lanes.
-    #[must_use]
-    pub fn lane_count(&self) -> usize {
-        self.lanes.len()
-    }
-
     /// Marks a single step index on lane `lane` (0-based index).
     pub fn mark(&mut self, lane: usize, step: u64, kind: SegmentKind) {
         self.span(lane, step, 1, kind);

@@ -227,11 +227,6 @@ impl CertStore {
     pub fn independence_len(&self) -> usize {
         self.independence.len()
     }
-
-    /// Iterates independence certificates in algorithm-name order.
-    pub fn iter_independence(&self) -> impl Iterator<Item = &IndependenceCert> {
-        self.independence.values()
-    }
 }
 
 /// All candidate process renamings of an `n`-process system, each encoded as

@@ -7,34 +7,46 @@
 //! kind)`. One invocation therefore explores the algorithm's *message-kind
 //! send/handle graph* in O(kinds × processes) steps, independent of any
 //! schedule — the static counterpart of `camp-modelcheck`'s exhaustive
-//! exploration, consumed by `camp-lint check`'s protocol-graph rules.
+//! exploration, consumed by `camp-lint check`'s behavioural engines.
 //!
-//! Three probes run per algorithm:
+//! Three probes run per algorithm, all in a system of [`PROBE_N`]
+//! processes:
 //!
 //! * the **propagation probe** invokes `B.broadcast` at `p1` with an opaque
 //!   payload and feeds every captured send to its destination once per
-//!   message kind, recording each handler activation (trigger, emitted step
-//!   skeletons, whether the state changed);
+//!   message kind, recording each handler activation as a typed
+//!   [`Activation`]: its [`Trigger`], the [`Step`] skeletons it emitted, and
+//!   whether the state changed;
 //! * the **solo probe** replays the paper's Lemma 7 situation statically:
 //!   each process invokes with every peer silent, receiving only its own
 //!   self-addressed messages; if it cannot `ReturnBroadcast` alone, the
 //!   probe feeds echoes of its own messages back and counts how many
 //!   *foreign* receptions the algorithm demands before returning — any
 //!   number ≥ 1 is un-meetable in the wait-free `t = n − 1` model;
-//! * the **differential probe** repeats the propagation probe with a second,
-//!   different payload content and diffs the two step skeletons — a
+//! * the **differential probe** repeats the propagation probe with the
+//!   second of the two [`CONTENTS`] and diffs the two step skeletons — a
 //!   divergence means control flow depends on payload content, violating
 //!   the content-neutrality hypothesis (H1) of Gay–Mostéfaoui–Perrin.
 //!
-//! Proposals on k-SA objects are answered immediately by a mock oracle with
-//! first-proposal semantics, so `[k-SA]`-enriched algorithms run unblocked.
+//! Every probe runs a process's ready steps through [`drain`], which
+//! answers proposals on k-SA objects at once with a mock first-proposal
+//! oracle, so `[k-SA]`-enriched algorithms run unblocked.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::fmt::Debug;
+use std::fmt::{self, Debug};
 
 use camp_trace::{KsaId, MessageId, ProcessId, Value};
 
 use crate::algorithm::{AppMessage, BroadcastAlgorithm, BroadcastStep};
+
+/// System size every probe runs with: 3 is the smallest size where the
+/// self, foreign and third-party roles are all distinct.
+pub const PROBE_N: usize = 3;
+
+/// The two opaque payload contents of the differential probes: arbitrary
+/// but distinct, so a content-neutral algorithm cannot tell them apart.
+/// Every other probe broadcasts the first.
+pub const CONTENTS: [Value; 2] = [Value::new(12), Value::new(73)];
 
 /// Cap on local steps drained after one input event; a correct automaton
 /// emits O(n) steps per event, so hitting this means a runaway loop.
@@ -43,30 +55,116 @@ const MAX_STEPS_PER_ACTIVATION: usize = 10_000;
 /// Cap on echo receptions fed during the solo probe's quorum measurement.
 const MAX_ECHOES: usize = 16;
 
+/// What triggered one handler activation.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Trigger {
+    /// The broadcaster's `B.broadcast` invocation: `invoke`.
+    Invoke,
+    /// A reception: `receive:<kind> from p<from>`.
+    Receive {
+        /// The received message's kind.
+        kind: String,
+        /// 1-based id of the sending process.
+        from: usize,
+    },
+}
+
+/// The content-elided skeleton of one emitted step.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Step {
+    /// `send:<kind>->p<to>`.
+    Send {
+        /// The sent message's kind.
+        kind: String,
+        /// 1-based id of the destination.
+        to: usize,
+    },
+    /// `propose:<obj>`.
+    Propose {
+        /// The k-SA object proposed on.
+        obj: KsaId,
+    },
+    /// `deliver:m<msg>@p<sender>`.
+    Deliver {
+        /// Raw id of the delivered message.
+        msg: u64,
+        /// 1-based id the delivery names as the message's broadcaster.
+        sender: usize,
+    },
+    /// `return`.
+    Return,
+    /// `internal:<tag>`.
+    Internal {
+        /// The step's tag.
+        tag: u64,
+    },
+}
+
+impl fmt::Display for Trigger {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Trigger::Invoke => f.write_str("invoke"),
+            Trigger::Receive { kind, from } => write!(f, "receive:{kind} from p{from}"),
+        }
+    }
+}
+
+impl fmt::Display for Step {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Step::Send { kind, to } => write!(f, "send:{kind}->p{to}"),
+            Step::Propose { obj } => write!(f, "propose:{obj}"),
+            Step::Deliver { msg, sender } => write!(f, "deliver:m{msg}@p{sender}"),
+            Step::Return => f.write_str("return"),
+            Step::Internal { tag } => write!(f, "internal:{tag}"),
+        }
+    }
+}
+
 /// One handler activation: an input event and everything it produced.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Activation {
     /// 1-based id of the process that was activated.
     pub process: usize,
-    /// What triggered it: `invoke`, `receive:<kind> from p<k>`, …
-    pub trigger: String,
-    /// Skeletons of the steps the activation emitted, in order
-    /// (`send:<kind>->p<k>`, `deliver:m<id>@p<k>`, `return`, …).
-    pub steps: Vec<String>,
+    /// What triggered it.
+    pub trigger: Trigger,
+    /// Skeletons of the steps the activation emitted, in order.
+    pub steps: Vec<Step>,
     /// Whether the activation changed the process state at all (a trigger
     /// that neither emits steps nor changes state is a dead handler path).
     pub state_changed: bool,
 }
 
-/// One `Deliver` step observed during the propagation probe.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DeliveryRecord {
-    /// 1-based id of the delivering process.
-    pub process: usize,
-    /// Raw id of the delivered message.
-    pub msg_id: u64,
-    /// 1-based id the delivery names as the message's broadcaster.
-    pub sender: usize,
+impl Activation {
+    /// The activation with every process id mapped through `sigma`: the
+    /// activated process, the trigger's sender, each send's destination and
+    /// each delivery's named broadcaster. Message kinds, message ids, k-SA
+    /// objects and tags are not process ids and stay as they are.
+    #[must_use]
+    pub fn renamed(mut self, sigma: impl Fn(usize) -> usize) -> Activation {
+        self.process = sigma(self.process);
+        if let Trigger::Receive { from, .. } = &mut self.trigger {
+            *from = sigma(*from);
+        }
+        for step in &mut self.steps {
+            if let Step::Send { to: p, .. } | Step::Deliver { sender: p, .. } = step {
+                *p = sigma(*p);
+            }
+        }
+        self
+    }
+}
+
+/// `p<process> <trigger> -> [<step>, …]`, the form a [`Divergence`] quotes.
+impl fmt::Display for Activation {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "p{} {} -> [", self.process, self.trigger)?;
+        for (i, step) in self.steps.iter().enumerate() {
+            let sep = if i == 0 { "" } else { ", " };
+            write!(f, "{sep}{step}")?;
+        }
+        f.write_str("]")
+    }
 }
 
 /// The solo probe's verdict for one process.
@@ -89,57 +187,34 @@ pub struct SoloProbe {
 pub struct Divergence {
     /// Index of the first differing activation.
     pub index: usize,
-    /// Summary of that activation in the first run.
+    /// That activation in the first run, as its `Display` form.
     pub left: String,
-    /// Summary of that activation in the second run (`<absent>` if the run
-    /// ended earlier).
+    /// That activation in the second run (`<absent>` if the run ended
+    /// earlier).
     pub right: String,
 }
 
 /// Everything the three probes observed about one algorithm.
 #[derive(Debug, Clone)]
 pub struct ProbeReport {
-    /// The algorithm's display name.
-    pub algorithm: String,
-    /// System size the probe ran with.
-    pub n: usize,
-    /// Message kinds sent, with the destinations each kind was sent to.
-    pub sends: BTreeMap<String, BTreeSet<usize>>,
-    /// Message kinds for which at least one *foreign* reception (receiver ≠
-    /// broadcaster) produced steps or changed state.
-    pub foreign_handled: BTreeSet<String>,
-    /// Message kinds delivered to at least one foreign receiver.
-    pub foreign_received: BTreeSet<String>,
-    /// Every activation of the propagation probe, in delivery order.
-    pub activations: Vec<Activation>,
-    /// Every `Deliver` step of the propagation probe.
-    pub deliveries: Vec<DeliveryRecord>,
+    /// The propagation probe from `p1`.
+    pub propagation: PropagationProbe,
     /// The solo probe, one entry per process.
     pub solo: Vec<SoloProbe>,
-    /// First divergence between the two differential runs, if any.
+    /// First divergence between the propagation probes from `p1` with the
+    /// two [`CONTENTS`], if any.
     pub divergence: Option<Divergence>,
 }
 
-/// Runs all three probes on `algo` in a system of `n` processes.
-///
-/// The two payload contents are arbitrary but distinct; a content-neutral
-/// algorithm cannot tell them apart.
+/// Runs all three probes on `algo`.
 #[must_use]
-pub fn probe_broadcast<B: BroadcastAlgorithm>(algo: &B, n: usize) -> ProbeReport {
-    let run_a = probe_propagation(algo, n, 1, Value::new(12));
-    let run_b = probe_propagation(algo, n, 1, Value::new(73));
-    let divergence = diff_activations(&run_a.activations, &run_b.activations);
-    let solo = (1..=n).map(|p| solo_probe(algo, n, p)).collect();
+pub fn probe_broadcast<B: BroadcastAlgorithm>(algo: &B) -> ProbeReport {
+    let propagation = probe_propagation(algo, 1, CONTENTS[0]);
+    let other = probe_propagation(algo, 1, CONTENTS[1]);
     ProbeReport {
-        algorithm: algo.name(),
-        n,
-        sends: run_a.sends,
-        foreign_handled: run_a.foreign_handled,
-        foreign_received: run_a.foreign_received,
-        activations: run_a.activations,
-        deliveries: run_a.deliveries,
-        solo,
-        divergence,
+        divergence: diff_activations(&propagation.activations, &other.activations),
+        solo: solo_probes(algo),
+        propagation,
     }
 }
 
@@ -158,70 +233,85 @@ fn kind_of(payload: &impl Debug) -> String {
     }
 }
 
-/// A content-elided rendering of one step.
-fn skeleton<M: Debug>(step: &BroadcastStep<M>) -> String {
-    match step {
-        BroadcastStep::Send { to, payload } => {
-            format!("send:{}->p{}", kind_of(payload), to.id())
+/// Runs every ready local step of `st` and hands each one to `emit`.
+///
+/// A proposal is answered at once by a mock first-proposal oracle: the
+/// first value proposed on an object, recorded in `oracle`, is its
+/// decision. The drain stops after 10,000 steps, which only a runaway loop
+/// reaches.
+pub fn drain<B: BroadcastAlgorithm>(
+    algo: &B,
+    st: &mut B::State,
+    oracle: &mut BTreeMap<KsaId, Value>,
+    mut emit: impl FnMut(BroadcastStep<B::Msg>),
+) {
+    for _ in 0..MAX_STEPS_PER_ACTIVATION {
+        let Some(step) = algo.next_step(st) else {
+            return;
+        };
+        if let BroadcastStep::Propose { obj, value } = step {
+            let decided = *oracle.entry(obj).or_insert(value);
+            algo.on_decide(st, obj, decided);
         }
-        BroadcastStep::Propose { obj, .. } => format!("propose:{obj}"),
-        BroadcastStep::Deliver { msg } => {
-            format!("deliver:m{}@p{}", msg.id.raw(), msg.sender.id())
-        }
-        BroadcastStep::ReturnBroadcast => "return".to_string(),
-        BroadcastStep::Internal { tag } => format!("internal:{tag}"),
+        emit(step);
     }
 }
 
-/// Drains every ready local step of process `p`, answering proposals from
-/// the mock oracle, capturing sends into `outbox`.
-struct Drained {
-    steps: Vec<String>,
-    returned: bool,
+/// An input event the probes feed a process.
+enum Input<M> {
+    /// `B.broadcast` of the probe's message `m0` with this content.
+    Invoke(Value),
+    /// The reception of a payload from a 1-based process id.
+    Receive(usize, M),
 }
 
-#[allow(clippy::too_many_arguments)]
-fn drain<B: BroadcastAlgorithm>(
+/// A captured send: `(destination, kind, payload)`.
+type Captured<M> = (usize, String, M);
+
+/// Feeds `input` to process `p` and drains it: the skeletons of the steps
+/// it emitted, and its sends in emission order.
+fn activate<B: BroadcastAlgorithm>(
     algo: &B,
     st: &mut B::State,
     p: usize,
+    input: Input<B::Msg>,
     oracle: &mut BTreeMap<KsaId, Value>,
-    outbox: &mut Vec<(usize, usize, B::Msg)>,
-    deliveries: &mut Vec<DeliveryRecord>,
-) -> Drained {
-    let mut out = Drained {
-        steps: Vec::new(),
-        returned: false,
-    };
-    for _ in 0..MAX_STEPS_PER_ACTIVATION {
-        let Some(step) = algo.next_step(st) else {
-            break;
-        };
-        out.steps.push(skeleton(&step));
-        match step {
-            BroadcastStep::Send { to, payload } => outbox.push((p, to.id(), payload)),
-            BroadcastStep::Propose { obj, value } => {
-                // Mock first-proposal oracle: the first value proposed on an
-                // object is its decision, answered synchronously.
-                let decided = *oracle.entry(obj).or_insert(value);
-                algo.on_decide(st, obj, decided);
-            }
-            BroadcastStep::Deliver { msg } => deliveries.push(DeliveryRecord {
-                process: p,
-                msg_id: msg.id.raw(),
-                sender: msg.sender.id(),
-            }),
-            BroadcastStep::ReturnBroadcast => out.returned = true,
-            BroadcastStep::Internal { .. } => {}
-        }
+) -> (Vec<Step>, Vec<Captured<B::Msg>>) {
+    match input {
+        Input::Invoke(content) => algo.on_invoke_broadcast(
+            st,
+            AppMessage {
+                id: MessageId::new(0),
+                content,
+                sender: ProcessId::new(p),
+            },
+        ),
+        Input::Receive(from, payload) => algo.on_receive(st, ProcessId::new(from), payload),
     }
-    out
+    let (mut steps, mut sends) = (Vec::new(), Vec::new());
+    drain(algo, st, oracle, |step| {
+        steps.push(match step {
+            BroadcastStep::Send { to, payload } => {
+                let kind = kind_of(&payload);
+                sends.push((to.id(), kind.clone(), payload));
+                Step::Send { kind, to: to.id() }
+            }
+            BroadcastStep::Propose { obj, .. } => Step::Propose { obj },
+            BroadcastStep::Deliver { msg } => Step::Deliver {
+                msg: msg.id.raw(),
+                sender: msg.sender.id(),
+            },
+            BroadcastStep::ReturnBroadcast => Step::Return,
+            BroadcastStep::Internal { tag } => Step::Internal { tag },
+        });
+    });
+    (steps, sends)
 }
 
 /// Everything one propagation probe observed, for one choice of
 /// broadcaster. The per-broadcaster entry point of `camp-lint`'s symmetry
-/// analysis: comparing these across broadcasters — after
-/// relabeling process ids — is its equivariance check.
+/// analysis: comparing these across broadcasters — after renaming process
+/// ids ([`Activation::renamed`]) — is its equivariance check.
 #[derive(Debug, Clone)]
 pub struct PropagationProbe {
     /// 1-based id of the process that invoked `B.broadcast`.
@@ -234,28 +324,41 @@ pub struct PropagationProbe {
     pub foreign_received: BTreeSet<String>,
     /// Every activation, in feed order.
     pub activations: Vec<Activation>,
-    /// Every `Deliver` step.
-    pub deliveries: Vec<DeliveryRecord>,
 }
 
-/// Invokes `B.broadcast` at `broadcaster` (1-based) and feeds each captured
-/// send to its destination, once per `(receiver, kind)`, breadth-first.
+impl PropagationProbe {
+    /// Every `Deliver` step, in feed order, as `(deliverer, message id,
+    /// named broadcaster)` with 1-based process ids.
+    pub fn deliveries(&self) -> impl Iterator<Item = (usize, u64, usize)> + '_ {
+        self.activations.iter().flat_map(|a| {
+            a.steps.iter().filter_map(move |step| match *step {
+                Step::Deliver { msg, sender } => Some((a.process, msg, sender)),
+                _ => None,
+            })
+        })
+    }
+}
+
+/// Invokes `B.broadcast` of `content` at `broadcaster` (1-based) and feeds
+/// each captured send to its destination, once per `(receiver, kind)`,
+/// breadth-first.
 ///
 /// # Panics
 ///
-/// Panics unless `1 <= broadcaster <= n`.
+/// Panics unless `1 <= broadcaster <= PROBE_N`.
 #[must_use]
 pub fn probe_propagation<B: BroadcastAlgorithm>(
     algo: &B,
-    n: usize,
     broadcaster: usize,
     content: Value,
 ) -> PropagationProbe {
     assert!(
-        (1..=n).contains(&broadcaster),
+        (1..=PROBE_N).contains(&broadcaster),
         "broadcaster must be a 1-based process id"
     );
-    let mut states: Vec<B::State> = (1..=n).map(|p| algo.init(ProcessId::new(p), n)).collect();
+    let mut states: Vec<B::State> = (1..=PROBE_N)
+        .map(|p| algo.init(ProcessId::new(p), PROBE_N))
+        .collect();
     let mut oracle = BTreeMap::new();
     let mut run = PropagationProbe {
         broadcaster,
@@ -263,93 +366,69 @@ pub fn probe_propagation<B: BroadcastAlgorithm>(
         foreign_handled: BTreeSet::new(),
         foreign_received: BTreeSet::new(),
         activations: Vec::new(),
-        deliveries: Vec::new(),
     };
-    let msg = AppMessage {
-        id: MessageId::new(0),
-        content,
-        sender: ProcessId::new(broadcaster),
-    };
-
-    let mut outbox: Vec<(usize, usize, B::Msg)> = Vec::new();
-    let before = format!("{:?}", states[broadcaster - 1]);
-    algo.on_invoke_broadcast(&mut states[broadcaster - 1], msg);
-    let d = drain(
-        algo,
-        &mut states[broadcaster - 1],
-        broadcaster,
-        &mut oracle,
-        &mut outbox,
-        &mut run.deliveries,
-    );
-    run.activations.push(Activation {
-        process: broadcaster,
-        trigger: "invoke".to_string(),
-        state_changed: before != format!("{:?}", states[broadcaster - 1]),
-        steps: d.steps,
-    });
-
-    let mut queue: VecDeque<(usize, usize, B::Msg)> = VecDeque::new();
+    // Captured sends not fed yet, `(from, to, kind, payload)`.
+    let mut queue = VecDeque::new();
     let mut seen: BTreeSet<(usize, String)> = BTreeSet::new();
-    let push_sends = |run: &mut PropagationProbe,
-                      queue: &mut VecDeque<(usize, usize, B::Msg)>,
-                      sends: Vec<(usize, usize, B::Msg)>| {
-        for (from, to, payload) in sends {
-            run.sends.entry(kind_of(&payload)).or_default().insert(to);
-            queue.push_back((from, to, payload));
-        }
-    };
-    push_sends(&mut run, &mut queue, outbox);
-
-    while let Some((from, to, payload)) = queue.pop_front() {
-        let kind = kind_of(&payload);
-        if !seen.insert((to, kind.clone())) {
-            continue;
-        }
-        if to != broadcaster {
-            run.foreign_received.insert(kind.clone());
-        }
-        let mut outbox = Vec::new();
-        let before = format!("{:?}", states[to - 1]);
-        algo.on_receive(&mut states[to - 1], ProcessId::new(from), payload);
-        let d = drain(
-            algo,
-            &mut states[to - 1],
-            to,
-            &mut oracle,
-            &mut outbox,
-            &mut run.deliveries,
-        );
-        let state_changed = before != format!("{:?}", states[to - 1]);
-        if to != broadcaster && (state_changed || !d.steps.is_empty()) {
-            run.foreign_handled.insert(kind.clone());
+    let mut next = Some((broadcaster, Trigger::Invoke, Input::Invoke(content)));
+    while let Some((p, trigger, input)) = next.take() {
+        let st = &mut states[p - 1];
+        let before = format!("{st:?}");
+        let (steps, sends) = activate(algo, st, p, input, &mut oracle);
+        let state_changed = before != format!("{st:?}");
+        if let Trigger::Receive { kind, .. } = &trigger {
+            if p != broadcaster && (state_changed || !steps.is_empty()) {
+                run.foreign_handled.insert(kind.clone());
+            }
         }
         run.activations.push(Activation {
-            process: to,
-            trigger: format!("receive:{kind} from p{from}"),
+            process: p,
+            trigger,
+            steps,
             state_changed,
-            steps: d.steps,
         });
-        push_sends(&mut run, &mut queue, outbox);
+        for (to, kind, payload) in sends {
+            run.sends.entry(kind.clone()).or_default().insert(to);
+            queue.push_back((p, to, kind, payload));
+        }
+        while let Some((from, to, kind, payload)) = queue.pop_front() {
+            if seen.insert((to, kind.clone())) {
+                if to != broadcaster {
+                    run.foreign_received.insert(kind.clone());
+                }
+                next = Some((
+                    to,
+                    Trigger::Receive { kind, from },
+                    Input::Receive(from, payload),
+                ));
+                break;
+            }
+        }
     }
     run
+}
+
+/// Runs the solo probe at every process.
+#[must_use]
+pub fn solo_probes<B: BroadcastAlgorithm>(algo: &B) -> Vec<SoloProbe> {
+    (1..=PROBE_N).map(|p| solo_probe(algo, p)).collect()
 }
 
 /// Invokes `B.broadcast` at `p` with every peer silent, delivering only its
 /// self-addressed sends; if it cannot return alone, feeds echoes of its own
 /// foreign-addressed messages back and counts them.
-fn solo_probe<B: BroadcastAlgorithm>(algo: &B, n: usize, p: usize) -> SoloProbe {
-    let mut st = algo.init(ProcessId::new(p), n);
+fn solo_probe<B: BroadcastAlgorithm>(algo: &B, p: usize) -> SoloProbe {
+    let mut st = algo.init(ProcessId::new(p), PROBE_N);
     let mut oracle = BTreeMap::new();
-    let mut deliveries = Vec::new();
-    let mut outbox = Vec::new();
-    let msg = AppMessage {
-        id: MessageId::new(0),
-        content: Value::new(12),
-        sender: ProcessId::new(p),
+    let mut feed = |st: &mut B::State, input| activate(algo, st, p, input, &mut oracle);
+    let delivers_own = |steps: &[Step]| {
+        steps
+            .iter()
+            .any(|step| matches!(step, Step::Deliver { msg: 0, .. }))
     };
-    algo.on_invoke_broadcast(&mut st, msg);
-    let mut returned = drain(algo, &mut st, p, &mut oracle, &mut outbox, &mut deliveries).returned;
+    let (steps, mut outbox) = feed(&mut st, Input::Invoke(CONTENTS[0]));
+    let mut returned_solo = steps.contains(&Step::Return);
+    let mut delivered_own_solo = delivers_own(&steps);
 
     // Deliver self-addressed sends to a fixpoint; keep foreign-addressed
     // payloads around as echo material.
@@ -358,19 +437,18 @@ fn solo_probe<B: BroadcastAlgorithm>(algo: &B, n: usize, p: usize) -> SoloProbe 
     while !outbox.is_empty() && budget > 0 {
         budget -= 1;
         let mut next = Vec::new();
-        for (from, to, payload) in outbox.drain(..) {
+        for (to, _, payload) in outbox.drain(..) {
             if to == p {
-                algo.on_receive(&mut st, ProcessId::new(from), payload);
-                returned |=
-                    drain(algo, &mut st, p, &mut oracle, &mut next, &mut deliveries).returned;
+                let (steps, sends) = feed(&mut st, Input::Receive(p, payload));
+                returned_solo |= steps.contains(&Step::Return);
+                delivered_own_solo |= delivers_own(&steps);
+                next.extend(sends);
             } else {
                 foreign_payloads.push((to, payload));
             }
         }
         outbox = next;
     }
-    let returned_solo = returned;
-    let delivered_own_solo = deliveries.iter().any(|d| d.msg_id == 0 && d.process == p);
 
     // Quorum measurement: echo the process's own messages back from their
     // addressees until it returns.
@@ -380,17 +458,13 @@ fn solo_probe<B: BroadcastAlgorithm>(algo: &B, n: usize, p: usize) -> SoloProbe 
         'measure: while echoes < MAX_ECHOES {
             for (addressee, payload) in foreign_payloads.clone() {
                 echoes += 1;
-                let mut next = Vec::new();
-                algo.on_receive(&mut st, ProcessId::new(addressee), payload);
-                if drain(algo, &mut st, p, &mut oracle, &mut next, &mut deliveries).returned {
+                let (steps, sends) = feed(&mut st, Input::Receive(addressee, payload));
+                if steps.contains(&Step::Return) {
                     foreign_needed = Some(echoes);
                     break 'measure;
                 }
-                for (_, to, payload) in next {
-                    if to != p {
-                        foreign_payloads.push((to, payload));
-                        break;
-                    }
+                if let Some((to, _, payload)) = sends.into_iter().find(|(to, ..)| *to != p) {
+                    foreign_payloads.push((to, payload));
                 }
                 if echoes >= MAX_ECHOES {
                     break 'measure;
@@ -411,22 +485,15 @@ fn solo_probe<B: BroadcastAlgorithm>(algo: &B, n: usize, p: usize) -> SoloProbe 
 /// engine's per-broadcaster content checks in `camp-lint`).
 #[must_use]
 pub fn diff_activations(a: &[Activation], b: &[Activation]) -> Option<Divergence> {
-    let absent = || "<absent>".to_string();
-    let summarize =
-        |x: &Activation| format!("p{} {} -> [{}]", x.process, x.trigger, x.steps.join(", "));
-    for i in 0..a.len().max(b.len()) {
-        match (a.get(i), b.get(i)) {
-            (Some(x), Some(y)) if x == y => continue,
-            (x, y) => {
-                return Some(Divergence {
-                    index: i,
-                    left: x.map(summarize).unwrap_or_else(absent),
-                    right: y.map(summarize).unwrap_or_else(absent),
-                })
-            }
-        }
-    }
-    None
+    let quote =
+        |x: Option<&Activation>| x.map_or_else(|| "<absent>".to_string(), ToString::to_string);
+    (0..a.len().max(b.len()))
+        .find(|&i| a.get(i) != b.get(i))
+        .map(|index| Divergence {
+            index,
+            left: quote(a.get(index)),
+            right: quote(b.get(index)),
+        })
 }
 
 #[cfg(test)]
@@ -530,10 +597,10 @@ mod tests {
 
     #[test]
     fn flood_probe_is_clean() {
-        let r = probe_broadcast(&Flood, 3);
+        let r = probe_broadcast(&Flood);
         assert!(r.divergence.is_none());
         assert_eq!(
-            r.foreign_received, r.foreign_handled,
+            r.propagation.foreign_received, r.propagation.foreign_handled,
             "every foreign reception does something"
         );
         for s in &r.solo {
@@ -544,9 +611,81 @@ mod tests {
 
     #[test]
     fn peeking_probe_diverges() {
-        let r = probe_broadcast(&Peeking, 3);
+        let r = probe_broadcast(&Peeking);
         let d = r.divergence.expect("content-dependent branch must show");
         assert!(d.left != d.right);
+    }
+
+    /// The certificates' `evidence` digests hash this text, so every
+    /// variant's rendering is pinned, and renaming must touch process ids
+    /// only: a kind named like a process id keeps its name. (A text
+    /// rewriter of `p<digits>` tokens turned `send:p2->p3` under the
+    /// rotation taking p2 to p1 into `send:p1->p2`.)
+    #[test]
+    fn records_render_their_text_and_rename_only_process_ids() {
+        let kind = |k: &str| k.to_string();
+        assert_eq!(Trigger::Invoke.to_string(), "invoke");
+        let receive = Trigger::Receive {
+            kind: kind("K"),
+            from: 2,
+        };
+        assert_eq!(receive.to_string(), "receive:K from p2");
+        let steps = [
+            Step::Send {
+                kind: kind("K"),
+                to: 3,
+            },
+            Step::Propose { obj: KsaId::new(0) },
+            Step::Deliver { msg: 0, sender: 1 },
+            Step::Return,
+            Step::Internal { tag: 7 },
+        ];
+        let text: Vec<String> = steps.iter().map(ToString::to_string).collect();
+        assert_eq!(
+            text,
+            [
+                "send:K->p3",
+                "propose:ksa0",
+                "deliver:m0@p1",
+                "return",
+                "internal:7"
+            ]
+        );
+        let activation = Activation {
+            process: 2,
+            trigger: receive,
+            steps: steps.to_vec(),
+            state_changed: true,
+        };
+        assert_eq!(
+            activation.to_string(),
+            "p2 receive:K from p2 -> [send:K->p3, propose:ksa0, deliver:m0@p1, return, internal:7]"
+        );
+
+        // The rotation taking p2 to p1 in a 3-process system.
+        let sigma = |x: usize| (x + 1) % 3 + 1;
+        let named_p2 = Activation {
+            process: 3,
+            trigger: Trigger::Receive {
+                kind: kind("p2"),
+                from: 2,
+            },
+            steps: vec![
+                Step::Send {
+                    kind: kind("p2"),
+                    to: 3,
+                },
+                Step::Deliver { msg: 2, sender: 2 },
+                Step::Propose { obj: KsaId::new(2) },
+                Step::Internal { tag: 2 },
+            ],
+            state_changed: false,
+        };
+        assert_eq!(
+            named_p2.renamed(sigma).to_string(),
+            "p2 receive:p2 from p1 -> [send:p2->p2, deliver:m2@p1, propose:ksa2, internal:2]"
+        );
+        assert_eq!(activation.clone().renamed(|x| x), activation);
     }
 
     #[test]

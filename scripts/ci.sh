@@ -75,10 +75,12 @@ cargo clippy --workspace --all-targets -- -D warnings
 # unconvicted; tier-1's tests/check.rs pins the whole report as
 # tests/golden/check.json. --certs writes the certificates the two engines
 # issue, the store that arms the model checker's renaming quotient and
-# widened sleep sets below.
+# widened sleep sets below; --metrics writes the run's camp-obs snapshot.
 echo "==> camp-lint check: S009 + graph, symmetry, dataflow engines (deny warnings)"
 certs_out="$PWD/target/ci.certs.json"
-cargo run --release -q -p camp-lint --bin camp-lint -- check --deny-warnings --certs "$certs_out"
+check_metrics="$PWD/target/ci.check.metrics.json"
+cargo run --release -q -p camp-lint --bin camp-lint -- check --deny-warnings \
+  --certs "$certs_out" --metrics "$check_metrics"
 
 # The written store must hold exactly the certificates the committed report
 # lists: every symmetry certificate and every independence certificate.
@@ -91,6 +93,28 @@ for kind, member, want in (("certs", "symmetry", 10), ("independence", "dataflow
     assert len(listed) == want, f"check.json lists {len(listed)} {member} certificates, expected {want}"
     assert store[kind] == listed, f"the store's {kind} differ from check.json's {member} certificates"
 print("certificate store: 10 symmetry + 6 independence certificates, as check.json lists")
+PY
+
+# The --metrics snapshot must count what the committed report holds: the
+# certificates issued, the algorithms each engine judged and its errors.
+echo "==> camp-lint check --metrics: the snapshot counts what check.json holds"
+python3 - "$check_metrics" tests/golden/check.json <<'PY'
+import json, sys
+snapshot, report = (json.load(open(path)) for path in sys.argv[1:])
+assert snapshot["schema"] == "camp-obs/v2", f"schema {snapshot['schema']!r}"
+counters = snapshot["counters"]
+for engine, judged, errors in (("graph", "algorithms_probed", 10),
+                               ("symmetry", "algorithms_probed", 7),
+                               ("dataflow", "algorithms_analyzed", 4)):
+    member = report[engine]
+    assert len(member["algorithms"]) == 13, f"check.json's {engine} judges {len(member['algorithms'])} algorithms"
+    assert member["errors"] == errors, f"check.json's {engine} has {member['errors']} errors, expected {errors}"
+    assert counters[f"lint.{engine}.{judged}"] == 13, f"lint.{engine}.{judged}"
+    assert counters[f"lint.{engine}.errors"] == errors, f"lint.{engine}.errors"
+for engine, want in (("symmetry", 10), ("dataflow", 6)):
+    assert len(report[engine]["certs"]) == want, f"check.json lists {len(report[engine]['certs'])} {engine} certificates"
+    assert counters[f"lint.{engine}.certs_issued"] == want, f"lint.{engine}.certs_issued"
+print("check metrics: 13 algorithms per engine; errors 10/7/4; 10 + 6 certificates issued")
 PY
 
 # A misspelt flag must not run a check that silently ignores it.
@@ -222,7 +246,7 @@ diff -u results/tables.txt "$tables_out" \
   || { echo "tables all drifted from results/tables.txt; regenerate with scripts/regen-goldens.sh" >&2; exit 1; }
 echo "tables all matches results/tables.txt"
 
-echo "==> metrics goldens: camp-lint check --metrics matches tests/golden"
+echo "==> metrics goldens: the figure-1 exploration snapshot matches tests/golden"
 cargo test -q --release -p campkit --test metrics
 
 echo "==> independence differential: lint-issued certs vs plain engine (release)"
