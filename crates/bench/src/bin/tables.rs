@@ -1,9 +1,11 @@
 //! Experiment tables: regenerates the paper's Figure 1 and every derived
 //! experiment of `EXPERIMENTS.md`.
 //!
-//! Usage: `tables [f1|lemmas|thm1|symmetry|boundaries|modelcheck|timeline|all]
-//! [--metrics OUT.json] [--progress] [--from TRACE.json]
-//! [--trace-out TRACE.json]` (default: `all`).
+//! Usage: `tables [f1|lemmas|thm1|symmetry|boundaries|modelcheck|complexity|shm|timeline|all]
+//! [--metrics OUT.json] [--progress] [--from TRACE.json | --trace-out TRACE.json]`
+//! (default: `all`). One table at a time; only `timeline` and `all` take
+//! `--from` or `--trace-out`, and never both. Any other command line exits
+//! 2 with the usage text.
 //!
 //! `--metrics` writes a `camp-obs/v2` snapshot of the counters, histograms,
 //! and timelines recorded by the instrumented tables (`f1`, `modelcheck`,
@@ -43,53 +45,98 @@ use camp_trace::{
 };
 use serde::Json;
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut table: Option<String> = None;
-    let mut metrics: Option<String> = None;
-    let mut from: Option<String> = None;
-    let mut trace_out: Option<String> = None;
-    let mut progress = false;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--progress" => progress = true,
-            "--metrics" => match it.next() {
-                Some(p) => metrics = Some(p.clone()),
-                None => {
-                    eprintln!("--metrics needs a file argument");
-                    std::process::exit(2);
-                }
-            },
-            "--from" => match it.next() {
-                Some(p) => from = Some(p.clone()),
-                None => {
-                    eprintln!("--from needs a Chrome-trace JSON file argument");
-                    std::process::exit(2);
-                }
-            },
-            "--trace-out" => match it.next() {
-                Some(p) => trace_out = Some(p.clone()),
-                None => {
-                    eprintln!("--trace-out needs a file argument");
-                    std::process::exit(2);
-                }
-            },
-            other if other.starts_with("--") => {
-                eprintln!(
-                    "unknown flag `{other}`; flags: --metrics OUT.json, --progress, \
-                     --from TRACE.json, --trace-out TRACE.json"
-                );
-                std::process::exit(2);
+const USAGE: &str =
+    "usage: tables [f1|lemmas|thm1|symmetry|boundaries|modelcheck|complexity|shm|timeline|all]
+              [--metrics OUT.json] [--progress] [--from TRACE.json | --trace-out TRACE.json]
+  one table at a time (default: all); --from and --trace-out pick the timeline's
+  source, so only timeline and all take them";
+
+/// The table names, `all` last.
+const TABLES: &[&str] = &[
+    "f1",
+    "lemmas",
+    "thm1",
+    "symmetry",
+    "boundaries",
+    "modelcheck",
+    "complexity",
+    "shm",
+    "timeline",
+    "all",
+];
+
+/// A checked command line.
+#[derive(Debug, PartialEq, Eq)]
+struct Args<'a> {
+    table: &'a str,
+    metrics: Option<&'a str>,
+    from: Option<&'a str>,
+    trace_out: Option<&'a str>,
+    progress: bool,
+}
+
+/// Checks the command line (without the program name): at most one table,
+/// known flags with their values, and the timeline's source flags only
+/// where a timeline is rendered, one of them at most.
+fn parse<'a>(argv: &[&'a str]) -> Result<Args<'a>, String> {
+    let mut table = None;
+    let (mut metrics, mut from, mut trace_out, mut progress) = (None, None, None, false);
+    let mut it = argv.iter();
+    while let Some(&arg) = it.next() {
+        let slot = match arg {
+            "--progress" => {
+                progress = true;
+                continue;
             }
-            other => table = Some(other.to_string()),
+            "--metrics" => &mut metrics,
+            "--from" => &mut from,
+            "--trace-out" => &mut trace_out,
+            flag if flag.starts_with("--") => return Err(format!("unknown flag `{flag}`")),
+            name if TABLES.contains(&name) => {
+                if let Some(first) = table.replace(name) {
+                    return Err(format!("one table at a time, got `{first}` and `{name}`"));
+                }
+                continue;
+            }
+            name => return Err(format!("unknown table `{name}`")),
+        };
+        let value = it
+            .next()
+            .ok_or_else(|| format!("{arg} needs a file argument"))?;
+        if slot.replace(*value).is_some() {
+            return Err(format!("{arg} given twice"));
         }
     }
+    let table = table.unwrap_or("all");
+    if from.is_some() && trace_out.is_some() {
+        return Err("--from and --trace-out are two sources for one timeline".to_string());
+    }
+    if (from.is_some() || trace_out.is_some()) && !matches!(table, "timeline" | "all") {
+        return Err(format!(
+            "`{table}` renders no timeline, so it takes neither --from nor --trace-out"
+        ));
+    }
+    Ok(Args {
+        table,
+        metrics,
+        from,
+        trace_out,
+        progress,
+    })
+}
+
+fn main() {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let argv: Vec<&str> = argv.iter().map(String::as_str).collect();
+    let args = parse(&argv).unwrap_or_else(|e| {
+        eprintln!("tables: {e}\n{USAGE}");
+        std::process::exit(2);
+    });
     let mut obs = Obs::new();
-    if progress {
+    if args.progress {
         obs = obs.with_progress("tables");
     }
-    match table.as_deref().unwrap_or("all") {
+    match args.table {
         "f1" => figure1(&mut obs),
         "lemmas" => lemmas(),
         "thm1" => thm1(),
@@ -98,7 +145,7 @@ fn main() {
         "modelcheck" => modelcheck(&mut obs),
         "complexity" => complexity(),
         "shm" => shm(),
-        "timeline" => timeline_table(&mut obs, from.as_deref(), trace_out.as_deref()),
+        "timeline" => timeline_table(&mut obs, args.from, args.trace_out),
         "all" => {
             figure1(&mut obs);
             lemmas();
@@ -108,16 +155,13 @@ fn main() {
             modelcheck(&mut obs);
             complexity();
             shm();
-            timeline_table(&mut obs, from.as_deref(), trace_out.as_deref());
+            timeline_table(&mut obs, args.from, args.trace_out);
         }
-        other => {
-            eprintln!("unknown table `{other}`; use f1|lemmas|thm1|symmetry|boundaries|modelcheck|complexity|shm|timeline|all");
-            std::process::exit(2);
-        }
+        other => unreachable!("parse admits only known tables, not `{other}`"),
     }
     obs.finish_progress();
-    if let Some(path) = metrics {
-        if let Err(e) = std::fs::write(&path, obs.snapshot().to_json_string()) {
+    if let Some(path) = args.metrics {
+        if let Err(e) = std::fs::write(path, obs.snapshot().to_json_string()) {
             eprintln!("tables: cannot write metrics to {path}: {e}");
             std::process::exit(2);
         }
@@ -1279,4 +1323,47 @@ fn shm() {
     );
     println!("                 the withholding power that shared memory denies the adversary is exactly what");
     println!("                 makes k-SA characterizable by k-BO broadcast in one model and not the other.");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn one_table_with_its_flags_parses() {
+        let parsed = parse(&["timeline", "--trace-out", "t.json", "--progress"]).unwrap();
+        let want = Args {
+            table: "timeline",
+            metrics: None,
+            from: None,
+            trace_out: Some("t.json"),
+            progress: true,
+        };
+        assert_eq!(parsed, want);
+        assert_eq!(parse(&[]).unwrap().table, "all");
+        assert_eq!(parse(&["--from", "a.json"]).unwrap().from, Some("a.json"));
+        assert_eq!(
+            parse(&["f1", "--metrics", "m.json"]).unwrap().metrics,
+            Some("m.json")
+        );
+    }
+
+    /// The first five of these used to run, silently dropping part of the
+    /// command line: a second table, a source flag, one of two sources, the
+    /// first `--metrics`.
+    #[test]
+    fn arguments_the_tables_would_ignore_are_rejected() {
+        for argv in [
+            &["f1", "lemmas"][..],
+            &["lemmas", "--from", "a.json"],
+            &["f1", "--trace-out", "t.json"],
+            &["timeline", "--from", "a.json", "--trace-out", "t.json"],
+            &["all", "--metrics", "a.json", "--metrics", "b.json"],
+            &["--metrics"],
+            &["fig1"],
+            &["--table"],
+        ] {
+            assert!(parse(argv).is_err(), "{argv:?} parsed");
+        }
+    }
 }

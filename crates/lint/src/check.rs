@@ -13,9 +13,10 @@ use camp_sim::canonical::CertStore;
 use serde::Serialize;
 
 use crate::dataflow::{dataflow_check, DataflowReport};
-use crate::graph::{graph_check, GraphReport};
+use crate::graph::{Graph, GraphReport};
 use crate::source::{scan_workspace, SourceReport};
-use crate::symmetry::{symmetry_check, SymmetryReport};
+use crate::symmetry::{Symmetry, SymmetryReport};
+use crate::walk::{walk, ProbeMemo};
 
 /// The combined report of `camp-lint check`: the source pass, the
 /// protocol-graph, symmetry, and dataflow engines, and the acceptance
@@ -74,7 +75,8 @@ pub fn cert_store(symmetry: &SymmetryReport, dataflow: &DataflowReport) -> CertS
 }
 
 /// Runs all four engines over the workspace at `root` and joins the
-/// verdicts.
+/// verdicts. The symmetry engine judges the probe records the graph engine
+/// made, so with `timings` the probes count as graph time.
 ///
 /// With `timings: false` (the default), the per-crate and per-pass wall
 /// times are omitted and the report is a pure function of the sources, so
@@ -86,8 +88,9 @@ pub fn cert_store(symmetry: &SymmetryReport, dataflow: &DataflowReport) -> CertS
 /// cause is `root` not being the workspace root.
 pub fn check_workspace(root: &Path, timings: bool) -> io::Result<CheckReport> {
     let source = scan_workspace(root, timings)?;
-    let graph = graph_check(root, timings)?;
-    let symmetry = symmetry_check(root, timings)?;
+    let mut probes = ProbeMemo::new();
+    let graph = walk(root, timings, Graph(&mut probes))?;
+    let symmetry = walk(root, timings, Symmetry(&mut probes))?;
     let dataflow = dataflow_check(root, timings)?;
     // "Healthy clean" spans all engines: no source findings anywhere, no
     // graph, symmetry, or dataflow findings against algorithms not

@@ -3,9 +3,9 @@
 //!
 //! The fourth engine of `camp-lint check`. The other engines judge
 //! *behaviour* (probe runs) or *tokens* (the lexical `S009`); this engine sits
-//! between: it parses each registered algorithm's handlers into token trees
-//! ([`crate::source::tree`]) and runs three intra-procedural analyses over
-//! every `impl BroadcastAlgorithm` block:
+//! between: it reads the handlers as the token trees ([`crate::source::tree`])
+//! the registry walk parsed once per file, and runs three intra-procedural
+//! analyses over every `impl BroadcastAlgorithm` block:
 //!
 //! 1. **Threshold extraction** (`S040`–`S042`): every comparison in a
 //!    handler branch condition whose one side mentions `st.n` is normalized
@@ -62,10 +62,10 @@ use camp_trace::{MessageId, ProcessId};
 use serde::Serialize;
 
 use crate::diagnostics::Severity;
-use crate::source::lexer::{self, adjacent, Token};
-use crate::source::tree::{self, FnDef, ImplBlock};
+use crate::source::lexer::{adjacent, Token};
+use crate::source::tree::{self, is_ident, FnDef, ImplBlock};
 use crate::source::SourceDiagnostic;
-use crate::walk::{rule_error, walk, Engine, Registered, Rules};
+use crate::walk::{rule_error, walk, Engine, Registered, Rules, Walk};
 
 /// Metadata for the dataflow rules, mirrored by `camp-lint rules`.
 pub const DATAFLOW_RULES: &[(&str, &str, &str)] = &[
@@ -198,8 +198,9 @@ impl Footprint {
     }
 }
 
-/// The result of the purely static half of the engine on one struct.
-#[derive(Debug)]
+/// The result of the purely static half of the engine on one struct: the
+/// default when no `impl BroadcastAlgorithm` block was found.
+#[derive(Debug, Default)]
 pub(crate) struct StaticAnalysis {
     /// Was an `impl BroadcastAlgorithm for <struct>` block found at all?
     pub(crate) found_impl: bool,
@@ -218,12 +219,6 @@ pub(crate) struct StaticAnalysis {
 // ---------------------------------------------------------------------------
 // token helpers
 // ---------------------------------------------------------------------------
-
-fn is_ident(text: &str) -> bool {
-    text.chars()
-        .next()
-        .is_some_and(|c| c.is_alphabetic() || c == '_')
-}
 
 fn is_segment(text: &str) -> bool {
     is_ident(text) || text.chars().all(|c| c.is_ascii_digit())
@@ -741,9 +736,6 @@ impl Analyzer<'_> {
             {
                 continue; // `==`
             }
-            if i + 2 >= 1 && adjacent(&body[i + 2], eq) {
-                // field immediately glued to `=`? impossible for idents; keep going
-            }
             let mut end = i + 4;
             while end < body.len() && text(&body, end) != ";" {
                 end += 1;
@@ -1105,29 +1097,18 @@ fn drained_fields(imp: &ImplBlock) -> BTreeSet<String> {
     out
 }
 
-/// Runs the purely static half of the engine on one struct in one source
-/// text. Public within the crate so fixture tests can drive it without
-/// touching the registry.
-pub(crate) fn analyze_source(
+/// Runs the purely static half of the engine on one struct, given the
+/// impl blocks of its source `file`.
+fn analyze_impls(
     file: &str,
-    source: &str,
+    impls: &[ImplBlock],
     struct_name: &str,
     wait_free: bool,
 ) -> StaticAnalysis {
-    let scanned = lexer::scan(source);
-    let forest = tree::parse(&scanned.tokens);
-    let impls = tree::impl_blocks(&forest);
     let Some(main) = impls.iter().find(|b| {
         b.trait_name.as_deref() == Some("BroadcastAlgorithm") && b.type_name == struct_name
     }) else {
-        return StaticAnalysis {
-            found_impl: false,
-            handlers_analyzed: 0,
-            receives_commute: false,
-            invoke_commutes: false,
-            footprint: String::new(),
-            diagnostics: Vec::new(),
-        };
+        return StaticAnalysis::default();
     };
     let helpers: BTreeMap<String, &FnDef> = main
         .assoc_state
@@ -1436,37 +1417,41 @@ impl DataflowReport {
 ///
 /// Propagates I/O errors from reading the registered source files.
 pub fn dataflow_check(root: &Path, timings: bool) -> io::Result<DataflowReport> {
-    let mut engine = Dataflow { certs: Vec::new() };
-    let walk = walk(root, timings, &mut engine)?;
-    engine.certs.sort_by(|a, b| a.algorithm.cmp(&b.algorithm));
-    Ok(DataflowReport {
-        rules_checked: walk.rules_checked,
-        errors: walk.errors,
-        warnings: walk.warnings,
-        algorithms: walk.algorithms,
-        certs: engine.certs,
-        millis: walk.millis,
-    })
+    walk(root, timings, Dataflow)
 }
 
-/// The dataflow engine, with the certificates it issued so far.
-struct Dataflow {
-    certs: Vec<IndependenceCert>,
-}
+/// The dataflow engine.
+struct Dataflow;
 
 impl Engine for Dataflow {
     const RULES: Rules = DATAFLOW_RULES;
-    type Verdict = AlgoDataflow;
+    /// The algorithm's outcome, and its certificate if it earned one.
+    type Verdict = (AlgoDataflow, Option<IndependenceCert>);
+    type Report = DataflowReport;
 
-    fn diagnostics(verdict: &AlgoDataflow) -> &[SourceDiagnostic] {
+    fn diagnostics((verdict, _): &Self::Verdict) -> &[SourceDiagnostic] {
         &verdict.diagnostics
+    }
+
+    fn report(self, walk: Walk<Self::Verdict>) -> DataflowReport {
+        let (algorithms, certs): (Vec<_>, Vec<_>) = walk.algorithms.into_iter().unzip();
+        let mut certs: Vec<IndependenceCert> = certs.into_iter().flatten().collect();
+        certs.sort_by(|a, b| a.algorithm.cmp(&b.algorithm));
+        DataflowReport {
+            rules_checked: walk.rules_checked,
+            errors: walk.errors,
+            warnings: walk.warnings,
+            algorithms,
+            certs,
+            millis: walk.millis,
+        }
     }
 
     /// Applies the `S04x` rules to one algorithm, and certifies it if its
     /// receives commute.
-    fn judge<B: BroadcastAlgorithm>(&mut self, at: &Registered<'_>, algo: &B) -> AlgoDataflow {
+    fn judge<B: BroadcastAlgorithm>(&mut self, at: &Registered<'_>, algo: &B) -> Self::Verdict {
         let spec = &at.spec;
-        let sa = analyze_source(spec.file, at.source, spec.struct_name, spec.wait_free);
+        let sa = analyze_impls(spec.file, at.file.impls(), spec.struct_name, spec.wait_free);
         let mut diagnostics = sa.diagnostics;
         let mut receives_commute = sa.found_impl && sa.receives_commute;
 
@@ -1490,17 +1475,15 @@ impl Engine for Dataflow {
         diagnostics.sort_by(|a, b| (a.line, a.col, &a.code).cmp(&(b.line, b.col, &b.code)));
         let has_errors = diagnostics.iter().any(|d| d.severity == Severity::Error);
         let certified = receives_commute && !has_errors;
-        if certified {
-            self.certs.push(IndependenceCert {
-                schema: INDEPENDENCE_CERT_SCHEMA.to_string(),
-                algorithm: spec.name.to_string(),
-                handlers_analyzed: sa.handlers_analyzed,
-                receives_commute: true,
-                invoke_commutes: sa.invoke_commutes,
-                evidence: sa.footprint,
-            });
-        }
-        AlgoDataflow {
+        let cert = certified.then(|| IndependenceCert {
+            schema: INDEPENDENCE_CERT_SCHEMA.to_string(),
+            algorithm: spec.name.to_string(),
+            handlers_analyzed: sa.handlers_analyzed,
+            receives_commute: true,
+            invoke_commutes: sa.invoke_commutes,
+            evidence: sa.footprint,
+        });
+        let verdict = AlgoDataflow {
             name: spec.name.to_string(),
             expected_faulty: at.expected_faulty,
             claims_wait_free: spec.wait_free,
@@ -1509,16 +1492,30 @@ impl Engine for Dataflow {
             invoke_commutes: certified && sa.invoke_commutes,
             certified,
             diagnostics,
-        }
+        };
+        (verdict, cert)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::source::lexer;
+    use crate::walk::SourceFile;
 
     fn workspace_root() -> std::path::PathBuf {
         std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
+    }
+
+    /// The static half on `struct_name`, parsing `source` as the walk does.
+    fn analyze_text(
+        file: &'static str,
+        source: &str,
+        struct_name: &str,
+        wait_free: bool,
+    ) -> StaticAnalysis {
+        let lexed = SourceFile::lex(source);
+        analyze_impls(file, lexed.impls(), struct_name, wait_free)
     }
 
     /// Wraps a receive-handler body (and optional extra items) into a
@@ -1542,7 +1539,7 @@ mod tests {
     }
 
     fn analyze(receive_body: &str, extra: &str) -> StaticAnalysis {
-        analyze_source("fixture.rs", &fixture(receive_body, extra), "Fx", true)
+        analyze_text("fixture.rs", &fixture(receive_body, extra), "Fx", true)
     }
 
     fn codes(sa: &StaticAnalysis) -> Vec<&str> {
@@ -1588,7 +1585,7 @@ mod tests {
         assert!(codes(&sa).is_empty(), "{:?}", sa.diagnostics);
         // Without the wait_free claim, a quorum guard is honest.
         let src = fixture("if st.acks >= st.n / 2 + 1 { st.queue.push(x); }", "");
-        let sa = analyze_source("fixture.rs", &src, "Fx", false);
+        let sa = analyze_text("fixture.rs", &src, "Fx", false);
         assert!(codes(&sa).is_empty(), "{:?}", sa.diagnostics);
     }
 
@@ -1641,7 +1638,7 @@ mod tests {
         let source = std::fs::read_to_string(root.join("crates/broadcast/src/faulty.rs"))
             .expect("faulty.rs exists");
         // The static half alone convicts — no probe execution involved.
-        let sa = analyze_source(
+        let sa = analyze_text(
             "crates/broadcast/src/faulty.rs",
             &source,
             "QuorumBlocking",
@@ -1668,7 +1665,7 @@ mod tests {
         let root = workspace_root();
         let source = std::fs::read_to_string(root.join("crates/broadcast/src/faulty.rs"))
             .expect("faulty.rs exists");
-        let sa = analyze_source(
+        let sa = analyze_text(
             "crates/broadcast/src/faulty.rs",
             &source,
             "ContentGated",
@@ -1685,7 +1682,7 @@ mod tests {
         let root = workspace_root();
         let source = std::fs::read_to_string(root.join("crates/broadcast/src/fifo.rs"))
             .expect("fifo.rs exists");
-        let sa = analyze_source(
+        let sa = analyze_text(
             "crates/broadcast/src/fifo.rs",
             &source,
             "FifoBroadcast",

@@ -1,10 +1,11 @@
-//! The static protocol-graph engine: `S02x` rules over probe reports.
+//! The static protocol-graph engine: `S02x` rules over probe records.
 //!
 //! The second engine of `camp-lint check`. Where the source pass
 //! ([`crate::source`]) reads the *text* of protocol code, this engine reads
 //! its *behaviour in the abstract*: each registered broadcast algorithm is
-//! driven once through `camp_sim::probe` — opaque differential payloads, a
-//! mock network that records instead of delivering — and the resulting
+//! probed once into a `camp_sim::probe::ProbeRecord`, which the symmetry
+//! engine judges too — opaque differential payloads, a mock network that
+//! records instead of delivering — and the broadcaster-`p1` run's
 //! message-kind send/handle graph is checked against the shape every
 //! correct broadcast must have in the paper's wait-free model:
 //!
@@ -35,13 +36,13 @@ use std::collections::BTreeMap;
 use std::io;
 use std::path::Path;
 
-use camp_sim::probe::probe_broadcast;
+use camp_sim::probe::{ProbeRecord, Trigger};
 use camp_sim::BroadcastAlgorithm;
 use serde::Serialize;
 
 use crate::diagnostics::Severity;
 use crate::source::SourceDiagnostic;
-use crate::walk::{walk, Engine, Registered, Rules};
+use crate::walk::{walk, Engine, ProbeMemo, Registered, Rules, Walk};
 
 /// Metadata for the graph rules, mirrored by `camp-lint rules`.
 pub const GRAPH_RULES: &[(&str, &str, &str)] = &[
@@ -180,36 +181,51 @@ impl GraphReport {
 /// Propagates I/O errors from reading the registered source files (the
 /// anchors must exist for the diagnostics to be honest).
 pub fn graph_check(root: &Path, timings: bool) -> io::Result<GraphReport> {
-    let walk = walk(root, timings, &mut Graph)?;
-    Ok(GraphReport {
-        rules_checked: walk.rules_checked,
-        errors: walk.errors,
-        warnings: walk.warnings,
-        algorithms: walk.algorithms,
-        millis: walk.millis,
-    })
+    walk(root, timings, Graph(&mut ProbeMemo::new()))
 }
 
-/// The protocol-graph engine.
-struct Graph;
+/// The protocol-graph engine; it leaves each probe record in its memo.
+pub(crate) struct Graph<'m>(pub(crate) &'m mut ProbeMemo);
 
-impl Engine for Graph {
+impl Engine for Graph<'_> {
     const RULES: Rules = GRAPH_RULES;
     type Verdict = AlgoGraph;
+    type Report = GraphReport;
 
     fn diagnostics(verdict: &AlgoGraph) -> &[SourceDiagnostic] {
         &verdict.diagnostics
     }
 
-    /// Applies the `S02x` rules to the algorithm's probe report.
+    fn report(self, walk: Walk<AlgoGraph>) -> GraphReport {
+        GraphReport {
+            rules_checked: walk.rules_checked,
+            errors: walk.errors,
+            warnings: walk.warnings,
+            algorithms: walk.algorithms,
+            millis: walk.millis,
+        }
+    }
+
+    /// Applies the `S02x` rules to the algorithm's probe record: the runs
+    /// from `p1` and the solo probes.
     fn judge<B: BroadcastAlgorithm>(&mut self, at: &Registered<'_>, algo: &B) -> AlgoGraph {
-        let probe = probe_broadcast(algo);
-        let run = &probe.propagation;
+        let probe = (self.0)
+            .entry(at.spec.name)
+            .or_insert_with(|| ProbeRecord::of(algo));
+        let [run, _] = &probe.runs[0];
         let mut diagnostics = Vec::new();
         let mut raise = |code: &str, message: String| diagnostics.push(at.finding(code, message));
 
-        // S020: kinds received by foreign processes whose receptions all no-op.
-        for kind in run.foreign_received.difference(&run.foreign_handled) {
+        // S020: kinds whose foreign receptions all no-op (no step, no change).
+        let mut handled: BTreeMap<&str, bool> = BTreeMap::new();
+        for a in &run.activations {
+            if let Trigger::Receive { kind, .. } = &a.trigger {
+                if a.process != run.broadcaster {
+                    *handled.entry(kind).or_default() |= a.state_changed || !a.steps.is_empty();
+                }
+            }
+        }
+        for (kind, _) in handled.iter().filter(|&(_, &h)| !h) {
             raise(
                 "S020",
                 format!(
@@ -282,7 +298,7 @@ impl Engine for Graph {
         }
 
         // S025: differential control flow.
-        if let Some(div) = &probe.divergence {
+        if let Some(div) = probe.divergence(1) {
             raise(
                 "S025",
                 format!(

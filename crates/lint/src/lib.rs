@@ -18,9 +18,13 @@
 //!   states together with the exposing schedule;
 //! * the **static check** ([`check_workspace`]) — runs no schedule: the
 //!   `S009` source rule ([`source`]) plus three behavioural engines that
-//!   probe every registered algorithm ([`graph`], [`symmetry`],
+//!   judge every registered algorithm ([`graph`], [`symmetry`],
 //!   [`dataflow`]), the last two issuing the certificates ([`cert_store`])
 //!   that arm `camp-modelcheck`'s renaming quotient and widened sleep sets.
+//!   One registry walk per engine reads and lexes each registered source
+//!   file once (only dataflow's parses it); the graph and symmetry engines
+//!   judge one `camp_sim::probe::ProbeRecord` per algorithm, which `check`
+//!   runs once for both.
 //!
 //! Everything is also available from the `camp-lint` command-line binary:
 //!

@@ -25,6 +25,7 @@ use camp_obs::clock::Stopwatch;
 use serde::Serialize;
 
 use crate::diagnostics::Severity;
+use crate::walk::rule_error;
 
 pub use rules::SOURCE_RULES;
 
@@ -154,12 +155,6 @@ impl SourceReport {
         ));
         out
     }
-
-    /// The report as a JSON document (pretty-printed, stable field order).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("report serialization is infallible")
-    }
 }
 
 /// The outcome of linting one file in isolation (the unit-test entry point).
@@ -175,18 +170,9 @@ pub struct FileOutcome {
 #[must_use]
 pub fn lint_source(file: &str, source: &str) -> FileOutcome {
     let scanned = lexer::scan(source);
-    let (code, name, _) = SOURCE_RULES[0];
     let diagnostics = rules::payload_inspection(&scanned.tokens)
         .into_iter()
-        .map(|finding| SourceDiagnostic {
-            code: code.to_string(),
-            name: name.to_string(),
-            severity: Severity::Error,
-            message: finding.message,
-            file: file.to_string(),
-            line: finding.line,
-            col: finding.col,
-        })
+        .map(|f| rule_error(SOURCE_RULES, "S009", file, (f.line, f.col), f.message))
         .collect();
     FileOutcome {
         diagnostics,

@@ -171,7 +171,8 @@ impl ImplBlock {
     }
 }
 
-fn is_ident(text: &str) -> bool {
+/// Does `text` start like an identifier?
+pub(crate) fn is_ident(text: &str) -> bool {
     text.chars()
         .next()
         .is_some_and(|c| c.is_alphabetic() || c == '_')

@@ -2,8 +2,8 @@
 //! that license renaming-quotient canonicalization in `camp-modelcheck`.
 //!
 //! The third engine of `camp-lint check`. The protocol-graph engine
-//! ([`crate::graph`]) probes each algorithm from a *single* broadcaster
-//! (`p1`); this engine re-runs the propagation probe **once per
+//! ([`crate::graph`]) reads an algorithm's probe record from a *single*
+//! broadcaster (`p1`); this engine reads its propagation probe from **every
 //! broadcaster** and compares the resulting profiles after renaming the
 //! process ids of the typed probe records
 //! ([`camp_sim::probe::Activation::renamed`]) through the rotation that
@@ -47,15 +47,13 @@ use std::io;
 use std::path::Path;
 
 use camp_sim::canonical::{digest, SymmetryCert, CERT_SCHEMA};
-use camp_sim::probe::{
-    diff_activations, probe_propagation, solo_probes, PropagationProbe, CONTENTS, PROBE_N,
-};
+use camp_sim::probe::{ProbeRecord, PropagationProbe, PROBE_N};
 use camp_sim::BroadcastAlgorithm;
 use serde::Serialize;
 
 use crate::diagnostics::Severity;
 use crate::source::SourceDiagnostic;
-use crate::walk::{walk, Engine, Registered, Rules};
+use crate::walk::{walk, Engine, ProbeMemo, Registered, Rules, Walk};
 
 /// Metadata for the symmetry rules, mirrored by `camp-lint rules`.
 pub const SYMMETRY_RULES: &[(&str, &str, &str)] = &[
@@ -203,17 +201,7 @@ impl SymmetryReport {
 /// Propagates I/O errors from reading the registered source files (the
 /// anchors must exist for the diagnostics to be honest).
 pub fn symmetry_check(root: &Path, timings: bool) -> io::Result<SymmetryReport> {
-    let mut engine = Symmetry { certs: Vec::new() };
-    let walk = walk(root, timings, &mut engine)?;
-    engine.certs.sort_by(|a, b| a.algorithm.cmp(&b.algorithm));
-    Ok(SymmetryReport {
-        rules_checked: walk.rules_checked,
-        errors: walk.errors,
-        warnings: walk.warnings,
-        algorithms: walk.algorithms,
-        certs: engine.certs,
-        millis: walk.millis,
-    })
+    walk(root, timings, Symmetry(&mut ProbeMemo::new()))
 }
 
 /// The rotation that maps broadcaster `b` to `p1`:
@@ -282,32 +270,47 @@ fn profile_text(p: &Profile) -> String {
     )
 }
 
-/// The symmetry engine, with the certificates it issued so far.
-struct Symmetry {
-    certs: Vec<SymmetryCert>,
-}
+/// The symmetry engine, taking each algorithm's probe record out of its
+/// memo where the graph engine left one.
+pub(crate) struct Symmetry<'m>(pub(crate) &'m mut ProbeMemo);
 
-impl Engine for Symmetry {
+impl Engine for Symmetry<'_> {
     const RULES: Rules = SYMMETRY_RULES;
-    type Verdict = AlgoSymmetry;
+    /// The algorithm's outcome, and its certificate if it earned one.
+    type Verdict = (AlgoSymmetry, Option<SymmetryCert>);
+    type Report = SymmetryReport;
 
-    fn diagnostics(verdict: &AlgoSymmetry) -> &[SourceDiagnostic] {
+    fn diagnostics((verdict, _): &Self::Verdict) -> &[SourceDiagnostic] {
         &verdict.diagnostics
+    }
+
+    fn report(self, walk: Walk<Self::Verdict>) -> SymmetryReport {
+        let (algorithms, certs): (Vec<_>, Vec<_>) = walk.algorithms.into_iter().unzip();
+        let mut certs: Vec<SymmetryCert> = certs.into_iter().flatten().collect();
+        certs.sort_by(|a, b| a.algorithm.cmp(&b.algorithm));
+        SymmetryReport {
+            rules_checked: walk.rules_checked,
+            errors: walk.errors,
+            warnings: walk.warnings,
+            algorithms,
+            certs,
+            millis: walk.millis,
+        }
     }
 
     /// Applies the `S03x` rules to one algorithm, and certifies it if it
     /// passes them all.
-    fn judge<B: BroadcastAlgorithm>(&mut self, at: &Registered<'_>, algo: &B) -> AlgoSymmetry {
+    fn judge<B: BroadcastAlgorithm>(&mut self, at: &Registered<'_>, algo: &B) -> Self::Verdict {
         let spec = &at.spec;
         // Findings of S030–S033, then of S034/S035.
         let (mut equivariance, mut content) = (Vec::new(), Vec::new());
 
+        let probe = (self.0)
+            .remove(spec.name)
+            .unwrap_or_else(|| ProbeRecord::of(algo));
         // One propagation probe per broadcaster, each relabeled so its own
         // broadcaster becomes p1.
-        let runs: Vec<PropagationProbe> = (1..=PROBE_N)
-            .map(|b| probe_propagation(algo, b, CONTENTS[0]))
-            .collect();
-        let profiles: Vec<Profile> = runs.iter().map(profile).collect();
+        let profiles: Vec<Profile> = probe.runs.iter().map(|[run, _]| profile(run)).collect();
         let reference = &profiles[0];
         let evidence = format!("{:032x}", digest(&profile_text(reference)));
 
@@ -357,7 +360,7 @@ impl Engine for Symmetry {
             }
 
             // S033: the solo probe must be process-uniform.
-            let solo = solo_probes(algo);
+            let solo = &probe.solo;
             let verdicts: BTreeSet<(bool, bool, Option<usize>)> = solo
                 .iter()
                 .map(|s| (s.returned_solo, s.delivered_own_solo, s.foreign_needed))
@@ -383,9 +386,8 @@ impl Engine for Symmetry {
         }
 
         // S034: content independence, from every broadcaster.
-        for (b, base) in (1..=PROBE_N).zip(&runs) {
-            let alt = probe_propagation(algo, b, CONTENTS[1]);
-            if let Some(div) = diff_activations(&base.activations, &alt.activations) {
+        for b in 1..=PROBE_N {
+            if let Some(div) = probe.divergence(b) {
                 content.push(at.finding(
                     "S034",
                     format!(
@@ -399,9 +401,9 @@ impl Engine for Symmetry {
 
         // S035: every delivery must name the one message the probe
         // broadcast (id 0); anything else fabricates message identity.
-        let synthesized: BTreeSet<u64> = runs
+        let synthesized: BTreeSet<u64> = (probe.runs)
             .iter()
-            .flat_map(PropagationProbe::deliveries)
+            .flat_map(|[run, _]| run.deliveries())
             .map(|(_, msg_id, _)| msg_id)
             .filter(|&id| id != 0)
             .collect();
@@ -418,22 +420,20 @@ impl Engine for Symmetry {
         let equivariant = spec.symmetric && equivariance.is_empty();
         let content_neutral = content.is_empty();
         let certified = equivariant && content_neutral;
-        if certified {
-            self.certs.push(SymmetryCert {
-                schema: CERT_SCHEMA.to_string(),
-                algorithm: spec.name.to_string(),
-                probe_n: PROBE_N,
-                broadcasters_checked: PROBE_N,
-                equivariant,
-                content_neutral,
-                evidence,
-            });
-        }
+        let cert = certified.then(|| SymmetryCert {
+            schema: CERT_SCHEMA.to_string(),
+            algorithm: spec.name.to_string(),
+            probe_n: PROBE_N,
+            broadcasters_checked: PROBE_N,
+            equivariant,
+            content_neutral,
+            evidence,
+        });
 
         let mut diagnostics = equivariance;
         diagnostics.append(&mut content);
         diagnostics.sort_by(|a, b| (&a.code, &a.message).cmp(&(&b.code, &b.message)));
-        AlgoSymmetry {
+        let verdict = AlgoSymmetry {
             name: spec.name.to_string(),
             expected_faulty: at.expected_faulty,
             claims_symmetric: spec.symmetric,
@@ -441,7 +441,8 @@ impl Engine for Symmetry {
             content_neutral,
             certified,
             diagnostics,
-        }
+        };
+        (verdict, cert)
     }
 }
 

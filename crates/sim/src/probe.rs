@@ -10,20 +10,22 @@
 //! exploration, consumed by `camp-lint check`'s behavioural engines.
 //!
 //! Three probes run per algorithm, all in a system of [`PROBE_N`]
-//! processes:
+//! processes, and [`ProbeRecord::of`] runs each of them once; `camp-lint`'s
+//! graph and symmetry engines both judge from that one record:
 //!
-//! * the **propagation probe** invokes `B.broadcast` at `p1` with an opaque
-//!   payload and feeds every captured send to its destination once per
-//!   message kind, recording each handler activation as a typed
+//! * the **propagation probe** invokes `B.broadcast` at one process with an
+//!   opaque payload and feeds every captured send to its destination once
+//!   per message kind, recording each handler activation as a typed
 //!   [`Activation`]: its [`Trigger`], the [`Step`] skeletons it emitted, and
-//!   whether the state changed;
+//!   whether the state changed (whether its raw `Relabel` digest,
+//!   [`Orbit::raw_digest`], moved). It runs from every broadcaster;
 //! * the **solo probe** replays the paper's Lemma 7 situation statically:
 //!   each process invokes with every peer silent, receiving only its own
 //!   self-addressed messages; if it cannot `ReturnBroadcast` alone, the
 //!   probe feeds echoes of its own messages back and counts how many
 //!   *foreign* receptions the algorithm demands before returning — any
 //!   number ≥ 1 is un-meetable in the wait-free `t = n − 1` model;
-//! * the **differential probe** repeats the propagation probe with the
+//! * the **differential probe** repeats each propagation probe with the
 //!   second of the two [`CONTENTS`] and diffs the two step skeletons — a
 //!   divergence means control flow depends on payload content, violating
 //!   the content-neutrality hypothesis (H1) of Gay–Mostéfaoui–Perrin.
@@ -38,6 +40,7 @@ use std::fmt::{self, Debug};
 use camp_trace::{KsaId, MessageId, ProcessId, Value};
 
 use crate::algorithm::{AppMessage, BroadcastAlgorithm, BroadcastStep};
+use crate::canonical::{Orbit, Relabel};
 
 /// System size every probe runs with: 3 is the smallest size where the
 /// self, foreign and third-party roles are all distinct.
@@ -194,27 +197,46 @@ pub struct Divergence {
     pub right: String,
 }
 
-/// Everything the three probes observed about one algorithm.
+/// Every probe of one algorithm, each run once: the propagation probe from
+/// each of the [`PROBE_N`] broadcasters with each of the two [`CONTENTS`],
+/// and the solo probe at every process.
 #[derive(Debug, Clone)]
-pub struct ProbeReport {
-    /// The propagation probe from `p1`.
-    pub propagation: PropagationProbe,
+pub struct ProbeRecord {
+    /// `runs[b - 1][c]` is the propagation probe from `p<b>` broadcasting
+    /// `CONTENTS[c]`.
+    pub runs: Vec<[PropagationProbe; 2]>,
     /// The solo probe, one entry per process.
     pub solo: Vec<SoloProbe>,
-    /// First divergence between the propagation probes from `p1` with the
-    /// two [`CONTENTS`], if any.
-    pub divergence: Option<Divergence>,
 }
 
-/// Runs all three probes on `algo`.
-#[must_use]
-pub fn probe_broadcast<B: BroadcastAlgorithm>(algo: &B) -> ProbeReport {
-    let propagation = probe_propagation(algo, 1, CONTENTS[0]);
-    let other = probe_propagation(algo, 1, CONTENTS[1]);
-    ProbeReport {
-        divergence: diff_activations(&propagation.activations, &other.activations),
-        solo: solo_probes(algo),
-        propagation,
+impl ProbeRecord {
+    /// Runs every probe on `algo`.
+    #[must_use]
+    pub fn of<B: BroadcastAlgorithm>(algo: &B) -> Self {
+        Self {
+            runs: (1..=PROBE_N)
+                .map(|b| CONTENTS.map(|content| probe_propagation(algo, b, content)))
+                .collect(),
+            solo: (1..=PROBE_N).map(|p| solo_probe(algo, p)).collect(),
+        }
+    }
+
+    /// The differential probe from `p<broadcaster>`, for a `broadcaster` in
+    /// `1..=PROBE_N`: the first activation where its propagation probes with
+    /// the two [`CONTENTS`] differ, if any.
+    #[must_use]
+    pub fn divergence(&self, broadcaster: usize) -> Option<Divergence> {
+        let [a, b] = &self.runs[broadcaster - 1];
+        let (a, b) = (&a.activations, &b.activations);
+        let quote =
+            |x: Option<&Activation>| x.map_or_else(|| "<absent>".to_string(), ToString::to_string);
+        (0..a.len().max(b.len()))
+            .find(|&i| a.get(i) != b.get(i))
+            .map(|index| Divergence {
+                index,
+                left: quote(a.get(index)),
+                right: quote(b.get(index)),
+            })
     }
 }
 
@@ -309,19 +331,15 @@ fn activate<B: BroadcastAlgorithm>(
 }
 
 /// Everything one propagation probe observed, for one choice of
-/// broadcaster. The per-broadcaster entry point of `camp-lint`'s symmetry
-/// analysis: comparing these across broadcasters — after renaming process
-/// ids ([`Activation::renamed`]) — is its equivariance check.
+/// broadcaster and content. `camp-lint`'s symmetry engine compares these
+/// across broadcasters, after renaming process ids
+/// ([`Activation::renamed`]): that is its equivariance check.
 #[derive(Debug, Clone)]
 pub struct PropagationProbe {
     /// 1-based id of the process that invoked `B.broadcast`.
     pub broadcaster: usize,
     /// Message kinds sent, with the destinations each kind was sent to.
     pub sends: BTreeMap<String, BTreeSet<usize>>,
-    /// Kinds for which a foreign reception produced steps or changed state.
-    pub foreign_handled: BTreeSet<String>,
-    /// Kinds delivered to at least one foreign receiver.
-    pub foreign_received: BTreeSet<String>,
     /// Every activation, in feed order.
     pub activations: Vec<Activation>,
 }
@@ -342,29 +360,19 @@ impl PropagationProbe {
 /// Invokes `B.broadcast` of `content` at `broadcaster` (1-based) and feeds
 /// each captured send to its destination, once per `(receiver, kind)`,
 /// breadth-first.
-///
-/// # Panics
-///
-/// Panics unless `1 <= broadcaster <= PROBE_N`.
-#[must_use]
-pub fn probe_propagation<B: BroadcastAlgorithm>(
+fn probe_propagation<B: BroadcastAlgorithm>(
     algo: &B,
     broadcaster: usize,
     content: Value,
 ) -> PropagationProbe {
-    assert!(
-        (1..=PROBE_N).contains(&broadcaster),
-        "broadcaster must be a 1-based process id"
-    );
     let mut states: Vec<B::State> = (1..=PROBE_N)
         .map(|p| algo.init(ProcessId::new(p), PROBE_N))
         .collect();
     let mut oracle = BTreeMap::new();
+    let mut orbit = Orbit::identity(PROBE_N);
     let mut run = PropagationProbe {
         broadcaster,
         sends: BTreeMap::new(),
-        foreign_handled: BTreeSet::new(),
-        foreign_received: BTreeSet::new(),
         activations: Vec::new(),
     };
     // Captured sends not fed yet, `(from, to, kind, payload)`.
@@ -373,14 +381,9 @@ pub fn probe_propagation<B: BroadcastAlgorithm>(
     let mut next = Some((broadcaster, Trigger::Invoke, Input::Invoke(content)));
     while let Some((p, trigger, input)) = next.take() {
         let st = &mut states[p - 1];
-        let before = format!("{st:?}");
+        let before = orbit.raw_digest(|r| st.relabel(r));
         let (steps, sends) = activate(algo, st, p, input, &mut oracle);
-        let state_changed = before != format!("{st:?}");
-        if let Trigger::Receive { kind, .. } = &trigger {
-            if p != broadcaster && (state_changed || !steps.is_empty()) {
-                run.foreign_handled.insert(kind.clone());
-            }
-        }
+        let state_changed = before != orbit.raw_digest(|r| st.relabel(r));
         run.activations.push(Activation {
             process: p,
             trigger,
@@ -393,9 +396,6 @@ pub fn probe_propagation<B: BroadcastAlgorithm>(
         }
         while let Some((from, to, kind, payload)) = queue.pop_front() {
             if seen.insert((to, kind.clone())) {
-                if to != broadcaster {
-                    run.foreign_received.insert(kind.clone());
-                }
                 next = Some((
                     to,
                     Trigger::Receive { kind, from },
@@ -406,12 +406,6 @@ pub fn probe_propagation<B: BroadcastAlgorithm>(
         }
     }
     run
-}
-
-/// Runs the solo probe at every process.
-#[must_use]
-pub fn solo_probes<B: BroadcastAlgorithm>(algo: &B) -> Vec<SoloProbe> {
-    (1..=PROBE_N).map(|p| solo_probe(algo, p)).collect()
 }
 
 /// Invokes `B.broadcast` at `p` with every peer silent, delivering only its
@@ -478,22 +472,6 @@ fn solo_probe<B: BroadcastAlgorithm>(algo: &B, p: usize) -> SoloProbe {
         delivered_own_solo,
         foreign_needed,
     }
-}
-
-/// First index where two activation sequences differ, if any (the
-/// differential content probe's comparator, public for the symmetry
-/// engine's per-broadcaster content checks in `camp-lint`).
-#[must_use]
-pub fn diff_activations(a: &[Activation], b: &[Activation]) -> Option<Divergence> {
-    let quote =
-        |x: Option<&Activation>| x.map_or_else(|| "<absent>".to_string(), ToString::to_string);
-    (0..a.len().max(b.len()))
-        .find(|&i| a.get(i) != b.get(i))
-        .map(|index| Divergence {
-            index,
-            left: quote(a.get(index)),
-            right: quote(b.get(index)),
-        })
 }
 
 #[cfg(test)]
@@ -597,12 +575,18 @@ mod tests {
 
     #[test]
     fn flood_probe_is_clean() {
-        let r = probe_broadcast(&Flood);
-        assert!(r.divergence.is_none());
-        assert_eq!(
-            r.propagation.foreign_received, r.propagation.foreign_handled,
-            "every foreign reception does something"
-        );
+        let r = ProbeRecord::of(&Flood);
+        assert!((1..=PROBE_N).all(|b| r.divergence(b).is_none()));
+        for [run, _] in &r.runs {
+            for a in run
+                .activations
+                .iter()
+                .filter(|a| a.process != run.broadcaster)
+            {
+                let did_something = a.state_changed || !a.steps.is_empty();
+                assert!(did_something, "a foreign reception does nothing: {a}");
+            }
+        }
         for s in &r.solo {
             assert!(s.returned_solo, "p{} must return solo", s.process);
             assert!(s.delivered_own_solo, "p{} must self-deliver", s.process);
@@ -611,8 +595,8 @@ mod tests {
 
     #[test]
     fn peeking_probe_diverges() {
-        let r = probe_broadcast(&Peeking);
-        let d = r.divergence.expect("content-dependent branch must show");
+        let r = ProbeRecord::of(&Peeking);
+        let d = r.divergence(1).expect("content-dependent branch must show");
         assert!(d.left != d.right);
     }
 

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# Runs the four bench targets in release mode and prints the ledger each
+# Runs the five bench targets in release mode and prints the ledger each
 # leaves at the repo root: BENCH_sim.json (fair runs in the simulator),
 # BENCH_specs.json (the spec checkers), BENCH_explore.json (the model
-# checker) and BENCH_theorem.json (the Theorem-1 pipeline). Every target
+# checker), BENCH_theorem.json (the Theorem-1 pipeline) and BENCH_lint.json
+# (camp-lint's static check). Every target
 # times its calls through camp_bench::sample. Set CAMP_BENCH_OUT to a
 # directory to write the ledgers there instead.
 #
@@ -36,7 +37,7 @@ if [[ -n "${CAMP_BENCH_OUT:-}" ]]; then
   export CAMP_BENCH_OUT="$(realpath -m "$CAMP_BENCH_OUT")"
 fi
 
-for target in sim specs explore theorem; do
+for target in sim specs explore theorem lint; do
   echo "==> bench: $target"
   cargo bench -q -p camp-bench --bench "$target"
   cat "${CAMP_BENCH_OUT:-.}/BENCH_$target.json"

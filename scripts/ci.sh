@@ -221,6 +221,15 @@ PY
 grep -q '"camp-obs/v2"' "$smoke_metrics" \
   || { echo "$smoke_metrics malformed: missing camp-obs/v2 schema" >&2; exit 1; }
 
+# The tables run one table at a time: a second table name used to be
+# dropped silently, so a command line that names two must exit 2.
+echo "==> tables f1 lemmas: a second table is a usage error"
+status=0
+cargo run --release -q -p camp-bench --bin tables -- f1 lemmas > /dev/null 2>&1 || status=$?
+[[ "$status" -eq 2 ]] \
+  || { echo "tables f1 lemmas exited $status, expected 2" >&2; exit 1; }
+echo "tables f1 lemmas: exit 2"
+
 # The timeline view over the figure-1 scope must render non-empty lanes:
 # every process row needs at least one non-idle glyph, or the
 # Execution→Timeline derivation has silently decayed.

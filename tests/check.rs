@@ -1,8 +1,8 @@
 //! Workspace-level acceptance tests for `camp-lint check`: the healthy
 //! library lints clean, every deliberately faulty algorithm is convicted,
-//! and the JSON report is a deterministic function of the sources. One more
-//! test pins which crates clippy's shared ban list (`lints/clippy.toml`)
-//! covers.
+//! the JSON report is a deterministic function of the sources, and each of
+//! its engine members equals that engine run alone. One more test pins
+//! which crates clippy's shared ban list (`lints/clippy.toml`) covers.
 //!
 //! The committed golden file pins the full-workspace report byte for byte;
 //! if an intentional change (new rule, new algorithm, moved struct) alters
@@ -15,7 +15,7 @@
 use std::fs;
 use std::path::Path;
 
-use campkit::lint::check_workspace;
+use campkit::lint::{check_workspace, dataflow_check, graph_check, scan_workspace, symmetry_check};
 use proptest::prelude::*;
 
 const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/check.json");
@@ -53,6 +53,42 @@ fn check_report_matches_the_committed_golden() {
         golden.trim_end(),
         "the check report changed; if intentional, regenerate the golden file"
     );
+}
+
+/// `check` parses each registered file once per engine walk and probes each
+/// algorithm once for the graph and symmetry engines together, so each of
+/// its members must serialise exactly as its engine run alone does: what
+/// the engines share inside `check` can never change a verdict.
+#[test]
+fn check_members_match_each_engine_run_alone() {
+    use serde_json::to_string_pretty as json;
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let report = check_workspace(root, false).unwrap();
+    let members = [
+        (
+            "source",
+            json(&report.source),
+            json(&scan_workspace(root, false).unwrap()),
+        ),
+        (
+            "graph",
+            json(&report.graph),
+            json(&graph_check(root, false).unwrap()),
+        ),
+        (
+            "symmetry",
+            json(&report.symmetry),
+            json(&symmetry_check(root, false).unwrap()),
+        ),
+        (
+            "dataflow",
+            json(&report.dataflow),
+            json(&dataflow_check(root, false).unwrap()),
+        ),
+    ];
+    for (member, in_check, alone) in members {
+        assert_eq!(in_check.unwrap(), alone.unwrap(), "the `{member}` member");
+    }
 }
 
 /// The crates that clippy's shared ban list covers, by directory name under
