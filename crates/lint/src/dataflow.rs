@@ -596,10 +596,43 @@ fn eval_atom(run: &[Token], pos: &mut usize, root: &str, n: i64) -> Option<i64> 
 // the per-struct static engine
 // ---------------------------------------------------------------------------
 
+/// One function of an analyzed impl block, its body flattened once.
+struct Body<'a> {
+    f: &'a FnDef,
+    tokens: Vec<Token>,
+}
+
+impl<'a> Body<'a> {
+    fn of(f: &'a FnDef) -> Self {
+        let mut tokens = vec![f.body.open.clone()];
+        tree::flatten_into(&f.body.children, &mut tokens);
+        tokens.extend(f.body.close.clone());
+        Self { f, tokens }
+    }
+}
+
+/// One handler of the `BroadcastAlgorithm` impl: its body, its branch
+/// conditions, and the name its state parameter is bound to.
+struct Handler<'a> {
+    body: Body<'a>,
+    conditions: Vec<Vec<Token>>,
+    state_root: String,
+}
+
+impl<'a> Handler<'a> {
+    fn of(f: &'a FnDef) -> Self {
+        Self {
+            body: Body::of(f),
+            conditions: tree::conditions(&f.body),
+            state_root: f.params.get(1).cloned().unwrap_or_else(|| "st".to_string()),
+        }
+    }
+}
+
 struct Analyzer<'a> {
     file: &'a str,
     wait_free: bool,
-    helpers: BTreeMap<String, &'a FnDef>,
+    helpers: &'a BTreeMap<String, Body<'a>>,
     drained: BTreeSet<String>,
     diagnostics: Vec<SourceDiagnostic>,
 }
@@ -611,9 +644,10 @@ impl Analyzer<'_> {
     }
 
     /// S040–S042 over every branch condition of one handler.
-    fn check_thresholds(&mut self, f: &FnDef, state_root: &str) {
-        for cond in tree::conditions(&f.body) {
-            for clause in split_clauses(&cond) {
+    fn check_thresholds(&mut self, handler: &Handler) {
+        let state_root = handler.state_root.as_str();
+        for cond in &handler.conditions {
+            for clause in split_clauses(cond) {
                 let Some((op, at, len)) = find_comparison(clause) else {
                     continue;
                 };
@@ -688,11 +722,11 @@ impl Analyzer<'_> {
     }
 
     /// S043/S044 over `on_receive`.
-    fn check_taint(&mut self, f: &FnDef, state_root: &str, bindings: &Bindings) {
-        let body = tree::flatten(std::slice::from_ref(&tree::Tree::Group(f.body.clone())));
-        for cond in tree::conditions(&f.body) {
+    fn check_taint(&mut self, handler: &Handler, bindings: &Bindings) {
+        let (body, state_root) = (handler.body.tokens.as_slice(), handler.state_root.as_str());
+        for cond in &handler.conditions {
             if let Some((line, col)) =
-                run_has_taint(&cond, &bindings.payload_roots, &bindings.tainted)
+                run_has_taint(cond, &bindings.payload_roots, &bindings.tainted)
             {
                 self.raise(
                     "S043",
@@ -702,31 +736,31 @@ impl Analyzer<'_> {
                         "branch condition `{}` reads payload content (directly or through a \
                          tainted binding): control flow depends on application content, \
                          violating content-neutrality",
-                        render_run(&cond)
+                        render_run(cond)
                     ),
                 );
             }
         }
         // Fields read by any condition of this handler.
         let mut branch_fields: BTreeSet<String> = BTreeSet::new();
-        for cond in tree::conditions(&f.body) {
+        for cond in &handler.conditions {
             for i in 0..cond.len() {
-                if at_root(&cond, i)
-                    && (text(&cond, i) == state_root || text(&cond, i) == "self")
-                    && text(&cond, i + 1) == "."
-                    && is_ident(text(&cond, i + 2))
+                if at_root(cond, i)
+                    && (text(cond, i) == state_root || text(cond, i) == "self")
+                    && text(cond, i + 1) == "."
+                    && is_ident(text(cond, i + 2))
                 {
-                    branch_fields.insert(text(&cond, i + 2).to_string());
+                    branch_fields.insert(text(cond, i + 2).to_string());
                 }
             }
         }
         // Assignments `st.field = <tainted>;`.
         for i in 0..body.len() {
-            if !(at_root(&body, i) && text(&body, i) == state_root && text(&body, i + 1) == ".") {
+            if !(at_root(body, i) && text(body, i) == state_root && text(body, i + 1) == ".") {
                 continue;
             }
-            let field = text(&body, i + 2).to_string();
-            if !is_ident(&field) || text(&body, i + 3) != "=" {
+            let field = text(body, i + 2).to_string();
+            if !is_ident(&field) || text(body, i + 3) != "=" {
                 continue;
             }
             let eq = &body[i + 3];
@@ -737,7 +771,7 @@ impl Analyzer<'_> {
                 continue; // `==`
             }
             let mut end = i + 4;
-            while end < body.len() && text(&body, end) != ";" {
+            while end < body.len() && text(body, end) != ";" {
                 end += 1;
             }
             let rhs = &body[i + 4..end];
@@ -759,37 +793,36 @@ impl Analyzer<'_> {
         }
     }
 
-    /// Classifies every state-field access in one handler body, following
-    /// one level of helper calls on the state type.
+    /// Classifies every state-field access in one handler body, given its
+    /// bindings, following one level of helper calls on the state type
+    /// (whose state root is `self`).
     fn footprint(
         &mut self,
-        f: &FnDef,
+        handler: &Body,
         state_root: &str,
-        payload_root: Option<&str>,
-        origin_params: &BTreeSet<String>,
+        bindings: &Bindings,
         depth: usize,
     ) -> Footprint {
-        let body = tree::flatten(std::slice::from_ref(&tree::Tree::Group(f.body.clone())));
-        let bindings = collect_bindings(&body, payload_root, origin_params);
+        let (f, body) = (handler.f, handler.tokens.as_slice());
         let mut fp = Footprint::default();
         let mut paren_depth = 0usize;
         let mut i = 0;
         while i < body.len() {
-            match text(&body, i) {
+            match text(body, i) {
                 "(" => paren_depth += 1,
                 ")" => paren_depth = paren_depth.saturating_sub(1),
                 _ => {}
             }
             // S046: `&mut st.field` escaping into a call argument.
-            if text(&body, i) == "&"
-                && text(&body, i + 1) == "mut"
-                && text(&body, i + 2) == state_root
-                && text(&body, i + 3) == "."
-                && is_ident(text(&body, i + 4))
+            if text(body, i) == "&"
+                && text(body, i + 1) == "mut"
+                && text(body, i + 2) == state_root
+                && text(body, i + 3) == "."
+                && is_ident(text(body, i + 4))
                 && paren_depth > 0
             {
                 let t = &body[i + 2];
-                let field = text(&body, i + 4).to_string();
+                let field = text(body, i + 4).to_string();
                 self.raise(
                     "S046",
                     t.line,
@@ -805,28 +838,28 @@ impl Analyzer<'_> {
             }
             // S047: writes through non-state parameters.
             if depth == 0 {
-                self.check_foreign_write(&body, i, state_root, &bindings, f, &mut fp);
+                self.check_foreign_write(body, i, state_root, bindings, f, &mut fp);
             }
-            if !(at_root(&body, i) && text(&body, i) == state_root && text(&body, i + 1) == ".") {
+            if !(at_root(body, i) && text(body, i) == state_root && text(body, i + 1) == ".") {
                 i += 1;
                 continue;
             }
-            let field = text(&body, i + 2).to_string();
+            let field = text(body, i + 2).to_string();
             if !is_segment(&field) {
                 i += 1;
                 continue;
             }
             let (line, col) = (body[i].line, body[i].col);
             let tail = i + 3;
-            match text(&body, tail) {
+            match text(body, tail) {
                 // `st.helper(args)` — a method on the state itself.
                 "(" => {
-                    let args = span_group(&body, tail);
-                    if depth == 0 && self.helpers.contains_key(&field) {
-                        let helper = self.helpers[&field];
+                    let args = span_group(body, tail);
+                    let helpers = self.helpers;
+                    if let Some(helper) = helpers.get(&field).filter(|_| depth == 0) {
                         let mut sub = BTreeSet::new();
                         let formals: Vec<&String> =
-                            helper.params.iter().filter(|p| *p != "self").collect();
+                            helper.f.params.iter().filter(|p| *p != "self").collect();
                         for (k, arg) in split_args(&body[tail + 1..args]).iter().enumerate() {
                             if run_has_origin(arg, &bindings.payload_roots, &bindings.origin) {
                                 if let Some(name) = formals.get(k) {
@@ -834,8 +867,8 @@ impl Analyzer<'_> {
                                 }
                             }
                         }
-                        let helper = self.helpers[&field];
-                        let inner = self.footprint(helper, "self", None, &sub, depth + 1);
+                        let inner_bindings = collect_bindings(&helper.tokens, None, &sub);
+                        let inner = self.footprint(helper, "self", &inner_bindings, depth + 1);
                         fp.merge(inner);
                     } else {
                         // Unknown state method, or a helper calling another
@@ -847,7 +880,7 @@ impl Analyzer<'_> {
                 }
                 // `st.field[index]…`
                 "[" => {
-                    let close = span_group(&body, tail);
+                    let close = span_group(body, tail);
                     let index = &body[tail + 1..close];
                     if run_has_origin(index, &bindings.payload_roots, &bindings.origin) {
                         fp.record(&field, Access::Sliced);
@@ -856,7 +889,7 @@ impl Analyzer<'_> {
                         if index.len() == 1 && index[0].text.chars().all(|c| c.is_ascii_digit()) {
                             fp.literal_indexed.push((field.clone(), line, col));
                         }
-                        let write = self.tail_is_write(&body, close + 1);
+                        let write = self.tail_is_write(body, close + 1);
                         fp.record(&field, if write { Access::Global } else { Access::Read });
                     }
                     i = tail + 1;
@@ -864,13 +897,13 @@ impl Analyzer<'_> {
                 }
                 // `st.field.method(args)` or a bare chain read.
                 "." => {
-                    let method = text(&body, tail + 1).to_string();
-                    if text(&body, tail + 2) == "(" && is_ident(&method) {
-                        let close = span_group(&body, tail + 2);
+                    let method = text(body, tail + 1).to_string();
+                    if text(body, tail + 2) == "(" && is_ident(&method) {
+                        let close = span_group(body, tail + 2);
                         let args = &body[tail + 3..close];
                         fp.record(
                             &field,
-                            self.classify_method(&field, &method, args, &bindings),
+                            self.classify_method(&field, &method, args, bindings),
                         );
                     } else {
                         fp.record(&field, Access::Read);
@@ -880,7 +913,7 @@ impl Analyzer<'_> {
                 }
                 // `st.field = …` / `st.field += …` / bare read.
                 _ => {
-                    let write = self.tail_is_write(&body, tail);
+                    let write = self.tail_is_write(body, tail);
                     fp.record(&field, if write { Access::Global } else { Access::Read });
                     i = tail;
                     continue;
@@ -1075,23 +1108,22 @@ fn render_run(run: &[Token]) -> String {
 }
 
 /// Fields that `next_step` drains (pops) between environment events.
-fn drained_fields(imp: &ImplBlock) -> BTreeSet<String> {
+fn drained_fields(next_step: Option<&Handler>) -> BTreeSet<String> {
     let mut out = BTreeSet::new();
-    let Some(f) = imp.find_fn("next_step") else {
+    let Some(handler) = next_step else {
         return out;
     };
-    let state_root = f.params.get(1).cloned().unwrap_or_else(|| "st".to_string());
-    let body = tree::flatten(std::slice::from_ref(&tree::Tree::Group(f.body.clone())));
+    let (body, state_root) = (handler.body.tokens.as_slice(), handler.state_root.as_str());
     for i in 0..body.len() {
-        if at_root(&body, i)
-            && (text(&body, i) == state_root || text(&body, i) == "self")
-            && text(&body, i + 1) == "."
-            && is_ident(text(&body, i + 2))
-            && text(&body, i + 3) == "."
-            && matches!(text(&body, i + 4), "pop" | "pop_front" | "remove" | "take")
-            && text(&body, i + 5) == "("
+        if at_root(body, i)
+            && (text(body, i) == state_root || text(body, i) == "self")
+            && text(body, i + 1) == "."
+            && is_ident(text(body, i + 2))
+            && text(body, i + 3) == "."
+            && matches!(text(body, i + 4), "pop" | "pop_front" | "remove" | "take")
+            && text(body, i + 5) == "("
         {
-            out.insert(text(&body, i + 2).to_string());
+            out.insert(text(body, i + 2).to_string());
         }
     }
     out
@@ -1110,7 +1142,7 @@ fn analyze_impls(
     }) else {
         return StaticAnalysis::default();
     };
-    let helpers: BTreeMap<String, &FnDef> = main
+    let helpers: BTreeMap<String, Body> = main
         .assoc_state
         .as_deref()
         .and_then(|state| {
@@ -1118,37 +1150,56 @@ fn analyze_impls(
                 .iter()
                 .find(|b| b.trait_name.is_none() && b.type_name == state)
         })
-        .map(|b| b.fns.iter().map(|f| (f.name.text.clone(), f)).collect())
+        .map(|b| {
+            b.fns
+                .iter()
+                .map(|f| (f.name.text.clone(), Body::of(f)))
+                .collect()
+        })
         .unwrap_or_default();
-    let mut az = Analyzer {
-        file,
-        wait_free,
-        helpers,
-        drained: drained_fields(main),
-        diagnostics: Vec::new(),
-    };
-
-    // Thresholds: every handler with branch conditions.
-    for name in [
+    // Every handler with branch conditions, in this order, each flattened
+    // once.
+    let handlers: Vec<(&str, Handler)> = [
         "on_invoke_broadcast",
         "on_receive",
         "on_decide",
         "next_step",
-    ] {
-        if let Some(f) = main.find_fn(name) {
-            let state_root = f.params.get(1).cloned().unwrap_or_else(|| "st".to_string());
-            az.check_thresholds(f, &state_root);
-        }
+    ]
+    .into_iter()
+    .filter_map(|name| Some((name, Handler::of(main.find_fn(name)?))))
+    .collect();
+    let handler = |name: &str| handlers.iter().find(|(n, _)| *n == name).map(|(_, h)| h);
+    let mut az = Analyzer {
+        file,
+        wait_free,
+        helpers: &helpers,
+        drained: drained_fields(handler("next_step")),
+        diagnostics: Vec::new(),
+    };
+
+    // Thresholds: every handler with branch conditions.
+    for (_, h) in &handlers {
+        az.check_thresholds(h);
     }
 
-    // Taint: receive handler only (content enters the system there).
+    // The two handlers that take a payload, each with its bindings.
     let empty = BTreeSet::new();
-    if let Some(f) = main.find_fn("on_receive") {
-        let state_root = f.params.get(1).cloned().unwrap_or_else(|| "st".to_string());
-        let payload_root = f.params.get(3).cloned();
-        let body = tree::flatten(std::slice::from_ref(&tree::Tree::Group(f.body.clone())));
-        let bindings = collect_bindings(&body, payload_root.as_deref(), &empty);
-        az.check_taint(f, &state_root, &bindings);
+    let with_bindings = |name: &str, payload_param_at: usize| {
+        let handler = handler(name)?;
+        let payload_root = handler.body.f.params.get(payload_param_at);
+        let bindings = collect_bindings(
+            &handler.body.tokens,
+            payload_root.map(String::as_str),
+            &empty,
+        );
+        Some((handler, bindings))
+    };
+    let invoke = with_bindings("on_invoke_broadcast", 2);
+    let receive = with_bindings("on_receive", 3);
+
+    // Taint: receive handler only (content enters the system there).
+    if let Some((handler, bindings)) = &receive {
+        az.check_taint(handler, bindings);
     }
 
     // Footprints.
@@ -1156,13 +1207,11 @@ fn analyze_impls(
     let mut summaries: Vec<String> = Vec::new();
     let mut rec_fp = None;
     let mut inv_fp = None;
-    for (name, payload_param_at) in [("on_invoke_broadcast", 2), ("on_receive", 3)] {
-        let Some(f) = main.find_fn(name) else {
+    for (name, entry) in [("on_invoke_broadcast", &invoke), ("on_receive", &receive)] {
+        let Some((handler, bindings)) = entry else {
             continue;
         };
-        let state_root = f.params.get(1).cloned().unwrap_or_else(|| "st".to_string());
-        let payload_root = f.params.get(payload_param_at).cloned();
-        let fp = az.footprint(f, &state_root, payload_root.as_deref(), &empty, 0);
+        let fp = az.footprint(&handler.body, &handler.state_root, bindings, 0);
         handlers_analyzed += 1;
         summaries.push(format!("{name}: {}", fp.summary()));
         if name == "on_receive" {

@@ -2,12 +2,10 @@
 //! (paper §3.1): BC-Validity, BC-No-Duplication, BC-Local-Termination,
 //! BC-Global-CS-Termination.
 
-use std::collections::{BTreeMap, BTreeSet};
-
 use camp_obs::NoopSink;
 use camp_trace::{Action, Execution, MessageId, ProcessId, Step};
 
-use crate::monitor::{self, Defect, End, Finding, Monitor, Property};
+use crate::monitor::{self, Defect, End, Finding, IdLists, Monitor, Property};
 use crate::violation::SpecResult;
 
 /// The two broadcast safety properties, in checking order.
@@ -31,18 +29,16 @@ pub fn bc_validity(exec: &Execution) -> SpecResult {
     monitor::check(exec, &[Property::BcValidity], &mut NoopSink)
 }
 
-/// The BC-Validity monitor: every `(message, broadcaster)` invocation so far.
+/// The BC-Validity monitor: every broadcaster of each message so far.
 #[derive(Default)]
-pub(crate) struct BcValidity(BTreeSet<(MessageId, ProcessId)>);
+pub(crate) struct BcValidity(IdLists<MessageId, ProcessId>);
 
 impl Monitor for BcValidity {
     fn observe(&mut self, i: usize, step: &Step, out: &mut Vec<Finding>) {
         match step.action {
-            Action::Broadcast { msg } => {
-                self.0.insert((msg, step.process));
-            }
-            Action::Deliver { from, msg } if !self.0.contains(&(msg, from)) => {
-                let defect = if monitor::any_process(&self.0, msg) {
+            Action::Broadcast { msg } => self.0.push(msg, step.process),
+            Action::Deliver { from, msg } if !self.0.contains(msg, &from) => {
+                let defect = if self.0.of(msg).next().is_some() {
                     Defect::DeliverFromAnother(from, msg)
                 } else {
                     Defect::DeliverUnbroadcast(from, msg)
@@ -64,17 +60,20 @@ pub fn bc_no_duplication(exec: &Execution) -> SpecResult {
     monitor::check(exec, &[Property::BcNoDuplication], &mut NoopSink)
 }
 
-/// The BC-No-Duplication monitor: the step of each `(deliverer, message)`
-/// first delivery.
+/// The BC-No-Duplication monitor: each message's deliverers so far, each
+/// with the step of its first delivery.
 #[derive(Default)]
-pub(crate) struct BcNoDuplication(BTreeMap<(ProcessId, MessageId), usize>);
+pub(crate) struct BcNoDuplication(IdLists<MessageId, (ProcessId, usize)>);
 
 impl Monitor for BcNoDuplication {
     fn observe(&mut self, i: usize, step: &Step, out: &mut Vec<Finding>) {
         if let Action::Deliver { msg, .. } = step.action {
-            let first = *self.0.entry((step.process, msg)).or_insert(i);
-            if first != i {
-                out.push(Finding::new(i, step.process, Defect::DeliverTwice(msg)).after(first));
+            let p = step.process;
+            match self.0.step_of(msg, p) {
+                Some(first) => {
+                    out.push(Finding::new(i, p, Defect::DeliverTwice(msg)).after(first));
+                }
+                None => self.0.push(msg, (p, i)),
             }
         }
     }
@@ -96,16 +95,14 @@ pub fn bc_local_termination(exec: &Execution) -> SpecResult {
 /// judged when the sequence ends.
 #[derive(Default)]
 pub(crate) struct BcLocalTermination {
-    returned: BTreeSet<(ProcessId, MessageId)>,
+    returned: IdLists<MessageId, ProcessId>,
     invoked: Vec<(usize, ProcessId, MessageId)>,
 }
 
 impl Monitor for BcLocalTermination {
     fn observe(&mut self, i: usize, step: &Step, _out: &mut Vec<Finding>) {
         match step.action {
-            Action::ReturnBroadcast { msg } => {
-                self.returned.insert((step.process, msg));
-            }
+            Action::ReturnBroadcast { msg } => self.returned.push(msg, step.process),
             Action::Broadcast { msg } => self.invoked.push((i, step.process, msg)),
             _ => {}
         }
@@ -113,7 +110,7 @@ impl Monitor for BcLocalTermination {
 
     fn finish(&mut self, end: &End, out: &mut Vec<Finding>) {
         for &(i, p, msg) in &self.invoked {
-            if end.is_correct(p) && !self.returned.contains(&(p, msg)) {
+            if end.is_correct(p) && !self.returned.contains(msg, &p) {
                 out.push(Finding::new(i, p, Defect::NeverReturns(msg)));
             }
         }
@@ -158,7 +155,7 @@ pub fn bc_uniform_agreement(exec: &Execution) -> SpecResult {
 #[derive(Default)]
 pub(crate) struct DeliveredEverywhere {
     uniform: bool,
-    delivered: BTreeSet<(ProcessId, MessageId)>,
+    delivered: IdLists<MessageId, ProcessId>,
     obligations: Vec<(usize, ProcessId, MessageId)>,
 }
 
@@ -176,7 +173,7 @@ impl Monitor for DeliveredEverywhere {
         let p = step.process;
         match step.action {
             Action::Deliver { msg, .. } => {
-                self.delivered.insert((p, msg));
+                self.delivered.push(msg, p);
                 if self.uniform {
                     self.obligations.push((i, p, msg));
                 }
@@ -192,7 +189,7 @@ impl Monitor for DeliveredEverywhere {
                 continue;
             }
             for &missing in &end.correct {
-                if !self.delivered.contains(&(missing, msg)) {
+                if !self.delivered.contains(msg, &missing) {
                     let defect = if self.uniform {
                         Defect::NotUniform(msg, missing)
                     } else {

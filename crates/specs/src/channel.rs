@@ -1,12 +1,10 @@
 //! The three properties of the point-to-point communication channels
 //! (paper §2, "Communication Model").
 
-use std::collections::BTreeSet;
-
 use camp_obs::NoopSink;
 use camp_trace::{Action, Execution, MessageId, ProcessId, Step};
 
-use crate::monitor::{self, Defect, End, Finding, Monitor, Property};
+use crate::monitor::{self, Defect, End, Finding, IdLists, Monitor, Property};
 use crate::violation::SpecResult;
 
 /// **SR-Validity.** If a process `p_r` receives a message `m` from `p_s`,
@@ -20,18 +18,17 @@ pub fn sr_validity(exec: &Execution) -> SpecResult {
     monitor::check(exec, &[Property::SrValidity], &mut NoopSink)
 }
 
-/// The SR-Validity monitor: every `(sender, receiver, message)` sent so far.
+/// The SR-Validity monitor: the `(sender, receiver)` of every send of each
+/// message so far.
 #[derive(Default)]
-pub(crate) struct SrValidity(BTreeSet<(ProcessId, ProcessId, MessageId)>);
+pub(crate) struct SrValidity(IdLists<MessageId, (ProcessId, ProcessId)>);
 
 impl Monitor for SrValidity {
     fn observe(&mut self, i: usize, step: &Step, out: &mut Vec<Finding>) {
         let p = step.process;
         match step.action {
-            Action::Send { to, msg } => {
-                self.0.insert((p, to, msg));
-            }
-            Action::Receive { from, msg } if !self.0.contains(&(from, p, msg)) => {
+            Action::Send { to, msg } => self.0.push(msg, (p, to)),
+            Action::Receive { from, msg } if !self.0.contains(msg, &(from, p)) => {
                 out.push(Finding::new(i, p, Defect::ReceiveUnsent(from, msg)));
             }
             _ => {}
@@ -48,15 +45,17 @@ pub fn sr_no_duplication(exec: &Execution) -> SpecResult {
     monitor::check(exec, &[Property::SrNoDuplication], &mut NoopSink)
 }
 
-/// The SR-No-Duplication monitor: every `(receiver, message)` so far.
+/// The SR-No-Duplication monitor: every receiver of each message so far.
 #[derive(Default)]
-pub(crate) struct SrNoDuplication(BTreeSet<(ProcessId, MessageId)>);
+pub(crate) struct SrNoDuplication(IdLists<MessageId, ProcessId>);
 
 impl Monitor for SrNoDuplication {
     fn observe(&mut self, i: usize, step: &Step, out: &mut Vec<Finding>) {
         if let Action::Receive { msg, .. } = step.action {
-            if !self.0.insert((step.process, msg)) {
+            if self.0.contains(msg, &step.process) {
                 out.push(Finding::new(i, step.process, Defect::ReceiveTwice(msg)));
+            } else {
+                self.0.push(msg, step.process);
             }
         }
     }
@@ -76,20 +75,18 @@ pub fn sr_termination(exec: &Execution) -> SpecResult {
     monitor::check(exec, &[Property::SrTermination], &mut NoopSink)
 }
 
-/// The SR-Termination monitor: every reception, keyed `((receiver,
-/// message), sender)`, and every send, judged when the sequence ends.
+/// The SR-Termination monitor: every `(receiver, sender)` reception of
+/// each message, and every send, judged when the sequence ends.
 #[derive(Default)]
 pub(crate) struct SrTermination {
-    received: BTreeSet<((ProcessId, MessageId), ProcessId)>,
+    received: IdLists<MessageId, (ProcessId, ProcessId)>,
     sends: Vec<(usize, ProcessId, ProcessId, MessageId)>,
 }
 
 impl Monitor for SrTermination {
     fn observe(&mut self, i: usize, step: &Step, _out: &mut Vec<Finding>) {
         match step.action {
-            Action::Receive { from, msg } => {
-                self.received.insert(((step.process, msg), from));
-            }
+            Action::Receive { from, msg } => self.received.push(msg, (step.process, from)),
             Action::Send { to, msg } => self.sends.push((i, step.process, to, msg)),
             _ => {}
         }
@@ -97,10 +94,10 @@ impl Monitor for SrTermination {
 
     fn finish(&mut self, end: &End, out: &mut Vec<Finding>) {
         for &(i, p, to, msg) in &self.sends {
-            if !end.is_correct(to) || self.received.contains(&((to, msg), p)) {
+            if !end.is_correct(to) || self.received.contains(msg, &(to, p)) {
                 continue;
             }
-            let defect = if monitor::any_process(&self.received, (to, msg)) {
+            let defect = if self.received.of(msg).any(|&(receiver, _)| receiver == to) {
                 Defect::ReceivedFromAnother(to, msg)
             } else {
                 Defect::NeverReceived(to, msg)

@@ -1,12 +1,10 @@
 //! The three properties of k-set agreement (paper §4.1): k-SA-Validity,
 //! k-SA-Agreement, k-SA-Termination — plus the one-shot usage rule.
 
-use std::collections::{BTreeMap, BTreeSet};
-
 use camp_obs::NoopSink;
-use camp_trace::{Action, Execution, KsaId, ProcessId, Step, Value};
+use camp_trace::{Action, Execution, IdMap, KsaId, ProcessId, Step, Value};
 
-use crate::monitor::{self, Defect, End, Finding, Monitor, Property};
+use crate::monitor::{self, Defect, End, Finding, IdLists, Monitor, Property};
 use crate::violation::SpecResult;
 
 /// **k-SA-Validity.** If a process decides a value `v` on an object `ksa`,
@@ -20,17 +18,15 @@ pub fn ksa_validity(exec: &Execution) -> SpecResult {
     monitor::check(exec, &[Property::KsaValidity], &mut NoopSink)
 }
 
-/// The k-SA-Validity monitor: every `(object, value)` proposed so far.
+/// The k-SA-Validity monitor: every value proposed on each object so far.
 #[derive(Default)]
-pub(crate) struct KsaValidity(BTreeSet<(KsaId, Value)>);
+pub(crate) struct KsaValidity(IdLists<KsaId, Value>);
 
 impl Monitor for KsaValidity {
     fn observe(&mut self, i: usize, step: &Step, out: &mut Vec<Finding>) {
         match step.action {
-            Action::Propose { obj, value } => {
-                self.0.insert((obj, value));
-            }
-            Action::Decide { obj, value } if !self.0.contains(&(obj, value)) => {
+            Action::Propose { obj, value } => self.0.push(obj, value),
+            Action::Decide { obj, value } if !self.0.contains(obj, &value) => {
                 let defect = Defect::DecideUnproposed(obj, value);
                 out.push(Finding::new(i, step.process, defect));
             }
@@ -51,12 +47,12 @@ pub fn ksa_agreement(exec: &Execution, k: usize) -> SpecResult {
 
 /// The k-SA-Agreement monitor: `k`, and the distinct values decided on
 /// each object, in first-decision order.
-pub(crate) struct KsaAgreement(pub(crate) usize, pub(crate) BTreeMap<KsaId, Vec<Value>>);
+pub(crate) struct KsaAgreement(pub(crate) usize, pub(crate) IdMap<KsaId, Vec<Value>>);
 
 impl Monitor for KsaAgreement {
     fn observe(&mut self, i: usize, step: &Step, out: &mut Vec<Finding>) {
         if let Action::Decide { obj, value } = step.action {
-            let values = self.1.entry(obj).or_default();
+            let values = self.1.get_or_insert_with(obj, Vec::new);
             if !values.contains(&value) {
                 values.push(value);
                 if values.len() > self.0 {
@@ -80,20 +76,18 @@ pub fn ksa_termination(exec: &Execution) -> SpecResult {
     monitor::check(exec, &[Property::KsaTermination], &mut NoopSink)
 }
 
-/// The k-SA-Termination monitor: every decision, and every proposal,
-/// judged when the sequence ends.
+/// The k-SA-Termination monitor: every decider on each object, and every
+/// proposal, judged when the sequence ends.
 #[derive(Default)]
 pub(crate) struct KsaTermination {
-    decided: BTreeSet<(ProcessId, KsaId)>,
+    decided: IdLists<KsaId, ProcessId>,
     proposals: Vec<(usize, ProcessId, KsaId)>,
 }
 
 impl Monitor for KsaTermination {
     fn observe(&mut self, i: usize, step: &Step, _out: &mut Vec<Finding>) {
         match step.action {
-            Action::Decide { obj, .. } => {
-                self.decided.insert((step.process, obj));
-            }
+            Action::Decide { obj, .. } => self.decided.push(obj, step.process),
             Action::Propose { obj, .. } => self.proposals.push((i, step.process, obj)),
             _ => {}
         }
@@ -101,7 +95,7 @@ impl Monitor for KsaTermination {
 
     fn finish(&mut self, end: &End, out: &mut Vec<Finding>) {
         for &(i, p, obj) in &self.proposals {
-            if end.is_correct(p) && !self.decided.contains(&(p, obj)) {
+            if end.is_correct(p) && !self.decided.contains(obj, &p) {
                 out.push(Finding::new(i, p, Defect::NeverDecides(obj)));
             }
         }
@@ -119,12 +113,12 @@ pub fn ksa_one_shot(exec: &Execution) -> SpecResult {
     monitor::check(exec, &[Property::KsaOneShot], &mut NoopSink)
 }
 
-/// The one-shot usage monitor: the step of each `(process, object)` first
-/// proposal and first decision.
+/// The one-shot usage monitor: each object's proposers and deciders so
+/// far, each with the step of its first proposal or decision.
 #[derive(Default)]
 pub(crate) struct KsaOneShot {
-    proposed: BTreeMap<(ProcessId, KsaId), usize>,
-    decided: BTreeMap<(ProcessId, KsaId), usize>,
+    proposed: IdLists<KsaId, (ProcessId, usize)>,
+    decided: IdLists<KsaId, (ProcessId, usize)>,
 }
 
 impl Monitor for KsaOneShot {
@@ -132,16 +126,16 @@ impl Monitor for KsaOneShot {
         let p = step.process;
         let (firsts, obj, defect) = match step.action {
             Action::Propose { obj, .. } => (&mut self.proposed, obj, Defect::ProposeTwice(obj)),
-            Action::Decide { obj, .. } if !self.proposed.contains_key(&(p, obj)) => {
+            Action::Decide { obj, .. } if self.proposed.step_of(obj, p).is_none() => {
                 out.push(Finding::new(i, p, Defect::DecideWithoutPropose(obj)));
                 return;
             }
             Action::Decide { obj, .. } => (&mut self.decided, obj, Defect::DecideTwice(obj)),
             _ => return,
         };
-        let first = *firsts.entry((p, obj)).or_insert(i);
-        if first != i {
-            out.push(Finding::new(i, p, defect).after(first));
+        match firsts.step_of(obj, p) {
+            Some(first) => out.push(Finding::new(i, p, defect).after(first)),
+            None => firsts.push(obj, (p, i)),
         }
     }
 }

@@ -10,10 +10,13 @@
 //! (properties × steps), for ordering specifications through [`judge`].
 
 use std::collections::BTreeSet;
+use std::num::NonZeroU32;
 
 /// The driver's sink, re-exported for callers that need only [`NoopSink`].
 pub use camp_obs::{NoopSink, ObsSink};
-use camp_trace::{Action, Execution, KsaId, MessageId, ProcessId, Step, StepSpan, Value};
+use camp_trace::{
+    Action, Execution, IdMap, KsaId, MessageId, ProcessId, RawId, Step, StepSpan, Value,
+};
 
 use crate::ordering::BroadcastSpec;
 use crate::violation::{SpecResult, Violation};
@@ -266,12 +269,67 @@ impl End {
     }
 }
 
-/// Does `set` hold `(key, p)` for some process `p`?
-pub(crate) fn any_process<K: Ord + Copy>(set: &BTreeSet<(K, ProcessId)>, key: K) -> bool {
-    let last = (key, ProcessId::new(usize::MAX));
-    set.range(..=last)
-        .next_back()
-        .is_some_and(|&(k, _)| k == key)
+/// What a monitor records per message or k-SA object: each id's entries,
+/// newest first, threaded through one arena vector. Recording an entry
+/// appends it and moves no other, whatever order the ids come in, and a
+/// lookup walks only its id's entries. An id may be recorded any number of
+/// times.
+///
+/// A link is an arena index plus one, so a missing link costs no space:
+/// the heads hold one 4-byte slot per id up to the largest id recorded.
+pub(crate) struct IdLists<K, T> {
+    /// The link to each id's newest entry.
+    heads: IdMap<K, Link>,
+    /// Each entry, with the link to its id's previous entry.
+    arena: Vec<(T, Option<Link>)>,
+}
+
+type Link = NonZeroU32;
+
+impl<K: RawId, T> Default for IdLists<K, T> {
+    fn default() -> Self {
+        Self {
+            heads: IdMap::new(),
+            arena: Vec::new(),
+        }
+    }
+}
+
+impl<K: RawId, T> IdLists<K, T> {
+    /// Records `entry` for `id`.
+    pub(crate) fn push(&mut self, id: K, entry: T) {
+        let link = u32::try_from(self.arena.len() + 1)
+            .ok()
+            .and_then(Link::new)
+            .expect("a monitor records fewer than 2^32 entries");
+        let previous = self.heads.insert(id, link);
+        self.arena.push((entry, previous));
+    }
+
+    /// The entries recorded for `id`, newest first.
+    pub(crate) fn of(&self, id: K) -> impl Iterator<Item = &T> {
+        let mut next = self.heads.get(id).copied();
+        std::iter::from_fn(move || {
+            let (entry, previous) = &self.arena[next?.get() as usize - 1];
+            next = *previous;
+            Some(entry)
+        })
+    }
+
+    /// Was `entry` recorded for `id`?
+    pub(crate) fn contains(&self, id: K, entry: &T) -> bool
+    where
+        T: PartialEq,
+    {
+        self.of(id).any(|e| e == entry)
+    }
+}
+
+impl<K: RawId> IdLists<K, (ProcessId, usize)> {
+    /// The step recorded with `p` for `id`, if any.
+    pub(crate) fn step_of(&self, id: K, p: ProcessId) -> Option<usize> {
+        self.of(id).find(|&&(q, _)| q == p).map(|&(_, step)| step)
+    }
 }
 
 /// Runs the monitors of `properties` over `steps` in one pass, for a

@@ -10,6 +10,7 @@ use serde::{expect_object, obj_field, DeError, Deserialize, Json, Serialize};
 
 use crate::action::{Action, Step};
 use crate::error::TraceError;
+use crate::idmap::IdMap;
 use crate::ids::{MessageId, ProcessId, Value};
 use crate::label::Label;
 
@@ -67,6 +68,19 @@ const SEGMENT: usize = 64;
 /// view required by [`Self::steps`] is materialized lazily and cached; the
 /// cache is dropped on clone and invalidated on push.
 ///
+/// # Representation: an id-indexed message table
+///
+/// The message table is an [`IdMap`]: a message id below
+/// `IdMap::DENSE_BOUND` (2^20) indexes a vector of `Arc` handles, so
+/// registering a message and checking a pushed step's message are one
+/// index each. The simulator, the builder and the runtime allocate ids
+/// from 0 upwards, so their tables are dense. Larger ids — Theorem 1's
+/// solo-run region from 2^40, a renaming's targets, a loaded trace's —
+/// stay in a B-tree. The vector grows to the largest dense id registered:
+/// at worst, one id at 2^20 − 1 costs 2^20 eight-byte slots (8 MiB), and
+/// a clone copies them. Iteration, `Eq`, `Debug` and the JSON encoding
+/// follow id order, exactly as a `BTreeMap` did.
+///
 /// [`ExecutionBuilder`]: crate::ExecutionBuilder
 #[derive(Debug)]
 pub struct Execution {
@@ -77,7 +91,7 @@ pub struct Execution {
     spine_len: usize,
     /// Mutable suffix, strictly shorter than `SEGMENT`.
     tail: Vec<Step>,
-    messages: BTreeMap<MessageId, Arc<MessageInfo>>,
+    messages: IdMap<MessageId, Arc<MessageInfo>>,
     /// Rolling hash of each process's step subsequence (its *projection*).
     /// Maintained incrementally by [`Self::push`]; two executions whose
     /// projections hash equal are — modulo hash collisions —
@@ -121,7 +135,7 @@ impl Execution {
             spine: Vec::new(),
             spine_len: 0,
             tail: Vec::new(),
-            messages: BTreeMap::new(),
+            messages: IdMap::new(),
             proj: vec![0; n],
             crashed: vec![false; n],
             flat: OnceLock::new(),
@@ -153,7 +167,7 @@ impl Execution {
     /// or [`TraceError::UnknownProcess`] if the sender is out of range.
     pub fn register_message(&mut self, id: MessageId, info: MessageInfo) -> Result<(), TraceError> {
         self.check_process(info.sender)?;
-        if self.messages.contains_key(&id) {
+        if self.messages.contains_key(id) {
             return Err(TraceError::DuplicateMessage(id));
         }
         self.messages.insert(id, Arc::new(info));
@@ -178,7 +192,7 @@ impl Execution {
             _ => {}
         }
         if let Some(msg) = step.action.message() {
-            if !self.messages.contains_key(&msg) {
+            if !self.messages.contains_key(msg) {
                 return Err(TraceError::UnknownMessage(msg));
             }
         }
@@ -276,12 +290,12 @@ impl Execution {
     /// Looks up the information of a registered message.
     #[must_use]
     pub fn message(&self, id: MessageId) -> Option<&MessageInfo> {
-        self.messages.get(&id).map(|info| &**info)
+        self.messages.get(id).map(|info| &**info)
     }
 
     /// Iterates over `(id, info)` for every registered message, in id order.
     pub fn messages(&self) -> impl Iterator<Item = (MessageId, &MessageInfo)> {
-        self.messages.iter().map(|(id, info)| (*id, &**info))
+        self.messages.iter().map(|(id, info)| (id, &**info))
     }
 
     /// Identifiers of all broadcast-level messages, in id order.
@@ -289,7 +303,7 @@ impl Execution {
         self.messages
             .iter()
             .filter(|(_, info)| info.kind == MessageKind::Broadcast)
-            .map(|(id, _)| *id)
+            .map(|(id, _)| id)
     }
 
     /// The steps taken by one process, in order.
@@ -405,7 +419,7 @@ impl Execution {
     /// in both executions with conflicting info, or any error of [`Self::push`].
     pub fn concat(&mut self, other: &Execution) -> Result<(), TraceError> {
         for (id, info) in other.messages() {
-            match self.messages.get(&id) {
+            match self.messages.get(id) {
                 None => self.register_message(id, info.clone())?,
                 Some(existing) if &**existing == info => {}
                 Some(_) => return Err(TraceError::DuplicateMessage(id)),
@@ -439,7 +453,7 @@ impl Execution {
         if self.n == 0 {
             return Err(TraceError::NoProcesses);
         }
-        for info in self.messages.values() {
+        for (_, info) in self.messages() {
             self.check_process(info.sender)?;
         }
         for step in self.iter_steps() {
@@ -452,7 +466,7 @@ impl Execution {
                 _ => {}
             }
             if let Some(msg) = step.action.message() {
-                if !self.messages.contains_key(&msg) {
+                if !self.messages.contains_key(msg) {
                     return Err(TraceError::UnknownMessage(msg));
                 }
             }

@@ -49,6 +49,7 @@ mod builder;
 mod diff;
 mod error;
 mod execution;
+mod idmap;
 mod ids;
 mod label;
 mod mermaid;
@@ -63,6 +64,7 @@ pub use builder::ExecutionBuilder;
 pub use diff::{first_divergence, Divergence, StepSpan};
 pub use error::TraceError;
 pub use execution::{Execution, MessageInfo, MessageKind};
+pub use idmap::{IdMap, RawId};
 pub use ids::{KsaId, MessageId, ProcessId, Value};
 pub use label::Label;
 pub use mermaid::render_mermaid;

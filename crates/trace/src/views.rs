@@ -68,7 +68,9 @@ impl ProcessView {
     }
 }
 
-/// Per-process delivery orders, with O(1) position lookups.
+/// Per-process delivery orders, with a B-tree per process mapping each
+/// delivered message to its position, so a position lookup is
+/// O(log d) in that process's `d` deliveries.
 ///
 /// All the ordering specifications of `camp-specs` (FIFO, Causal, Total
 /// Order, k-Bounded Order, …) are predicates over this view.

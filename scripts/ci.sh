@@ -7,13 +7,47 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Every stage starts with `stage`, which closes the stage before it: a
+# stage's wall time prints when it ends, and `stage_summary` lists them all
+# before CI OK (ROADMAP counts this script's wall time as an end-to-end
+# number).
+stage_names=()
+stage_ms=()
+stage_name=""
+stage_t0=0
+ci_t0=$(date +%s%N)
+seconds() { printf '%d.%03d s' $(($1 / 1000)) $(($1 % 1000)); }
+end_stage() {
+  [[ -n "$stage_name" ]] || return 0
+  local ms=$((($(date +%s%N) - stage_t0) / 1000000))
+  stage_names+=("$stage_name")
+  stage_ms+=("$ms")
+  echo "    ($(seconds "$ms"))"
+  stage_name=""
+}
+stage() {
+  end_stage
+  stage_name="$1"
+  stage_t0=$(date +%s%N)
+  echo "==> $1"
+}
+stage_summary() {
+  end_stage
+  echo "==> wall time per stage"
+  local i
+  for i in "${!stage_names[@]}"; do
+    printf '%12s  %s\n' "$(seconds "${stage_ms[$i]}")" "${stage_names[$i]}"
+  done
+  printf '%12s  %s\n' "$(seconds $((($(date +%s%N) - ci_t0) / 1000000)))" "total"
+}
+
 # First gate, cheapest signal: one fixture file, compiled alone against the
 # shared ban list in lints/clippy.toml before anything else builds. It holds
 # one violation per determinism rule the lexical camp-lint pass used to
 # enforce (S001-S008, S010), a stale #[expect] (S011) and one use that an
 # #[expect] covers. Each violation must still be rejected exactly once and
 # the covered use must stay silent, or the clippy stage below proves nothing.
-echo "==> clippy ban list: the fixture trips every retired S00x rule"
+stage "clippy ban list: the fixture trips every retired S00x rule"
 mkdir -p target
 violations_json="$PWD/target/ci.violations.json"
 if CLIPPY_CONF_DIR="$PWD/lints" clippy-driver --edition 2021 --crate-type lib \
@@ -65,7 +99,7 @@ PY
 # The workspace lints, still before any release build. This stage is also
 # the determinism fence: agreement, broadcast, obs, sim and specs link the
 # list proven above as their clippy.toml (tests/check.rs pins the links).
-echo "==> clippy (deny warnings; the protocol crates under lints/clippy.toml)"
+stage "clippy (deny warnings; the protocol crates under lints/clippy.toml)"
 cargo clippy --workspace --all-targets -- -D warnings
 
 # camp-lint's static check runs no simulated schedule: S009 (no payload
@@ -76,7 +110,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 # tests/golden/check.json. --certs writes the certificates the two engines
 # issue, the store that arms the model checker's renaming quotient and
 # widened sleep sets below; --metrics writes the run's camp-obs snapshot.
-echo "==> camp-lint check: S009 + graph, symmetry, dataflow engines (deny warnings)"
+stage "camp-lint check: S009 + graph, symmetry, dataflow engines (deny warnings)"
 certs_out="$PWD/target/ci.certs.json"
 check_metrics="$PWD/target/ci.check.metrics.json"
 cargo run --release -q -p camp-lint --bin camp-lint -- check --deny-warnings \
@@ -84,7 +118,7 @@ cargo run --release -q -p camp-lint --bin camp-lint -- check --deny-warnings \
 
 # The written store must hold exactly the certificates the committed report
 # lists: every symmetry certificate and every independence certificate.
-echo "==> camp-lint check --certs: the store holds every certificate check.json lists"
+stage "camp-lint check --certs: the store holds every certificate check.json lists"
 python3 - "$certs_out" tests/golden/check.json <<'PY'
 import json, sys
 store, report = (json.load(open(path)) for path in sys.argv[1:])
@@ -97,7 +131,7 @@ PY
 
 # The --metrics snapshot must count what the committed report holds: the
 # certificates issued, the algorithms each engine judged and its errors.
-echo "==> camp-lint check --metrics: the snapshot counts what check.json holds"
+stage "camp-lint check --metrics: the snapshot counts what check.json holds"
 python3 - "$check_metrics" tests/golden/check.json <<'PY'
 import json, sys
 snapshot, report = (json.load(open(path)) for path in sys.argv[1:])
@@ -118,37 +152,37 @@ print("check metrics: 13 algorithms per engine; errors 10/7/4; 10 + 6 certificat
 PY
 
 # A misspelt flag must not run a check that silently ignores it.
-echo "==> camp-lint: an argument a subcommand does not take exits 2"
+stage "camp-lint: an argument a subcommand does not take exits 2"
 status=0
 cargo run --release -q -p camp-lint --bin camp-lint -- check --deny-warning 2> /dev/null || status=$?
 [[ "$status" -eq 2 ]] \
   || { echo "camp-lint check --deny-warning exited $status, expected 2" >&2; exit 1; }
 echo "camp-lint check --deny-warning: exit 2"
 
-echo "==> tier-1: cargo build --release"
+stage "tier-1: cargo build --release"
 cargo build --release
 
-echo "==> tier-1: cargo test -q"
+stage "tier-1: cargo test -q"
 cargo test -q
 
-echo "==> workspace tests"
+stage "workspace tests"
 cargo test --workspace -q
 
-echo "==> rustfmt check"
+stage "rustfmt check"
 cargo fmt --check
 
 # The API docs of campkit and its camp-* crates (not the vendored stand-ins):
 # a broken or private intra-doc link fails here.
-echo "==> rustdoc (deny warnings): campkit and the camp-* crates"
+stage "rustdoc (deny warnings): campkit and the camp-* crates"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q -p campkit -p 'camp-*'
 
-echo "==> camp-lint: trace linter on the Figure 1 golden trace"
+stage "camp-lint: trace linter on the Figure 1 golden trace"
 cargo run --release -q -p camp-lint --bin camp-lint -- trace tests/golden/figure1.json
 
 # The same binary on a trace with findings: it must exit 1 and print, byte
 # for byte, the committed report (the trace's verdicts are also pinned in
 # tests/golden/verdicts.json).
-echo "==> camp-lint: trace linter on a malformed corpus trace (exit 1, pinned report)"
+stage "camp-lint: trace linter on a malformed corpus trace (exit 1, pinned report)"
 malformed="tests/golden/corpus/mismatched-return"
 malformed_out="$PWD/target/ci.malformed-lint.json"
 status=0
@@ -163,7 +197,7 @@ echo "malformed trace: exit 1, report matches $malformed.lint.json"
 # Each example asserts its own claims and panics when one fails;
 # kset_election is the only caller of the stacked A-over-B path outside
 # `tables`. So every example must build in release and exit 0.
-echo "==> examples: every example builds in release and exits 0"
+stage "examples: every example builds in release and exits 0"
 cargo build --release -q --examples
 for example in examples/*.rs; do
   name="$(basename "$example" .rs)"
@@ -172,17 +206,17 @@ for example in examples/*.rs; do
 done
 echo "examples: $(ls examples/*.rs | wc -l) ran, each exit 0"
 
-echo "==> camp-lint: determinism + branch audit of the built-in algorithms"
+stage "camp-lint: determinism + branch audit of the built-in algorithms"
 cargo run --release -q -p camp-lint --bin camp-lint -- audit --seeds 5
 
-echo "==> engine equivalence proptests (release, reduced case count)"
+stage "engine equivalence proptests (release, reduced case count)"
 CAMP_PROPTEST_CASES=6 cargo test -q --release -p camp-modelcheck --test engine_equivalence
 
 # The renaming quotient's typed walk: renaming invariance for every
 # certified algorithm's Relabel impl, and canonical-vs-plain-vs-baseline
 # verdict agreement. Each case is cheap in release, so this stage runs
 # eight times the debug default of 16 cases and still takes seconds.
-echo "==> canonical quotient proptests (release, raised case count)"
+stage "canonical quotient proptests (release, raised case count)"
 CAMP_PROPTEST_CASES=128 cargo test -q --release -p camp-modelcheck --test canonical
 
 # The smoke run writes into a scratch directory so it never clobbers the
@@ -194,7 +228,7 @@ CAMP_PROPTEST_CASES=128 cargo test -q --release -p camp-modelcheck --test canoni
 # rows in the same order, equal values. Any drift in an engine, the
 # certificates or a scope fails here. Each timing must be present and
 # positive.
-echo "==> bench smoke: every ledger reproduces its committed deterministic fields"
+stage "bench smoke: every ledger reproduces its committed deterministic fields"
 smoke_dir="$PWD/target/bench-smoke"
 smoke_metrics="$PWD/target/BENCH_explore.smoke.metrics.json"
 rm -rf "$smoke_dir"
@@ -223,7 +257,7 @@ grep -q '"camp-obs/v2"' "$smoke_metrics" \
 
 # The tables run one table at a time: a second table name used to be
 # dropped silently, so a command line that names two must exit 2.
-echo "==> tables f1 lemmas: a second table is a usage error"
+stage "tables f1 lemmas: a second table is a usage error"
 status=0
 cargo run --release -q -p camp-bench --bin tables -- f1 lemmas > /dev/null 2>&1 || status=$?
 [[ "$status" -eq 2 ]] \
@@ -233,7 +267,7 @@ echo "tables f1 lemmas: exit 2"
 # The timeline view over the figure-1 scope must render non-empty lanes:
 # every process row needs at least one non-idle glyph, or the
 # Execution→Timeline derivation has silently decayed.
-echo "==> tables timeline: figure-1 lanes render non-empty"
+stage "tables timeline: figure-1 lanes render non-empty"
 timeline_out="$PWD/target/ci.timeline.txt"
 cargo run --release -q -p camp-bench --bin tables -- timeline > "$timeline_out"
 python3 - "$timeline_out" <<'PY'
@@ -248,17 +282,17 @@ PY
 
 # Every paper-facing table is deterministic, so a fresh `tables all` must
 # match the committed capture byte for byte; EXPERIMENTS.md cites it.
-echo "==> tables all: byte-identical to results/tables.txt"
+stage "tables all: byte-identical to results/tables.txt"
 tables_out="$PWD/target/ci.tables.txt"
 cargo run --release -q -p camp-bench --bin tables -- all > "$tables_out"
 diff -u results/tables.txt "$tables_out" \
   || { echo "tables all drifted from results/tables.txt; regenerate with scripts/regen-goldens.sh" >&2; exit 1; }
 echo "tables all matches results/tables.txt"
 
-echo "==> metrics goldens: the figure-1 exploration snapshot matches tests/golden"
+stage "metrics goldens: the figure-1 exploration snapshot matches tests/golden"
 cargo test -q --release -p campkit --test metrics
 
-echo "==> independence differential: lint-issued certs vs plain engine (release)"
+stage "independence differential: lint-issued certs vs plain engine (release)"
 CAMP_PROPTEST_CASES=6 cargo test -q --release -p campkit --test independence
 
 # The chaos gate: every healthy algorithm under its pinned 25%-drop plan
@@ -268,14 +302,14 @@ CAMP_PROPTEST_CASES=6 cargo test -q --release -p campkit --test independence
 # its flight recording as target/chaos-soak-seed<N>.trace.json. The crash
 # conformance half lives in tests/differential.rs and already ran under
 # the workspace stage; this re-runs the seeded adversaries in release.
-echo "==> chaos smoke + seeded fault soak (release)"
+stage "chaos smoke + seeded fault soak (release)"
 cargo test -q --release --test chaos
 
 # The runtime suites again, eight tests at a time: every test starts its
 # own fleet of node threads, so on a 2-core box most threads wait for a
 # core. The quiescence wait counts outstanding work instead of timing
 # silence, so no verdict may change under that load.
-echo "==> runtime suites under oversubscription (release, 8 test threads)"
+stage "runtime suites under oversubscription (release, 8 test threads)"
 cargo test -q --release -p campkit --test chaos --test differential -- --test-threads 8
 cargo test -q --release -p camp-runtime --test faults -- --test-threads 8
 
@@ -283,7 +317,8 @@ cargo test -q --release -p camp-runtime --test faults -- --test-threads 8
 # workspace, so no stage above compiles it. `check` builds it and runs
 # every workload once at its smallest size, traced and untraced,
 # verifying each op's output.
-echo "==> campbench check: the benchmark package builds and every workload passes"
+stage "campbench check: the benchmark package builds and every workload passes"
 cargo run --release --offline -q --manifest-path crates/bench/src/bin/campbench/Cargo.toml -- check
 
+stage_summary
 echo "CI OK"

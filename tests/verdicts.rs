@@ -29,29 +29,17 @@
 //! cargo test -p campkit --test verdicts -- --ignored regenerate
 //! ```
 
-use campkit::broadcast::registry::{visit_builtins, visit_faulty, AlgoSpec, AlgorithmVisitor};
+mod corpus;
+
 use campkit::broadcast::AgreedBroadcast;
 use campkit::impossibility::{adversarial_scheduler, verify_lemmas, AdversarialRun, LemmaOutcome};
 use campkit::lint::{default_rules, lint_execution};
-use campkit::sim::scheduler::{seeded_run, CrashPlan, Workload};
-use campkit::sim::{BroadcastAlgorithm, KsaOracle, OwnValueRule, Simulation};
 use campkit::specs::{base, channel, ksa, wellformed, SpecResult};
 use campkit::trace::{Action, Execution, ProcessId, Step, Value};
+use corpus::{corpus, HAND_WRITTEN, SEEDS};
 use serde_json::Value as Json;
 
 const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/verdicts.json");
-const CORPUS_DIR: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/corpus");
-
-/// The hand-written traces, by file stem under `tests/golden/corpus/`.
-const HAND_WRITTEN: [&str; 5] = [
-    "foreign-delivery",
-    "wrong-sender-receive",
-    "second-crash",
-    "mismatched-return",
-    "one-shot-misuse",
-];
-
-const SEEDS: [u64; 2] = [1, 2];
 
 /// The value the planted defect decides; no process ever proposes it.
 const PLANTED: u64 = 999_999;
@@ -77,48 +65,6 @@ fn result(r: &SpecResult) -> Json {
             ("witness", str(v.witness())),
         ]),
     }
-}
-
-/// Collects one seeded run per registered algorithm.
-struct Corpus {
-    seed: u64,
-    traces: Vec<(String, Execution)>,
-}
-
-impl AlgorithmVisitor for Corpus {
-    fn visit<B: BroadcastAlgorithm + 'static>(&mut self, spec: AlgoSpec, algo: B) {
-        let oracle = KsaOracle::new(2, Box::new(OwnValueRule));
-        let (exec, _) = seeded_run(
-            || Simulation::new(algo, 3, oracle),
-            &Workload::uniform(3, 2),
-            self.seed,
-            80,
-            CrashPlan::up_to(1, 0.1),
-        )
-        .unwrap_or_else(|e| panic!("{} seed {}: {e}", spec.name, self.seed));
-        self.traces
-            .push((format!("{}/seed{}", spec.name, self.seed), exec));
-    }
-}
-
-fn corpus() -> Vec<(String, Execution)> {
-    let mut traces = Vec::new();
-    for seed in SEEDS {
-        let mut c = Corpus {
-            seed,
-            traces: Vec::new(),
-        };
-        visit_builtins(&mut c);
-        visit_faulty(&mut c);
-        traces.extend(c.traces);
-    }
-    for name in HAND_WRITTEN {
-        let path = format!("{CORPUS_DIR}/{name}.json");
-        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
-        let exec: Execution = serde_json::from_str(&text).unwrap_or_else(|e| panic!("{path}: {e}"));
-        traces.push((name.to_string(), exec));
-    }
-    traces
 }
 
 fn trace_verdicts(name: &str, exec: &Execution) -> Json {
