@@ -18,8 +18,9 @@
 //! crosses a fault-injecting shim driven by a seeded
 //! [`camp_faults::FaultPlan`] (drop / duplicate / delay / reorder per link,
 //! plus per-process crash points), and a retransmitting perfect-link layer
-//! (ACK tracking, capped exponential backoff, duplicate suppression)
-//! rebuilds reliable exactly-once links on top — so healthy algorithms
+//! (ACK tracking, retransmission after a per-destination RTT-estimated
+//! timeout that doubles up to a cap, duplicate suppression) rebuilds
+//! reliable exactly-once links on top — so healthy algorithms
 //! terminate under loss, and crashed nodes stop dead mid-run with the crash
 //! recorded in the trace. [`ThreadedRuntime::start`] runs the same stack
 //! under the no-op [`camp_faults::FaultPlan::healthy`] plan.

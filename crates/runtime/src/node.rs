@@ -244,12 +244,12 @@ pub(crate) fn run_node<B: BroadcastAlgorithm>(ctx: NodeCtx<B>) {
     loop {
         // Block for the next inbox event, waking early if the link layer
         // has a retransmission / delayed-frame deadline to service.
-        let msg = match link.next_wake_ms() {
+        let msg = match link.next_wake_us() {
             None => match inbox.recv() {
                 Ok(m) => m,
                 Err(_) => break,
             },
-            Some(ms) => match inbox.recv_timeout(Duration::from_millis(ms)) {
+            Some(us) => match inbox.recv_timeout(Duration::from_micros(us)) {
                 Ok(m) => m,
                 Err(RecvTimeoutError::Timeout) => {
                     report_poll(link.poll());

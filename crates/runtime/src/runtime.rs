@@ -19,9 +19,10 @@ use crate::collector::{Collector, TraceEvent};
 use crate::node::{run_node, NodeCtx, NodeMsg};
 
 /// How long [`ThreadedRuntime::wait_quiescent`] blocks on a quiet delivery
-/// stream before it re-reads the ledger. Below the perfect link's 2 ms
-/// base backoff, it bounds how late quiescence is noticed; it decides
-/// nothing.
+/// stream before it re-reads the ledger. It bounds how late quiescence is
+/// noticed and decides nothing, so it need not follow the perfect link's
+/// retransmit timeout, which may be as short as 200 µs; a shorter slice
+/// would only wake the front-end more often.
 const QUIET_SLICE: Duration = Duration::from_millis(1);
 
 /// One B-delivery observed at a process — the application-facing event
@@ -81,7 +82,7 @@ pub(crate) struct CrashBoard {
 }
 
 impl CrashBoard {
-    fn new(n: usize) -> Self {
+    pub(crate) fn new(n: usize) -> Self {
         Self {
             flags: (0..n).map(|_| AtomicBool::new(false)).collect(),
         }
@@ -127,7 +128,7 @@ pub(crate) struct Ledger {
 }
 
 impl Ledger {
-    fn new(n: usize) -> Self {
+    pub(crate) fn new(n: usize) -> Self {
         Self {
             epoch: AtomicU64::new(0),
             slots: (0..n).map(|_| AtomicUsize::new(0)).collect(),

@@ -86,11 +86,13 @@ fn every_healthy_algorithm_survives_heavy_loss() {
 
 /// A healthy plan is a behavioural no-op: full delivery and no injections.
 /// Retransmissions may still happen: a frame is resent whenever its ACK is
-/// late by the link's base backoff, which a loaded host causes with no
-/// fault injected. Each late copy is suppressed as a duplicate and
-/// acknowledged again, and only a frame's first ACK retires it at the
-/// sender. So the link suppresses no more duplicates than it retransmitted,
-/// and every ACK sent either retired a frame or answered a duplicate.
+/// later than the link's retransmit timeout (at least 200 µs), which a
+/// loaded host causes with no fault injected. Since the shim drops nothing,
+/// every one of them is a late-ACK retransmit. Each late copy is suppressed
+/// as a duplicate and acknowledged again, and only a frame's first ACK
+/// retires it at the sender. So the link suppresses no more duplicates
+/// than it retransmitted, and every ACK sent either retired a frame or
+/// answered a duplicate.
 #[test]
 fn healthy_plan_injects_nothing() {
     let (trace, counters) = run_with_plan(SendToAll::new(), 3, 2, 1, FaultPlan::healthy());
@@ -99,6 +101,11 @@ fn healthy_plan_injects_nothing() {
     assert_eq!(counters.count("faults.dups_injected"), 0);
     assert_eq!(counters.count("faults.delays_injected"), 0);
     assert_eq!(counters.count("faults.crashes_fired"), 0);
+    assert_eq!(
+        counters.count("perflink.retransmits"),
+        counters.count("perflink.late_ack_retransmits"),
+        "a retransmit with no drop injected must be a late-ACK one"
+    );
     assert!(
         counters.count("perflink.dup_suppressed") <= counters.count("perflink.retransmits"),
         "duplicates beyond the retransmissions: {} suppressed, {} retransmitted",
