@@ -3,15 +3,18 @@
 //!
 //! One row per entry point over this workspace's sources: the source pass
 //! (`scan_workspace`), the protocol-graph, symmetry and dataflow engines
-//! run alone (`graph_check`, `symmetry_check`, `dataflow_check`; the last
-//! two are the set-up every campbench workload times as `setup_s`) and the
-//! whole `check_workspace`. Each row records:
+//! run alone (`graph_check`, `symmetry_check`, `dataflow_check`), the
+//! certificate set-up every campbench workload times as `setup_s`
+//! (`workspace_certs`: the symmetry and dataflow engines in one registry
+//! walk, and the store built from their certificates) and the whole
+//! `check_workspace`, one walk for all four passes. Each row records:
 //!
 //! * the deterministic shape of the pass: `algorithms_judged` (one per
 //!   registered algorithm and engine, so `check_workspace` counts each
 //!   algorithm three times), `errors`, `certs_issued`, and `files_read`:
-//!   the `.rs` files the source pass scans plus, for each engine walk, the
-//!   registered source files, each read once per walk;
+//!   the source files the pass reads, each once (a walk reads each
+//!   registered file once for all of its engines, and `check_workspace`'s
+//!   source pass reads only the broadcast sources the walk did not);
 //! * under `timings`, the ns per call, timings off as campbench calls them.
 
 use std::collections::BTreeSet;
@@ -19,7 +22,9 @@ use std::path::Path;
 
 use camp_bench::Call;
 use camp_broadcast::registry::{visit_builtins, visit_faulty, AlgoSpec, AlgorithmVisitor};
-use camp_lint::{check_workspace, dataflow_check, graph_check, scan_workspace, symmetry_check};
+use camp_lint::{
+    certificate_check, check_workspace, dataflow_check, graph_check, scan_workspace, symmetry_check,
+};
 use camp_sim::BroadcastAlgorithm;
 use serde::Json;
 
@@ -44,6 +49,7 @@ fn main() {
     let graph = graph_check(root, false).expect(readable);
     let symmetry = symmetry_check(root, false).expect(readable);
     let dataflow = dataflow_check(root, false).expect(readable);
+    let (certs_symmetry, certs_dataflow) = certificate_check(root, false).expect(readable);
     let check = check_workspace(root, false).expect(readable);
     let scanned: usize = source.crates.iter().map(|c| c.files).sum();
     let judged = |engines: &[usize]| engines.iter().sum::<usize>();
@@ -72,6 +78,16 @@ fn main() {
             walked,
         ),
         (
+            "workspace_certs",
+            judged(&[
+                certs_symmetry.algorithms.len(),
+                certs_dataflow.algorithms.len(),
+            ]),
+            certs_symmetry.errors + certs_dataflow.errors,
+            certs_symmetry.certs.len() + certs_dataflow.certs.len(),
+            walked,
+        ),
+        (
             "check_workspace",
             judged(&[
                 check.graph.algorithms.len(),
@@ -85,7 +101,9 @@ fn main() {
                 check.dataflow.errors,
             ]),
             check.symmetry.certs.len() + check.dataflow.certs.len(),
-            scanned + 3 * walked,
+            // The walk hands the registered files to the source pass, so
+            // the check reads just the files its source pass lints.
+            check.source.crates.iter().map(|c| c.files).sum(),
         ),
     ];
 
@@ -94,6 +112,7 @@ fn main() {
         Call::new(|| graph_check(root, false)),
         Call::new(|| symmetry_check(root, false)),
         Call::new(|| dataflow_check(root, false)),
+        Call::new(camp_bench::workspace_certs),
         Call::new(|| check_workspace(root, false)),
     ];
     let timings = camp_bench::sample(&mut calls);

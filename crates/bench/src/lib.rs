@@ -229,7 +229,8 @@ pub fn write_bench_ledger(layer: &str, version: u32, rows: Vec<Json>) {
 /// S030–S035, symmetry certificates licensing renaming-quotient
 /// canonicalization) and dataflow engine (rules S040–S048, independence
 /// certificates licensing widened sleep-set POR) over the workspace
-/// sources. Only those two engines run, not the whole `camp-lint check`:
+/// sources. Only those two engines run, in one registry walk
+/// ([`camp_lint::certificate_check`]), not the whole `camp-lint check`:
 /// this is the set-up every campbench workload times as `setup_s`. The
 /// benchmarks and table generators run from the repository checkout,
 /// so the sources are available; a read failure degrades to an empty store
@@ -238,13 +239,10 @@ pub fn write_bench_ledger(layer: &str, version: u32, rows: Vec<Json>) {
 #[must_use]
 pub fn workspace_certs() -> CertStore {
     let root = std::path::Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."));
-    match (
-        camp_lint::symmetry_check(root, false),
-        camp_lint::dataflow_check(root, false),
-    ) {
-        (Ok(symmetry), Ok(dataflow)) => camp_lint::cert_store(&symmetry, &dataflow),
-        _ => CertStore::new(),
-    }
+    camp_lint::certificate_check(root, false).map_or_else(
+        |_| CertStore::new(),
+        |(symmetry, dataflow)| camp_lint::cert_store(&symmetry, &dataflow),
+    )
 }
 
 /// Builds a completed Send-To-All execution over `n` processes with `m`

@@ -1,16 +1,8 @@
 //! `camp-lint`: the command-line front-end of the static-analysis layer.
-//!
-//! ```text
-//! camp-lint trace <file.json> [--json] [--strict]   lint a JSON execution trace
-//! camp-lint check [--json] [--deny-warnings] [--timings] [--root DIR]
-//!                 [--metrics OUT.json] [--certs OUT.json]
-//!                                                    S009 + graph + symmetry + dataflow analysis
-//! camp-lint audit [--seeds N] [--metrics OUT.json]  audit the built-in algorithms
-//! camp-lint rules [--json]                          list the rule registry
-//! ```
-//!
-//! A subcommand accepts only the arguments listed for it. Exit codes: `0`
-//! clean, `1` findings (or audit failure), `2` usage or I/O error.
+//! Its subcommands `trace`, `check`, `audit` and `rules` and their arguments
+//! are listed in `USAGE`, which a usage error prints; a subcommand accepts
+//! only the arguments listed for it. Exit codes: `0` clean, `1` findings (or
+//! audit failure), `2` usage or I/O error.
 
 use std::process::ExitCode;
 
@@ -166,10 +158,7 @@ fn emit(text: impl std::fmt::Display) {
 }
 
 fn emitln(text: impl std::fmt::Display) {
-    use std::io::Write;
-    if writeln!(std::io::stdout(), "{text}").is_err() {
-        std::process::exit(141);
-    }
+    emit(format_args!("{text}\n"));
 }
 
 fn cmd_trace(args: &Args) -> ExitCode {

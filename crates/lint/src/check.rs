@@ -12,11 +12,11 @@ use std::path::Path;
 use camp_sim::canonical::CertStore;
 use serde::Serialize;
 
-use crate::dataflow::{dataflow_check, DataflowReport};
+use crate::dataflow::{Dataflow, DataflowReport};
 use crate::graph::{Graph, GraphReport};
-use crate::source::{scan_workspace, SourceReport};
+use crate::source::{SourcePass, SourceReport};
 use crate::symmetry::{Symmetry, SymmetryReport};
-use crate::walk::{walk, ProbeMemo};
+use crate::walk::{walk, Run};
 
 /// The combined report of `camp-lint check`: the source pass, the
 /// protocol-graph, symmetry, and dataflow engines, and the acceptance
@@ -45,16 +45,16 @@ impl CheckReport {
     /// Should `camp-lint check` exit nonzero for this report?
     #[must_use]
     pub fn failed(&self, deny_warnings: bool) -> bool {
-        let warned = self.source.warnings > 0
-            || self.graph.warnings > 0
-            || self.symmetry.warnings > 0
-            || self.dataflow.warnings > 0;
+        let warnings = self.source.warnings
+            + self.graph.warnings
+            + self.symmetry.warnings
+            + self.dataflow.warnings;
         self.source.has_errors()
             || !self.graph.healthy_clean()
             || !self.symmetry.healthy_clean()
             || !self.dataflow.healthy_clean()
             || !self.faulty_convicted
-            || (deny_warnings && warned)
+            || (deny_warnings && warnings > 0)
     }
 }
 
@@ -74,9 +74,30 @@ pub fn cert_store(symmetry: &SymmetryReport, dataflow: &DataflowReport) -> CertS
     store
 }
 
-/// Runs all four engines over the workspace at `root` and joins the
-/// verdicts. The symmetry engine judges the probe records the graph engine
-/// made, so with `timings` the probes count as graph time.
+/// Runs the symmetry and dataflow engines, the two that issue certificates,
+/// over the workspace at `root` in one registry walk: each registered file
+/// is read and lexed once, and its algorithms probed once. Their reports
+/// equal [`crate::symmetry_check`]'s and [`crate::dataflow_check`]'s;
+/// [`cert_store`] joins their certificates.
+///
+/// # Errors
+///
+/// Propagates I/O errors from reading the registered source files.
+pub fn certificate_check(
+    root: &Path,
+    timings: bool,
+) -> io::Result<(SymmetryReport, DataflowReport)> {
+    // Dataflow judges first, so a file's parse tree is gone before its first
+    // algorithm's probe record is made: the two are never held at once.
+    let engines = (Run::new(Dataflow, timings), Run::new(Symmetry, timings));
+    let (dataflow, symmetry) = walk(root, engines)?;
+    Ok((symmetry, dataflow))
+}
+
+/// Runs all four engines over the workspace at `root` in one registry walk
+/// and joins the verdicts. Each broadcast source is read and lexed once
+/// (the walk hands the registered files to the `S009` pass, which reads the
+/// others), and each algorithm probed once for graph and symmetry.
 ///
 /// With `timings: false` (the default), the per-crate and per-pass wall
 /// times are omitted and the report is a pure function of the sources, so
@@ -87,11 +108,12 @@ pub fn cert_store(symmetry: &SymmetryReport, dataflow: &DataflowReport) -> CertS
 /// Propagates I/O errors from reading the workspace sources; the usual
 /// cause is `root` not being the workspace root.
 pub fn check_workspace(root: &Path, timings: bool) -> io::Result<CheckReport> {
-    let source = scan_workspace(root, timings)?;
-    let mut probes = ProbeMemo::new();
-    let graph = walk(root, timings, Graph(&mut probes))?;
-    let symmetry = walk(root, timings, Symmetry(&mut probes))?;
-    let dataflow = dataflow_check(root, timings)?;
+    let certifying = (Run::new(Symmetry, timings), Run::new(Dataflow, timings));
+    let engines = (
+        SourcePass::new(timings),
+        (Run::new(Graph, timings), certifying),
+    );
+    let (source, (graph, (symmetry, dataflow))) = walk(root, engines)?;
     // "Healthy clean" spans all engines: no source findings anywhere, no
     // graph, symmetry, or dataflow findings against algorithms not
     // registered as faulty.
@@ -116,4 +138,66 @@ pub fn check_workspace(root: &Path, timings: bool) -> io::Result<CheckReport> {
         healthy_clean,
         faulty_convicted,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::source::lexer::lexes;
+
+    fn workspace_root() -> std::path::PathBuf {
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
+    }
+
+    /// Every member of the combined check carries its wall time when, and
+    /// only when, timings are requested.
+    #[test]
+    fn timings_are_gated() {
+        let root = workspace_root();
+        for timings in [false, true] {
+            let report = check_workspace(&root, timings).expect("check runs");
+            let members = [
+                ("source", report.source.crates[0].millis),
+                ("graph", report.graph.millis),
+                ("symmetry", report.symmetry.millis),
+                ("dataflow", report.dataflow.millis),
+            ];
+            for (member, millis) in members {
+                assert_eq!(millis.is_some(), timings, "the `{member}` member");
+            }
+        }
+    }
+
+    /// One check lexes each of the broadcast crate's sources once: the
+    /// walk lexes the registered files for the `S009` pass and every
+    /// engine, and the pass lexes the others. The certificate walk lexes
+    /// each registered file once for both of its engines. (Each linted file
+    /// is lexed at least once, so a total equal to the file count means
+    /// once each.)
+    #[test]
+    fn each_source_file_is_lexed_once_per_walk() {
+        use camp_broadcast::registry::{visit_builtins, visit_faulty, AlgoSpec, AlgorithmVisitor};
+        use std::collections::BTreeSet;
+
+        /// The distinct registered source files.
+        struct Files(BTreeSet<&'static str>);
+        impl AlgorithmVisitor for Files {
+            fn visit<B: camp_sim::BroadcastAlgorithm + 'static>(&mut self, spec: AlgoSpec, _: B) {
+                self.0.insert(spec.file);
+            }
+        }
+        let mut registered = Files(BTreeSet::new());
+        visit_builtins(&mut registered);
+        visit_faulty(&mut registered);
+
+        let root = workspace_root();
+        let before = lexes();
+        let report = check_workspace(&root, false).expect("check runs");
+        let sources = report.source.crates[0].files;
+        assert_eq!((sources, lexes() - before), (11, 11));
+
+        let before = lexes();
+        certificate_check(&root, false).expect("certificate walk runs");
+        assert_eq!((registered.0.len(), lexes() - before), (8, 8));
+    }
 }

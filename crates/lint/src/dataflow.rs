@@ -65,7 +65,7 @@ use crate::diagnostics::Severity;
 use crate::source::lexer::{adjacent, Token};
 use crate::source::tree::{self, is_ident, FnDef, ImplBlock};
 use crate::source::SourceDiagnostic;
-use crate::walk::{rule_error, walk, Engine, Registered, Rules, Walk};
+use crate::walk::{engine_report, rule_error, walk, Engine, Registered, Run};
 
 /// Metadata for the dataflow rules, mirrored by `camp-lint rules`.
 pub const DATAFLOW_RULES: &[(&str, &str, &str)] = &[
@@ -255,19 +255,12 @@ fn run_has_origin(
     payload_roots: &BTreeSet<String>,
     origin: &BTreeSet<String>,
 ) -> bool {
-    for i in 0..run.len() {
-        if !at_root(run, i) {
-            continue;
-        }
+    (0..run.len()).any(|i| {
         let root = text(run, i);
-        if origin.contains(root) {
-            return true;
-        }
-        if payload_roots.contains(root) && segments(run, i).iter().any(|s| s == "sender") {
-            return true;
-        }
-    }
-    false
+        at_root(run, i)
+            && (origin.contains(root)
+                || payload_roots.contains(root) && segments(run, i).iter().any(|s| s == "sender"))
+    })
 }
 
 /// Does the run mention the payload at all (a chain rooted at the payload
@@ -284,25 +277,16 @@ fn run_has_taint(
     payload_roots: &BTreeSet<String>,
     tainted: &BTreeSet<String>,
 ) -> Option<(usize, usize)> {
-    for i in 0..run.len() {
-        if !at_root(run, i) {
-            continue;
-        }
-        let root = text(run, i);
+    let t = run.iter().enumerate().find(|&(i, t)| {
         // Struct-literal field names (`content: x`) are not accesses.
-        if text(run, i + 1) == ":" && text(run, i + 2) != ":" {
-            continue;
-        }
-        if tainted.contains(root) {
-            let t = &run[i];
-            return Some((t.line, t.col));
-        }
-        if payload_roots.contains(root) && segments(run, i).iter().any(|s| s == "content") {
-            let t = &run[i];
-            return Some((t.line, t.col));
-        }
-    }
-    None
+        let field_name = text(run, i + 1) == ":" && text(run, i + 2) != ":";
+        at_root(run, i)
+            && !field_name
+            && (tainted.contains(&t.text)
+                || payload_roots.contains(&t.text)
+                    && segments(run, i).iter().any(|s| s == "content"))
+    });
+    t.map(|(_, t)| (t.line, t.col))
 }
 
 /// Name bindings visible to one handler body, built in one forward pass so
@@ -400,6 +384,9 @@ impl Cmp {
     }
 }
 
+/// The operators that prefix `=` in a compound assignment (`+=`, `^=`, …).
+const COMPOUND_OPS: &[&str] = &["+", "-", "*", "/", "%", "&", "|", "^"];
+
 /// Finds the first comparison operator in a clause, honouring the lexer's
 /// one-char-per-token stream: `==` is two adjacent `=` tokens, `->`, `=>`,
 /// `<<`, `>>`, `..=` and compound assignments are excluded.
@@ -414,23 +401,10 @@ fn find_comparison(run: &[Token]) -> Option<(Cmp, usize, usize)> {
             "=" => {
                 if let Some(n) = next_adj {
                     if n.text == "=" {
-                        if prev_adj
-                            && matches!(
-                                prev,
-                                "+" | "-"
-                                    | "*"
-                                    | "/"
-                                    | "%"
-                                    | "&"
-                                    | "|"
-                                    | "^"
-                                    | "<"
-                                    | ">"
-                                    | "!"
-                                    | "="
-                                    | "."
-                            )
-                        {
+                        // An `==` glued to a preceding operator is not one.
+                        let glued = COMPOUND_OPS.contains(&prev)
+                            || matches!(prev, "<" | ">" | "!" | "=" | ".");
+                        if prev_adj && glued {
                             i += 2;
                             continue;
                         }
@@ -473,25 +447,19 @@ fn find_comparison(run: &[Token]) -> Option<(Cmp, usize, usize)> {
     None
 }
 
-/// Splits a condition run at top-level `&&` / `||` into clauses.
-fn split_clauses(run: &[Token]) -> Vec<&[Token]> {
-    let mut out = Vec::new();
-    let mut depth = 0usize;
-    let mut start = 0;
-    let mut i = 0;
+/// Splits a flattened token run at its top-level separators, where `sep`
+/// gives the length of the separator at an index (0 if none starts there).
+fn split_top(run: &[Token], sep: impl Fn(usize) -> usize) -> Vec<&[Token]> {
+    let (mut out, mut depth, mut start, mut i) = (Vec::new(), 0usize, 0, 0);
     while i < run.len() {
         match text(run, i) {
             "(" | "[" | "{" => depth += 1,
             ")" | "]" | "}" => depth = depth.saturating_sub(1),
-            "&" | "|" if depth == 0 => {
-                if let Some(n) = run.get(i + 1) {
-                    if n.text == run[i].text && adjacent(&run[i], n) {
-                        out.push(&run[start..i]);
-                        i += 2;
-                        start = i;
-                        continue;
-                    }
-                }
+            _ if depth == 0 && sep(i) > 0 => {
+                out.push(&run[start..i]);
+                i += sep(i);
+                start = i;
+                continue;
             }
             _ => {}
         }
@@ -501,24 +469,39 @@ fn split_clauses(run: &[Token]) -> Vec<&[Token]> {
     out
 }
 
+/// Splits a condition run at top-level `&&` / `||` into clauses.
+fn split_clauses(run: &[Token]) -> Vec<&[Token]> {
+    split_top(run, |i| {
+        let doubled = matches!(text(run, i), "&" | "|")
+            && (run.get(i + 1)).is_some_and(|n| n.text == run[i].text && adjacent(&run[i], n));
+        if doubled {
+            2
+        } else {
+            0
+        }
+    })
+}
+
+/// The field of the `<state_root>.field` or `self.field` access rooted at
+/// `run[i]`, if there is one.
+fn state_field<'r>(run: &'r [Token], i: usize, state_root: &str) -> Option<&'r str> {
+    let root = text(run, i);
+    let field = text(run, i + 2);
+    (at_root(run, i)
+        && (root == state_root || root == "self")
+        && text(run, i + 1) == "."
+        && is_ident(field))
+    .then_some(field)
+}
+
 /// Does the side mention `<root>.n` (the system size)?
 fn mentions_n(run: &[Token], state_root: &str) -> bool {
-    (0..run.len()).any(|i| {
-        at_root(run, i)
-            && (text(run, i) == state_root || text(run, i) == "self")
-            && text(run, i + 1) == "."
-            && text(run, i + 2) == "n"
-    })
+    (0..run.len()).any(|i| state_field(run, i, state_root) == Some("n"))
 }
 
 /// Does the side read a state field (a persistent counter)?
 fn state_rooted(run: &[Token], state_root: &str) -> bool {
-    (0..run.len()).any(|i| {
-        at_root(run, i)
-            && (text(run, i) == state_root || text(run, i) == "self")
-            && text(run, i + 1) == "."
-            && is_ident(text(run, i + 2))
-    })
+    (0..run.len()).any(|i| state_field(run, i, state_root).is_some())
 }
 
 /// Evaluates an integer expression over `+ - * /` with parentheses, where
@@ -526,55 +509,39 @@ fn state_rooted(run: &[Token], state_root: &str) -> bool {
 /// `n`). Returns `None` on anything else.
 fn eval_threshold(run: &[Token], state_root: &str, n: i64) -> Option<i64> {
     let mut pos = 0;
-    let v = eval_expr(run, &mut pos, state_root, n)?;
+    let v = eval_expr(run, &mut pos, state_root, n, 0)?;
     (pos == run.len()).then_some(v)
 }
 
-fn eval_expr(run: &[Token], pos: &mut usize, root: &str, n: i64) -> Option<i64> {
-    let mut acc = eval_term(run, pos, root, n)?;
-    while *pos < run.len() {
-        match text(run, *pos) {
-            "+" => {
-                *pos += 1;
-                acc += eval_term(run, pos, root, n)?;
-            }
-            "-" => {
-                *pos += 1;
-                acc -= eval_term(run, pos, root, n)?;
-            }
-            _ => break,
+/// Evaluates the left-associative operators of one precedence `level`
+/// (0: `+ -`, 1: `* /`) over the operands of the next.
+fn eval_expr(run: &[Token], pos: &mut usize, root: &str, n: i64, level: usize) -> Option<i64> {
+    let operand = |pos: &mut usize| match level {
+        0 => eval_expr(run, pos, root, n, 1),
+        _ => eval_atom(run, pos, root, n),
+    };
+    let mut acc = operand(pos)?;
+    loop {
+        let op = text(run, *pos);
+        if ![["+", "-"], ["*", "/"]][level].contains(&op) {
+            return Some(acc);
         }
+        *pos += 1;
+        let rhs = operand(pos)?;
+        acc = match op {
+            "+" => acc + rhs,
+            "-" => acc - rhs,
+            "*" => acc * rhs,
+            _ => acc.checked_div_euclid(rhs)?,
+        };
     }
-    Some(acc)
-}
-
-fn eval_term(run: &[Token], pos: &mut usize, root: &str, n: i64) -> Option<i64> {
-    let mut acc = eval_atom(run, pos, root, n)?;
-    while *pos < run.len() {
-        match text(run, *pos) {
-            "*" => {
-                *pos += 1;
-                acc *= eval_atom(run, pos, root, n)?;
-            }
-            "/" => {
-                *pos += 1;
-                let d = eval_atom(run, pos, root, n)?;
-                if d == 0 {
-                    return None;
-                }
-                acc = acc.div_euclid(d);
-            }
-            _ => break,
-        }
-    }
-    Some(acc)
 }
 
 fn eval_atom(run: &[Token], pos: &mut usize, root: &str, n: i64) -> Option<i64> {
     let t = text(run, *pos);
     if t == "(" {
         *pos += 1;
-        let v = eval_expr(run, pos, root, n)?;
+        let v = eval_expr(run, pos, root, n, 0)?;
         if text(run, *pos) != ")" {
             return None;
         }
@@ -639,7 +606,7 @@ struct Analyzer<'a> {
 
 impl Analyzer<'_> {
     fn raise(&mut self, code: &str, line: usize, col: usize, message: String) {
-        let finding = rule_error(DATAFLOW_RULES, code, self.file, (line, col), message);
+        let finding = rule_error(code, self.file, (line, col), message);
         self.diagnostics.push(finding);
     }
 
@@ -742,18 +709,10 @@ impl Analyzer<'_> {
             }
         }
         // Fields read by any condition of this handler.
-        let mut branch_fields: BTreeSet<String> = BTreeSet::new();
-        for cond in &handler.conditions {
-            for i in 0..cond.len() {
-                if at_root(cond, i)
-                    && (text(cond, i) == state_root || text(cond, i) == "self")
-                    && text(cond, i + 1) == "."
-                    && is_ident(text(cond, i + 2))
-                {
-                    branch_fields.insert(text(cond, i + 2).to_string());
-                }
-            }
-        }
+        let branch_fields: BTreeSet<&str> = (handler.conditions)
+            .iter()
+            .flat_map(|cond| (0..cond.len()).filter_map(|i| state_field(cond, i, state_root)))
+            .collect();
         // Assignments `st.field = <tainted>;`.
         for i in 0..body.len() {
             if !(at_root(body, i) && text(body, i) == state_root && text(body, i + 1) == ".") {
@@ -776,7 +735,7 @@ impl Analyzer<'_> {
             }
             let rhs = &body[i + 4..end];
             if run_has_taint(rhs, &bindings.payload_roots, &bindings.tainted).is_some()
-                && branch_fields.contains(&field)
+                && branch_fields.contains(field.as_str())
             {
                 let t = &body[i + 2];
                 self.raise(
@@ -988,7 +947,7 @@ impl Analyzer<'_> {
                 .get(pos + 1)
                 .is_some_and(|n| (n.text == "=" || n.text == ">") && adjacent(this, n));
         }
-        if matches!(t, "+" | "-" | "*" | "/" | "%" | "&" | "|" | "^") {
+        if COMPOUND_OPS.contains(&t) {
             let this = &body[pos];
             return body
                 .get(pos + 1)
@@ -1076,22 +1035,7 @@ fn span_group(body: &[Token], open: usize) -> usize {
 
 /// Splits a flattened argument token run on top-level commas.
 fn split_args(args: &[Token]) -> Vec<&[Token]> {
-    let mut out = Vec::new();
-    let mut depth = 0usize;
-    let mut start = 0;
-    for (i, t) in args.iter().enumerate() {
-        match t.text.as_str() {
-            "(" | "[" | "{" => depth += 1,
-            ")" | "]" | "}" => depth = depth.saturating_sub(1),
-            "," if depth == 0 => {
-                out.push(&args[start..i]);
-                start = i + 1;
-            }
-            _ => {}
-        }
-    }
-    out.push(&args[start..]);
-    out
+    split_top(args, |i| usize::from(text(args, i) == ","))
 }
 
 /// Renders a token run as source text: tokens that were adjacent in the
@@ -1115,10 +1059,7 @@ fn drained_fields(next_step: Option<&Handler>) -> BTreeSet<String> {
     };
     let (body, state_root) = (handler.body.tokens.as_slice(), handler.state_root.as_str());
     for i in 0..body.len() {
-        if at_root(body, i)
-            && (text(body, i) == state_root || text(body, i) == "self")
-            && text(body, i + 1) == "."
-            && is_ident(text(body, i + 2))
+        if state_field(body, i, state_root).is_some()
             && text(body, i + 3) == "."
             && matches!(text(body, i + 4), "pop" | "pop_front" | "remove" | "take")
             && text(body, i + 5) == "("
@@ -1202,24 +1143,17 @@ fn analyze_impls(
         az.check_taint(handler, bindings);
     }
 
-    // Footprints.
-    let mut handlers_analyzed = 0;
+    // Footprints, invoke's first.
     let mut summaries: Vec<String> = Vec::new();
-    let mut rec_fp = None;
-    let mut inv_fp = None;
-    for (name, entry) in [("on_invoke_broadcast", &invoke), ("on_receive", &receive)] {
-        let Some((handler, bindings)) = entry else {
-            continue;
-        };
+    let mut footprint = |name: &str, entry: &Option<(&Handler, Bindings)>| {
+        let (handler, bindings) = entry.as_ref()?;
         let fp = az.footprint(&handler.body, &handler.state_root, bindings, 0);
-        handlers_analyzed += 1;
         summaries.push(format!("{name}: {}", fp.summary()));
-        if name == "on_receive" {
-            rec_fp = Some(fp);
-        } else {
-            inv_fp = Some(fp);
-        }
-    }
+        Some(fp)
+    };
+    let inv_fp = footprint("on_invoke_broadcast", &invoke);
+    let rec_fp = footprint("on_receive", &receive);
+    let handlers_analyzed = summaries.len();
 
     let receives_commute = rec_fp.as_ref().is_some_and(|fp| {
         fp.classes.values().all(|classes| {
@@ -1389,77 +1323,16 @@ pub struct AlgoDataflow {
     pub diagnostics: Vec<SourceDiagnostic>,
 }
 
+engine_report! {
+    /// The outcome of the dataflow engine over the registry.
+    DataflowReport("dataflow", DATAFLOW_RULES, AlgoDataflow,
+        IndependenceCert = INDEPENDENCE_CERT_SCHEMA)
+}
+
 impl AlgoDataflow {
-    /// Did any rule raise an error against this algorithm?
-    #[must_use]
-    pub fn has_errors(&self) -> bool {
-        self.diagnostics
-            .iter()
-            .any(|d| d.severity == Severity::Error)
-    }
-}
-
-/// The outcome of the dataflow engine over the registry.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
-pub struct DataflowReport {
-    /// Codes of the dataflow rules, in order.
-    pub rules_checked: Vec<String>,
-    /// Number of error-severity findings across all algorithms.
-    pub errors: usize,
-    /// Number of warning-severity findings across all algorithms.
-    pub warnings: usize,
-    /// Per-algorithm outcomes, registry order (healthy first, then faulty).
-    pub algorithms: Vec<AlgoDataflow>,
-    /// Certificates issued this run, in algorithm-name order.
-    pub certs: Vec<IndependenceCert>,
-    /// Engine wall-time in milliseconds (`None` unless timings were
-    /// requested).
-    pub millis: Option<u64>,
-}
-
-impl DataflowReport {
-    /// Is every *healthy* (not expected-faulty) algorithm free of findings?
-    #[must_use]
-    pub fn healthy_clean(&self) -> bool {
-        self.algorithms
-            .iter()
-            .filter(|a| !a.expected_faulty)
-            .all(|a| a.diagnostics.is_empty())
-    }
-
-    /// Does `name` have at least one error-severity finding?
-    #[must_use]
-    pub fn convicted(&self, name: &str) -> bool {
-        self.algorithms
-            .iter()
-            .any(|a| a.name == name && a.has_errors())
-    }
-
-    /// Renders the report for humans, one line per algorithm.
-    #[must_use]
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        for a in &self.algorithms {
-            let verdict = if a.certified {
-                "CERTIFIED".to_string()
-            } else if a.expected_faulty && a.has_errors() {
-                format!("CONVICTED ({} finding(s))", a.diagnostics.len())
-            } else if !a.diagnostics.is_empty() {
-                format!("FINDINGS ({})", a.diagnostics.len())
-            } else {
-                "ok (no certificate)".to_string()
-            };
-            out.push_str(&format!("dataflow    {:<24} {}\n", a.name, verdict));
-            for d in &a.diagnostics {
-                out.push_str(&format!("  {d}\n"));
-            }
-        }
-        out.push_str(&format!(
-            "dataflow    {} certificate(s) issued ({})\n",
-            self.certs.len(),
-            INDEPENDENCE_CERT_SCHEMA
-        ));
-        out
+    /// Its verdict on a report line.
+    fn verdict(&self) -> String {
+        self.verdict_or(self.certified, "ok (no certificate)")
     }
 }
 
@@ -1470,39 +1343,24 @@ impl DataflowReport {
 ///
 /// Propagates I/O errors from reading the registered source files.
 pub fn dataflow_check(root: &Path, timings: bool) -> io::Result<DataflowReport> {
-    walk(root, timings, Dataflow)
+    walk(root, Run::new(Dataflow, timings))
 }
 
 /// The dataflow engine.
-struct Dataflow;
+pub(crate) struct Dataflow;
 
 impl Engine for Dataflow {
-    const RULES: Rules = DATAFLOW_RULES;
-    /// The algorithm's outcome, and its certificate if it earned one.
-    type Verdict = (AlgoDataflow, Option<IndependenceCert>);
+    type Algo = AlgoDataflow;
+    type Cert = IndependenceCert;
     type Report = DataflowReport;
-
-    fn diagnostics((verdict, _): &Self::Verdict) -> &[SourceDiagnostic] {
-        &verdict.diagnostics
-    }
-
-    fn report(self, walk: Walk<Self::Verdict>) -> DataflowReport {
-        let (algorithms, certs): (Vec<_>, Vec<_>) = walk.algorithms.into_iter().unzip();
-        let mut certs: Vec<IndependenceCert> = certs.into_iter().flatten().collect();
-        certs.sort_by(|a, b| a.algorithm.cmp(&b.algorithm));
-        DataflowReport {
-            rules_checked: walk.rules_checked,
-            errors: walk.errors,
-            warnings: walk.warnings,
-            algorithms,
-            certs,
-            millis: walk.millis,
-        }
-    }
 
     /// Applies the `S04x` rules to one algorithm, and certifies it if its
     /// receives commute.
-    fn judge<B: BroadcastAlgorithm>(&mut self, at: &Registered<'_>, algo: &B) -> Self::Verdict {
+    fn judge<B: BroadcastAlgorithm>(
+        &self,
+        at: &Registered<'_>,
+        algo: &B,
+    ) -> (AlgoDataflow, Option<IndependenceCert>) {
         let spec = &at.spec;
         let sa = analyze_impls(spec.file, at.file.impls(), spec.struct_name, spec.wait_free);
         let mut diagnostics = sa.diagnostics;
@@ -1567,7 +1425,7 @@ mod tests {
         struct_name: &str,
         wait_free: bool,
     ) -> StaticAnalysis {
-        let lexed = SourceFile::lex(source);
+        let lexed = SourceFile::new(source.to_string());
         analyze_impls(file, lexed.impls(), struct_name, wait_free)
     }
 
@@ -1839,13 +1697,5 @@ mod tests {
             serde_json::to_string(&a).expect("serialize"),
             serde_json::to_string(&b).expect("serialize")
         );
-    }
-
-    #[test]
-    fn timings_are_gated() {
-        let off = dataflow_check(&workspace_root(), false).expect("untimed run");
-        assert_eq!(off.millis, None);
-        let on = dataflow_check(&workspace_root(), true).expect("timed run");
-        assert!(on.millis.is_some());
     }
 }

@@ -33,16 +33,16 @@
 //! [`AlgoSpec`]: camp_broadcast::registry::AlgoSpec
 
 use std::collections::BTreeMap;
+use std::convert::Infallible;
 use std::io;
 use std::path::Path;
 
-use camp_sim::probe::{ProbeRecord, Trigger};
+use camp_sim::probe::Trigger;
 use camp_sim::BroadcastAlgorithm;
 use serde::Serialize;
 
-use crate::diagnostics::Severity;
 use crate::source::SourceDiagnostic;
-use crate::walk::{walk, Engine, ProbeMemo, Registered, Rules, Walk};
+use crate::walk::{engine_report, walk, Engine, Registered, Run};
 
 /// Metadata for the graph rules, mirrored by `camp-lint rules`.
 pub const GRAPH_RULES: &[(&str, &str, &str)] = &[
@@ -100,76 +100,16 @@ pub struct AlgoGraph {
     pub diagnostics: Vec<SourceDiagnostic>,
 }
 
+engine_report! {
+    /// The outcome of the protocol-graph engine over the registry.
+    GraphReport("graph", GRAPH_RULES, AlgoGraph)
+}
+
 impl AlgoGraph {
-    /// Did any rule raise an error against this algorithm?
-    #[must_use]
-    pub fn has_errors(&self) -> bool {
-        self.diagnostics
-            .iter()
-            .any(|d| d.severity == Severity::Error)
-    }
-}
-
-/// The outcome of the protocol-graph engine over the registry.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
-pub struct GraphReport {
-    /// Codes of the graph rules, in order.
-    pub rules_checked: Vec<String>,
-    /// Number of error-severity findings across all algorithms.
-    pub errors: usize,
-    /// Number of warning-severity findings across all algorithms.
-    pub warnings: usize,
-    /// Per-algorithm outcomes, registry order (healthy first, then faulty).
-    pub algorithms: Vec<AlgoGraph>,
-    /// Engine wall-time in milliseconds (`None` unless timings were
-    /// requested — see [`crate::source::CrateScan::millis`]).
-    pub millis: Option<u64>,
-}
-
-impl GraphReport {
-    /// Is every *healthy* (not expected-faulty) algorithm free of findings?
-    #[must_use]
-    pub fn healthy_clean(&self) -> bool {
-        self.algorithms
-            .iter()
-            .filter(|a| !a.expected_faulty)
-            .all(|a| a.diagnostics.is_empty())
-    }
-
-    /// Does every expected-faulty algorithm have at least one error-severity
-    /// finding? (The negative candidates exist to be caught; missing one
-    /// means the engine lost coverage.)
-    #[must_use]
-    pub fn faulty_convicted(&self) -> bool {
-        self.algorithms
-            .iter()
-            .filter(|a| a.expected_faulty)
-            .all(AlgoGraph::has_errors)
-    }
-
-    /// Renders the report for humans, one line per algorithm.
-    #[must_use]
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        for a in &self.algorithms {
-            let verdict = if a.diagnostics.is_empty() {
-                "ok".to_string()
-            } else if a.expected_faulty && a.has_errors() {
-                format!("CONVICTED ({} finding(s))", a.diagnostics.len())
-            } else {
-                format!("FINDINGS ({})", a.diagnostics.len())
-            };
-            out.push_str(&format!(
-                "graph       {:<24} {} [{}]\n",
-                a.name,
-                verdict,
-                a.kinds_sent.join(", ")
-            ));
-            for d in &a.diagnostics {
-                out.push_str(&format!("  {d}\n"));
-            }
-        }
-        out
+    /// Its verdict on a report line, then the kinds it sent.
+    fn verdict(&self) -> String {
+        let verdict = self.verdict_or(false, "ok");
+        format!("{verdict} [{}]", self.kinds_sent.join(", "))
     }
 }
 
@@ -181,37 +121,25 @@ impl GraphReport {
 /// Propagates I/O errors from reading the registered source files (the
 /// anchors must exist for the diagnostics to be honest).
 pub fn graph_check(root: &Path, timings: bool) -> io::Result<GraphReport> {
-    walk(root, timings, Graph(&mut ProbeMemo::new()))
+    walk(root, Run::new(Graph, timings))
 }
 
-/// The protocol-graph engine; it leaves each probe record in its memo.
-pub(crate) struct Graph<'m>(pub(crate) &'m mut ProbeMemo);
+/// The protocol-graph engine.
+pub(crate) struct Graph;
 
-impl Engine for Graph<'_> {
-    const RULES: Rules = GRAPH_RULES;
-    type Verdict = AlgoGraph;
+impl Engine for Graph {
+    type Algo = AlgoGraph;
+    type Cert = Infallible;
     type Report = GraphReport;
-
-    fn diagnostics(verdict: &AlgoGraph) -> &[SourceDiagnostic] {
-        &verdict.diagnostics
-    }
-
-    fn report(self, walk: Walk<AlgoGraph>) -> GraphReport {
-        GraphReport {
-            rules_checked: walk.rules_checked,
-            errors: walk.errors,
-            warnings: walk.warnings,
-            algorithms: walk.algorithms,
-            millis: walk.millis,
-        }
-    }
 
     /// Applies the `S02x` rules to the algorithm's probe record: the runs
     /// from `p1` and the solo probes.
-    fn judge<B: BroadcastAlgorithm>(&mut self, at: &Registered<'_>, algo: &B) -> AlgoGraph {
-        let probe = (self.0)
-            .entry(at.spec.name)
-            .or_insert_with(|| ProbeRecord::of(algo));
+    fn judge<B: BroadcastAlgorithm>(
+        &self,
+        at: &Registered<'_>,
+        algo: &B,
+    ) -> (AlgoGraph, Option<Infallible>) {
+        let probe = at.probe(algo);
         let [run, _] = &probe.runs[0];
         let mut diagnostics = Vec::new();
         let mut raise = |code: &str, message: String| diagnostics.push(at.finding(code, message));
@@ -310,14 +238,15 @@ impl Engine for Graph<'_> {
         }
 
         diagnostics.sort_by(|a, b| (&a.code, &a.message).cmp(&(&b.code, &b.message)));
-        AlgoGraph {
+        let verdict = AlgoGraph {
             name: at.spec.name.to_string(),
             expected_faulty: at.expected_faulty,
             wait_free: at.spec.wait_free,
             uses_ksa: at.spec.uses_ksa,
             kinds_sent: run.sends.keys().cloned().collect(),
             diagnostics,
-        }
+        };
+        (verdict, None)
     }
 }
 
@@ -339,10 +268,8 @@ mod tests {
         );
         // The rank-biased variant is graph-symmetric as seen from the p1
         // probe (p1 outranks everyone, so every reception is handled): its
-        // conviction belongs to the symmetry engine, so the *blanket*
-        // `faulty_convicted()` is now false over the full registry — the
-        // per-algorithm union lives in `check::check_workspace`.
-        assert!(!report.faulty_convicted());
+        // conviction belongs to the symmetry engine — the per-algorithm
+        // union lives in `check::check_workspace`.
         for a in report.algorithms.iter().filter(|a| a.expected_faulty) {
             if a.name == "faulty:rank-biased" {
                 assert!(
@@ -396,14 +323,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn timings_are_gated() {
-        let root = workspace_root();
-        let without = graph_check(&root, false).expect("runs");
-        let with = graph_check(&root, true).expect("runs");
-        assert!(without.millis.is_none());
-        assert!(with.millis.is_some());
     }
 }

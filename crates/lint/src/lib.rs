@@ -19,12 +19,10 @@
 //! * the **static check** ([`check_workspace`]) — runs no schedule: the
 //!   `S009` source rule ([`source`]) plus three behavioural engines that
 //!   judge every registered algorithm ([`graph`], [`symmetry`],
-//!   [`dataflow`]), the last two issuing the certificates ([`cert_store`])
-//!   that arm `camp-modelcheck`'s renaming quotient and widened sleep sets.
-//!   One registry walk per engine reads and lexes each registered source
-//!   file once (only dataflow's parses it); the graph and symmetry engines
-//!   judge one `camp_sim::probe::ProbeRecord` per algorithm, which `check`
-//!   runs once for both.
+//!   [`dataflow`]), the last two issuing the certificates ([`cert_store`],
+//!   [`certificate_check`]) that arm `camp-modelcheck`'s renaming quotient
+//!   and widened sleep sets. One registry walk runs them all, lexing each
+//!   source file once and probing each algorithm once.
 //!
 //! Everything is also available from the `camp-lint` command-line binary:
 //!
@@ -66,7 +64,7 @@ pub mod symmetry;
 mod walk;
 
 pub use algorithm::{audit_branches, branch_label, BranchReport, ExploreFailed, StuckState};
-pub use check::{cert_store, check_workspace, CheckReport};
+pub use check::{cert_store, certificate_check, check_workspace, CheckReport};
 pub use dataflow::{dataflow_check, AlgoDataflow, DataflowReport, DATAFLOW_RULES};
 pub use determinism::{audit_determinism, AuditError, DeterminismFailure, DeterminismOutcome};
 pub use diagnostics::{Diagnostic, Report, Severity};

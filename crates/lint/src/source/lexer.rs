@@ -40,6 +40,8 @@ pub struct ScannedFile {
 /// Scans `source` into positioned tokens, `#[cfg(test)]` items stripped.
 #[must_use]
 pub fn scan(source: &str) -> ScannedFile {
+    #[cfg(test)]
+    LEXES.with(|n| n.set(n.get() + 1));
     let mut lx = Lexer::new(source);
     lx.run();
     ScannedFile {
@@ -317,6 +319,19 @@ fn is_cfg_test_at(tokens: &[Token], i: usize) -> bool {
             .iter()
             .enumerate()
             .all(|(k, t)| tokens[i + k].text == *t)
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Calls of [`scan`] on this thread.
+    static LEXES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// How many files this thread has lexed, for the tests that pin how often
+/// the static check lexes.
+#[cfg(test)]
+pub(crate) fn lexes() -> usize {
+    LEXES.with(std::cell::Cell::get)
 }
 
 #[cfg(test)]

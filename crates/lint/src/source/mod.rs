@@ -16,16 +16,17 @@ pub mod lexer;
 pub mod rules;
 pub mod tree;
 
+use std::collections::BTreeMap;
 use std::fmt;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use camp_obs::clock::Stopwatch;
 use serde::Serialize;
 
 use crate::diagnostics::Severity;
-use crate::walk::rule_error;
+use crate::walk::{count, rule_error, Clock, Engines, SourceFile};
+use lexer::ScannedFile;
 
 pub use rules::SOURCE_RULES;
 
@@ -109,11 +110,7 @@ impl SourceReport {
         diagnostics.sort_by(|a, b| {
             (&a.file, a.line, a.col, &a.code).cmp(&(&b.file, b.line, b.col, &b.code))
         });
-        let errors = diagnostics
-            .iter()
-            .filter(|d| d.severity == Severity::Error)
-            .count();
-        let warnings = diagnostics.len() - errors;
+        let (errors, warnings) = count(&diagnostics);
         Self {
             rules_checked,
             errors,
@@ -169,10 +166,14 @@ pub struct FileOutcome {
 /// Lints a single source text as if it were `file` of the broadcast crate.
 #[must_use]
 pub fn lint_source(file: &str, source: &str) -> FileOutcome {
-    let scanned = lexer::scan(source);
+    lint_scanned(file, &lexer::scan(source))
+}
+
+/// Lints the lexed text of `file`.
+fn lint_scanned(file: &str, scanned: &ScannedFile) -> FileOutcome {
     let diagnostics = rules::payload_inspection(&scanned.tokens)
         .into_iter()
-        .map(|f| rule_error(SOURCE_RULES, "S009", file, (f.line, f.col), f.message))
+        .map(|f| rule_error("S009", file, (f.line, f.col), f.message))
         .collect();
     FileOutcome {
         diagnostics,
@@ -192,27 +193,65 @@ pub fn lint_source(file: &str, source: &str) -> FileOutcome {
 /// Propagates I/O errors from reading the source tree; a missing crate
 /// directory is an error (the pass must know it scanned everything).
 pub fn scan_workspace(root: &Path, timings: bool) -> io::Result<SourceReport> {
-    let watch = Stopwatch::started(timings);
-    let mut files = rust_files(&root.join("crates").join(SCANNED_CRATE).join("src"))?;
-    files.sort();
-    let mut diagnostics = Vec::new();
-    let mut lines = 0usize;
-    for path in &files {
-        let outcome = lint_source(&relative_label(root, path), &fs::read_to_string(path)?);
-        lines += outcome.lines;
-        diagnostics.extend(outcome.diagnostics);
+    SourcePass::new(timings).reports(root)
+}
+
+/// The source pass as a member of a registry walk: it lints each file the
+/// walk reads from the walk's tokens, and when the walk ends it reads,
+/// lexes and lints the crate's other files.
+pub(crate) struct SourcePass {
+    /// The outcome of each file the walk read, by workspace-relative path.
+    linted: BTreeMap<&'static str, FileOutcome>,
+    clock: Clock,
+}
+
+impl SourcePass {
+    /// The pass over the broadcast crate, timed if `timings` is set.
+    pub(crate) fn new(timings: bool) -> Self {
+        Self {
+            linted: BTreeMap::new(),
+            clock: Clock::new(timings),
+        }
     }
-    let scan = CrateScan {
-        name: SCANNED_CRATE.to_string(),
-        files: files.len(),
-        lines,
-        millis: watch.elapsed_millis(),
-    };
-    let rules_checked = SOURCE_RULES
-        .iter()
-        .map(|(c, _, _)| (*c).to_string())
-        .collect();
-    Ok(SourceReport::new(rules_checked, diagnostics, vec![scan]))
+}
+
+impl Engines for SourcePass {
+    type Reports = SourceReport;
+
+    fn file(&mut self, path: &'static str, file: &SourceFile) {
+        let outcome = self.clock.time(|| lint_scanned(path, file.scanned()));
+        self.linted.insert(path, outcome);
+    }
+
+    fn reports(mut self, root: &Path) -> io::Result<SourceReport> {
+        let linted = &mut self.linted;
+        let (files, lines, diagnostics) = self.clock.time(|| -> io::Result<_> {
+            let mut files = rust_files(&root.join("crates").join(SCANNED_CRATE).join("src"))?;
+            files.sort();
+            let (mut lines, mut diagnostics) = (0, Vec::new());
+            for path in &files {
+                let label = relative_label(root, path);
+                let outcome = match linted.remove(label.as_str()) {
+                    Some(outcome) => outcome,
+                    None => lint_source(&label, &fs::read_to_string(path)?),
+                };
+                lines += outcome.lines;
+                diagnostics.extend(outcome.diagnostics);
+            }
+            Ok((files.len(), lines, diagnostics))
+        })?;
+        let scan = CrateScan {
+            name: SCANNED_CRATE.to_string(),
+            files,
+            lines,
+            millis: self.clock.millis(),
+        };
+        let rules_checked = SOURCE_RULES
+            .iter()
+            .map(|(c, _, _)| (*c).to_string())
+            .collect();
+        Ok(SourceReport::new(rules_checked, diagnostics, vec![scan]))
+    }
 }
 
 /// All `.rs` files under `dir`, recursively (unsorted).

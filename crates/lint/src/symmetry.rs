@@ -47,13 +47,12 @@ use std::io;
 use std::path::Path;
 
 use camp_sim::canonical::{digest, SymmetryCert, CERT_SCHEMA};
-use camp_sim::probe::{ProbeRecord, PropagationProbe, PROBE_N};
+use camp_sim::probe::{PropagationProbe, PROBE_N};
 use camp_sim::BroadcastAlgorithm;
 use serde::Serialize;
 
-use crate::diagnostics::Severity;
 use crate::source::SourceDiagnostic;
-use crate::walk::{walk, Engine, ProbeMemo, Registered, Rules, Walk};
+use crate::walk::{engine_report, walk, Engine, Registered, Run};
 
 /// Metadata for the symmetry rules, mirrored by `camp-lint rules`.
 pub const SYMMETRY_RULES: &[(&str, &str, &str)] = &[
@@ -117,79 +116,20 @@ pub struct AlgoSymmetry {
     pub diagnostics: Vec<SourceDiagnostic>,
 }
 
+engine_report! {
+    /// The outcome of the symmetry engine over the registry.
+    SymmetryReport("symmetry", SYMMETRY_RULES, AlgoSymmetry, SymmetryCert = CERT_SCHEMA)
+}
+
 impl AlgoSymmetry {
-    /// Did any rule raise an error against this algorithm?
-    #[must_use]
-    pub fn has_errors(&self) -> bool {
-        self.diagnostics
-            .iter()
-            .any(|d| d.severity == Severity::Error)
-    }
-}
-
-/// The outcome of the symmetry engine over the registry.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
-pub struct SymmetryReport {
-    /// Codes of the symmetry rules, in order.
-    pub rules_checked: Vec<String>,
-    /// Number of error-severity findings across all algorithms.
-    pub errors: usize,
-    /// Number of warning-severity findings across all algorithms.
-    pub warnings: usize,
-    /// Per-algorithm outcomes, registry order (healthy first, then faulty).
-    pub algorithms: Vec<AlgoSymmetry>,
-    /// Certificates issued this run, in algorithm-name order.
-    pub certs: Vec<SymmetryCert>,
-    /// Engine wall-time in milliseconds (`None` unless timings were
-    /// requested).
-    pub millis: Option<u64>,
-}
-
-impl SymmetryReport {
-    /// Is every *healthy* (not expected-faulty) algorithm free of findings?
-    #[must_use]
-    pub fn healthy_clean(&self) -> bool {
-        self.algorithms
-            .iter()
-            .filter(|a| !a.expected_faulty)
-            .all(|a| a.diagnostics.is_empty())
-    }
-
-    /// Does `name` have at least one error-severity finding?
-    #[must_use]
-    pub fn convicted(&self, name: &str) -> bool {
-        self.algorithms
-            .iter()
-            .any(|a| a.name == name && a.has_errors())
-    }
-
-    /// Renders the report for humans, one line per algorithm.
-    #[must_use]
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        for a in &self.algorithms {
-            let verdict = if a.certified {
-                "CERTIFIED".to_string()
-            } else if a.expected_faulty && a.has_errors() {
-                format!("CONVICTED ({} finding(s))", a.diagnostics.len())
-            } else if !a.diagnostics.is_empty() {
-                format!("FINDINGS ({})", a.diagnostics.len())
-            } else if !a.claims_symmetric {
-                "ok (declares asymmetric)".to_string()
-            } else {
-                "ok".to_string()
-            };
-            out.push_str(&format!("symmetry    {:<24} {}\n", a.name, verdict));
-            for d in &a.diagnostics {
-                out.push_str(&format!("  {d}\n"));
-            }
-        }
-        out.push_str(&format!(
-            "symmetry    {} certificate(s) issued ({})\n",
-            self.certs.len(),
-            CERT_SCHEMA
-        ));
-        out
+    /// Its verdict on a report line.
+    fn verdict(&self) -> String {
+        let clean = if self.claims_symmetric {
+            "ok"
+        } else {
+            "ok (declares asymmetric)"
+        };
+        self.verdict_or(self.certified, clean)
     }
 }
 
@@ -201,7 +141,7 @@ impl SymmetryReport {
 /// Propagates I/O errors from reading the registered source files (the
 /// anchors must exist for the diagnostics to be honest).
 pub fn symmetry_check(root: &Path, timings: bool) -> io::Result<SymmetryReport> {
-    walk(root, timings, Symmetry(&mut ProbeMemo::new()))
+    walk(root, Run::new(Symmetry, timings))
 }
 
 /// The rotation that maps broadcaster `b` to `p1`:
@@ -270,44 +210,26 @@ fn profile_text(p: &Profile) -> String {
     )
 }
 
-/// The symmetry engine, taking each algorithm's probe record out of its
-/// memo where the graph engine left one.
-pub(crate) struct Symmetry<'m>(pub(crate) &'m mut ProbeMemo);
+/// The symmetry engine.
+pub(crate) struct Symmetry;
 
-impl Engine for Symmetry<'_> {
-    const RULES: Rules = SYMMETRY_RULES;
-    /// The algorithm's outcome, and its certificate if it earned one.
-    type Verdict = (AlgoSymmetry, Option<SymmetryCert>);
+impl Engine for Symmetry {
+    type Algo = AlgoSymmetry;
+    type Cert = SymmetryCert;
     type Report = SymmetryReport;
-
-    fn diagnostics((verdict, _): &Self::Verdict) -> &[SourceDiagnostic] {
-        &verdict.diagnostics
-    }
-
-    fn report(self, walk: Walk<Self::Verdict>) -> SymmetryReport {
-        let (algorithms, certs): (Vec<_>, Vec<_>) = walk.algorithms.into_iter().unzip();
-        let mut certs: Vec<SymmetryCert> = certs.into_iter().flatten().collect();
-        certs.sort_by(|a, b| a.algorithm.cmp(&b.algorithm));
-        SymmetryReport {
-            rules_checked: walk.rules_checked,
-            errors: walk.errors,
-            warnings: walk.warnings,
-            algorithms,
-            certs,
-            millis: walk.millis,
-        }
-    }
 
     /// Applies the `S03x` rules to one algorithm, and certifies it if it
     /// passes them all.
-    fn judge<B: BroadcastAlgorithm>(&mut self, at: &Registered<'_>, algo: &B) -> Self::Verdict {
+    fn judge<B: BroadcastAlgorithm>(
+        &self,
+        at: &Registered<'_>,
+        algo: &B,
+    ) -> (AlgoSymmetry, Option<SymmetryCert>) {
         let spec = &at.spec;
         // Findings of S030–S033, then of S034/S035.
         let (mut equivariance, mut content) = (Vec::new(), Vec::new());
 
-        let probe = (self.0)
-            .remove(spec.name)
-            .unwrap_or_else(|| ProbeRecord::of(algo));
+        let probe = at.probe(algo);
         // One propagation probe per broadcaster, each relabeled so its own
         // broadcaster becomes p1.
         let profiles: Vec<Profile> = probe.runs.iter().map(|[run, _]| profile(run)).collect();
@@ -546,15 +468,6 @@ mod tests {
             serde_json::to_string(&a).unwrap(),
             serde_json::to_string(&b).unwrap()
         );
-    }
-
-    #[test]
-    fn timings_are_gated() {
-        let root = workspace_root();
-        let without = symmetry_check(&root, false).expect("runs");
-        let with = symmetry_check(&root, true).expect("runs");
-        assert!(without.millis.is_none());
-        assert!(with.millis.is_some());
     }
 
     /// Cross-validation with `camp_specs::symmetry`: the *dynamic* closure

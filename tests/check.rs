@@ -15,7 +15,9 @@
 use std::fs;
 use std::path::Path;
 
-use campkit::lint::{check_workspace, dataflow_check, graph_check, scan_workspace, symmetry_check};
+use campkit::lint::{
+    certificate_check, check_workspace, dataflow_check, graph_check, scan_workspace, symmetry_check,
+};
 use proptest::prelude::*;
 
 const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/check.json");
@@ -55,16 +57,29 @@ fn check_report_matches_the_committed_golden() {
     );
 }
 
-/// `check` parses each registered file once per engine walk and probes each
-/// algorithm once for the graph and symmetry engines together, so each of
-/// its members must serialise exactly as its engine run alone does: what
-/// the engines share inside `check` can never change a verdict.
+/// `check` runs all four passes in one registry walk, which lexes each
+/// source file once and probes each algorithm once for the graph and
+/// symmetry engines together, and the certificate walk runs symmetry and
+/// dataflow the same way. So each of their members must serialise exactly
+/// as its engine run alone does: what the engines share inside a walk can
+/// never change a verdict.
 #[test]
 fn check_members_match_each_engine_run_alone() {
     use serde_json::to_string_pretty as json;
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let report = check_workspace(root, false).unwrap();
+    let (symmetry, dataflow) = certificate_check(root, false).unwrap();
     let members = [
+        (
+            "certificate walk's symmetry",
+            json(&symmetry),
+            json(&symmetry_check(root, false).unwrap()),
+        ),
+        (
+            "certificate walk's dataflow",
+            json(&dataflow),
+            json(&dataflow_check(root, false).unwrap()),
+        ),
         (
             "source",
             json(&report.source),

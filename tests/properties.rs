@@ -12,7 +12,7 @@ use campkit::sim::scheduler::{run_random, CrashPlan, Workload};
 use campkit::sim::{FirstProposalRule, KsaOracle, OwnValueRule, Simulation};
 use campkit::specs::{
     base, channel, ksa, wellformed, BroadcastSpec, CausalSpec, FifoSpec, KBoundedOrderSpec,
-    SendToAllSpec, TotalOrderSpec,
+    SendToAllSpec, SpecResult, TotalOrderSpec, Violation,
 };
 use campkit::trace::{
     Action, DeliveryView, Execution, ExecutionBuilder, MessageId, ProcessId, Renaming, Value,
@@ -55,6 +55,83 @@ fn arb_broadcast_execution() -> impl Strategy<Value = Execution> {
             }
             b.build()
         })
+}
+
+/// A random broadcast-level execution that may be malformed: each step
+/// broadcasts or delivers one of a few messages at a random process, so a
+/// message may be broadcast twice (by its sender or by another process),
+/// delivered twice, or delivered before its broadcast step.
+fn arb_raw_broadcast_execution() -> impl Strategy<Value = Execution> {
+    (2usize..=3, 1usize..=4)
+        .prop_flat_map(|(n, m)| {
+            let step = (0..n, any::<bool>(), 0..m);
+            (Just(n), Just(m), proptest::collection::vec(step, 0..=16))
+        })
+        .prop_map(|(n, m, steps)| {
+            let mut b = ExecutionBuilder::new(n);
+            let sender = |i: usize| ProcessId::new(i % n + 1);
+            let msgs: Vec<MessageId> = (0..m)
+                .map(|i| b.fresh_broadcast_message(sender(i), Value::new(i as u64)))
+                .collect();
+            for (p, broadcast, i) in steps {
+                let msg = msgs[i];
+                let action = if broadcast {
+                    Action::Broadcast { msg }
+                } else {
+                    Action::Deliver {
+                        from: sender(i),
+                        msg,
+                    }
+                };
+                b.step(ProcessId::new(p + 1), action);
+            }
+            b.build()
+        })
+}
+
+/// FIFO as every pair of a sender's broadcasts at every process: the
+/// quadratic check `FifoSpec::admits` replaced with one cursor walk per
+/// process, kept as its oracle.
+fn fifo_pairwise(exec: &Execution) -> SpecResult {
+    let view = DeliveryView::of(exec);
+    for sender in ProcessId::all(exec.process_count()) {
+        let order = exec.broadcasts_by(sender);
+        for (i, &m) in order.iter().enumerate() {
+            for &m2 in &order[i + 1..] {
+                for q in ProcessId::all(exec.process_count()) {
+                    // q delivered m' (the later one)?
+                    if let Some(pos2) = view.position(q, m2) {
+                        match view.position(q, m) {
+                            Some(pos1) if pos1 < pos2 => {}
+                            _ => {
+                                return Err(Violation::new(
+                                    "FIFO",
+                                    format!(
+                                        "{sender} B-broadcast {m} before {m2}, but {q} \
+                                         B-delivers {m2} without having first \
+                                         B-delivered {m}"
+                                    ),
+                                ));
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    // About half of these executions are FIFO; each takes microseconds.
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// The one-pass FIFO check returns what the pairwise check returns,
+    /// witness included, on well-formed and malformed executions alike.
+    #[test]
+    fn fifo_cursor_walk_matches_the_pairwise_oracle(exec in arb_raw_broadcast_execution()) {
+        prop_assert_eq!(FifoSpec::new().admits(&exec), fifo_pairwise(&exec));
+    }
 }
 
 proptest! {
