@@ -32,7 +32,7 @@ use serde::Json;
 struct Files(BTreeSet<&'static str>);
 
 impl AlgorithmVisitor for Files {
-    fn visit<B: BroadcastAlgorithm + 'static>(&mut self, spec: AlgoSpec, _: B) {
+    fn visit<B: BroadcastAlgorithm + Clone + 'static>(&mut self, spec: AlgoSpec, _: B) {
         self.0.insert(spec.file);
     }
 }

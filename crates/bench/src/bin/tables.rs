@@ -296,8 +296,9 @@ fn recorded_runtime_timeline(path: &str) -> Timeline {
 /// dump: events are ranked by timestamp (the rank is the step index), each
 /// event marks its process's lane, and the event name picks the segment
 /// kind (`crash` ⇒ crashed, `retransmit`/`backoff`/`abandon` ⇒
-/// retransmitting, anything else ⇒ compute). Collector events (pid 0) are
-/// counted but get no lane.
+/// retransmitting, anything else ⇒ compute). The runtime records every
+/// event on a process's track (pid ≥ 1); a pid-0 event, which only an
+/// outside file can hold, is counted but gets no lane.
 fn load_chrome_trace(path: &str) -> Result<Timeline, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let doc = serde_json::from_str::<Json>(&text)

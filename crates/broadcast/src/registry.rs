@@ -55,7 +55,7 @@ pub struct AlgoSpec {
 /// algorithm type.
 pub trait AlgorithmVisitor {
     /// Visits one algorithm together with its metadata.
-    fn visit<B: BroadcastAlgorithm + 'static>(&mut self, spec: AlgoSpec, algo: B);
+    fn visit<B: BroadcastAlgorithm + Clone + 'static>(&mut self, spec: AlgoSpec, algo: B);
 }
 
 /// Visits the seven healthy built-in algorithms, in library order.
@@ -225,7 +225,7 @@ mod tests {
     struct Collect(Vec<(String, AlgoSpec)>);
 
     impl AlgorithmVisitor for Collect {
-        fn visit<B: BroadcastAlgorithm + 'static>(&mut self, spec: AlgoSpec, algo: B) {
+        fn visit<B: BroadcastAlgorithm + Clone + 'static>(&mut self, spec: AlgoSpec, algo: B) {
             self.0.push((algo.name(), spec));
         }
     }
@@ -282,7 +282,7 @@ mod tests {
     struct Files(Vec<&'static str>);
 
     impl AlgorithmVisitor for Files {
-        fn visit<B: BroadcastAlgorithm + 'static>(&mut self, spec: AlgoSpec, _algo: B) {
+        fn visit<B: BroadcastAlgorithm + Clone + 'static>(&mut self, spec: AlgoSpec, _algo: B) {
             self.0.push(spec.file);
         }
     }

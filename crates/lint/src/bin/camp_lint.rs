@@ -6,24 +6,21 @@
 
 use std::process::ExitCode;
 
-use camp_broadcast::{
-    AgreedBroadcast, CausalBroadcast, EagerReliable, FifoBroadcast, SendToAll, SequencerBroadcast,
-    SteppedBroadcast,
-};
+use camp_broadcast::registry::{visit_builtins, AlgoSpec, AlgorithmVisitor};
 use camp_lint::{
     audit_branches, audit_determinism, cert_store, check_workspace, default_rules, lint_execution,
 };
 use camp_modelcheck::ExploreConfig;
 use camp_sim::scheduler::{CrashPlan, Workload};
-use camp_sim::{FirstProposalRule, KsaOracle, Simulation};
+use camp_sim::{BroadcastAlgorithm, FirstProposalRule, KsaOracle, Simulation};
 use camp_trace::{Execution, TraceError};
 
 const USAGE: &str = "usage:
   camp-lint trace <file.json> [--json] [--strict]
                                          lint a JSON execution trace (--strict also
                                          re-validates well-formedness on load)
-  camp-lint check [--json] [--deny-warnings] [--timings] [--root DIR]
-                  [--metrics OUT.json] [--certs OUT.json]
+  camp-lint check [--json] [--timings] [--root DIR] [--metrics OUT.json]
+                  [--certs OUT.json]
                                          payload inspection (S009) + static protocol-graph (S02x)
                                          + symmetry (S03x) + dataflow (S04x) analysis of the
                                          registered broadcast algorithms; --metrics writes a
@@ -59,7 +56,7 @@ const COMMANDS: &[Command] = &[
     Command {
         name: "check",
         run: cmd_check,
-        flags: &["--json", "--deny-warnings", "--timings"],
+        flags: &["--json", "--timings"],
         options: &["--root", "--metrics", "--certs"],
         positional: 0,
     },
@@ -325,7 +322,7 @@ fn cmd_check(args: &Args) -> ExitCode {
             }
         ));
     }
-    if report.failed(args.flag("--deny-warnings")) {
+    if report.failed() {
         ExitCode::from(1)
     } else {
         ExitCode::SUCCESS
@@ -381,6 +378,88 @@ fn oracle() -> KsaOracle {
     KsaOracle::new(1, Box::new(FirstProposalRule))
 }
 
+/// Width of the algorithm-name column: the longest registered name,
+/// `eager-reliable(uniform)`.
+const NAME_WIDTH: usize = 23;
+
+/// Audits each registered algorithm it visits: a seeded determinism replay
+/// and a branch-coverage exploration, tallied into `audit.*` counters.
+struct Auditor<'a> {
+    seeds: &'a [u64],
+    counters: camp_obs::Counters,
+    failed: bool,
+}
+
+impl AlgorithmVisitor for Auditor<'_> {
+    fn visit<B: BroadcastAlgorithm + Clone + 'static>(&mut self, spec: AlgoSpec, algo: B) {
+        use camp_obs::ObsSink;
+        let name = spec.name;
+        // Determinism: replay each seed twice over a 3-process system
+        // with crash injection and diff the paired executions.
+        let outcome = audit_determinism(
+            || Simulation::new(algo.clone(), 3, oracle()),
+            &Workload::uniform(3, 2),
+            self.seeds,
+            80,
+            CrashPlan::up_to(1, 0.1),
+        );
+        self.counters.add("audit.algorithms", 1);
+        match outcome {
+            Ok(o) if o.is_deterministic() => {
+                emitln(format!(
+                    "determinism {name:<NAME_WIDTH$} ok ({} seeds, replayed twice each)",
+                    self.seeds.len()
+                ));
+            }
+            Ok(camp_lint::DeterminismOutcome::Diverged(failure)) => {
+                emitln(format!("determinism {name:<NAME_WIDTH$} FAILED: {failure}"));
+                self.counters.add("audit.determinism_divergences", 1);
+                self.failed = true;
+            }
+            Ok(_) => unreachable!(),
+            Err(e) => {
+                emitln(format!("determinism {name:<NAME_WIDTH$} ERROR: {e}"));
+                self.counters.add("audit.errors", 1);
+                self.failed = true;
+            }
+        }
+        // Branch coverage and stuck states over an exhaustive 2-process
+        // exploration, against every step kind the algorithm can take.
+        let mut declared = vec!["broadcast", "return", "deliver", "send", "receive"];
+        if spec.uses_ksa {
+            declared.extend(["propose", "decide"]);
+        }
+        match audit_branches(
+            name,
+            Simulation::new(algo, 2, oracle()),
+            &Workload::uniform(2, 1),
+            &declared,
+            ExploreConfig::default(),
+        ) {
+            Ok(report) => {
+                self.counters.add("audit.branch_nodes", report.nodes as u64);
+                self.counters
+                    .add("audit.completed_executions", report.completed as u64);
+                self.counters.add(
+                    "audit.unreachable_branches",
+                    report.unreachable.len() as u64,
+                );
+                self.counters
+                    .add("audit.stuck_states", report.stuck_total as u64);
+                if report.truncated {
+                    self.counters.add("audit.truncated_explorations", 1);
+                }
+                emit(report);
+            }
+            Err(e) => {
+                emitln(format!("branches    {name:<NAME_WIDTH$} ERROR: {e}"));
+                self.counters.add("audit.errors", 1);
+                self.failed = true;
+            }
+        }
+    }
+}
+
 fn cmd_audit(args: &Args) -> ExitCode {
     use camp_obs::ObsSink;
     let seed_count = match args.option("--seeds").map_or(Ok(5), str::parse::<usize>) {
@@ -391,105 +470,26 @@ fn cmd_audit(args: &Args) -> ExitCode {
         }
     };
     let seeds: Vec<u64> = (1..=seed_count as u64).collect();
-    let mut failed = false;
     // The audit's own telemetry, exported as a camp-obs/v2 snapshot with
     // --metrics. Every counter is derived from the deterministic audit, so
     // the snapshot is byte-identical across runs.
     let mut counters = camp_obs::Counters::new();
     counters.add("audit.seeds_per_algorithm", seed_count as u64);
-
-    const COMMON: &[&str] = &["broadcast", "return", "deliver", "send", "receive"];
-    const WITH_KSA: &[&str] = &[
-        "broadcast",
-        "return",
-        "deliver",
-        "send",
-        "receive",
-        "propose",
-        "decide",
-    ];
-
-    macro_rules! audit {
-        ($name:literal, $ctor:expr, $declared:expr) => {{
-            // Determinism: replay each seed twice over a 3-process system
-            // with crash injection and diff the paired executions.
-            let workload = Workload::uniform(3, 2);
-            let outcome = audit_determinism(
-                || Simulation::new($ctor, 3, oracle()),
-                &workload,
-                &seeds,
-                80,
-                CrashPlan::up_to(1, 0.1),
-            );
-            counters.add("audit.algorithms", 1);
-            match outcome {
-                Ok(o) if o.is_deterministic() => {
-                    emitln(format!(
-                        "determinism {:<16} ok ({} seeds, replayed twice each)",
-                        $name,
-                        seeds.len()
-                    ));
-                }
-                Ok(camp_lint::DeterminismOutcome::Diverged(failure)) => {
-                    emitln(format!("determinism {:<16} FAILED: {failure}", $name));
-                    counters.add("audit.determinism_divergences", 1);
-                    failed = true;
-                }
-                Ok(_) => unreachable!(),
-                Err(e) => {
-                    emitln(format!("determinism {:<16} ERROR: {e}", $name));
-                    counters.add("audit.errors", 1);
-                    failed = true;
-                }
-            }
-            // Branch coverage and stuck states over an exhaustive 2-process
-            // exploration.
-            let sim = Simulation::new($ctor, 2, oracle());
-            match audit_branches(
-                $name,
-                sim,
-                &Workload::uniform(2, 1),
-                $declared,
-                ExploreConfig::default(),
-            ) {
-                Ok(report) => {
-                    counters.add("audit.branch_nodes", report.nodes as u64);
-                    counters.add("audit.completed_executions", report.completed as u64);
-                    counters.add(
-                        "audit.unreachable_branches",
-                        report.unreachable.len() as u64,
-                    );
-                    counters.add("audit.stuck_states", report.stuck_total as u64);
-                    if report.truncated {
-                        counters.add("audit.truncated_explorations", 1);
-                    }
-                    emit(report);
-                }
-                Err(e) => {
-                    emitln(format!("branches    {:<16} ERROR: {e}", $name));
-                    counters.add("audit.errors", 1);
-                    failed = true;
-                }
-            }
-        }};
-    }
-
-    audit!("send-to-all", SendToAll::new(), COMMON);
-    audit!("eager-reliable", EagerReliable::uniform(), COMMON);
-    audit!("fifo", FifoBroadcast::new(), COMMON);
-    audit!("causal", CausalBroadcast::new(), COMMON);
-    audit!("agreed", AgreedBroadcast::new(), WITH_KSA);
-    audit!("stepped", SteppedBroadcast::new(), WITH_KSA);
-    audit!("sequencer", SequencerBroadcast::new(), COMMON);
+    let mut auditor = Auditor {
+        seeds: &seeds,
+        counters,
+        failed: false,
+    };
+    visit_builtins(&mut auditor);
 
     if let Some(path) = args.option("--metrics") {
-        let snapshot = counters.snapshot();
+        let snapshot = auditor.counters.snapshot();
         if let Err(e) = std::fs::write(path, snapshot.to_json_string()) {
             eprintln!("camp-lint: cannot write metrics to {path}: {e}");
             return ExitCode::from(2);
         }
     }
-    if failed {
+    if auditor.failed {
         ExitCode::from(1)
     } else {
         ExitCode::SUCCESS
@@ -506,18 +506,10 @@ mod tests {
 
     #[test]
     fn subcommands_take_their_documented_arguments() {
-        let (name, args) = parsed(&[
-            "check",
-            "--deny-warnings",
-            "--root",
-            "ws",
-            "--certs",
-            "c.json",
-            "--json",
-        ])
-        .unwrap();
+        let (name, args) =
+            parsed(&["check", "--root", "ws", "--certs", "c.json", "--json"]).unwrap();
         assert_eq!(name, "check");
-        assert!(args.flag("--deny-warnings") && args.flag("--json"));
+        assert!(args.flag("--json"));
         assert!(!args.flag("--timings"));
         assert_eq!(args.option("--root"), Some("ws"));
         assert_eq!(args.option("--certs"), Some("c.json"));
@@ -546,6 +538,7 @@ mod tests {
     fn arguments_a_subcommand_does_not_take_are_rejected() {
         for argv in [
             &["check", "--deny-warning"][..],
+            &["check", "--deny-warnings"],
             &["audit", "--seed", "3"],
             &["audit", "--json"],
             &["rules", "--strict"],

@@ -42,19 +42,15 @@ pub struct CheckReport {
 }
 
 impl CheckReport {
-    /// Should `camp-lint check` exit nonzero for this report?
+    /// Should `camp-lint check` exit nonzero for this report? Every static
+    /// finding is an error, so there is no warning level to deny.
     #[must_use]
-    pub fn failed(&self, deny_warnings: bool) -> bool {
-        let warnings = self.source.warnings
-            + self.graph.warnings
-            + self.symmetry.warnings
-            + self.dataflow.warnings;
+    pub fn failed(&self) -> bool {
         self.source.has_errors()
             || !self.graph.healthy_clean()
             || !self.symmetry.healthy_clean()
             || !self.dataflow.healthy_clean()
             || !self.faulty_convicted
-            || (deny_warnings && warnings > 0)
     }
 }
 
@@ -177,12 +173,13 @@ mod tests {
     #[test]
     fn each_source_file_is_lexed_once_per_walk() {
         use camp_broadcast::registry::{visit_builtins, visit_faulty, AlgoSpec, AlgorithmVisitor};
+        use camp_sim::BroadcastAlgorithm;
         use std::collections::BTreeSet;
 
         /// The distinct registered source files.
         struct Files(BTreeSet<&'static str>);
         impl AlgorithmVisitor for Files {
-            fn visit<B: camp_sim::BroadcastAlgorithm + 'static>(&mut self, spec: AlgoSpec, _: B) {
+            fn visit<B: BroadcastAlgorithm + Clone + 'static>(&mut self, spec: AlgoSpec, _: B) {
                 self.0.insert(spec.file);
             }
         }

@@ -307,7 +307,7 @@ struct Walker<'a, S> {
 }
 
 impl<S: Engines> AlgorithmVisitor for Walker<'_, S> {
-    fn visit<B: BroadcastAlgorithm + 'static>(&mut self, spec: AlgoSpec, algo: B) {
+    fn visit<B: BroadcastAlgorithm + Clone + 'static>(&mut self, spec: AlgoSpec, algo: B) {
         if self.read.is_err() {
             return;
         }
@@ -466,7 +466,7 @@ mod tests {
     struct Specs(Vec<AlgoSpec>);
 
     impl AlgorithmVisitor for Specs {
-        fn visit<B: BroadcastAlgorithm + 'static>(&mut self, spec: AlgoSpec, _: B) {
+        fn visit<B: BroadcastAlgorithm + Clone + 'static>(&mut self, spec: AlgoSpec, _: B) {
             self.0.push(spec);
         }
     }

@@ -201,7 +201,6 @@ pub struct ThreadedRuntime {
     n: usize,
     inboxes: Vec<Box<dyn Inbox>>,
     deliveries: Receiver<Delivery>,
-    collected: Vec<Delivery>,
     handles: Vec<JoinHandle<()>>,
     collector_handle: JoinHandle<(Execution, Counters, Timeline)>,
     trace_tx: Sender<TraceEvent>,
@@ -269,12 +268,11 @@ impl ThreadedRuntime {
         Self::start_inner(algo, n, k, plan, None)
     }
 
-    /// [`start_with_plan`], with a flight recorder attached: node pumps,
-    /// perfect links, and the collector record microsecond-stamped events
-    /// into the shared bounded ring, retrievable via [`Self::recorder`]
-    /// and exportable as Chrome-trace JSON
-    /// ([`FlightRecorder::to_chrome_trace_json`]). `capacity` bounds the
-    /// ring; the newest events win.
+    /// [`start_with_plan`], with a flight recorder attached: node pumps and
+    /// perfect links record microsecond-stamped events into the shared
+    /// bounded ring, retrievable via [`Self::recorder`] and exportable as
+    /// Chrome-trace JSON ([`FlightRecorder::to_chrome_trace_json`]).
+    /// `capacity` bounds the ring; the newest events win.
     ///
     /// [`start_with_plan`]: Self::start_with_plan
     ///
@@ -345,21 +343,18 @@ impl ThreadedRuntime {
             inboxes.push(Box::new(tx));
         }
 
-        let collector_recorder = recorder.clone();
         let collector_handle = std::thread::spawn(move || {
             let mut c = Collector::new(n);
-            c.set_recorder(collector_recorder);
             while let Ok(event) = trace_rx.recv() {
                 c.handle(event);
             }
-            c.finish_full()
+            c.finish()
         });
 
         Self {
             n,
             inboxes,
             deliveries: deliv_rx,
-            collected: Vec::new(),
             handles,
             collector_handle,
             trace_tx,
@@ -428,10 +423,7 @@ impl ThreadedRuntime {
         while got.len() < count {
             let remaining = timeout.saturating_sub(start.elapsed());
             match self.deliveries.recv_timeout(remaining) {
-                Ok(d) => {
-                    self.collected.push(d);
-                    got.push(d);
-                }
+                Ok(d) => got.push(d),
                 Err(RecvTimeoutError::Timeout) => {
                     return Err(RuntimeError::Timeout {
                         received: got.len(),
@@ -476,10 +468,7 @@ impl ThreadedRuntime {
             }
             if self.ledger.quiescent(&self.crashes) {
                 // Nodes queue their deliveries before they settle.
-                for d in self.deliveries.try_iter().take(full - got.len()) {
-                    self.collected.push(d);
-                    got.push(d);
-                }
+                got.extend(self.deliveries.try_iter().take(full - got.len()));
                 return if got.len() == full || self.crashes.any() {
                     Ok(got)
                 } else {
@@ -497,10 +486,7 @@ impl ThreadedRuntime {
                 });
             }
             match self.deliveries.recv_timeout(QUIET_SLICE.min(remaining)) {
-                Ok(d) => {
-                    self.collected.push(d);
-                    got.push(d);
-                }
+                Ok(d) => got.push(d),
                 Err(RecvTimeoutError::Timeout) => {}
                 Err(RecvTimeoutError::Disconnected) => return Err(RuntimeError::Disconnected),
             }
@@ -521,14 +507,6 @@ impl ThreadedRuntime {
         timeout: Duration,
     ) -> Result<Vec<Delivery>, RuntimeError> {
         self.wait_quiescent(full, timeout)
-    }
-
-    /// All deliveries observed so far through [`wait_deliveries`].
-    ///
-    /// [`wait_deliveries`]: Self::wait_deliveries
-    #[must_use]
-    pub fn deliveries_seen(&self) -> &[Delivery] {
-        &self.collected
     }
 
     /// Stops every node, joins all threads, and returns the recorded

@@ -4,6 +4,7 @@
 
 use std::time::Duration;
 
+use camp_broadcast::faulty::Misattributing;
 use camp_broadcast::{
     AgreedBroadcast, CausalBroadcast, EagerReliable, FifoBroadcast, SendToAll, SequencerBroadcast,
     SteppedBroadcast,
@@ -117,6 +118,20 @@ fn healthy_plan_injects_nothing() {
         counters.count("perflink.acks_sent"),
         counters.count("perflink.acks_received") + counters.count("perflink.dup_suppressed")
     );
+}
+
+/// A faulty algorithm's forged delivery is a checker finding, not a
+/// runtime failure: `Misattributing` names the receiver as the origin of
+/// each delivery, the collector appends those steps as they arrive, and
+/// BC-Validity convicts the shut-down trace.
+#[test]
+fn a_forged_delivery_reaches_the_bc_validity_checker() {
+    let mut rt = ThreadedRuntime::start(Misattributing::new(), 3, 1);
+    rt.broadcast(ProcessId::new(1), Value::new(7)).unwrap();
+    rt.wait_deliveries(3, TIMEOUT).unwrap();
+    let trace = rt.shutdown();
+    let violation = base::bc_validity(&trace).unwrap_err();
+    assert!(violation.to_string().contains("BC-Validity"), "{violation}");
 }
 
 /// Duplication and delay injection are survived (duplicates suppressed by

@@ -138,19 +138,6 @@ fn runtime_error_paths() {
 }
 
 #[test]
-fn deliveries_seen_accumulates() {
-    let mut rt = ThreadedRuntime::start(SendToAll::new(), 2, 1);
-    rt.broadcast(ProcessId::new(1), Value::new(3)).unwrap();
-    rt.wait_deliveries(2, TIMEOUT).unwrap();
-    assert_eq!(rt.deliveries_seen().len(), 2);
-    assert!(rt
-        .deliveries_seen()
-        .iter()
-        .all(|d| d.msg.content == Value::new(3)));
-    let _ = rt.shutdown();
-}
-
-#[test]
 fn shutdown_with_metrics_counts_match_the_trace() {
     let mut rt = ThreadedRuntime::start(SendToAll::new(), 3, 1);
     for p in ProcessId::all(3) {

@@ -110,10 +110,10 @@ cargo clippy --workspace --all-targets -- -D warnings
 # tests/golden/check.json. --certs writes the certificates the two engines
 # issue, the store that arms the model checker's renaming quotient and
 # widened sleep sets below; --metrics writes the run's camp-obs snapshot.
-stage "camp-lint check: S009 + graph, symmetry, dataflow engines (deny warnings)"
+stage "camp-lint check: S009 + graph, symmetry, dataflow engines"
 certs_out="$PWD/target/ci.certs.json"
 check_metrics="$PWD/target/ci.check.metrics.json"
-cargo run --release -q -p camp-lint --bin camp-lint -- check --deny-warnings \
+cargo run --release -q -p camp-lint --bin camp-lint -- check \
   --certs "$certs_out" --metrics "$check_metrics"
 
 # The written store must hold exactly the certificates the committed report

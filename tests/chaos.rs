@@ -10,6 +10,10 @@
 //!   and the deliveries the quiescence wait returned to be exactly the
 //!   trace's `Deliver` steps. A failing plan panics with its JSON so the
 //!   exact adversary can be replayed from the test log.
+//! * Both also check each full collected trace, crashed processes
+//!   included: it is well-formed, and every reception follows its send
+//!   (SR-Validity). The collector appends events in arrival order and
+//!   relies on nodes reporting a send before its frame leaves.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -21,7 +25,7 @@ use campkit::broadcast::{
 use campkit::faults::{CrashTrigger, FaultPlan};
 use campkit::obs::{Counters, FlightRecorder};
 use campkit::runtime::{Delivery, ThreadedRuntime};
-use campkit::specs::{base, restrict, wellformed};
+use campkit::specs::{base, channel, restrict, wellformed};
 use campkit::trace::{Action, Execution, MessageId, ProcessId, Value};
 
 const TIMEOUT: Duration = Duration::from_secs(30);
@@ -128,6 +132,7 @@ fn chaos_smoke_every_algorithm_under_its_pinned_lossy_plan() {
             "{name}: every ack arrived on attempt 0 despite injected loss"
         );
         wellformed::check_structure(&trace).unwrap_or_else(|v| panic!("{name}: {v}"));
+        channel::sr_validity(&trace).unwrap_or_else(|v| panic!("{name}: {v}"));
         base::check_all(&restrict::correct_view(&trace)).unwrap_or_else(|v| panic!("{name}: {v}"));
     }
 
@@ -210,6 +215,7 @@ fn soak_seeded_plans_stay_spec_clean() {
             );
         }
         wellformed::check_structure(&trace).unwrap_or_else(|v| panic!("{}", fail(v.to_string())));
+        channel::sr_validity(&trace).unwrap_or_else(|v| panic!("{}", fail(v.to_string())));
         base::check_all(&restrict::correct_view(&trace))
             .unwrap_or_else(|v| panic!("{}", fail(v.to_string())));
         crashes_fired += counters.count("faults.crashes_fired");

@@ -28,7 +28,7 @@ struct Corpus {
 }
 
 impl AlgorithmVisitor for Corpus {
-    fn visit<B: BroadcastAlgorithm + 'static>(&mut self, spec: AlgoSpec, algo: B) {
+    fn visit<B: BroadcastAlgorithm + Clone + 'static>(&mut self, spec: AlgoSpec, algo: B) {
         let oracle = KsaOracle::new(2, Box::new(OwnValueRule));
         let (exec, _) = seeded_run(
             || Simulation::new(algo, 3, oracle),

@@ -272,7 +272,7 @@ struct Walker {
 }
 
 impl AlgorithmVisitor for Walker {
-    fn visit<B: BroadcastAlgorithm + 'static>(&mut self, spec: AlgoSpec, algo: B) {
+    fn visit<B: BroadcastAlgorithm + Clone + 'static>(&mut self, spec: AlgoSpec, algo: B) {
         let classes = self.classes.entry(spec.name).or_default();
         walk(algo, self.n, self.seed, classes);
     }

@@ -104,7 +104,7 @@ fn labelled_run<B: BroadcastAlgorithm>(algo: B, seed: u64) -> (Execution, BTreeM
 fn simulated_labels_render_their_payloads() {
     struct Labels(usize);
     impl AlgorithmVisitor for Labels {
-        fn visit<B: BroadcastAlgorithm + 'static>(&mut self, spec: AlgoSpec, algo: B) {
+        fn visit<B: BroadcastAlgorithm + Clone + 'static>(&mut self, spec: AlgoSpec, algo: B) {
             let (trace, payloads) = labelled_run(algo, 7 + self.0 as u64);
             let mut p2p = 0;
             for (id, info) in trace.messages() {
