@@ -41,7 +41,8 @@ use camp_specs::{
     SendToAllSpec, TotalOrderSpec, TypedSaSpec,
 };
 use camp_trace::{
-    render_timeline, timeline_of, Action, Execution, ExecutionBuilder, ProcessId, Value,
+    render_timeline, timeline_of, Action, Execution, ExecutionBuilder, ExecutionStats, ProcessId,
+    Value,
 };
 use serde::Json;
 
@@ -1274,7 +1275,6 @@ fn complexity() {
 }
 
 fn complexity_row<B: BroadcastAlgorithm>(name: &str, algo: B, n: usize, k: usize) {
-    use camp_trace::ExecutionStats;
     let mut sim = Simulation::new(algo, n, KsaOracle::new(k, Box::new(OwnValueRule)));
     let report = camp_sim::scheduler::run_fair(
         &mut sim,
@@ -1290,10 +1290,20 @@ fn complexity_row<B: BroadcastAlgorithm>(name: &str, algo: B, n: usize, k: usize
         name,
         n,
         stats.global.total(),
-        stats.sends_per_broadcast(),
+        sends_per_broadcast(&stats),
         stats.global.proposals,
         stats.p2p_messages,
     );
+}
+
+/// Point-to-point messages sent per broadcast invocation — the message
+/// complexity of the algorithm on this execution (0 if no broadcasts).
+fn sends_per_broadcast(stats: &ExecutionStats) -> f64 {
+    if stats.global.broadcasts == 0 {
+        0.0
+    } else {
+        stats.global.sends as f64 / stats.global.broadcasts as f64
+    }
 }
 
 /// **E-SHM** — the shared-memory contrast (paper §1.3): the write/collect
@@ -1366,5 +1376,21 @@ mod tests {
         ] {
             assert!(parse(argv).is_err(), "{argv:?} parsed");
         }
+    }
+
+    #[test]
+    fn sends_per_broadcast_ratio() {
+        let p = ProcessId::new;
+        let mut b = ExecutionBuilder::new(3);
+        let m = b.fresh_broadcast_message(p(1), Value::new(1));
+        b.step(p(1), Action::Broadcast { msg: m });
+        for _ in 0..3 {
+            let w = b.fresh_p2p_message(p(1), "w");
+            b.step(p(1), Action::Send { to: p(2), msg: w });
+        }
+        let s = ExecutionStats::of(&b.build());
+        assert!((sends_per_broadcast(&s) - 3.0).abs() < f64::EPSILON);
+        let empty = ExecutionStats::of(&Execution::new(1));
+        assert!(sends_per_broadcast(&empty).abs() < f64::EPSILON);
     }
 }

@@ -463,7 +463,6 @@ mod tests {
         // steps before Line 26" — p_j cannot tell whether it runs in the
         // full adversarial execution or in the restriction where almost
         // everyone crashed.
-        use camp_trace::ProcessView;
         for algo_run in [
             adversarial_scheduler(2, 2, AgreedBroadcast::new(), 1_000_000).unwrap(),
             adversarial_scheduler(3, 1, SteppedBroadcast::new(), 1_000_000).unwrap(),
@@ -479,11 +478,9 @@ mod tests {
             .unwrap();
             for j in ProcessId::all(algo_run.k + 1) {
                 let gamma = algo_run.gamma(j);
-                let alpha_view = ProcessView::of(&pre_flush, j);
-                let gamma_view = ProcessView::of(&gamma, j);
                 assert_eq!(
-                    alpha_view.steps(),
-                    gamma_view.steps(),
+                    pre_flush.steps_of(j).collect::<Vec<_>>(),
+                    gamma.steps_of(j).collect::<Vec<_>>(),
                     "{j}: γ_j must replay p_j's α steps exactly"
                 );
             }

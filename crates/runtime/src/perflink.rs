@@ -339,30 +339,21 @@ impl<M: Clone> PerfectLink<M> {
             }
         }
 
-        // Abandon frames to crashed destinations.
-        let crashed: Vec<usize> = self
+        // Abandon frames to crashed destinations, in key order.
+        let abandoned: Vec<(usize, u64)> = self
             .unacked
             .keys()
-            .map(|&(dest, _)| dest)
-            .filter(|&dest| self.crashes.is_crashed(ProcessId::new(dest + 1)))
+            .filter(|&&(dest, _)| self.crashes.is_crashed(ProcessId::new(dest + 1)))
+            .copied()
             .collect();
-        for dest in crashed {
-            let dropped: Vec<(usize, u64)> = self
-                .unacked
-                .keys()
-                .filter(|&&(d, _)| d == dest)
-                .copied()
-                .collect();
-            for key in dropped {
-                let p = self.unacked.remove(&key).expect("key just listed");
-                self.counters.inc("perflink.abandoned_to_crashed");
-                // An abandoned frame still reports its attempt tally: the
-                // histogram covers every frame whose story ended, acked or
-                // not.
-                self.counters
-                    .observe("perflink.retransmit_attempts", u64::from(p.attempt));
-                self.flight("perflink.abandon_to_crashed", key.1);
-            }
+        for key in abandoned {
+            let p = self.unacked.remove(&key).expect("key just listed");
+            self.counters.inc("perflink.abandoned_to_crashed");
+            // An abandoned frame still reports its attempt tally: the
+            // histogram covers every frame whose story ended, acked or not.
+            self.counters
+                .observe("perflink.retransmit_attempts", u64::from(p.attempt));
+            self.flight("perflink.abandon_to_crashed", key.1);
         }
 
         // Retransmit overdue unacked frames.

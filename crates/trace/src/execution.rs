@@ -4,7 +4,7 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use serde::{expect_object, obj_field, DeError, Deserialize, Json, Serialize};
 
@@ -43,11 +43,6 @@ pub struct MessageInfo {
     pub label: Label,
 }
 
-/// Steps per frozen spine segment. Small enough that the mutable tail stays
-/// cheap to clone, large enough that a deep execution is a handful of `Arc`
-/// bumps.
-const SEGMENT: usize = 64;
-
 /// An execution `α`: a finite sequence of steps `⟨p_i : a⟩` over a system of
 /// `n` processes, together with the table of (unique) messages appearing in it.
 ///
@@ -56,17 +51,8 @@ const SEGMENT: usize = 64;
 /// process identifiers must be within `1..=n`. Use [`ExecutionBuilder`] for
 /// ergonomic hand construction in tests and docs.
 ///
-/// # Representation: shared prefixes
-///
-/// The log is stored as a *persistent spine*: full segments of `SEGMENT`
-/// steps are frozen into `Arc<[Step]>` blocks, and only the short tail is a
-/// plain mutable `Vec`. Cloning an execution therefore bumps one reference
-/// count per segment instead of deep-copying the whole history — the
-/// branching model checker clones a simulation (and its trace) at every
-/// branch point, and the shared spine makes that O(len/SEGMENT) instead of
-/// O(len). Message infos are `Arc`-shared the same way. The flat `&[Step]`
-/// view required by [`Self::steps`] is materialized lazily and cached; the
-/// cache is dropped on clone and invalidated on push.
+/// The steps are one vector: a clone copies them and shares the message
+/// infos (one `Arc` bump each).
 ///
 /// # Representation: an id-indexed message table
 ///
@@ -82,43 +68,21 @@ const SEGMENT: usize = 64;
 /// follow id order, exactly as a `BTreeMap` did.
 ///
 /// [`ExecutionBuilder`]: crate::ExecutionBuilder
-#[derive(Debug)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Execution {
     n: usize,
-    /// Frozen, structurally shared prefix: full segments of `SEGMENT` steps.
-    spine: Vec<Arc<[Step]>>,
-    /// Total steps across `spine` (always a multiple of `SEGMENT`).
-    spine_len: usize,
-    /// Mutable suffix, strictly shorter than `SEGMENT`.
-    tail: Vec<Step>,
+    steps: Vec<Step>,
     messages: IdMap<MessageId, Arc<MessageInfo>>,
     /// Rolling hash of each process's step subsequence (its *projection*).
     /// Maintained incrementally by [`Self::push`]; two executions whose
     /// projections hash equal are — modulo hash collisions —
-    /// indistinguishable to any per-process observer. Not part of the
-    /// execution's identity: excluded from `Eq` and serialization.
+    /// indistinguishable to any per-process observer. A function of `n` and
+    /// the steps, so it adds nothing to `Eq`; excluded from serialization.
     proj: Vec<u64>,
     /// Per-process crash flags, set by [`Self::push_raw`] next to the
     /// projection hashes, so [`Self::is_faulty`] is O(1). Like `proj`,
-    /// derived from the steps and excluded from `Eq` and serialization.
+    /// derived from the steps and excluded from serialization.
     crashed: Vec<bool>,
-    /// Lazily flattened copy of `spine ⊕ tail` backing [`Self::steps`].
-    flat: OnceLock<Vec<Step>>,
-}
-
-impl Clone for Execution {
-    fn clone(&self) -> Self {
-        Self {
-            n: self.n,
-            spine: self.spine.clone(),
-            spine_len: self.spine_len,
-            tail: self.tail.clone(),
-            messages: self.messages.clone(),
-            proj: self.proj.clone(),
-            crashed: self.crashed.clone(),
-            flat: OnceLock::new(),
-        }
-    }
 }
 
 impl Execution {
@@ -132,13 +96,10 @@ impl Execution {
         assert!(n > 0, "an execution needs at least one process");
         Self {
             n,
-            spine: Vec::new(),
-            spine_len: 0,
-            tail: Vec::new(),
+            steps: Vec::new(),
             messages: IdMap::new(),
             proj: vec![0; n],
             crashed: vec![false; n],
-            flat: OnceLock::new(),
         }
     }
 
@@ -183,19 +144,7 @@ impl Execution {
     /// * [`TraceError::UnknownMessage`] if the action references an
     ///   unregistered message.
     pub fn push(&mut self, step: Step) -> Result<(), TraceError> {
-        self.check_process(step.process)?;
-        match step.action {
-            Action::Send { to, .. } => self.check_process(to)?,
-            Action::Receive { from, .. } | Action::Deliver { from, .. } => {
-                self.check_process(from)?;
-            }
-            _ => {}
-        }
-        if let Some(msg) = step.action.message() {
-            if !self.messages.contains_key(msg) {
-                return Err(TraceError::UnknownMessage(msg));
-            }
-        }
+        self.check_step(&step)?;
         self.push_raw(step);
         Ok(())
     }
@@ -216,12 +165,27 @@ impl Execution {
                 }
             }
         }
-        self.flat.take();
-        self.tail.push(step);
-        if self.tail.len() == SEGMENT {
-            self.spine.push(Arc::from(std::mem::take(&mut self.tail)));
-            self.spine_len += SEGMENT;
+        self.steps.push(step);
+    }
+
+    /// The checks [`Self::push`] makes of a step and [`Self::validate`]
+    /// repeats for every step: the acting process and any peer lie in
+    /// `p1 … pn`, and a referenced message is registered.
+    fn check_step(&self, step: &Step) -> Result<(), TraceError> {
+        self.check_process(step.process)?;
+        match step.action {
+            Action::Send { to, .. } => self.check_process(to)?,
+            Action::Receive { from, .. } | Action::Deliver { from, .. } => {
+                self.check_process(from)?;
+            }
+            _ => {}
         }
+        if let Some(msg) = step.action.message() {
+            if !self.messages.contains_key(msg) {
+                return Err(TraceError::UnknownMessage(msg));
+            }
+        }
+        Ok(())
     }
 
     fn check_process(&self, p: ProcessId) -> Result<(), TraceError> {
@@ -235,43 +199,21 @@ impl Execution {
     }
 
     /// The steps of the execution, in order.
-    ///
-    /// While the execution still fits in one (mutable) segment this is a
-    /// direct borrow; once frozen segments exist, a flattened copy is
-    /// materialized on first use and cached until the next [`Self::push`].
     #[must_use]
     pub fn steps(&self) -> &[Step] {
-        if self.spine.is_empty() {
-            return &self.tail;
-        }
-        self.flat.get_or_init(|| {
-            let mut v = Vec::with_capacity(self.len());
-            for seg in &self.spine {
-                v.extend_from_slice(seg);
-            }
-            v.extend_from_slice(&self.tail);
-            v
-        })
-    }
-
-    /// Iterates over the steps without materializing the flat view.
-    fn iter_steps(&self) -> impl Iterator<Item = &Step> {
-        self.spine
-            .iter()
-            .flat_map(|seg| seg.iter())
-            .chain(self.tail.iter())
+        &self.steps
     }
 
     /// Number of steps.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.spine_len + self.tail.len()
+        self.steps.len()
     }
 
     /// Is this the empty execution `ε`?
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.steps.is_empty()
     }
 
     /// Per-process rolling projection hashes.
@@ -308,7 +250,7 @@ impl Execution {
 
     /// The steps taken by one process, in order.
     pub fn steps_of(&self, p: ProcessId) -> impl Iterator<Item = &Step> {
-        self.iter_steps().filter(move |s| s.process == p)
+        self.steps.iter().filter(move |s| s.process == p)
     }
 
     /// Is `p` faulty in this execution (does it take a [`Action::Crash`] step)?
@@ -359,15 +301,6 @@ impl Execution {
             .collect()
     }
 
-    /// The first message B-delivered by `p`, if any.
-    #[must_use]
-    pub fn first_delivered(&self, p: ProcessId) -> Option<MessageId> {
-        self.steps_of(p).find_map(|s| match s.action {
-            Action::Deliver { msg, .. } => Some(msg),
-            _ => None,
-        })
-    }
-
     /// The messages B-broadcast by `p` (invocation steps), in order.
     #[must_use]
     pub fn broadcasts_by(&self, p: ProcessId) -> Vec<MessageId> {
@@ -384,7 +317,7 @@ impl Execution {
     #[must_use]
     pub fn decided_values(&self, obj: crate::KsaId) -> Vec<Value> {
         let mut seen = Vec::new();
-        for s in self.iter_steps() {
+        for s in &self.steps {
             if let Action::Decide { obj: o, value } = s.action {
                 if o == obj && !seen.contains(&value) {
                     seen.push(value);
@@ -398,7 +331,8 @@ impl Execution {
     #[must_use]
     pub fn ksa_objects(&self) -> Vec<crate::KsaId> {
         let mut objs: Vec<_> = self
-            .iter_steps()
+            .steps
+            .iter()
             .filter_map(|s| match s.action {
                 Action::Propose { obj, .. } | Action::Decide { obj, .. } => Some(obj),
                 _ => None,
@@ -425,7 +359,7 @@ impl Execution {
                 Some(_) => return Err(TraceError::DuplicateMessage(id)),
             }
         }
-        for step in other.iter_steps() {
+        for step in &other.steps {
             self.push(*step)?;
         }
         Ok(())
@@ -456,20 +390,8 @@ impl Execution {
         for (_, info) in self.messages() {
             self.check_process(info.sender)?;
         }
-        for step in self.iter_steps() {
-            self.check_process(step.process)?;
-            match step.action {
-                Action::Send { to, .. } => self.check_process(to)?,
-                Action::Receive { from, .. } | Action::Deliver { from, .. } => {
-                    self.check_process(from)?;
-                }
-                _ => {}
-            }
-            if let Some(msg) = step.action.message() {
-                if !self.messages.contains_key(msg) {
-                    return Err(TraceError::UnknownMessage(msg));
-                }
-            }
+        for step in &self.steps {
+            self.check_step(step)?;
         }
         Ok(())
     }
@@ -501,27 +423,17 @@ fn hash_step(step: &Step) -> u64 {
     h.finish()
 }
 
-impl PartialEq for Execution {
-    fn eq(&self, other: &Self) -> bool {
-        self.n == other.n
-            && self.len() == other.len()
-            && self.messages == other.messages
-            && self.iter_steps().eq(other.iter_steps())
-    }
-}
-
-impl Eq for Execution {}
-
-// Hand-written serde impls (the spine is a representation detail): the
-// encoding is exactly what the old derived `{n, steps, messages}` struct
-// produced, so golden files and cross-version logs stay byte-identical.
+// Hand-written serde impls (the projection hashes and crash flags are
+// derived, not encoded): the encoding is exactly what the old derived
+// `{n, steps, messages}` struct produced, so golden files and
+// cross-version logs stay byte-identical.
 impl Serialize for Execution {
     fn to_json(&self) -> Json {
         Json::Object(vec![
             ("n".to_string(), self.n.to_json()),
             (
                 "steps".to_string(),
-                Json::Array(self.iter_steps().map(Serialize::to_json).collect()),
+                Json::Array(self.steps.iter().map(Serialize::to_json).collect()),
             ),
             (
                 "messages".to_string(),
@@ -551,16 +463,13 @@ impl Deserialize for Execution {
         // loaded value (`camp-lint trace --strict`).
         let mut exec = Execution {
             n,
-            spine: Vec::new(),
-            spine_len: 0,
-            tail: Vec::new(),
+            steps: Vec::with_capacity(steps.len()),
             messages: messages
                 .into_iter()
                 .map(|(id, info)| (id, Arc::new(info)))
                 .collect(),
             proj: vec![0; n],
             crashed: vec![false; n],
-            flat: OnceLock::new(),
         };
         for step in steps {
             exec.push_raw(step);
@@ -577,7 +486,7 @@ impl fmt::Display for Execution {
             self.n,
             self.len()
         )?;
-        for (i, step) in self.iter_steps().enumerate() {
+        for (i, step) in self.steps.iter().enumerate() {
             writeln!(f, "  {i:>4}: {step}")?;
         }
         Ok(())
@@ -800,41 +709,28 @@ mod tests {
     }
 
     #[test]
-    fn spine_preserves_step_order_across_segments() {
-        let e = long_exec(3, 5 * SEGMENT + 17);
-        assert_eq!(e.len(), 5 * SEGMENT + 17);
-        let steps = e.steps();
-        for (i, s) in steps.iter().enumerate() {
+    fn long_executions_keep_step_order() {
+        let e = long_exec(3, 337);
+        assert_eq!(e.len(), 337);
+        for (i, s) in e.steps().iter().enumerate() {
             assert_eq!(s.action, Action::Internal { tag: i as u64 });
         }
-        // The iterator view agrees with the flattened view.
-        assert!(e.iter_steps().eq(steps.iter()));
     }
 
     #[test]
-    fn steps_view_stays_fresh_after_push() {
-        let mut e = long_exec(2, SEGMENT + 3);
-        assert_eq!(e.steps().len(), SEGMENT + 3);
+    fn steps_show_every_push() {
+        let mut e = long_exec(2, 67);
+        assert_eq!(e.steps().len(), 67);
         e.push(Step::new(p(1), Action::Internal { tag: 999 }))
             .unwrap();
         let steps = e.steps();
-        assert_eq!(steps.len(), SEGMENT + 4);
+        assert_eq!(steps.len(), 68);
         assert_eq!(steps.last().unwrap().action, Action::Internal { tag: 999 });
     }
 
     #[test]
-    fn clones_share_spine_segments() {
-        let e = long_exec(2, 3 * SEGMENT);
-        let f = e.clone();
-        assert_eq!(e, f);
-        for (a, b) in e.spine.iter().zip(&f.spine) {
-            assert!(Arc::ptr_eq(a, b), "spine segments must be shared");
-        }
-    }
-
-    #[test]
     fn diverging_clones_stay_independent() {
-        let mut e = long_exec(2, SEGMENT + 5);
+        let mut e = long_exec(2, 69);
         let mut f = e.clone();
         e.push(Step::new(p(1), Action::Internal { tag: 100 }))
             .unwrap();

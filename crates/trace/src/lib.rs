@@ -72,4 +72,4 @@ pub use render::render_timeline;
 pub use stats::{EventCounts, ExecutionStats};
 pub use surgery::Renaming;
 pub use timeline::{timeline_builder_of, timeline_of};
-pub use views::{DeliveryView, ProcessView};
+pub use views::DeliveryView;

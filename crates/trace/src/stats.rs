@@ -112,17 +112,6 @@ impl ExecutionStats {
     pub fn process(&self, p: ProcessId) -> &EventCounts {
         &self.per_process[p.index()]
     }
-
-    /// Point-to-point messages sent per broadcast invocation — the message
-    /// complexity of the algorithm on this execution (0 if no broadcasts).
-    #[must_use]
-    pub fn sends_per_broadcast(&self) -> f64 {
-        if self.global.broadcasts == 0 {
-            0.0
-        } else {
-            self.global.sends as f64 / self.global.broadcasts as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -188,21 +177,5 @@ mod tests {
         assert_eq!(s.process(p(1)).broadcasts, 1);
         assert_eq!(s.process(p(1)).deliveries, 0);
         assert_eq!(s.process(p(2)).deliveries, 1);
-    }
-
-    #[test]
-    fn sends_per_broadcast_ratio() {
-        let mut b = ExecutionBuilder::new(3);
-        let m = b.fresh_broadcast_message(p(1), Value::new(1));
-        b.step(p(1), Action::Broadcast { msg: m });
-        for _ in 0..3 {
-            let w = b.fresh_p2p_message(p(1), "w");
-            b.step(p(1), Action::Send { to: p(2), msg: w });
-        }
-        let s = ExecutionStats::of(&b.build());
-        assert!((s.sends_per_broadcast() - 3.0).abs() < f64::EPSILON);
-        assert!(
-            (ExecutionStats::of(&Execution::new(1)).sends_per_broadcast()).abs() < f64::EPSILON
-        );
     }
 }

@@ -1,72 +1,10 @@
-//! Derived views over executions: per-process step sequences and delivery
-//! orders, with the comparison helpers used by indistinguishability and
-//! ordering arguments.
+//! Derived views over executions: per-process delivery orders, with the
+//! comparison helpers used by ordering arguments.
 
 use std::collections::BTreeMap;
 
-use crate::action::{Action, Step};
 use crate::execution::Execution;
 use crate::ids::{MessageId, ProcessId};
-
-/// The sequence of steps of a single process, extracted from an execution.
-///
-/// Indistinguishability arguments in the paper ("for each process `p_i`,
-/// `α_i` is indistinguishable from `δ`, as both executions involve identical
-/// B-broadcast and B-delivery steps for `p_i`") compare exactly these views.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ProcessView {
-    process: ProcessId,
-    steps: Vec<Step>,
-}
-
-impl ProcessView {
-    /// Extracts the view of `process` from `exec`.
-    #[must_use]
-    pub fn of(exec: &Execution, process: ProcessId) -> Self {
-        Self {
-            process,
-            steps: exec.steps_of(process).copied().collect(),
-        }
-    }
-
-    /// The process this view belongs to.
-    #[must_use]
-    pub fn process(&self) -> ProcessId {
-        self.process
-    }
-
-    /// The steps of the process, in order.
-    #[must_use]
-    pub fn steps(&self) -> &[Step] {
-        &self.steps
-    }
-
-    /// The actions of the process, in order.
-    pub fn actions(&self) -> impl Iterator<Item = &Action> {
-        self.steps.iter().map(|s| &s.action)
-    }
-
-    /// Is this view a prefix of `other` (same process, and this step
-    /// sequence is an initial segment of the other's)?
-    #[must_use]
-    pub fn is_prefix_of(&self, other: &ProcessView) -> bool {
-        self.process == other.process
-            && self.steps.len() <= other.steps.len()
-            && self.steps.iter().zip(&other.steps).all(|(a, b)| a == b)
-    }
-
-    /// Do the two views contain the same *broadcast-level* steps
-    /// (B-broadcast invocations, returns, and deliveries) in the same order?
-    ///
-    /// This is the paper's notion of indistinguishability at the abstraction
-    /// level used in Lemma 9.
-    #[must_use]
-    pub fn same_broadcast_events(&self, other: &ProcessView) -> bool {
-        let mine: Vec<_> = self.actions().filter(|a| a.is_broadcast_event()).collect();
-        let theirs: Vec<_> = other.actions().filter(|a| a.is_broadcast_event()).collect();
-        mine == theirs
-    }
-}
 
 /// Per-process delivery orders, with a B-tree per process mapping each
 /// delivered message to its position, so a position lookup is
@@ -175,7 +113,7 @@ impl DeliveryView {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ExecutionBuilder, Value};
+    use crate::{Action, ExecutionBuilder, Value};
 
     fn p(i: usize) -> ProcessId {
         ProcessId::new(i)
@@ -262,28 +200,5 @@ mod tests {
         let (e, m1, m2) = conflicted_execution();
         let v = DeliveryView::of(&e);
         assert_eq!(v.first_delivered_set(), vec![m1, m2]);
-    }
-
-    #[test]
-    fn process_view_prefix_and_indistinguishability() {
-        let (e, _, _) = conflicted_execution();
-        let full = ProcessView::of(&e, p(1));
-        // Build a shorter execution with the same first steps of p1.
-        let mut b = ExecutionBuilder::new(2);
-        let m1 = b.fresh_broadcast_message(p(1), Value::new(1));
-        b.step(p(1), Action::Broadcast { msg: m1 });
-        let short = ProcessView::of(&b.build(), p(1));
-        assert!(short.is_prefix_of(&full));
-        assert!(!full.is_prefix_of(&short));
-        assert!(!short.same_broadcast_events(&full));
-        assert!(full.same_broadcast_events(&full.clone()));
-    }
-
-    #[test]
-    fn prefix_requires_same_process() {
-        let (e, _, _) = conflicted_execution();
-        let v1 = ProcessView::of(&e, p(1));
-        let v2 = ProcessView::of(&e, p(2));
-        assert!(!v1.is_prefix_of(&v2));
     }
 }

@@ -93,7 +93,6 @@ proptest! {
                 prop_assert!(pos <= i);
                 prop_assert_eq!(order[pos], m);
             }
-            prop_assert_eq!(exec.first_delivered(p), order.first().copied());
         }
     }
 

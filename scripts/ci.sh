@@ -97,8 +97,9 @@ print(f"ban list: {sum(want.values())} findings, one per banned item; the covere
 PY
 
 # The workspace lints, still before any release build. This stage is also
-# the determinism fence: agreement, broadcast, obs, sim and specs link the
-# list proven above as their clippy.toml (tests/check.rs pins the links).
+# the determinism fence: agreement, broadcast, obs, sim, specs and trace
+# link the list proven above as their clippy.toml (tests/check.rs pins the
+# links).
 stage "clippy (deny warnings; the protocol crates under lints/clippy.toml)"
 cargo clippy --workspace --all-targets -- -D warnings
 

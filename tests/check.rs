@@ -107,9 +107,10 @@ fn check_members_match_each_engine_run_alone() {
 }
 
 /// The crates that clippy's shared ban list covers, by directory name under
-/// `crates/`: the protocol crates and `obs`, which is linked into their hot
-/// paths.
-const FENCED_CRATES: &[&str] = &["agreement", "broadcast", "obs", "sim", "specs"];
+/// `crates/`: the protocol crates, `obs`, which is linked into their hot
+/// paths, and `trace`, whose executions the simulator owns and whose
+/// projection hashes enter the explorer's memo key.
+const FENCED_CRATES: &[&str] = &["agreement", "broadcast", "obs", "sim", "specs", "trace"];
 
 /// Clippy reads the first `clippy.toml` or `.clippy.toml` it finds walking
 /// up from a crate's manifest directory. So each fenced crate links the one
