@@ -353,11 +353,10 @@ pub fn adversarial_scheduler<B: BroadcastAlgorithm>(
         }
     }
 
-    // Line 26: deliver everything still in flight, in slot order.
+    // Line 26: deliver everything still in flight, in slot order. No
+    // process steps afterwards, so no receive handler needs to run.
     let flush_start = sim.trace().len();
-    sim.receive_all()?;
-
-    let execution = sim.into_trace();
+    let execution = sim.into_flushed_trace()?;
     // Designated messages: the last N own-message deliveries of each process.
     let designated = ProcessId::all(n)
         .map(|p| {

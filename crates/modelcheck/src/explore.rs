@@ -38,12 +38,13 @@
 //!    a DAG walk. The fingerprint is one raw typed walk of the *live*
 //!    state (what [`camp_sim::Simulation::fingerprint`] digests: process
 //!    states, in-flight multiset, oracle) and the workload cursors, with
-//!    the per-process *projection hashes* of the recorded trace — so two prefixes merge only when no
-//!    per-process observer (hence no `camp-specs` property verdict on any
-//!    completed extension) could tell them apart. A memoized state is only
-//!    skipped when it was previously expanded with a sleep set no larger
-//!    than the current one, the classic side condition for combining state
-//!    caching with sleep sets.
+//!    a per-process *history digest* of the recorded trace, which the
+//!    explorer folds over the steps each transition appends — so two
+//!    prefixes merge only when no per-process observer (hence no
+//!    `camp-specs` property verdict on any completed extension) could tell
+//!    them apart. A memoized state is only skipped when it was previously
+//!    expanded with a sleep set no larger than the current one, the
+//!    classic side condition for combining state caching with sleep sets.
 //!
 //! Two further layers are licensed by certificates, never configured: a
 //! valid `camp-symmetry-cert/v1` adds memoization up to a process renaming,
@@ -55,7 +56,9 @@
 //! commuting. See [`explore`] and the "layer 3½" and "layer 3¾" sections of
 //! `docs/MODELCHECK.md` for the soundness arguments.
 
+use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, HashSet};
+use std::hash::{Hash, Hasher};
 use std::ops::ControlFlow;
 
 use camp_obs::ObsSink;
@@ -64,7 +67,7 @@ use camp_sim::fingerprint::StateHasher;
 use camp_sim::scheduler::Workload;
 use camp_sim::{BroadcastAlgorithm, SimError, Simulation};
 use camp_specs::{SpecResult, Violation};
-use camp_trace::{Action, Execution, MessageId, ProcessId};
+use camp_trace::{Action, Execution, MessageId, ProcessId, Step};
 
 /// Budgets for an exploration.
 #[derive(Debug, Clone, Copy)]
@@ -385,16 +388,12 @@ fn key_of<B: BroadcastAlgorithm>(choice: Choice, sim: &Simulation<B>) -> ChoiceK
 /// Applies `choice` to `sim` (advancing `issued` for invocations) and drains
 /// the resulting local steps. Returns the number of simulation events
 /// executed: the environment event itself plus the drained local steps.
-fn apply_choice<B>(
+fn apply_choice<B: BroadcastAlgorithm>(
     sim: &mut Simulation<B>,
     workload: &Workload,
     issued: &mut [usize],
     choice: Choice,
-) -> Result<usize, SimError>
-where
-    B: BroadcastAlgorithm,
-    B::Msg: Clone,
-{
+) -> Result<usize, SimError> {
     match choice {
         Choice::Invoke(p) => {
             let content = workload
@@ -447,7 +446,7 @@ impl Quotient {
     /// contents are numbered by first occurrence across the whole walk.
     ///
     /// Unlike [`combined_fingerprint`] this cannot use the per-process
-    /// projection hashes (they bake in concrete ids), so it walks the
+    /// history digests (they bake in concrete ids), so it walks the
     /// trace; the workload future must be included explicitly because two
     /// renamed states are only interchangeable if their *pending*
     /// invocations also correspond under the renaming.
@@ -613,18 +612,39 @@ fn action_kind(action: Action) -> u64 {
 
 /// The memoization fingerprint of a node: one raw walk of the live
 /// simulation state (what [`Simulation::fingerprint`] digests), the
-/// workload cursors, and the per-process projection hashes of the trace so
-/// far.
+/// workload cursors, and the node's per-process history digests (see
+/// [`fold_history`]).
 fn combined_fingerprint<B: BroadcastAlgorithm>(
     orbit: &mut Orbit,
     sim: &Simulation<B>,
     issued: &[usize],
+    history: &[u64],
 ) -> u128 {
     orbit.raw_digest(|r| {
         sim.relabel_live(r);
         issued.relabel(r);
-        sim.trace().projection_hashes().relabel(r);
+        history.relabel(r);
     })
+}
+
+/// Folds `steps` into the per-process history digests: entry `i` is a
+/// rolling FNV-style fold of the `DefaultHasher` hashes of process
+/// `i + 1`'s steps, in trace order. Folding a node's digests over the steps
+/// a transition appended gives the child's, so each step is hashed once
+/// per branch that takes it. Two traces with equal per-process step
+/// sequences have equal digests, whatever their interleaving.
+///
+/// # Panics
+///
+/// Panics on a step of a process outside `1..=history.len()`, which a
+/// simulation never records.
+fn fold_history(history: &mut [u64], steps: &[Step]) {
+    for step in steps {
+        let mut h = DefaultHasher::new();
+        step.hash(&mut h);
+        let digest = &mut history[step.process.index()];
+        *digest = (*digest ^ h.finish()).wrapping_mul(0x0000_0100_0000_01B3);
+    }
 }
 
 /// Stored sleep signatures per memoized state. A state revisited with a
@@ -658,10 +678,12 @@ struct Engine<'a, S: ObsSink> {
 
 impl<S: ObsSink> Engine<'_, S> {
     /// Explores the subtree rooted at `sim` (already drained) with the given
-    /// sleep set. `depth` counts environment events along the path.
+    /// sleep set. `history` holds the per-process digests of `sim`'s trace
+    /// ([`fold_history`]); `depth` counts environment events along the path.
     fn dfs<B>(
         &mut self,
         sim: &Simulation<B>,
+        history: &[u64],
         issued: &mut [usize],
         depth: usize,
         sleep: Vec<SleepEntry>,
@@ -708,7 +730,7 @@ impl<S: ObsSink> Engine<'_, S> {
         }
 
         if self.cfg.dedup {
-            let fp = combined_fingerprint(&mut self.orbit, sim, issued);
+            let fp = combined_fingerprint(&mut self.orbit, sim, issued, history);
             // Signatures are keyed by the asleep events alone: the widened
             // flag is counter attribution and does not affect what a visit
             // explored, so it must not split otherwise-identical signatures.
@@ -805,7 +827,12 @@ impl<S: ObsSink> Engine<'_, S> {
                     break;
                 }
             }
-            let result = self.dfs(&branch, issued, depth + 1, child_sleep);
+            let mut child_history = history.to_vec();
+            fold_history(
+                &mut child_history,
+                &branch.trace().steps()[sim.trace().len()..],
+            );
+            let result = self.dfs(&branch, &child_history, issued, depth + 1, child_sleep);
             if let Choice::Invoke(p) = choice {
                 issued[p.index()] -= 1;
             }
@@ -901,8 +928,11 @@ where
         Err(e) => (ExploreOutcome::Error(e), EngineStats::default()),
         Ok(steps) => {
             sink.add("modelcheck.steps_replayed", steps as u64);
-            // `issued` is indexed by process: exactly `n` entries.
+            // `issued` and `history` are indexed by process: exactly `n`
+            // entries.
             let mut issued = vec![0usize; root.n()];
+            let mut history = vec![0u64; root.n()];
+            fold_history(&mut history, root.trace().steps());
             let mut engine = Engine {
                 workload,
                 property,
@@ -916,7 +946,7 @@ where
                 visited: HashMap::new(),
                 scratch: Vec::new(),
             };
-            let outcome = match engine.dfs(&root, &mut issued, 0, Vec::new()) {
+            let outcome = match engine.dfs(&root, &history, &mut issued, 0, Vec::new()) {
                 ControlFlow::Break(outcome) => outcome,
                 ControlFlow::Continue(()) => ExploreOutcome::Verified {
                     completed: engine.stats.completed,
@@ -1212,6 +1242,30 @@ mod tests {
             quotient.fingerprint(&mut orbit, &a, &workload, &a_issued),
             quotient.fingerprint(&mut orbit, &b, &workload, &b_issued)
         );
+    }
+
+    #[test]
+    fn history_digests_track_per_process_subsequences() {
+        let step = |p, tag| Step::new(ProcessId::new(p), Action::Internal { tag });
+        let digests = |steps: &[Step]| {
+            let mut history = vec![0; 2];
+            fold_history(&mut history, steps);
+            history
+        };
+        // Same per-process projections, different interleavings: equal
+        // digests.
+        let a = digests(&[step(1, 1), step(2, 2)]);
+        assert_eq!(a, digests(&[step(2, 2), step(1, 1)]));
+        // A child's digests extend its parent's: folding the appended
+        // steps onto them is folding the whole trace.
+        let mut parent = digests(&[step(1, 1)]);
+        fold_history(&mut parent, &[step(2, 2)]);
+        assert_eq!(parent, a);
+        // Different projection: different digest (with overwhelming
+        // probability), and only for that process.
+        let c = digests(&[step(1, 3), step(2, 2)]);
+        assert_ne!(a[0], c[0]);
+        assert_eq!(a[1], c[1]);
     }
 
     #[test]

@@ -329,10 +329,7 @@ impl<B: BroadcastAlgorithm> Simulation<B> {
     /// * [`SimError::NoSuchInFlight`] if the slot is empty;
     /// * [`SimError::ProcessCrashed`] if the destination has crashed (a
     ///   crashed process takes no further steps, receptions included).
-    pub fn receive(&mut self, slot: usize) -> Result<InFlight<B::Msg>, SimError>
-    where
-        B::Msg: Clone,
-    {
+    pub fn receive(&mut self, slot: usize) -> Result<(), SimError> {
         let Some(peek) = self.network.in_flight().get(slot) else {
             return Err(SimError::NoSuchInFlight(slot));
         };
@@ -345,49 +342,34 @@ impl<B: BroadcastAlgorithm> Simulation<B> {
                 msg: msg.id,
             },
         ))?;
-        self.algo.on_receive(
-            &mut self.states[msg.to.index()],
-            msg.from,
-            msg.payload.clone(),
-        );
-        Ok(msg)
+        self.algo
+            .on_receive(&mut self.states[msg.to.index()], msg.from, msg.payload);
+        Ok(())
     }
 
-    /// Receives every in-flight message, in slot order, in one pass: the
-    /// steps, checks and errors of calling [`Simulation::receive`] on slot
-    /// 0 until the network is empty, without shifting the remaining slots
-    /// after each reception. (A handler only queues local steps, so no
-    /// message joins the network during the pass.)
+    /// Consumes the simulation and returns its execution with every
+    /// in-flight message received, in slot order: the trace a
+    /// [`Simulation::receive`] loop on slot 0 leaves, for a run that ends
+    /// there (Algorithm 1's closing flush, line 26). No receive handler
+    /// runs: a handler only changes its own process's state and queues
+    /// local steps, and no process takes a step after the flush.
     ///
     /// # Errors
     ///
-    /// [`SimError::ProcessCrashed`] / [`SimError::UnknownProcess`] for the
-    /// first message whose destination cannot take it. The messages before
-    /// it stay received; it and every later one stay in flight, in order —
-    /// where a `receive(0)` loop stops.
-    pub fn receive_all(&mut self) -> Result<(), SimError> {
-        let mut pending = self.network.take_all().into_iter();
-        while let Some(msg) = pending.next() {
-            if let Err(e) = self.check_alive(msg.to) {
-                self.network
-                    .restore_front(std::iter::once(msg).chain(pending));
-                return Err(e);
-            }
-            let step = Step::new(
+    /// [`SimError::ProcessCrashed`] for the first message whose destination
+    /// has crashed, where a `receive(0)` loop stops.
+    pub fn into_flushed_trace(mut self) -> Result<Execution, SimError> {
+        for msg in self.network.in_flight() {
+            self.check_alive(msg.to)?;
+            self.trace.push(Step::new(
                 msg.to,
                 Action::Receive {
                     from: msg.from,
                     msg: msg.id,
                 },
-            );
-            if let Err(e) = self.trace.push(step) {
-                self.network.restore_front(pending);
-                return Err(e.into());
-            }
-            self.algo
-                .on_receive(&mut self.states[msg.to.index()], msg.from, msg.payload);
+            ))?;
         }
-        Ok(())
+        Ok(self.trace)
     }
 
     /// Makes the k-SA object `obj` respond to `pid`'s pending proposal:
@@ -427,8 +409,8 @@ impl<B: BroadcastAlgorithm> Simulation<B> {
     /// Deliberately *not* included: the recorded trace. Two interleavings
     /// that re-converge to the same live state get the same fingerprint even
     /// though their histories differ; the model checker walks the same state
-    /// together with [`camp_trace::Execution::projection_hashes`] when
-    /// history matters. The digest is one raw walk of [`Simulation::relabel_live`]
+    /// together with its own per-process digests of the trace when history
+    /// matters. The digest is one raw walk of [`Simulation::relabel_live`]
     /// ([`crate::canonical::Orbit::raw_digest`]): every component is fed as
     /// typed words, with its own ids and contents, so it is deterministic
     /// across runs of the same binary (see [`crate::fingerprint`]). The

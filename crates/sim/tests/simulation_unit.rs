@@ -199,14 +199,14 @@ fn loaded_network(victim: Option<ProcessId>) -> Simulation<Echo> {
 }
 
 #[test]
-fn receive_all_matches_a_receive_zero_loop() {
+fn flushed_trace_matches_a_receive_zero_loop() {
     // No crash, then a crashed destination at slot 0 (p1) and mid-network
-    // (p2 at slot 1, p3 at slot 2): the one-pass drain must stop exactly
-    // where the loop does, with the same error and the same slots left.
+    // (p2 at slot 1, p3 at slot 2): the consuming flush must record the
+    // loop's trace, and fail with the loop's error where the loop stops.
     let victims = [None, Some(1), Some(2), Some(3)];
     for victim in victims.map(|v| v.map(ProcessId::new)) {
         let mut looped = loaded_network(victim);
-        let mut drained = looped.clone();
+        let flushed = looped.clone().into_flushed_trace();
         let loop_result = loop {
             if looped.network().is_empty() {
                 break Ok(());
@@ -215,25 +215,17 @@ fn receive_all_matches_a_receive_zero_loop() {
                 break Err(e);
             }
         };
-        let drain_result = drained.receive_all();
-        assert_eq!(drain_result, loop_result, "victim {victim:?}");
-        assert_eq!(
-            drained.network().in_flight(),
-            looped.network().in_flight(),
-            "victim {victim:?}: in-flight slots"
-        );
-        assert_eq!(drained.trace(), looped.trace(), "victim {victim:?}");
-        assert_eq!(
-            drained.fingerprint(),
-            looped.fingerprint(),
-            "victim {victim:?}"
-        );
-        match victim {
-            None => assert!(drained.network().is_empty()),
-            Some(v) => {
-                assert_eq!(drain_result, Err(SimError::ProcessCrashed(v)));
-                assert_eq!(drained.network().in_flight()[0].to, v);
+        match (victim, flushed) {
+            (None, Ok(trace)) => {
+                assert_eq!(loop_result, Ok(()));
+                assert_eq!(&trace, looped.trace());
             }
+            (Some(v), Err(e)) => {
+                assert_eq!(e, SimError::ProcessCrashed(v));
+                assert_eq!(loop_result, Err(e), "victim {v}");
+                assert_eq!(looped.network().in_flight()[0].to, v);
+            }
+            (victim, flushed) => panic!("victim {victim:?}: {flushed:?}"),
         }
     }
 }

@@ -44,8 +44,8 @@ impl ExecutionBuilder {
         }
     }
 
-    /// Sets the next raw message id to allocate (useful to avoid collisions
-    /// when two builders produce executions that will be concatenated).
+    /// Sets the next raw message id to allocate (useful to keep two
+    /// builders' message ids apart).
     pub fn set_next_message_raw(&mut self, raw: u64) -> &mut Self {
         self.next_msg = raw;
         self

@@ -1,9 +1,7 @@
 //! The [`Execution`] type: a sequence of steps plus a message table.
 
-use std::collections::hash_map::DefaultHasher;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use serde::{expect_object, obj_field, DeError, Deserialize, Json, Serialize};
@@ -73,15 +71,9 @@ pub struct Execution {
     n: usize,
     steps: Vec<Step>,
     messages: IdMap<MessageId, Arc<MessageInfo>>,
-    /// Rolling hash of each process's step subsequence (its *projection*).
-    /// Maintained incrementally by [`Self::push`]; two executions whose
-    /// projections hash equal are — modulo hash collisions —
-    /// indistinguishable to any per-process observer. A function of `n` and
-    /// the steps, so it adds nothing to `Eq`; excluded from serialization.
-    proj: Vec<u64>,
-    /// Per-process crash flags, set by [`Self::push_raw`] next to the
-    /// projection hashes, so [`Self::is_faulty`] is O(1). Like `proj`,
-    /// derived from the steps and excluded from serialization.
+    /// Per-process crash flags, set by [`Self::push_raw`], so
+    /// [`Self::is_faulty`] is O(1). A function of `n` and the steps, so
+    /// they add nothing to `Eq`; excluded from serialization.
     crashed: Vec<bool>,
 }
 
@@ -98,7 +90,6 @@ impl Execution {
             n,
             steps: Vec::new(),
             messages: IdMap::new(),
-            proj: vec![0; n],
             crashed: vec![false; n],
         }
     }
@@ -153,16 +144,12 @@ impl Execution {
     /// traces — the linter's reason to exist — exactly as the old derived
     /// impl did).
     fn push_raw(&mut self, step: Step) {
-        // A deserialized trace may name process 0, whose `index` would
-        // underflow; such steps reach neither table.
-        if let Some(index) = step.process.id().checked_sub(1) {
-            if let Some(slot) = self.proj.get_mut(index) {
-                *slot = (*slot ^ hash_step(&step)).wrapping_mul(0x0000_0100_0000_01B3);
-            }
-            if step.action == Action::Crash {
-                if let Some(flag) = self.crashed.get_mut(index) {
-                    *flag = true;
-                }
+        if step.action == Action::Crash {
+            // A deserialized trace may name process 0, whose `index` would
+            // underflow, or one past `n`; neither has a flag.
+            let index = step.process.id().checked_sub(1);
+            if let Some(flag) = index.and_then(|i| self.crashed.get_mut(i)) {
+                *flag = true;
             }
         }
         self.steps.push(step);
@@ -214,19 +201,6 @@ impl Execution {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.steps.is_empty()
-    }
-
-    /// Per-process rolling projection hashes.
-    ///
-    /// Entry `i` is a deterministic hash of the step subsequence of process
-    /// `i + 1` (an FNV-style fold, updated incrementally on push). The model
-    /// checker folds these into its state fingerprints: for the per-process
-    /// properties of `camp-specs`, two prefixes with equal live state and
-    /// equal projection hashes admit exactly the same verdicts on every
-    /// completed extension.
-    #[must_use]
-    pub fn projection_hashes(&self) -> &[u64] {
-        &self.proj
     }
 
     /// Looks up the information of a registered message.
@@ -343,28 +317,6 @@ impl Execution {
         objs
     }
 
-    /// Concatenates another execution's steps onto this one.
-    ///
-    /// Message tables are merged; shared message ids must agree on their info.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceError::DuplicateMessage`] if a message id is registered
-    /// in both executions with conflicting info, or any error of [`Self::push`].
-    pub fn concat(&mut self, other: &Execution) -> Result<(), TraceError> {
-        for (id, info) in other.messages() {
-            match self.messages.get(id) {
-                None => self.register_message(id, info.clone())?,
-                Some(existing) if &**existing == info => {}
-                Some(_) => return Err(TraceError::DuplicateMessage(id)),
-            }
-        }
-        for step in &other.steps {
-            self.push(*step)?;
-        }
-        Ok(())
-    }
-
     /// Re-runs every well-formedness check [`Self::push`] and
     /// [`Self::register_message`] enforce, over the whole execution.
     ///
@@ -417,16 +369,10 @@ impl Execution {
     }
 }
 
-fn hash_step(step: &Step) -> u64 {
-    let mut h = DefaultHasher::new();
-    step.hash(&mut h);
-    h.finish()
-}
-
-// Hand-written serde impls (the projection hashes and crash flags are
-// derived, not encoded): the encoding is exactly what the old derived
-// `{n, steps, messages}` struct produced, so golden files and
-// cross-version logs stay byte-identical.
+// Hand-written serde impls (the crash flags are derived, not encoded):
+// the encoding is exactly what the old derived `{n, steps, messages}`
+// struct produced, so golden files and cross-version logs stay
+// byte-identical.
 impl Serialize for Execution {
     fn to_json(&self) -> Json {
         Json::Object(vec![
@@ -468,7 +414,6 @@ impl Deserialize for Execution {
                 .into_iter()
                 .map(|(id, info)| (id, Arc::new(info)))
                 .collect(),
-            proj: vec![0; n],
             crashed: vec![false; n],
         };
         for step in steps {
@@ -660,24 +605,6 @@ mod tests {
     }
 
     #[test]
-    fn concat_merges() {
-        let mut b1 = ExecutionBuilder::new(2);
-        let m1 = b1.fresh_broadcast_message(p(1), Value::new(1));
-        b1.step(p(1), Action::Broadcast { msg: m1 });
-        let mut e1 = b1.build();
-
-        let mut b2 = ExecutionBuilder::new(2);
-        b2.set_next_message_raw(100);
-        let m2 = b2.fresh_broadcast_message(p(2), Value::new(2));
-        b2.step(p(2), Action::Broadcast { msg: m2 });
-        let e2 = b2.build();
-
-        e1.concat(&e2).unwrap();
-        assert_eq!(e1.len(), 2);
-        assert_eq!(e1.messages().count(), 2);
-    }
-
-    #[test]
     fn serde_round_trip() {
         let mut b = ExecutionBuilder::new(2);
         let m = b.fresh_broadcast_message(p(1), Value::new(9));
@@ -739,30 +666,6 @@ mod tests {
         assert_ne!(e, f);
         assert_eq!(e.steps().last().unwrap().process, p(1));
         assert_eq!(f.steps().last().unwrap().process, p(2));
-    }
-
-    #[test]
-    fn projection_hashes_track_per_process_subsequences() {
-        // Same per-process projections, different interleavings: equal hashes.
-        let mut a = Execution::new(2);
-        let mut b = Execution::new(2);
-        a.push(Step::new(p(1), Action::Internal { tag: 1 }))
-            .unwrap();
-        a.push(Step::new(p(2), Action::Internal { tag: 2 }))
-            .unwrap();
-        b.push(Step::new(p(2), Action::Internal { tag: 2 }))
-            .unwrap();
-        b.push(Step::new(p(1), Action::Internal { tag: 1 }))
-            .unwrap();
-        assert_eq!(a.projection_hashes(), b.projection_hashes());
-        // Different projection: different hash (with overwhelming probability).
-        let mut c = Execution::new(2);
-        c.push(Step::new(p(1), Action::Internal { tag: 3 }))
-            .unwrap();
-        c.push(Step::new(p(2), Action::Internal { tag: 2 }))
-            .unwrap();
-        assert_ne!(a.projection_hashes()[0], c.projection_hashes()[0]);
-        assert_eq!(a.projection_hashes()[1], c.projection_hashes()[1]);
     }
 
     #[test]

@@ -151,14 +151,6 @@ proptest! {
         prop_assert_eq!(renamed.len(), exec.len());
         prop_assert_eq!(renamed.messages().count(), ids.len());
     }
-
-    /// Concatenating an execution onto an empty one reproduces it.
-    #[test]
-    fn concat_identity(exec in arb_execution()) {
-        let mut empty = Execution::new(exec.process_count());
-        empty.concat(&exec).unwrap();
-        prop_assert_eq!(empty, exec);
-    }
 }
 
 #[test]

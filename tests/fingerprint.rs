@@ -24,7 +24,7 @@ use campkit::sim::scheduler::Workload;
 use campkit::sim::{
     BroadcastAlgorithm, FirstProposalRule, KsaOracle, OwnValueRule, Relabel, Simulation,
 };
-use campkit::trace::ProcessId;
+use campkit::trace::{ProcessId, Step};
 
 /// Simulator calls per walk.
 const WALK: usize = 100;
@@ -137,9 +137,9 @@ struct Classes {
     states: Partition,
     payloads: Partition,
     objects: Partition,
-    /// The history (per-process projection hashes of the trace) that first
+    /// The history (each process's steps, in trace order) that first
     /// reached each live state, by reference digest.
-    histories: BTreeMap<u128, Vec<u64>>,
+    histories: BTreeMap<u128, Vec<Vec<Step>>>,
     /// Live states reached again by a different history.
     converged: usize,
 }
@@ -169,11 +169,13 @@ impl Classes {
             self.objects
                 .record(name, orbit.raw_digest(|r| object.relabel(r)), object);
         }
-        let history = sim.trace().projection_hashes();
+        let history: Vec<Vec<Step>> = ProcessId::all(sim.n())
+            .map(|p| sim.trace().steps_of(p).copied().collect())
+            .collect();
         if *self
             .histories
             .entry(text)
-            .or_insert_with(|| history.to_vec())
+            .or_insert_with(|| history.clone())
             != history
         {
             self.converged += 1;

@@ -1,7 +1,8 @@
 //! Determinism and serialization goldens: the adversarial construction is a
 //! pure function of its inputs, executions round-trip through serde, a
-//! simulated message's label is its payload's `Debug` text, and the
-//! renaming quotient's canonical digests keep their values.
+//! simulated message's label is its payload's `Debug` text, the renaming
+//! quotient's canonical digests keep their values, and so do the JSON
+//! digests of Theorem 1's α, β and δ.
 //!
 //! The committed golden file pins the Figure 1 execution byte for byte; if
 //! an intentional change to the scheduler or an algorithm alters it,
@@ -13,9 +14,10 @@
 
 use std::collections::BTreeMap;
 
+use campkit::agreement::Patient;
 use campkit::broadcast::registry::{visit_builtins, visit_faulty, AlgoSpec, AlgorithmVisitor};
-use campkit::broadcast::{AgreedBroadcast, CausalBroadcast, FifoBroadcast};
-use campkit::impossibility::adversarial_scheduler;
+use campkit::broadcast::{AgreedBroadcast, CausalBroadcast, FifoBroadcast, SteppedBroadcast};
+use campkit::impossibility::{adversarial_scheduler, theorem1};
 use campkit::lint::lint_execution;
 use campkit::obs::NoopSink;
 use campkit::sim::canonical::canonical_execution_digest;
@@ -266,4 +268,61 @@ fn canonical_digests_are_pinned() {
             "8e50f94d458975a1545dbf065ca1ea71"
         ]
     );
+}
+
+/// FNV-1a (64-bit) over `exec`'s JSON encoding, in hex.
+fn json_digest(exec: &Execution) -> String {
+    let json = serde_json::to_string(exec).unwrap();
+    let digest = json.bytes().fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    format!("{digest:016x}")
+}
+
+/// The JSON digests of α, β and δ of `theorem1` with 𝒜 = `Patient(n)`,
+/// which makes `N = n`.
+fn theorem1_digests<B: BroadcastAlgorithm>(k: usize, n: usize, broadcast: B) -> [String; 3] {
+    let c = theorem1(k, &Patient::new(n), broadcast, 10_000_000).expect("a contradiction");
+    assert_eq!(c.n_used, n);
+    [&c.run.execution, &c.run.beta(), &c.delta].map(json_digest)
+}
+
+/// Theorem 1's artifacts are pinned byte for byte: Algorithm 1's execution
+/// α with its closing flush, its projection β and the renamed restriction
+/// δ, at two small (k, N) over agreed-rounds and k-stepped. The flush only
+/// records receptions (no process steps after it, so no receive handler
+/// runs), and any change to how α is built must leave all three unchanged.
+#[test]
+fn theorem1_artifacts_are_pinned() {
+    // β and δ hold only broadcast-level events, where the two candidates
+    // behave alike under Algorithm 1.
+    let beta_delta = |k| match k {
+        2 => ["162e887167adcb4a", "6fd925907b5802a3"],
+        _ => ["b66435a7b04609cd", "3e26c330b551841c"],
+    };
+    for (k, alpha, got) in [
+        (
+            2,
+            "9606e48ed4598bc2",
+            theorem1_digests(2, 2, AgreedBroadcast::new()),
+        ),
+        (
+            3,
+            "17c05c786e17ecb6",
+            theorem1_digests(3, 3, AgreedBroadcast::new()),
+        ),
+        (
+            2,
+            "bed2bd3983dd2d71",
+            theorem1_digests(2, 2, SteppedBroadcast::new()),
+        ),
+        (
+            3,
+            "11e6c22142f0266e",
+            theorem1_digests(3, 3, SteppedBroadcast::new()),
+        ),
+    ] {
+        let [beta, delta] = beta_delta(k);
+        assert_eq!(got, [alpha, beta, delta], "k = N = {k}");
+    }
 }
